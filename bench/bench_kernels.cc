@@ -4,13 +4,16 @@
 //   * sorted-set intersection: scalar two-pointer vs AVX2 blocked probe,
 //   * MarkHits (the in-place merge primitive), scalar vs SIMD,
 //   * counter-table churn: Assign/Release cycles through the arena,
-//   * full dense-workload scans (imp + sim) under each MergeKernel,
-//     reporting the speedup of the in-place kernels over kLegacy.
+//   * full mining scans (imp + sim) under each MergeKernel, reporting
+//     the speedup of the in-place kernels over kLegacy, over two
+//     matrices on either side of kernels::PreferVectorSweep: a dense
+//     correlated-block matrix (kSimd runs the vector sweep) and sparse
+//     Quest baskets (kSimd runs the row-mask merge).
 //
-// `--scale=<float>` sizes the dense workload; `--json-out=<path>` writes
-// the measurements as a stable JSON document (see bench_common.h);
-// `--baseline=<path>` compares the dense-scan throughput against a
-// previously committed bench JSON and exits nonzero on a >10% drop.
+// `--scale=<float>` sizes both workloads; `--json-out=<path>` writes the
+// measurements as a stable JSON document (see bench_common.h);
+// `--baseline=<path>` compares the scan throughput against a previously
+// committed bench JSON and exits nonzero on a >10% drop.
 
 #include <algorithm>
 #include <cinttypes>
@@ -26,6 +29,7 @@
 #include "core/engine.h"
 #include "core/kernels.h"
 #include "core/miss_counter_table.h"
+#include "datagen/quest_gen.h"
 #include "matrix/binary_matrix.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
@@ -88,6 +92,17 @@ BinaryMatrix MakeDenseMatrix(double scale) {
     b.AddRow(row);
   }
   return b.Build();
+}
+
+/// Sparse market baskets: 2000 items, about ten per basket — a mean row
+/// far narrower than the 32-word presence sidecar, so kSimd scans run
+/// the row-mask merge (the mine-sparse regime of perfbench/).
+BinaryMatrix MakeSparseMatrix(double scale) {
+  QuestOptions q;
+  q.num_transactions = static_cast<uint32_t>(30000 * scale);
+  q.num_items = 2000;
+  q.seed = 7;
+  return GenerateQuest(q);
 }
 
 void BenchIntersect(std::vector<bench::BenchRecord>& records, double scale) {
@@ -207,13 +222,21 @@ ScanResult RunSimScan(const BinaryMatrix& m, MergeKernel k) {
   return r;
 }
 
-void BenchDenseScans(std::vector<bench::BenchRecord>& records, double scale) {
-  bench::PrintSubHeader("dense-workload scans (rows/sec; speedup vs legacy)");
-  const BinaryMatrix m = MakeDenseMatrix(scale);
+// Full imp + sim scans of `m` under every kernel, recorded as
+// scan_imp_<label>/<kernel> and scan_sim_<label>/<kernel>.
+void BenchScans(std::vector<bench::BenchRecord>& records, const char* label,
+                const BinaryMatrix& m, double scale) {
+  bench::PrintSubHeader(std::string(label) +
+                        "-workload scans (rows/sec; speedup vs legacy)");
   bench::PerfCounters perf;
   std::printf("  matrix: %u rows x %u cols, %zu ones  (hw counters: %s)\n",
               m.num_rows(), m.num_columns(), size_t(m.num_ones()),
               perf.available() ? "on" : "unavailable");
+  std::printf("  simd kernel runs the %s\n",
+              kernels::PreferVectorSweep(m.num_columns(), m.num_rows(),
+                                         m.num_ones())
+                  ? "vector sweep"
+                  : "row-mask merge");
 
   const MergeKernel kernels_to_run[] = {MergeKernel::kLegacy,
                                         MergeKernel::kScalar,
@@ -224,7 +247,8 @@ void BenchDenseScans(std::vector<bench::BenchRecord>& records, double scale) {
   // rep, so instructions/cache_misses describe the same run as `seconds`.
   const int reps = 5;
   for (const bool sim : {false, true}) {
-    const char* scan = sim ? "scan_sim_dense" : "scan_imp_dense";
+    const std::string scan =
+        std::string(sim ? "scan_sim_" : "scan_imp_") + label;
     double legacy_secs = 0.0;
     for (const MergeKernel k : kernels_to_run) {
       const MergeKernel resolved = ResolveKernel(k);
@@ -248,8 +272,8 @@ void BenchDenseScans(std::vector<bench::BenchRecord>& records, double scale) {
       const double rows_per_sec = m.num_rows() / r.seconds;
       std::printf("  %s/%-6s  %8.3f s  %10.0f rows/sec  %zu rules"
                   "  peak=%zu B",
-                  scan, KernelName(k), r.seconds, rows_per_sec, r.rules,
-                  r.peak_counter_bytes);
+                  scan.c_str(), KernelName(k), r.seconds, rows_per_sec,
+                  r.rules, r.peak_counter_bytes);
       if (perf.available()) {
         std::printf("  %" PRIu64 "M insn  %" PRIu64 "k LLC-miss",
                     instructions / 1000000, cache_misses / 1000);
@@ -258,7 +282,7 @@ void BenchDenseScans(std::vector<bench::BenchRecord>& records, double scale) {
         std::printf("  (%.2fx vs legacy)", legacy_secs / r.seconds);
       }
       std::printf("\n");
-      records.push_back({std::string(scan) + "/" + KernelName(k),
+      records.push_back({scan + "/" + KernelName(k),
                          "scale=" + std::to_string(scale), r.seconds,
                          rows_per_sec, r.peak_counter_bytes, instructions,
                          cache_misses});
@@ -286,7 +310,7 @@ double BaselineRowsPerSec(const std::string& json, const std::string& bench) {
   return std::atof(json.c_str() + val + key.size());
 }
 
-/// Compares the dense-scan records against `path`; returns the number of
+/// Compares the scan records against `path`; returns the number of
 /// variants whose throughput dropped below 90% of the baseline.
 int CheckAgainstBaseline(const std::vector<bench::BenchRecord>& records,
                          const std::string& path) {
@@ -299,7 +323,7 @@ int CheckAgainstBaseline(const std::vector<bench::BenchRecord>& records,
   buffer << in.rdbuf();
   const std::string json = buffer.str();
 
-  bench::PrintSubHeader("dense-scan regression gate vs " + path);
+  bench::PrintSubHeader("scan regression gate vs " + path);
   int compared = 0;
   int failures = 0;
   for (const bench::BenchRecord& r : records) {
@@ -337,11 +361,12 @@ int Main(int argc, char** argv) {
   BenchIntersect(records, scale);
   BenchMarkHits(records, scale);
   BenchTableChurn(records, scale);
-  BenchDenseScans(records, scale);
+  BenchScans(records, "dense", MakeDenseMatrix(scale), scale);
+  BenchScans(records, "sparse", MakeSparseMatrix(scale), scale);
 
   if (!bench::WriteBenchJson(records, json_out)) return 1;
   if (!baseline.empty() && CheckAgainstBaseline(records, baseline) != 0) {
-    std::fprintf(stderr, "dense-scan throughput regressed >10%% vs %s\n",
+    std::fprintf(stderr, "scan throughput regressed >10%% vs %s\n",
                  baseline.c_str());
     return 1;
   }

@@ -1,22 +1,15 @@
 #include "core/dmc_imp.h"
 
-#include <algorithm>
-
-#include "core/dmc_base.h"
-#include "core/kernels.h"
-#include "core/miss_counter_table.h"
-#include "core/thresholds.h"
+#include "core/streaming_imp.h"
 #include "matrix/row_order.h"
 #include "observe/stats_export.h"
 #include "observe/trace.h"
-#include "util/memory_tracker.h"
 #include "util/stopwatch.h"
 
 namespace dmc {
 
-namespace {
-
-std::vector<RowId> MakeOrder(const BinaryMatrix& m, RowOrderPolicy policy) {
+std::vector<RowId> MakeRowOrder(const BinaryMatrix& m,
+                                RowOrderPolicy policy) {
   switch (policy) {
     case RowOrderPolicy::kIdentity:
       return IdentityOrder(m);
@@ -28,137 +21,39 @@ std::vector<RowId> MakeOrder(const BinaryMatrix& m, RowOrderPolicy policy) {
   return IdentityOrder(m);
 }
 
-}  // namespace
-
 namespace {
 
 StatusOr<ImplicationRuleSet> MineImplicationsImpl(
     const BinaryMatrix& matrix, const ImplicationMiningOptions& options,
     const std::vector<uint8_t>* lhs_shard, MiningStats* stats) {
-  if (!(options.min_confidence > 0.0) || options.min_confidence > 1.0) {
-    return InvalidArgumentError("min_confidence must be in (0, 1]");
-  }
   MiningStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = MiningStats{};
-
-  const DmcPolicy& policy = options.policy;
-  const ObserveContext& obs = policy.observe;
-  const double minconf = options.min_confidence;
-  const ColumnId num_cols = matrix.num_columns();
-  const auto& ones = matrix.column_ones();
+  const ObserveContext& obs = options.policy.observe;
 
   Stopwatch total_sw;
   // Pre-scan: in the two-pass disk setting this is the first scan (count
   // ones(c), bucket rows by density); here ones(c) comes with the matrix
   // and the pre-scan cost is the order construction.
-  Stopwatch prescan_sw;
   std::vector<RowId> order;
   {
     ScopedSpan span(obs.trace, "imp/prescan", obs.trace_lane);
-    order = MakeOrder(matrix, policy.row_order);
+    order = MakeRowOrder(matrix, options.policy.row_order);
   }
-  stats->prescan_seconds = prescan_sw.ElapsedSeconds();
-  stats->kernel = KernelName(ResolveKernel(policy.kernel));
+  stats->prescan_seconds = total_sw.ElapsedSeconds();
 
-  MemoryTracker tracker;
-  ImplicationRuleSet out;
-
-  const bool run_hundred =
-      policy.hundred_percent_phase || minconf == 1.0;
-
-  if (run_hundred) {
-    std::vector<uint8_t> active(num_cols, 0);
-    for (ColumnId c = 0; c < num_cols; ++c) active[c] = ones[c] > 0;
-    const std::vector<int64_t> max_misses(num_cols, 0);
-    ImplicationPassInput input;
-    input.matrix = &matrix;
-    input.order = order;
-    input.max_misses = &max_misses;
-    input.active = &active;
-    input.lhs_shard = lhs_shard;
-    input.emit_zero_miss = true;
-    input.bytes_per_entry = MissCounterTable::kEntryBytesIdOnly;
-    input.policy = &policy;
-    input.tracker = &tracker;
-    if (policy.record_history) {
-      input.memory_history = &stats->memory_history;
-      input.candidate_history = &stats->candidate_history;
-    }
-    input.phase = "hundred_phase";
-    ImplicationPassResult res;
-    {
-      ScopedSpan span(obs.trace, "imp/hundred_phase", obs.trace_lane);
-      res = RunImplicationPass(input, &out);
-    }
-    stats->hundred_base_seconds = res.base_seconds;
-    stats->hundred_bitmap_seconds = res.bitmap_seconds;
-    stats->hundred_bitmap_triggered = res.bitmap_used;
-    stats->peak_candidates =
-        std::max(stats->peak_candidates, res.peak_entries);
-    stats->rules_from_hundred_phase = out.size();
-    if (res.cancelled) {
-      return CancelledError("mine cancelled in hundred_phase after " +
-                            std::to_string(res.rows_processed) + " rows");
-    }
-  }
-
-  if (minconf < 1.0) {
-    std::vector<uint8_t> active(num_cols, 0);
-    size_t cut = 0;
-    for (ColumnId c = 0; c < num_cols; ++c) {
-      if (ones[c] == 0) continue;
-      if (run_hundred && !ColumnSurvivesConfidenceCutoff(ones[c], minconf)) {
-        ++cut;
-        continue;
-      }
-      active[c] = 1;
-    }
-    stats->columns_cut_off = cut;
-
-    std::vector<int64_t> max_misses(num_cols, 0);
-    for (ColumnId c = 0; c < num_cols; ++c) {
-      max_misses[c] = MaxMissesForConfidence(ones[c], minconf);
-    }
-    ImplicationPassInput input;
-    input.matrix = &matrix;
-    input.order = order;
-    input.max_misses = &max_misses;
-    input.active = &active;
-    input.lhs_shard = lhs_shard;
-    input.emit_zero_miss = !run_hundred;
-    input.bytes_per_entry = MissCounterTable::kEntryBytesWithCounters;
-    input.policy = &policy;
-    input.tracker = &tracker;
-    if (policy.record_history) {
-      input.memory_history = &stats->memory_history;
-      input.candidate_history = &stats->candidate_history;
-    }
-    input.phase = "sub_phase";
-    const size_t before = out.size();
-    ImplicationPassResult res;
-    {
-      ScopedSpan span(obs.trace, "imp/sub_phase", obs.trace_lane);
-      res = RunImplicationPass(input, &out);
-    }
-    stats->sub_base_seconds = res.base_seconds;
-    stats->sub_bitmap_seconds = res.bitmap_seconds;
-    stats->sub_bitmap_triggered = res.bitmap_used;
-    stats->sub_bitmap_rows = res.bitmap_rows;
-    stats->peak_candidates =
-        std::max(stats->peak_candidates, res.peak_entries);
-    stats->rules_from_sub_phase = out.size() - before;
-    if (res.cancelled) {
-      return CancelledError("mine cancelled in sub_phase after " +
-                            std::to_string(res.rows_processed) + " rows");
-    }
-  }
-
-  out.Canonicalize();
-  stats->peak_counter_bytes = tracker.peak_bytes();
+  // The second scan: the same streamed passes the external and sharded
+  // miners run, fed from memory.
+  auto rules = StreamImplications(
+      matrix.num_columns(), matrix.column_ones(), matrix.num_rows(), options,
+      [&](auto&& sink) {
+        for (const RowId r : order) sink(matrix.Row(r));
+      },
+      lhs_shard, stats);
+  if (!rules.ok()) return rules.status();
   stats->total_seconds = total_sw.ElapsedSeconds();
   RecordToRegistry(obs.metrics, "imp", *stats);
-  return out;
+  return rules;
 }
 
 }  // namespace

@@ -3,10 +3,14 @@
 // Pipeline: pre-scan (ones(c) + row re-ordering) -> 100%-confidence phase
 // with the §4.3 simplification -> column cutoff (sound form of step 3) ->
 // sub-100% phase -> union. Both phases use DMC-base with the DMC-bitmap
-// fallback.
+// fallback: the matrix rows are replayed in the pre-scan order through
+// StreamImplications (streaming_imp.h), the one scan every miner shares.
 
 #ifndef DMC_CORE_DMC_IMP_H_
 #define DMC_CORE_DMC_IMP_H_
+
+#include <cstdint>
+#include <vector>
 
 #include "core/dmc_options.h"
 #include "core/mining_stats.h"
@@ -33,6 +37,11 @@ namespace dmc {
 [[nodiscard]] StatusOr<ImplicationRuleSet> MineImplicationsSharded(
     const BinaryMatrix& matrix, const ImplicationMiningOptions& options,
     const std::vector<uint8_t>& lhs_shard, MiningStats* stats = nullptr);
+
+/// The second-scan row order `policy` prescribes for `matrix` (§4.1);
+/// the pre-scan of both in-memory miners.
+std::vector<RowId> MakeRowOrder(const BinaryMatrix& matrix,
+                                RowOrderPolicy policy);
 
 }  // namespace dmc
 

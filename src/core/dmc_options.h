@@ -30,8 +30,10 @@ enum class MergeKernel {
   kLegacy,
   /// In-place merge with scalar two-pointer intersection.
   kScalar,
-  /// In-place merge with AVX2 sorted-set intersection (falls back to
-  /// kScalar on hardware without AVX2).
+  /// AVX2 merges (falls back to kScalar on hardware without AVX2): each
+  /// pass runs the block-typed vector sweep on dense input and the
+  /// per-row membership-mask merge on sparse input, chosen from the
+  /// pass's row, one and column counts (kernels::PreferVectorSweep).
   kSimd,
 };
 

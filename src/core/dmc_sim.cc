@@ -1,161 +1,41 @@
 #include "core/dmc_sim.h"
 
-#include <algorithm>
-
-#include "core/dmc_sim_pass.h"
-#include "core/kernels.h"
-#include "core/miss_counter_table.h"
-#include "core/thresholds.h"
-#include "matrix/row_order.h"
+#include "core/dmc_imp.h"
+#include "core/streaming_sim.h"
 #include "observe/stats_export.h"
 #include "observe/trace.h"
-#include "util/memory_tracker.h"
 #include "util/stopwatch.h"
 
 namespace dmc {
 
 namespace {
 
-std::vector<RowId> MakeOrder(const BinaryMatrix& m, RowOrderPolicy policy) {
-  switch (policy) {
-    case RowOrderPolicy::kIdentity:
-      return IdentityOrder(m);
-    case RowOrderPolicy::kDensityBuckets:
-      return DensityBucketOrder(m).order;
-    case RowOrderPolicy::kExactSort:
-      return SortedByDensityOrder(m);
-  }
-  return IdentityOrder(m);
-}
-
-}  // namespace
-
-namespace {
-
 StatusOr<SimilarityRuleSet> MineSimilaritiesImpl(
     const BinaryMatrix& matrix, const SimilarityMiningOptions& options,
     const std::vector<uint8_t>* lhs_shard, MiningStats* stats) {
-  if (!(options.min_similarity > 0.0) || options.min_similarity > 1.0) {
-    return InvalidArgumentError("min_similarity must be in (0, 1]");
-  }
   MiningStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = MiningStats{};
-
-  const DmcPolicy& policy = options.policy;
-  const ObserveContext& obs = policy.observe;
-  const double minsim = options.min_similarity;
-  const ColumnId num_cols = matrix.num_columns();
-  const auto& ones = matrix.column_ones();
+  const ObserveContext& obs = options.policy.observe;
 
   Stopwatch total_sw;
-  Stopwatch prescan_sw;
   std::vector<RowId> order;
   {
     ScopedSpan span(obs.trace, "sim/prescan", obs.trace_lane);
-    order = MakeOrder(matrix, policy.row_order);
+    order = MakeRowOrder(matrix, options.policy.row_order);
   }
-  stats->prescan_seconds = prescan_sw.ElapsedSeconds();
-  stats->kernel = KernelName(ResolveKernel(policy.kernel));
+  stats->prescan_seconds = total_sw.ElapsedSeconds();
 
-  MemoryTracker tracker;
-  SimilarityRuleSet out;
-
-  const bool run_hundred =
-      policy.hundred_percent_phase || minsim == 1.0;
-
-  if (run_hundred) {
-    // Step 2: identical columns. With minsim = 1 the pair budgets force
-    // equal 1-counts and zero misses, which is exactly the paper's
-    // restriction.
-    std::vector<uint8_t> active(num_cols, 0);
-    for (ColumnId c = 0; c < num_cols; ++c) active[c] = ones[c] > 0;
-    SimilarityPassInput input;
-    input.matrix = &matrix;
-    input.order = order;
-    input.min_similarity = 1.0;
-    input.active = &active;
-    input.lhs_shard = lhs_shard;
-    input.emit_identical = true;
-    input.bytes_per_entry = MissCounterTable::kEntryBytesIdOnly;
-    input.policy = &policy;
-    input.tracker = &tracker;
-    if (policy.record_history) {
-      input.memory_history = &stats->memory_history;
-      input.candidate_history = &stats->candidate_history;
-    }
-    input.phase = "hundred_phase";
-    SimilarityPassResult res;
-    {
-      ScopedSpan span(obs.trace, "sim/hundred_phase", obs.trace_lane);
-      res = RunSimilarityPass(input, &out);
-    }
-    stats->hundred_base_seconds = res.base_seconds;
-    stats->hundred_bitmap_seconds = res.bitmap_seconds;
-    stats->hundred_bitmap_triggered = res.bitmap_used;
-    stats->peak_candidates =
-        std::max(stats->peak_candidates, res.peak_entries);
-    stats->rules_from_hundred_phase = out.size();
-    if (res.cancelled) {
-      return CancelledError("mine cancelled in hundred_phase after " +
-                            std::to_string(res.rows_processed) + " rows");
-    }
-  }
-
-  if (minsim < 1.0) {
-    // Step 3 cutoff (sound form): keep a column iff it can appear in a
-    // non-identical pair of similarity >= minsim.
-    std::vector<uint8_t> active(num_cols, 0);
-    size_t cut = 0;
-    for (ColumnId c = 0; c < num_cols; ++c) {
-      if (ones[c] == 0) continue;
-      if (run_hundred && !ColumnSurvivesSimilarityCutoff(ones[c], minsim)) {
-        ++cut;
-        continue;
-      }
-      active[c] = 1;
-    }
-    stats->columns_cut_off = cut;
-
-    SimilarityPassInput input;
-    input.matrix = &matrix;
-    input.order = order;
-    input.min_similarity = minsim;
-    input.active = &active;
-    input.lhs_shard = lhs_shard;
-    input.emit_identical = !run_hundred;
-    input.bytes_per_entry = MissCounterTable::kEntryBytesWithCounters;
-    input.policy = &policy;
-    input.tracker = &tracker;
-    if (policy.record_history) {
-      input.memory_history = &stats->memory_history;
-      input.candidate_history = &stats->candidate_history;
-    }
-    input.phase = "sub_phase";
-    const size_t before = out.size();
-    SimilarityPassResult res;
-    {
-      ScopedSpan span(obs.trace, "sim/sub_phase", obs.trace_lane);
-      res = RunSimilarityPass(input, &out);
-    }
-    stats->sub_base_seconds = res.base_seconds;
-    stats->sub_bitmap_seconds = res.bitmap_seconds;
-    stats->sub_bitmap_triggered = res.bitmap_used;
-    stats->sub_bitmap_rows = res.bitmap_rows;
-    stats->peak_candidates =
-        std::max(stats->peak_candidates, res.peak_entries);
-    stats->rules_from_sub_phase = out.size() - before;
-    if (res.cancelled) {
-      return CancelledError("mine cancelled in sub_phase after " +
-                            std::to_string(res.rows_processed) + " rows");
-    }
-  }
-
-  out.Canonicalize();
-  stats->peak_counter_bytes = tracker.peak_bytes();
+  auto pairs = StreamSimilarities(
+      matrix.num_columns(), matrix.column_ones(), matrix.num_rows(), options,
+      [&](auto&& sink) {
+        for (const RowId r : order) sink(matrix.Row(r));
+      },
+      lhs_shard, stats);
+  if (!pairs.ok()) return pairs.status();
   stats->total_seconds = total_sw.ElapsedSeconds();
   RecordToRegistry(obs.metrics, "sim", *stats);
-  return out;
+  return pairs;
 }
 
 }  // namespace

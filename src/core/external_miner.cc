@@ -4,12 +4,14 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "core/checkpoint.h"
 #include "core/streaming_imp.h"
 #include "core/streaming_sim.h"
 #include "matrix/matrix_io.h"
+#include "matrix/row_order.h"
 #include "observe/metrics.h"
 #include "observe/stats_export.h"
 #include "observe/trace.h"
@@ -19,16 +21,6 @@
 namespace dmc {
 
 namespace {
-
-// Bucket index of a row with `density` ones (densities 0/1 share 0).
-int BucketIndex(size_t density) {
-  int b = 0;
-  while (density > 1) {
-    density >>= 1;
-    ++b;
-  }
-  return b;
-}
 
 // Counts a surfaced injected fault so dashboards can tell "engine error"
 // from "fault-injection harness did its job".
@@ -112,24 +104,25 @@ void ExternalInput::AdoptPlan(FirstPassStats first_pass,
   }
 }
 
-Status ExternalInput::Replay(const RowSink& sink) {
+Status ExternalInput::Replay(const RowSink& sink, const char* row_site) {
+  const bool inject = fail::Enabled();
+  const auto each = [&](std::span<const ColumnId> row) -> Status {
+    if (inject) {
+      DMC_RETURN_IF_ERROR(fail::InjectStatus(row_site));
+    }
+    sink(row);
+    return Status::OK();
+  };
   if (!bucketed_) {
     std::ifstream in;
     DMC_RETURN_IF_ERROR(OpenForRead("external.replay.open", path_, &in));
-    return ForEachRowText(in, [&sink](std::span<const ColumnId> row) {
-      sink(row);
-      return Status::OK();
-    });
+    return ForEachRowText(in, each);
   }
   for (int b : used_buckets_) {
     std::ifstream in;
     DMC_RETURN_IF_ERROR(OpenForRead("external.replay.open",
                                     ExternalBucketPath(work_dir_, b), &in));
-    DMC_RETURN_IF_ERROR(
-        ForEachRowText(in, [&sink](std::span<const ColumnId> row) {
-          sink(row);
-          return Status::OK();
-        }));
+    DMC_RETURN_IF_ERROR(ForEachRowText(in, each));
   }
   return Status::OK();
 }
@@ -169,12 +162,11 @@ Status ExternalInput::RetryOp(const std::function<Status()>& op) {
 }
 
 Status ExternalInput::Partition() {
-  constexpr int kMaxBuckets = 33;
   // The bucket partitioner is the one core component that genuinely
   // writes files (the paper's disk pipeline).
-  std::vector<std::ofstream> outs(kMaxBuckets);  // dmc_lint: ignore
-  std::vector<uint8_t> seen(kMaxBuckets, 0);
-  std::vector<uint64_t> rows_in_bucket(kMaxBuckets, 0);
+  std::vector<std::ofstream> outs(kMaxDensityBuckets);  // dmc_lint: ignore
+  std::vector<uint8_t> seen(kMaxDensityBuckets, 0);
+  std::vector<uint64_t> rows_in_bucket(kMaxDensityBuckets, 0);
   std::ifstream in;
   DMC_RETURN_IF_ERROR(OpenForRead("external.partition.open", path_, &in));
   const bool inject = fail::Enabled();
@@ -183,7 +175,7 @@ Status ExternalInput::Partition() {
         if (inject) {
           DMC_RETURN_IF_ERROR(fail::InjectStatus("external.spill.write"));
         }
-        const int b = BucketIndex(row.size());
+        const int b = DensityBucket(row.size());
         if (!seen[b]) {
           seen[b] = 1;
           outs[b].open(ExternalBucketPath(work_dir_, b));
@@ -214,7 +206,7 @@ Status ExternalInput::Partition() {
     }
   }
   std::sort(used_buckets_.begin(), used_buckets_.end());
-  bucket_rows_.assign(kMaxBuckets, 0);
+  bucket_rows_.assign(kMaxDensityBuckets, 0);
   for (int b : used_buckets_) bucket_rows_[b] = rows_in_bucket[b];
   return Status::OK();
 }
@@ -262,10 +254,18 @@ bool ExternalInput::TryResume() {
   return true;
 }
 
-StatusOr<ImplicationRuleSet> MineImplicationsFromFile(
-    const std::string& path, const ImplicationMiningOptions& options,
-    const std::string& work_dir, const ExternalIoOptions& io,
-    ExternalMiningStats* stats) {
+namespace {
+
+// The two-pass disk pipeline for either rule kind: pass 1 (or a
+// checkpoint resume), then the phase driver over the bucket files.
+template <typename Options>
+auto MineFromFile(const std::string& path, const Options& options,
+                  const std::string& work_dir, const ExternalIoOptions& io,
+                  ExternalMiningStats* stats) {
+  constexpr bool kSim = std::is_same_v<Options, SimilarityMiningOptions>;
+  using Result =
+      StatusOr<std::conditional_t<kSim, SimilarityRuleSet,
+                                  ImplicationRuleSet>>;
   ExternalMiningStats local;
   if (stats == nullptr) stats = &local;
   *stats = ExternalMiningStats{};
@@ -280,88 +280,68 @@ StatusOr<ImplicationRuleSet> MineImplicationsFromFile(
     const Status prepared = run.Prepare();
     if (!prepared.ok()) {
       CountInjected(obs, prepared);
-      return prepared;
+      return Result(prepared);
     }
   }
+  stats->mining.prescan_seconds =
+      stats->pass1_seconds + stats->partition_seconds;
 
   Stopwatch mine_sw;
   Status replay_status = Status::OK();
-  auto rules = StreamImplications(
-      run.first_pass().num_columns, run.first_pass().column_ones,
-      run.first_pass().num_rows, options, [&](auto&& sink) {
-        if (!replay_status.ok()) return;
-        replay_status = run.Replay(sink);
-      });
+  const auto replay = [&](auto&& sink) {
+    if (!replay_status.ok()) return;
+    replay_status = run.Replay(
+        sink, kSim ? "streaming.sim.row" : "streaming.imp.row");
+  };
+  const FirstPassStats& fp = run.first_pass();
+  Result rules = [&]() -> Result {
+    if constexpr (kSim) {
+      return StreamSimilarities(fp.num_columns, fp.column_ones, fp.num_rows,
+                                options, replay, nullptr, &stats->mining);
+    } else {
+      return StreamImplications(fp.num_columns, fp.column_ones, fp.num_rows,
+                                options, replay, nullptr, &stats->mining);
+    }
+  }();
   stats->mine_seconds = mine_sw.ElapsedSeconds();
-  if (!replay_status.ok()) {
-    CountInjected(obs, replay_status);
-    return replay_status;
-  }
-  if (!rules.ok()) {
-    CountInjected(obs, rules.status());
-    return rules.status();
+  // A failed replay also starves the pass; report the cause.
+  const Status failed = !replay_status.ok() ? replay_status : rules.status();
+  if (!failed.ok()) {
+    CountInjected(obs, failed);
+    return Result(failed);
   }
   stats->total_seconds = total_sw.ElapsedSeconds();
+  stats->mining.total_seconds = stats->total_seconds;
   RecordToRegistry(obs.metrics, "external", *stats);
   return rules;
 }
 
+}  // namespace
+
+StatusOr<ImplicationRuleSet> MineImplicationsFromFile(
+    const std::string& path, const ImplicationMiningOptions& options,
+    const std::string& work_dir, const ExternalIoOptions& io,
+    ExternalMiningStats* stats) {
+  return MineFromFile(path, options, work_dir, io, stats);
+}
+
 StatusOr<ImplicationRuleSet> MineImplicationsFromFile(
     const std::string& path, const ImplicationMiningOptions& options,
     const std::string& work_dir, ExternalMiningStats* stats) {
-  return MineImplicationsFromFile(path, options, work_dir,
-                                  ExternalIoOptions{}, stats);
+  return MineFromFile(path, options, work_dir, ExternalIoOptions{}, stats);
 }
 
 StatusOr<SimilarityRuleSet> MineSimilaritiesFromFile(
     const std::string& path, const SimilarityMiningOptions& options,
     const std::string& work_dir, const ExternalIoOptions& io,
     ExternalMiningStats* stats) {
-  ExternalMiningStats local;
-  if (stats == nullptr) stats = &local;
-  *stats = ExternalMiningStats{};
-  Stopwatch total_sw;
-
-  const ObserveContext& obs = options.policy.observe;
-  ExternalInput run(path, work_dir,
-                    options.policy.row_order != RowOrderPolicy::kIdentity, io,
-                    obs, stats);
-  {
-    ScopedSpan span(obs.trace, "external/prepare", obs.trace_lane);
-    const Status prepared = run.Prepare();
-    if (!prepared.ok()) {
-      CountInjected(obs, prepared);
-      return prepared;
-    }
-  }
-
-  Stopwatch mine_sw;
-  Status replay_status = Status::OK();
-  auto pairs = StreamSimilarities(
-      run.first_pass().num_columns, run.first_pass().column_ones,
-      run.first_pass().num_rows, options, [&](auto&& sink) {
-        if (!replay_status.ok()) return;
-        replay_status = run.Replay(sink);
-      });
-  stats->mine_seconds = mine_sw.ElapsedSeconds();
-  if (!replay_status.ok()) {
-    CountInjected(obs, replay_status);
-    return replay_status;
-  }
-  if (!pairs.ok()) {
-    CountInjected(obs, pairs.status());
-    return pairs.status();
-  }
-  stats->total_seconds = total_sw.ElapsedSeconds();
-  RecordToRegistry(obs.metrics, "external", *stats);
-  return pairs;
+  return MineFromFile(path, options, work_dir, io, stats);
 }
 
 StatusOr<SimilarityRuleSet> MineSimilaritiesFromFile(
     const std::string& path, const SimilarityMiningOptions& options,
     const std::string& work_dir, ExternalMiningStats* stats) {
-  return MineSimilaritiesFromFile(path, options, work_dir, ExternalIoOptions{},
-                                  stats);
+  return MineFromFile(path, options, work_dir, ExternalIoOptions{}, stats);
 }
 
 }  // namespace dmc

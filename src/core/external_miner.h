@@ -6,10 +6,14 @@
 // data according to the number of 1's in each row ... then, in the next
 // scan, we read the lower density buckets first").
 //
-// Pass 2 streams the bucket files sparsest-first through the streaming
-// DMC-imp pipeline (once per phase), never materializing the matrix.
-// Resident memory is the counter array plus, if the DMC-bitmap fallback
-// fires, the last <= bitmap_max_remaining_rows rows.
+// Pass 2 streams the bucket files sparsest-first through the streamed
+// DMC-imp/DMC-sim phase drivers (streaming_imp.h / streaming_sim.h, the
+// scan the in-memory miners run too), once per phase, never
+// materializing the matrix. Resident memory is the counter array plus,
+// if the DMC-bitmap fallback fires, the last <= bitmap_max_remaining_rows
+// rows. The bucket rule is matrix/row_order.h's DensityBucket, so the
+// replay order — and with it every rule count and counter peak — equals
+// the in-memory miner's under RowOrderPolicy::kDensityBuckets.
 //
 // Robustness: every file operation sits behind a failpoint site and a
 // bounded retry policy; pass-1 results can be checkpointed
@@ -27,6 +31,7 @@
 #include <vector>
 
 #include "core/dmc_options.h"
+#include "core/mining_stats.h"
 #include "matrix/matrix_io.h"
 #include "rules/rule_set.h"
 #include "util/retry.h"
@@ -64,6 +69,11 @@ struct ExternalMiningStats {
   bool resumed = false;
   /// Transient I/O failures that were retried (see ExternalIoOptions).
   uint64_t io_retries = 0;
+  /// The scan's own stats (phase times, peak_counter_bytes,
+  /// peak_candidates, columns_cut_off, kernel), exported as the
+  /// schema-v1 "mining" block. prescan_seconds is pass 1 plus the
+  /// partition; total_seconds is the whole run.
+  MiningStats mining;
 };
 
 /// Shared setup/replay of the two-pass disk pipeline, exposed so the
@@ -104,9 +114,12 @@ class ExternalInput {
   const std::vector<int>& buckets() const { return used_buckets_; }
 
   /// One replay over the data in mining order. `sink` sees each row as
-  /// sorted, deduplicated column ids.
+  /// sorted, deduplicated column ids. `row_site` names the failpoint
+  /// every replayed row passes ("streaming.imp.row" /
+  /// "streaming.sim.row"); an injected fault ends the replay with that
+  /// status.
   using RowSink = std::function<void(std::span<const ColumnId>)>;
-  [[nodiscard]] Status Replay(const RowSink& sink);
+  [[nodiscard]] Status Replay(const RowSink& sink, const char* row_site);
 
  private:
   Status OpenForRead(const char* site, const std::string& file_path,

@@ -439,6 +439,16 @@ bool VectorSweepAvailable() {
 #endif
 }
 
+bool PreferVectorSweep(ColumnId num_columns, uint64_t rows,
+                       uint64_t total_ones) {
+  if (!VectorSweepAvailable() || num_columns > kVectorSweepMaxColumns ||
+      rows >= kVectorSweepMaxRows) {
+    return false;
+  }
+  const uint64_t sidecar_words = (uint64_t{num_columns} + 63) / 64;
+  return total_ones >= rows * sidecar_words;
+}
+
 size_t ImpVectorSweep(ColumnId* cand, uint32_t* miss, size_t n,
                       const uint8_t* row_mask, uint32_t budget,
                       uint64_t* sidecar) {

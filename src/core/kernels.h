@@ -21,8 +21,8 @@
 // invariant under DmcPolicy::kernel.
 //
 // The pass-specific policy (who qualifies, who survives a hit or a miss)
-// is injected through three predicates so the four miners (batch/stream ×
-// imp/sim) share one implementation:
+// is injected through three predicates so the two scans (implication and
+// similarity, core/streaming_{imp,sim}.cc) share one implementation:
 //   accept_new(ck)        — may ck join cj's list on this row?
 //   keep_on_hit(ck, m)    — does an entry that hit survive? (sim's §5.2
 //                           maximum-hits pruning can drop it)
@@ -69,13 +69,25 @@ inline constexpr uint32_t kVectorSweepMaxRows = uint32_t{1} << 30;
 /// generic merges.
 bool VectorSweepAvailable();
 
+/// Whether a kSimd scan of `rows` rows over `num_columns` columns holding
+/// `total_ones` ones runs the vector sweeps below (true) or the row-mask
+/// merges (false). Beyond availability and the limits above, the sweep
+/// needs a mean row at least as wide as a presence sidecar has words —
+/// total_ones >= rows * ceil(num_columns / 64) — because every vector
+/// add-merge walks the whole sidecar to find joiners, a cost that only
+/// wide rows amortize. Every input is known before the first row, so a
+/// scan decides once, and both choices give identical rules and
+/// accounting.
+bool PreferVectorSweep(ColumnId num_columns, uint64_t rows,
+                       uint64_t total_ones);
+
 /// The implication-pass entry sweep (keep_on_hit = always,
 /// keep_on_miss = new_miss <= budget), 8 entries per step: gather the
 /// row-mask byte per candidate, bump misses, drop over-budget entries
 /// with a permute-compress, and clear the presence-sidecar bit of every
 /// death (implication deaths are always miss-deaths). Returns the new
 /// list size; the caller commits it with SetSize. Byte-identical to the
-/// scalar predicates in core/dmc_base.cc.
+/// scalar predicates in core/streaming_imp.cc.
 size_t ImpVectorSweep(ColumnId* cand, uint32_t* miss, size_t n,
                       const uint8_t* row_mask, uint32_t budget,
                       uint64_t* sidecar);

@@ -1,15 +1,21 @@
-// Streaming DMC for implication rules: the same algorithm as the batch
-// engine (DMC-base + DMC-bitmap), consuming rows one at a time — the form
-// the paper actually ran against disk-resident data. Feed rows in the
-// desired order (the external pipeline feeds density buckets sparsest
-// first), then Finish().
+// The DMC-imp scan: DMC-base (Algorithm 3.1) with the DMC-bitmap switch
+// (Algorithm 4.1), consuming rows one at a time — the form the paper ran
+// against disk-resident data, and the only implication scan loop in the
+// repo. MineImplications (dmc_imp.h) replays the in-memory matrix through
+// StreamImplications, the external miner replays its density-bucket
+// files, and every shard worker replays them under its antecedent mask.
 //
-// The batch engine remains the reference; the test suite pins this
-// implementation to it exactly.
+// Each pass picks its merge kernel once, before its first row: with
+// MergeKernel::kSimd, kernels::PreferVectorSweep decides between the
+// block-typed vector sweep and the per-row mask merge from the row count,
+// the total number of ones and the column count. Rules,
+// peak_counter_bytes and the per-row histories are identical under every
+// kernel and either choice (tests/kernel_parity_test.cc).
 
 #ifndef DMC_CORE_STREAMING_IMP_H_
 #define DMC_CORE_STREAMING_IMP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -24,6 +30,7 @@
 #include "rules/rule_set.h"
 #include "util/memory_tracker.h"
 #include "util/statusor.h"
+#include "util/stopwatch.h"
 
 namespace dmc {
 
@@ -47,17 +54,25 @@ class StreamingImplicationPass {
     /// lists and emit rules (rhs candidates still span every active
     /// column). Empty = all columns. The union of the rule sets produced
     /// by a partition of the columns equals the unsharded result exactly
-    /// — the same invariant the batch engine's lhs_shard carries
-    /// (dmc_base.cc), now available to multi-process workers that each
-    /// stream the same bucket files.
+    /// — the building block of the thread-parallel miner and of every
+    /// multi-process shard worker.
     std::vector<uint8_t> lhs_shard;
     bool emit_zero_miss = true;
     size_t bytes_per_entry = MissCounterTable::kEntryBytesWithCounters;
     /// Bitmap-fallback policy (row_order is ignored — the caller owns
     /// the order of the stream). Carries the ObserveContext hooks.
     DmcPolicy policy;
-    /// Phase label for progress updates ("hundred_phase", "sub_phase").
+    /// Phase label for progress updates and trace spans
+    /// ("hundred_phase", "sub_phase").
     const char* phase = "pass";
+    /// Counter-array accounting; null = a tracker owned by the pass.
+    /// Sharing one tracker across the phases composes their peaks.
+    MemoryTracker* tracker = nullptr;
+    /// Optional per-row sinks (Fig. 3 / Example 3.1 traces): the
+    /// intra-row peak of counter bytes and of live candidates, one
+    /// sample per row scanned before any DMC-bitmap switch.
+    std::vector<size_t>* memory_history = nullptr;
+    std::vector<size_t>* candidate_history = nullptr;
   };
 
   explicit StreamingImplicationPass(Config config);
@@ -76,26 +91,31 @@ class StreamingImplicationPass {
   /// Whether the pass has switched to tail-collection (DMC-bitmap) mode.
   bool bitmap_mode() const { return bitmap_mode_; }
 
+  /// Rows collected for the DMC-bitmap tail.
+  size_t bitmap_rows() const { return tail_.size(); }
+
+  /// Seconds Finish() spent in the DMC-bitmap phases.
+  double bitmap_seconds() const { return bitmap_seconds_; }
+
   /// Whether the progress callback asked to cancel; once set, further
   /// rows are counted but not processed and Finish() returns
   /// Status(kCancelled).
-  bool cancelled() const { return cancelled_; }
-
-  /// Whether an injected fault hit the pass (failpoint site
-  /// "streaming.imp.row"); once set, further rows are counted but not
-  /// processed and Finish() returns the fault.
-  bool faulted() const { return !fault_.ok(); }
+  bool cancelled() const { return !stop_.ok(); }
 
   /// Current counter-array bytes.
   size_t counter_bytes() const { return table_.bytes(); }
+
+  /// Peak counter bytes observed by the tracker (across every pass that
+  /// shares it).
+  size_t peak_counter_bytes() const { return tracker_->peak_bytes(); }
+
+  /// Peak live candidate entries of this pass.
+  size_t peak_candidates() const { return table_.peak_entries(); }
 
   /// Completes the pass (runs the bitmap phases if triggered) and
   /// returns all discovered rules. Fails if fewer rows were streamed
   /// than promised.
   [[nodiscard]] StatusOr<ImplicationRuleSet> Finish();
-
-  /// Peak counter bytes observed.
-  size_t peak_counter_bytes() const { return tracker_.peak_bytes(); }
 
  private:
   bool LhsOk(ColumnId c) const {
@@ -108,47 +128,92 @@ class StreamingImplicationPass {
   std::span<const ColumnId> FilteredRow(std::span<const ColumnId> row);
   void MergeWithAdd(ColumnId cj, std::span<const ColumnId> row);
   void MergeMissOnly(ColumnId cj, std::span<const ColumnId> row);
+  void VectorAddMerge(ColumnId cj, std::span<const ColumnId> row,
+                      uint32_t base_miss, uint32_t budget);
   void FlushColumn(ColumnId cj);
   void EmitRule(ColumnId lhs, ColumnId rhs, uint32_t misses);
+  void RecordHistory();
   void RunBitmapPhases();
 
   Config config_;
   bool all_active_ = true;
   MergeKernel kernel_;
-  MemoryTracker tracker_;
+  bool use_vector_ = false;
+  MemoryTracker own_tracker_;
+  MemoryTracker* tracker_;
   MissCounterTable table_;
   std::vector<uint32_t> cnt_;
   uint64_t rows_seen_ = 0;
   bool bitmap_mode_ = false;
   bool finished_ = false;
-  bool cancelled_ = false;
-  Status fault_ = Status::OK();
+  double bitmap_seconds_ = 0.0;
+  /// Non-OK once the progress callback cancelled the pass.
+  Status stop_ = Status::OK();
   std::vector<std::vector<ColumnId>> tail_;
   ImplicationRuleSet out_;
   std::vector<ColumnId> scratch_row_;
   MergeScratch scratch_;
 };
 
-/// Convenience driver: streams the full DMC-imp pipeline (100% phase +
-/// cutoff + sub-100% phase) over a row source that can be replayed. The
-/// functor `replay(sink)` must invoke `sink(std::span<const ColumnId>)`
-/// once per row, in the same order on every call; it is invoked once per
-/// phase (the paper's implementation likewise re-reads the bucketed data
-/// for each phase). `lhs_shard` (optional) restricts antecedents to the
-/// marked columns; the union over a partition of the columns is exactly
-/// the unsharded rule set.
+/// The phase driver of DMC-imp: the 100% phase, the column cutoff and
+/// the sub-100% phase, each as one streamed pass over a row source that
+/// can be replayed. The functor `replay(sink)` must invoke
+/// `sink(std::span<const ColumnId>)` once per row, in the same order on
+/// every call; it is invoked once per phase (the paper's implementation
+/// likewise re-reads the bucketed data for each phase). `lhs_shard`
+/// (optional) restricts antecedents to the marked columns; the union
+/// over a partition of the columns is exactly the unsharded rule set.
+/// `stats` (optional) receives the phase times, the exact counter and
+/// candidate peaks, the bitmap switches, the cutoff and the kernel —
+/// and, with policy.record_history, the per-row histories; the caller
+/// owns prescan_seconds and total_seconds.
 template <typename Replay>
 [[nodiscard]] StatusOr<ImplicationRuleSet> StreamImplications(
     ColumnId num_columns, const std::vector<uint32_t>& ones,
     uint64_t total_rows, const ImplicationMiningOptions& options,
-    Replay&& replay, const std::vector<uint8_t>* lhs_shard = nullptr) {
+    Replay&& replay, const std::vector<uint8_t>* lhs_shard = nullptr,
+    MiningStats* stats = nullptr) {
   if (!(options.min_confidence > 0.0) || options.min_confidence > 1.0) {
     return InvalidArgumentError("min_confidence must be in (0, 1]");
   }
+  const DmcPolicy& policy = options.policy;
+  const ObserveContext& obs = policy.observe;
   const double minconf = options.min_confidence;
-  const bool run_hundred =
-      options.policy.hundred_percent_phase || minconf == 1.0;
+  const bool run_hundred = policy.hundred_percent_phase || minconf == 1.0;
+  MiningStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  stats->kernel = KernelName(ResolveKernel(policy.kernel));
+  MemoryTracker tracker;
   ImplicationRuleSet out;
+
+  // One pass over the replay; the phase's times, peak and bitmap rows
+  // land in `stats` through the out-parameters.
+  const auto run_pass = [&](StreamingImplicationPass::Config cfg,
+                            const char* span_name, double* base_seconds,
+                            double* bitmap_seconds, bool* bitmap_used,
+                            size_t* bitmap_rows) -> Status {
+    if (lhs_shard != nullptr) cfg.lhs_shard = *lhs_shard;
+    cfg.policy = policy;
+    cfg.tracker = &tracker;
+    if (policy.record_history) {
+      cfg.memory_history = &stats->memory_history;
+      cfg.candidate_history = &stats->candidate_history;
+    }
+    StreamingImplicationPass pass(std::move(cfg));
+    ScopedSpan span(obs.trace, span_name, obs.trace_lane);
+    Stopwatch sw;
+    replay([&pass](std::span<const ColumnId> row) { pass.ProcessRow(row); });
+    auto rules = pass.Finish();
+    *bitmap_seconds = pass.bitmap_seconds();
+    *base_seconds = sw.ElapsedSeconds() - pass.bitmap_seconds();
+    *bitmap_used = pass.bitmap_mode();
+    if (bitmap_rows != nullptr) *bitmap_rows = pass.bitmap_rows();
+    stats->peak_candidates =
+        std::max(stats->peak_candidates, pass.peak_candidates());
+    if (!rules.ok()) return rules.status();
+    for (const auto& r : *rules) out.Add(r);
+    return Status::OK();
+  };
 
   if (run_hundred) {
     StreamingImplicationPass::Config cfg;
@@ -160,16 +225,12 @@ template <typename Replay>
     for (ColumnId c = 0; c < num_columns; ++c) cfg.active[c] = ones[c] > 0;
     cfg.emit_zero_miss = true;
     cfg.bytes_per_entry = MissCounterTable::kEntryBytesIdOnly;
-    if (lhs_shard != nullptr) cfg.lhs_shard = *lhs_shard;
-    cfg.policy = options.policy;
     cfg.phase = "hundred_phase";
-    StreamingImplicationPass pass(std::move(cfg));
-    ScopedSpan span(options.policy.observe.trace, "stream_imp/hundred_phase",
-                    options.policy.observe.trace_lane);
-    replay([&pass](std::span<const ColumnId> row) { pass.ProcessRow(row); });
-    auto rules = pass.Finish();
-    if (!rules.ok()) return rules.status();
-    for (const auto& r : *rules) out.Add(r);
+    DMC_RETURN_IF_ERROR(run_pass(
+        std::move(cfg), "imp/hundred_phase", &stats->hundred_base_seconds,
+        &stats->hundred_bitmap_seconds, &stats->hundred_bitmap_triggered,
+        nullptr));
+    stats->rules_from_hundred_phase = out.size();
   }
 
   if (minconf < 1.0) {
@@ -179,27 +240,28 @@ template <typename Replay>
     cfg.total_rows = total_rows;
     cfg.max_misses.resize(num_columns);
     cfg.active.resize(num_columns);
+    size_t cut = 0;
     for (ColumnId c = 0; c < num_columns; ++c) {
       cfg.max_misses[c] = MaxMissesForConfidence(ones[c], minconf);
-      cfg.active[c] =
-          ones[c] > 0 &&
-          (!run_hundred || ColumnSurvivesConfidenceCutoff(ones[c], minconf));
+      const bool cut_off =
+          run_hundred && !ColumnSurvivesConfidenceCutoff(ones[c], minconf);
+      if (ones[c] > 0 && cut_off) ++cut;
+      cfg.active[c] = ones[c] > 0 && !cut_off;
     }
+    stats->columns_cut_off = cut;
     cfg.emit_zero_miss = !run_hundred;
     cfg.bytes_per_entry = MissCounterTable::kEntryBytesWithCounters;
-    if (lhs_shard != nullptr) cfg.lhs_shard = *lhs_shard;
-    cfg.policy = options.policy;
     cfg.phase = "sub_phase";
-    StreamingImplicationPass pass(std::move(cfg));
-    ScopedSpan span(options.policy.observe.trace, "stream_imp/sub_phase",
-                    options.policy.observe.trace_lane);
-    replay([&pass](std::span<const ColumnId> row) { pass.ProcessRow(row); });
-    auto rules = pass.Finish();
-    if (!rules.ok()) return rules.status();
-    for (const auto& r : *rules) out.Add(r);
+    const size_t before = out.size();
+    DMC_RETURN_IF_ERROR(run_pass(
+        std::move(cfg), "imp/sub_phase", &stats->sub_base_seconds,
+        &stats->sub_bitmap_seconds, &stats->sub_bitmap_triggered,
+        &stats->sub_bitmap_rows));
+    stats->rules_from_sub_phase = out.size() - before;
   }
 
   out.Canonicalize();
+  stats->peak_counter_bytes = tracker.peak_bytes();
   return out;
 }
 

@@ -7,7 +7,6 @@
 #include "core/kernels.h"
 #include "observe/progress.h"
 #include "postings/posting_container.h"
-#include "util/failpoint.h"
 #include "util/logging.h"
 
 namespace dmc {
@@ -17,7 +16,8 @@ StreamingSimilarityPass::StreamingSimilarityPass(Config config)
       one_plus_s_(1.0 + config_.min_similarity),
       budget_eps_((1.0 + config_.min_similarity) * kThresholdEpsilon),
       kernel_(ResolveKernel(config_.policy.kernel)),
-      table_(config_.num_columns, config_.bytes_per_entry, &tracker_),
+      tracker_(config_.tracker != nullptr ? config_.tracker : &own_tracker_),
+      table_(config_.num_columns, config_.bytes_per_entry, tracker_),
       cnt_(config_.num_columns, 0) {
   DMC_CHECK_EQ(config_.ones.size(), config_.num_columns);
   if (!config_.lhs_shard.empty()) {
@@ -31,11 +31,23 @@ StreamingSimilarityPass::StreamingSimilarityPass(Config config)
                   [](uint8_t a) { return a != 0; });
   col_budget_.resize(config_.num_columns);
   s_ones_.resize(config_.num_columns);
+  uint64_t total_ones = 0;
   for (ColumnId c = 0; c < config_.num_columns; ++c) {
     col_budget_[c] =
         ColumnMaxMissesForSimilarity(config_.ones[c], config_.min_similarity);
     s_ones_[c] =
         config_.min_similarity * static_cast<double>(config_.ones[c]);
+    total_ones += config_.ones[c];
+  }
+  use_vector_ = kernel_ == MergeKernel::kSimd &&
+                config_.policy.max_hits_pruning &&
+                kernels::PreferVectorSweep(config_.num_columns,
+                                           config_.total_rows, total_ones);
+  if (use_vector_) {
+    table_.EnableSidecars();
+    // rem_[c] = ones[c] - cnt[c], kept current in step 3(b) so the sweep
+    // gathers one array per candidate.
+    rem_.assign(config_.ones.begin(), config_.ones.end());
   }
 }
 
@@ -63,6 +75,10 @@ bool StreamingSimilarityPass::WithinPairBudget(uint32_t a, ColumnId ck,
          static_cast<double>(a) - s_ones_[ck] + budget_eps_;
 }
 
+// §5.2 maximum-hits bound, evaluated while processing a row where cj and
+// ck are BOTH present (or ck is being added). Counters are pre-row, so
+// the remaining-1s terms still include the current row — matching
+// Example 5.1's arithmetic exactly.
 bool StreamingSimilarityPass::SurvivesMaxHitsOnHit(ColumnId cj, ColumnId ck,
                                                    uint32_t miss) const {
   const int64_t rem_j = static_cast<int64_t>(config_.ones[cj]) - cnt_[cj];
@@ -77,6 +93,9 @@ bool StreamingSimilarityPass::SurvivesMaxHitsOnHit(ColumnId cj, ColumnId ck,
                           static_cast<int64_t>(config_.ones[cj]) - best_hits);
 }
 
+// Same bound on a row where cj is present but ck is NOT (`new_miss`
+// already includes this row's miss). The current row cannot be a future
+// hit: it consumes one of cj's remaining 1s and none of ck's.
 bool StreamingSimilarityPass::SurvivesMaxHitsOnMiss(
     ColumnId cj, ColumnId ck, uint32_t new_miss) const {
   const int64_t rem_j =
@@ -105,33 +124,14 @@ void StreamingSimilarityPass::ProcessRow(std::span<const ColumnId> row) {
   DMC_CHECK(!finished_);
   DMC_CHECK_LT(rows_seen_, config_.total_rows);
 
-  if (fault_.ok() && fail::Enabled()) {
-    Status injected = fail::InjectStatus("streaming.sim.row");
-    if (!injected.ok()) fault_ = std::move(injected);
+  if (stop_.ok() &&
+      !CheckProgress(config_.policy.observe, config_.phase, rows_seen_,
+                     config_.total_rows, table_.total_entries(),
+                     table_.bytes())) {
+    stop_ = CancelledError("mine cancelled in " + std::string(config_.phase) +
+                           " after " + std::to_string(rows_seen_) + " rows");
   }
-  if (!fault_.ok()) {
-    // Same contract as cancellation: count rows so the replay loop stays
-    // consistent, do no work; Finish() surfaces the fault.
-    ++rows_seen_;
-    return;
-  }
-
-  const ObserveContext& obs = config_.policy.observe;
-  if (!cancelled_ && obs.has_progress()) {
-    const uint64_t interval =
-        obs.progress_interval_rows > 0 ? obs.progress_interval_rows : 1;
-    if (rows_seen_ % interval == 0) {
-      ProgressUpdate update;
-      update.phase = config_.phase;
-      update.rows_processed = rows_seen_;
-      update.total_rows = config_.total_rows;
-      update.live_candidates = table_.total_entries();
-      update.counter_bytes = table_.bytes();
-      update.shard = obs.shard;
-      if (!obs.progress(update)) cancelled_ = true;
-    }
-  }
-  if (cancelled_) {
+  if (!stop_.ok()) {
     // Keep counting rows so the caller's replay loop stays consistent,
     // but stop doing any work; Finish() reports the cancellation.
     ++rows_seen_;
@@ -166,16 +166,28 @@ void StreamingSimilarityPass::ProcessRow(std::span<const ColumnId> row) {
   }
   for (ColumnId cj : filtered) {
     ++cnt_[cj];
+    if (use_vector_) --rem_[cj];
     if (cnt_[cj] == config_.ones[cj] && table_.HasList(cj)) {
       FlushColumn(cj);
     }
   }
+  RecordHistory();
   ++rows_seen_;
 }
 
 void StreamingSimilarityPass::MergeWithAdd(ColumnId cj,
                                            std::span<const ColumnId> row) {
   const uint32_t base_miss = cnt_[cj];
+  if (use_vector_) {
+    VectorAddMerge(cj, row, base_miss);
+    return;
+  }
+  // §5.1 column-density pruning on joiners: a negative budget means the
+  // ratio ones(cj)/ones(ck) is below s and the pair can never qualify; a
+  // budget below cnt(cj) means it is dead on arrival. With the pruning
+  // disabled (ablation) such pairs are still added and left to the
+  // regular miss counting + flush guard, costing memory but never
+  // changing the output.
   const auto accept_new = [this, cj, base_miss](ColumnId ck) {
     if (!Qualifies(ck, cj)) return false;
     // The max-hits test subsumes the density test (its miss floor is
@@ -207,6 +219,21 @@ void StreamingSimilarityPass::MergeWithAdd(ColumnId cj,
 
 void StreamingSimilarityPass::MergeMissOnly(ColumnId cj,
                                             std::span<const ColumnId> row) {
+  if (use_vector_) {
+    const MissCounterTable::MutableList list = table_.Mutable(cj);
+    if (list.size == 0) return;
+    uint64_t* sc = table_.Sidecar(cj);
+    scratch_.dead_hits.clear();
+    const size_t w = kernels::SimVectorSweep(
+        list.cand, list.miss, list.size, scratch_.row_mask.data(),
+        MakeSweepParams(cj), sc, &scratch_.dead_hits);
+    // No joiner walk here, so dying hits can be cleared right away.
+    for (const ColumnId d : scratch_.dead_hits) {
+      MissCounterTable::SidecarClearBit(sc, d);
+    }
+    if (w != list.size) table_.SetSize(cj, w);
+    return;
+  }
   const auto keep_on_hit = [this, cj](ColumnId ck, uint32_t miss) {
     return !config_.policy.max_hits_pruning ||
            SurvivesMaxHitsOnHit(cj, ck, miss);
@@ -225,9 +252,89 @@ void StreamingSimilarityPass::MergeMissOnly(ColumnId cj,
   }
 }
 
+kernels::SimSweepParams StreamingSimilarityPass::MakeSweepParams(
+    ColumnId cj) const {
+  kernels::SimSweepParams p;
+  p.rem = rem_.data();
+  p.s_ones = s_ones_.data();
+  p.ones_j = static_cast<int32_t>(config_.ones[cj]);
+  p.rem_j = rem_[cj];
+  p.one_plus_s = one_plus_s_;
+  p.budget_eps = budget_eps_;
+  return p;
+}
+
+// MergeWithAdd on the block-typed vector path (see streaming_imp.cc for
+// the sidecar-vs-mask rationale). Unlike implication, a similarity entry
+// can die on a hit; its presence bit must survive the joiner row-walk —
+// it was in the list on this row and must not rejoin — and is cleared
+// just after.
+void StreamingSimilarityPass::VectorAddMerge(ColumnId cj,
+                                             std::span<const ColumnId> row,
+                                             uint32_t base_miss) {
+  if (!table_.HasList(cj)) {
+    scratch_.fresh.clear();
+    for (const ColumnId ck : row) {
+      if (ck != cj && Qualifies(ck, cj) &&
+          SurvivesMaxHitsOnHit(cj, ck, base_miss)) {
+        scratch_.fresh.push_back(ck);
+      }
+    }
+    if (scratch_.fresh.empty()) return;
+    table_.Create(cj);
+    const MissCounterTable::MutableList list =
+        table_.Reserve(cj, scratch_.fresh.size());
+    uint64_t* sc = table_.Sidecar(cj);
+    for (size_t k = 0; k < scratch_.fresh.size(); ++k) {
+      list.cand[k] = scratch_.fresh[k];
+      list.miss[k] = base_miss;
+      MissCounterTable::SidecarSetBit(sc, scratch_.fresh[k]);
+    }
+    table_.SetSize(cj, scratch_.fresh.size());
+    return;
+  }
+  const MissCounterTable::MutableList list = table_.Mutable(cj);
+  uint64_t* sc = table_.Sidecar(cj);
+  scratch_.dead_hits.clear();
+  const size_t w = kernels::SimVectorSweep(
+      list.cand, list.miss, list.size, scratch_.row_mask.data(),
+      MakeSweepParams(cj), sc, &scratch_.dead_hits);
+  // Joiners word-wise: row columns whose presence bit is clear. The
+  // dead-hit bits are still set here, so a candidate that died on this
+  // row's hit cannot rejoin.
+  scratch_.fresh.clear();
+  const uint64_t* rb = scratch_.row_bits.data();
+  const size_t words = scratch_.row_bits.size();
+  for (size_t wd = 0; wd < words; ++wd) {
+    uint64_t pending = rb[wd] & ~sc[wd];
+    while (pending != 0) {
+      const ColumnId cr = static_cast<ColumnId>(
+          (wd << 6) + static_cast<unsigned>(__builtin_ctzll(pending)));
+      pending &= pending - 1;
+      if (cr != cj && Qualifies(cr, cj) &&
+          SurvivesMaxHitsOnHit(cj, cr, base_miss)) {
+        scratch_.fresh.push_back(cr);
+      }
+    }
+  }
+  for (const ColumnId d : scratch_.dead_hits) {
+    MissCounterTable::SidecarClearBit(sc, d);
+  }
+  if (scratch_.fresh.empty()) {
+    if (w != list.size) table_.SetSize(cj, w);
+    return;
+  }
+  for (const ColumnId f : scratch_.fresh) {
+    MissCounterTable::SidecarSetBit(sc, f);
+  }
+  MergeJoinersFromBack(table_, cj, w, scratch_.fresh, base_miss);
+}
+
 void StreamingSimilarityPass::FlushColumn(ColumnId cj) {
   const auto list = table_.List(cj);
   for (size_t j = 0; j < list.size; ++j) {
+    // Guard for the ablation mode with density pruning off: a pair with a
+    // negative budget may linger in the list if it never missed.
     if (static_cast<int64_t>(list.miss[j]) > PairBudget(cj, list.cand[j])) {
       continue;
     }
@@ -245,6 +352,16 @@ void StreamingSimilarityPass::EmitPair(ColumnId ci, ColumnId ck,
                           intersection});
 }
 
+void StreamingSimilarityPass::RecordHistory() {
+  // Intra-row peaks; see StreamingImplicationPass::RecordHistory.
+  if (config_.memory_history != nullptr) {
+    config_.memory_history->push_back(tracker_->TakeIntervalPeak());
+  }
+  if (config_.candidate_history != nullptr) {
+    config_.candidate_history->push_back(table_.TakeEntriesIntervalPeak());
+  }
+}
+
 void StreamingSimilarityPass::RunBitmapPhases() {
   const size_t tn = tail_.size();
   std::vector<int32_t> bm_index(config_.num_columns, -1);
@@ -260,6 +377,8 @@ void StreamingSimilarityPass::RunBitmapPhases() {
   }
   for (PostingContainer& p : bitmaps) p.Optimize();
 
+  // Phase 1: columns past their column-level budget — finish the listed
+  // candidates exactly.
   for (ColumnId c = 0; c < config_.num_columns; ++c) {
     if (!table_.HasList(c)) continue;
     if (static_cast<int64_t>(cnt_[c]) <= col_budget_[c]) continue;
@@ -282,9 +401,14 @@ void StreamingSimilarityPass::RunBitmapPhases() {
     table_.Release(c);
   }
 
+  // Identical-column fast path (Algorithm 5.1 step 2): at minsim = 1
+  // every phase-2 column has cnt = 0 (its column budget is 0), so its
+  // support lies entirely in the tail and identical pairs are exactly
+  // the equal-bitmap groups — "extract those column pairs that have the
+  // same bitmap instead of counting", as the paper prescribes. Grouping
+  // is sort-based ((hash, column) pairs), keeping the hot files free of
+  // hash maps.
   if (config_.min_similarity == 1.0) {
-    // Identical-column fast path (Algorithm 5.1 step 2); sort-based
-    // grouping of (hash, column) pairs, as in the batch engine.
     std::vector<std::pair<uint64_t, ColumnId>> hashed;
     for (ColumnId c = 0; c < config_.num_columns; ++c) {
       if (!ActiveOk(c) || config_.ones[c] == 0) continue;
@@ -304,8 +428,8 @@ void StreamingSimilarityPass::RunBitmapPhases() {
           const ColumnId ci = hashed[i].second;
           const ColumnId cj = hashed[j].second;
           // The canonical antecedent of an identical pair is the lower
-          // id; in sharded runs only its owner emits the pair (mirrors
-          // dmc_sim_pass.cc).
+          // id; in sharded runs only its owner emits the pair. Hash
+          // collisions are possible, so confirm exact equality.
           if (!LhsOk(std::min(ci, cj))) continue;
           if (bitmaps[bm_index[ci]] == bitmaps[bm_index[cj]]) {
             EmitPair(ci, cj, config_.ones[ci]);
@@ -317,8 +441,10 @@ void StreamingSimilarityPass::RunBitmapPhases() {
     return;
   }
 
-  // Dense per-column hit counts with a touched list for O(touched)
-  // reset (the batch engine's layout; see dmc_base.cc).
+  // Phase 2: columns that may still gain candidates — count hits over the
+  // tail, seeded with the exact head hits of listed candidates. Dense
+  // per-column hit counts with a touched list for O(touched) reset; see
+  // streaming_imp.cc for the rationale.
   std::vector<uint32_t> hits(config_.num_columns, 0);
   std::vector<uint8_t> seen(config_.num_columns, 0);
   std::vector<ColumnId> touched;
@@ -367,18 +493,25 @@ void StreamingSimilarityPass::RunBitmapPhases() {
 StatusOr<SimilarityRuleSet> StreamingSimilarityPass::Finish() {
   DMC_CHECK(!finished_);
   finished_ = true;
-  if (!fault_.ok()) return fault_;
-  if (cancelled_) {
-    return CancelledError("stream cancelled in " +
-                          std::string(config_.phase) + " after " +
-                          std::to_string(rows_seen_) + " rows");
-  }
+  if (!stop_.ok()) return stop_;
   if (rows_seen_ != config_.total_rows) {
     return FailedPreconditionError(
         "stream ended early: saw " + std::to_string(rows_seen_) +
         " rows, expected " + std::to_string(config_.total_rows));
   }
-  if (bitmap_mode_) RunBitmapPhases();
+  const ObserveContext& obs = config_.policy.observe;
+  if (bitmap_mode_) {
+    Stopwatch bitmap_sw;
+    ScopedSpan span(obs.trace, std::string(config_.phase) + "/dmc_bitmap",
+                    obs.trace_lane);
+    RunBitmapPhases();
+    bitmap_seconds_ = bitmap_sw.ElapsedSeconds();
+  }
+  if (obs.has_progress()) {
+    // Final update so watchers see 100%; too late to cancel.
+    (void)ReportProgress(obs, config_.phase, rows_seen_, config_.total_rows,
+                         table_.total_entries(), table_.bytes());
+  }
   return std::move(out_);
 }
 

@@ -19,11 +19,7 @@ std::vector<RowId> SortedByDensityOrder(const BinaryMatrix& m) {
   return order;
 }
 
-namespace {
-// Bucket index for a row with `density` ones: floor(log2(density)), with
-// densities 0 and 1 sharing bucket 0.
-int BucketIndex(size_t density) {
-  if (density <= 1) return 0;
+int DensityBucket(size_t density) {
   int b = 0;
   while (density > 1) {
     density >>= 1;
@@ -31,19 +27,17 @@ int BucketIndex(size_t density) {
   }
   return b;
 }
-}  // namespace
 
 BucketedOrder DensityBucketOrder(const BinaryMatrix& m) {
-  constexpr int kMaxBuckets = 33;  // densities fit in 32 bits
-  std::vector<std::vector<RowId>> buckets(kMaxBuckets);
+  std::vector<std::vector<RowId>> buckets(kMaxDensityBuckets);
   const RowId n = m.num_rows();
   for (RowId r = 0; r < n; ++r) {
-    buckets[BucketIndex(m.RowSize(r))].push_back(r);
+    buckets[DensityBucket(m.RowSize(r))].push_back(r);
   }
 
   BucketedOrder result;
   result.order.reserve(n);
-  for (int b = 0; b < kMaxBuckets; ++b) {
+  for (int b = 0; b < kMaxDensityBuckets; ++b) {
     if (buckets[b].empty()) continue;
     const size_t begin = result.order.size();
     result.order.insert(result.order.end(), buckets[b].begin(),

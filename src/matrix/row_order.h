@@ -9,6 +9,7 @@
 #ifndef DMC_MATRIX_ROW_ORDER_H_
 #define DMC_MATRIX_ROW_ORDER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -23,6 +24,16 @@ std::vector<RowId> IdentityOrder(const BinaryMatrix& m);
 /// Rows ordered by exact density, sparsest first; stable (original order
 /// within equal densities).
 std::vector<RowId> SortedByDensityOrder(const BinaryMatrix& m);
+
+/// Density buckets [2^i, 2^{i+1}), densities 0 and 1 sharing bucket 0:
+/// at most this many exist for 32-bit densities.
+inline constexpr int kMaxDensityBuckets = 33;
+
+/// The density bucket of a row with `density` ones: floor(log2(density)),
+/// 0 for densities 0 and 1. The one bucket rule of the in-memory order
+/// below and the external miner's bucket files (core/external_miner.h),
+/// which must agree for both to replay rows in the same order.
+int DensityBucket(size_t density);
 
 /// The paper's bucketed approximation of sparsest-first.
 struct BucketedOrder {

@@ -62,6 +62,21 @@ struct ObserveContext {
   bool has_progress() const { return static_cast<bool>(progress); }
 };
 
+/// Delivers one progress sample to the (non-empty) callback; returns
+/// false iff the callback requested cancellation.
+inline bool ReportProgress(const ObserveContext& obs, const char* phase,
+                           uint64_t processed, uint64_t total,
+                           uint64_t live_candidates, uint64_t counter_bytes) {
+  ProgressUpdate update;
+  update.phase = phase;
+  update.rows_processed = processed;
+  update.total_rows = total;
+  update.live_candidates = live_candidates;
+  update.counter_bytes = counter_bytes;
+  update.shard = obs.shard;
+  return obs.progress(update);
+}
+
 /// Progress-check helper for simple scan loops: fires the callback when
 /// `processed` lands on the interval; returns false iff the callback
 /// requested cancellation.
@@ -72,14 +87,8 @@ inline bool CheckProgress(const ObserveContext& obs, const char* phase,
   const uint64_t interval =
       obs.progress_interval_rows > 0 ? obs.progress_interval_rows : 1;
   if (processed % interval != 0) return true;
-  ProgressUpdate update;
-  update.phase = phase;
-  update.rows_processed = processed;
-  update.total_rows = total;
-  update.live_candidates = live_candidates;
-  update.counter_bytes = counter_bytes;
-  update.shard = obs.shard;
-  return obs.progress(update);
+  return ReportProgress(obs, phase, processed, total, live_candidates,
+                        counter_bytes);
 }
 
 }  // namespace dmc

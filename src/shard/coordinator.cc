@@ -15,8 +15,6 @@
 
 #include "core/checkpoint.h"
 #include "core/parallel_dmc.h"
-#include "core/streaming_imp.h"
-#include "core/streaming_sim.h"
 #include "observe/metrics.h"
 #include "observe/trace.h"
 #include "serve/protocol.h"
@@ -24,6 +22,7 @@
 #include "shard/process_control.h"
 #include "shard/shard_checkpoint.h"
 #include "shard/shard_protocol.h"
+#include "shard/shard_worker.h"
 #include "util/failpoint.h"
 #include "util/stopwatch.h"
 
@@ -94,48 +93,6 @@ struct Slot {
   int respawns = 0;
   std::string metrics_path;
 };
-
-/// In-process fallback: mine one task on the calling thread over the
-/// coordinator's own prepared input — same data, same lhs-shard mask,
-/// so the result is identical to what the dead fleet would have sent.
-StatusOr<ShardResult> MineTaskInProcess(const ShardPlan& plan,
-                                        const DmcPolicy& policy,
-                                        const Task& task,
-                                        ExternalInput* input) {
-  Status replay_status = Status::OK();
-  auto replay = [&](auto&& sink) {
-    if (!replay_status.ok()) return;
-    replay_status = input->Replay(sink);
-  };
-
-  ShardResult result;
-  result.task_id = task.id;
-  result.engine = plan.engine;
-  Stopwatch sw;
-  if (plan.engine == Engine::kImplications) {
-    ImplicationMiningOptions options;
-    options.min_confidence = plan.threshold;
-    options.policy = policy;
-    auto rules = StreamImplications(plan.num_columns, plan.column_ones,
-                                    plan.num_rows, options, replay,
-                                    &task.mask);
-    if (!replay_status.ok()) return replay_status;
-    if (!rules.ok()) return rules.status();
-    result.imp_rules = rules->TakeRules();
-  } else {
-    SimilarityMiningOptions options;
-    options.min_similarity = plan.threshold;
-    options.policy = policy;
-    auto pairs = StreamSimilarities(plan.num_columns, plan.column_ones,
-                                    plan.num_rows, options, replay,
-                                    &task.mask);
-    if (!replay_status.ok()) return replay_status;
-    if (!pairs.ok()) return pairs.status();
-    result.sim_pairs = pairs->TakePairs();
-  }
-  result.mine_seconds = sw.ElapsedSeconds();
-  return result;
-}
 
 /// The coordinator's poll(2) event loop over one fleet of workers.
 /// Leaves unfinished tasks for the caller (degrade path); only
@@ -675,7 +632,9 @@ StatusOr<std::vector<ShardResult>> RunShardedMine(
           "degrade_to_in_process disabled");
     }
     ScopedSpan span(obs.trace, "shard/degrade", obs.trace_lane);
-    auto result = MineTaskInProcess(plan, policy, t, &input);
+    // In-process fallback over the coordinator's own prepared input:
+    // same data, same mask, same task function as the workers.
+    auto result = MineShardTask(plan, policy, t.mask, t.id, &input);
     if (!result.ok()) return result.status();
     t.result = std::move(*result);
     t.done = true;

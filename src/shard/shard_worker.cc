@@ -11,6 +11,7 @@
 
 #include "core/dmc_options.h"
 #include "core/external_miner.h"
+#include "core/mining_stats.h"
 #include "core/streaming_imp.h"
 #include "core/streaming_sim.h"
 #include "observe/metrics.h"
@@ -48,7 +49,6 @@ uint64_t EnvRows(const char* name) {
 struct TaskContext {
   int out_fd = -1;
   uint32_t task_id = 0;
-  uint64_t peak_counter_bytes = 0;
   uint64_t crash_after_rows = 0;
   uint64_t hang_after_rows = 0;
   bool transport_broken = false;
@@ -71,9 +71,6 @@ DmcPolicy PolicyFromPlan(const ShardPlan& plan, MetricsRegistry* metrics,
   // share one cadence, so a worker that stops mining also stops
   // heartbeating and the coordinator's deadline fires.
   policy.observe.progress = [ctx](const ProgressUpdate& update) {
-    if (update.counter_bytes > ctx->peak_counter_bytes) {
-      ctx->peak_counter_bytes = update.counter_bytes;
-    }
     if (ctx->crash_after_rows > 0 &&
         update.rows_processed >= ctx->crash_after_rows) {
       _exit(137);  // test hook: simulate an abrupt worker death
@@ -94,6 +91,8 @@ DmcPolicy PolicyFromPlan(const ShardPlan& plan, MetricsRegistry* metrics,
   return policy;
 }
 
+// A worker's task: its own policy (heartbeats on the progress callback)
+// and a replay of the coordinator's bucket files.
 StatusOr<ShardResult> MineTask(const ShardPlan& plan,
                                const std::vector<uint8_t>& mask,
                                uint32_t task_id, MetricsRegistry* metrics,
@@ -101,15 +100,10 @@ StatusOr<ShardResult> MineTask(const ShardPlan& plan,
   if (fail::Enabled()) {
     DMC_RETURN_IF_ERROR(fail::InjectStatus("shard.worker"));
   }
-  if (mask.size() != plan.column_ones.size()) {
-    return InvalidArgumentError("task mask width does not match the plan");
-  }
-
   const DmcPolicy policy = PolicyFromPlan(plan, metrics, ctx);
-  const bool bucketed = policy.row_order != RowOrderPolicy::kIdentity;
-
   ExternalIoOptions io;  // no checkpointing in workers; artifacts borrowed
-  ExternalInput input(plan.input_path, plan.work_dir, bucketed, io,
+  ExternalInput input(plan.input_path, plan.work_dir,
+                      policy.row_order != RowOrderPolicy::kIdentity, io,
                       policy.observe, nullptr);
   FirstPassStats first_pass;
   first_pass.num_columns = plan.num_columns;
@@ -117,39 +111,7 @@ StatusOr<ShardResult> MineTask(const ShardPlan& plan,
   first_pass.column_ones = plan.column_ones;
   std::vector<int> buckets(plan.buckets.begin(), plan.buckets.end());
   input.AdoptPlan(std::move(first_pass), std::move(buckets));
-
-  Status replay_status = Status::OK();
-  auto replay = [&](auto&& sink) {
-    if (!replay_status.ok()) return;
-    replay_status = input.Replay(sink);
-  };
-
-  ShardResult result;
-  result.task_id = task_id;
-  result.engine = plan.engine;
-  Stopwatch sw;
-  if (plan.engine == Engine::kImplications) {
-    ImplicationMiningOptions options;
-    options.min_confidence = plan.threshold;
-    options.policy = policy;
-    auto rules = StreamImplications(plan.num_columns, plan.column_ones,
-                                    plan.num_rows, options, replay, &mask);
-    if (!replay_status.ok()) return replay_status;
-    if (!rules.ok()) return rules.status();
-    result.imp_rules = rules->TakeRules();
-  } else {
-    SimilarityMiningOptions options;
-    options.min_similarity = plan.threshold;
-    options.policy = policy;
-    auto pairs = StreamSimilarities(plan.num_columns, plan.column_ones,
-                                    plan.num_rows, options, replay, &mask);
-    if (!replay_status.ok()) return replay_status;
-    if (!pairs.ok()) return pairs.status();
-    result.sim_pairs = pairs->TakePairs();
-  }
-  result.mine_seconds = sw.ElapsedSeconds();
-  result.peak_counter_bytes = ctx->peak_counter_bytes;
-  return result;
+  return MineShardTask(plan, policy, mask, task_id, &input);
 }
 
 void ExportMetrics(const MetricsRegistry& metrics, const std::string& path) {
@@ -162,6 +124,54 @@ void ExportMetrics(const MetricsRegistry& metrics, const std::string& path) {
 }
 
 }  // namespace
+
+StatusOr<ShardResult> MineShardTask(const ShardPlan& plan,
+                                    const DmcPolicy& policy,
+                                    const std::vector<uint8_t>& mask,
+                                    uint32_t task_id, ExternalInput* input) {
+  if (mask.size() != plan.column_ones.size()) {
+    return InvalidArgumentError("task mask width does not match the plan");
+  }
+  const bool sim = plan.engine == Engine::kSimilarities;
+  Status replay_status = Status::OK();
+  const auto replay = [&](auto&& sink) {
+    if (!replay_status.ok()) return;
+    replay_status = input->Replay(
+        sink, sim ? "streaming.sim.row" : "streaming.imp.row");
+  };
+
+  ShardResult result;
+  result.task_id = task_id;
+  result.engine = plan.engine;
+  MiningStats stats;
+  Stopwatch sw;
+  Status mined;
+  if (sim) {
+    SimilarityMiningOptions options;
+    options.min_similarity = plan.threshold;
+    options.policy = policy;
+    auto pairs = StreamSimilarities(plan.num_columns, plan.column_ones,
+                                    plan.num_rows, options, replay, &mask,
+                                    &stats);
+    mined = pairs.status();
+    if (pairs.ok()) result.sim_pairs = pairs->TakePairs();
+  } else {
+    ImplicationMiningOptions options;
+    options.min_confidence = plan.threshold;
+    options.policy = policy;
+    auto rules = StreamImplications(plan.num_columns, plan.column_ones,
+                                    plan.num_rows, options, replay, &mask,
+                                    &stats);
+    mined = rules.status();
+    if (rules.ok()) result.imp_rules = rules->TakeRules();
+  }
+  // A failed replay also starves the pass; report the cause.
+  DMC_RETURN_IF_ERROR(replay_status);
+  DMC_RETURN_IF_ERROR(mined);
+  result.mine_seconds = sw.ElapsedSeconds();
+  result.peak_counter_bytes = stats.peak_counter_bytes;
+  return result;
+}
 
 Status RunShardWorker(const WorkerOptions& options) {
   const uint64_t crash_after = EnvRows("DMC_SHARD_TEST_CRASH_AFTER_ROWS");

@@ -17,9 +17,15 @@
 #ifndef DMC_SHARD_SHARD_WORKER_H_
 #define DMC_SHARD_SHARD_WORKER_H_
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
+#include "core/dmc_options.h"
+#include "core/external_miner.h"
+#include "shard/shard_protocol.h"
 #include "util/status.h"
+#include "util/statusor.h"
 
 namespace dmc {
 namespace shard {
@@ -34,6 +40,16 @@ struct WorkerOptions {
   /// merge worker metrics even when the worker later dies.
   std::string metrics_out;
 };
+
+/// Mines one task: the rules whose antecedents fall in `mask`, found by
+/// replaying `input` through the streamed phase driver of the plan's
+/// engine under `policy`. The worker loop and the coordinator's
+/// in-process degrade path both call this, so a degraded task returns
+/// exactly what a worker would have sent: the same rules and the exact
+/// counter peak of the task's scan (ShardResult::peak_counter_bytes).
+[[nodiscard]] StatusOr<ShardResult> MineShardTask(
+    const ShardPlan& plan, const DmcPolicy& policy,
+    const std::vector<uint8_t>& mask, uint32_t task_id, ExternalInput* input);
 
 /// Runs the worker loop until kShutdown or EOF on in_fd. Returns non-OK
 /// only on transport or protocol failure (the exit code of

@@ -10,7 +10,10 @@
 
 #include "core/engine.h"
 #include "core/kernels.h"
+#include "core/streaming_imp.h"
+#include "core/streaming_sim.h"
 #include "matrix/binary_matrix.h"
+#include "matrix/row_order.h"
 #include "util/random.h"
 
 namespace dmc {
@@ -161,6 +164,107 @@ TEST(KernelParityTest, SimilaritiesWithForcedBitmapSwitch) {
         RunSim(m, k, RowOrderPolicy::kDensityBuckets, 0.4, &base);
     EXPECT_EQ(ref.pairs.pairs(), got.pairs.pairs()) << KernelName(k);
     ExpectStatsEqual(ref.stats, got.stats, KernelName(k));
+  }
+}
+
+// Every matrix above has at most 64 columns and mean rows of at least one
+// one, so kSimd takes the vector sweep on all of them. This one is wide
+// and sparse — mean row 5 ones against ceil(1000 / 64) = 16 sidecar
+// words — so kernels::PreferVectorSweep sends kSimd to the row-mask
+// merge, which keeps that side of the selection under parity too.
+BinaryMatrix WideSparseMatrix() { return RandomMatrix(11, 400, 1000, 0.005); }
+
+TEST(KernelParityTest, SelectionPutsTheMatricesOnBothSides) {
+  const BinaryMatrix wide = WideSparseMatrix();
+  EXPECT_FALSE(kernels::PreferVectorSweep(wide.num_columns(), wide.num_rows(),
+                                          wide.num_ones()));
+  const BinaryMatrix narrow = RandomMatrix(1, 300, 60, 0.05);
+  EXPECT_EQ(kernels::PreferVectorSweep(narrow.num_columns(),
+                                       narrow.num_rows(), narrow.num_ones()),
+            kernels::VectorSweepAvailable());
+}
+
+TEST(KernelParityTest, WideSparseMatrixOnTheMaskSide) {
+  const BinaryMatrix m = WideSparseMatrix();
+  for (const RowOrderPolicy order :
+       {RowOrderPolicy::kIdentity, RowOrderPolicy::kDensityBuckets}) {
+    const ImpRun imp_ref = RunImp(m, MergeKernel::kLegacy, order, 0.5);
+    EXPECT_FALSE(imp_ref.rules.empty());
+    const SimRun sim_ref = RunSim(m, MergeKernel::kLegacy, order, 0.3);
+    EXPECT_FALSE(sim_ref.pairs.empty());
+    for (const MergeKernel k : kAllKernels) {
+      const ImpRun imp = RunImp(m, k, order, 0.5);
+      EXPECT_EQ(imp_ref.rules.rules(), imp.rules.rules()) << KernelName(k);
+      ExpectStatsEqual(imp_ref.stats, imp.stats, KernelName(k));
+      const SimRun sim = RunSim(m, k, order, 0.3);
+      EXPECT_EQ(sim_ref.pairs.pairs(), sim.pairs.pairs()) << KernelName(k);
+      ExpectStatsEqual(sim_ref.stats, sim.stats, KernelName(k));
+    }
+  }
+}
+
+// The phase drivers called directly, as the external miner and the shard
+// workers call them: a replay of the matrix in density-bucket order
+// under an antecedent mask, with and without the forced DMC-bitmap
+// switch, on both sides of the kernel selection. Rules and the exact
+// counter peak must match the kLegacy batch reference for every kernel.
+TEST(KernelParityTest, StreamedPassesMatchTheLegacyBatchReference) {
+  for (const BinaryMatrix& m :
+       {RandomMatrix(12, 300, 60, 0.2), WideSparseMatrix()}) {
+    const std::vector<RowId> order = DensityBucketOrder(m).order;
+    const auto replay = [&](auto&& sink) {
+      for (const RowId r : order) sink(m.Row(r));
+    };
+    const auto masks = MakeColumnShards(m.column_ones(), 3);
+    for (const bool forced_bitmap : {false, true}) {
+      DmcPolicy base;
+      if (forced_bitmap) {
+        base.memory_threshold_bytes = 0;
+        base.bitmap_max_remaining_rows = 128;
+      }
+      for (const std::vector<uint8_t>& mask : masks) {
+        ImplicationMiningOptions imp;
+        imp.min_confidence = 0.5;
+        imp.policy = base;
+        imp.policy.kernel = MergeKernel::kLegacy;
+        MiningStats imp_ref_stats;
+        auto imp_ref = MineImplicationsSharded(m, imp, mask, &imp_ref_stats);
+        ASSERT_TRUE(imp_ref.ok());
+        EXPECT_EQ(imp_ref_stats.sub_bitmap_triggered, forced_bitmap);
+
+        SimilarityMiningOptions sim;
+        sim.min_similarity = 0.3;
+        sim.policy = base;
+        sim.policy.kernel = MergeKernel::kLegacy;
+        MiningStats sim_ref_stats;
+        auto sim_ref = MineSimilaritiesSharded(m, sim, mask, &sim_ref_stats);
+        ASSERT_TRUE(sim_ref.ok());
+
+        for (const MergeKernel k : kAllKernels) {
+          imp.policy.kernel = k;
+          MiningStats imp_stats;
+          auto got_imp =
+              StreamImplications(m.num_columns(), m.column_ones(),
+                                 m.num_rows(), imp, replay, &mask, &imp_stats);
+          ASSERT_TRUE(got_imp.ok()) << KernelName(k);
+          EXPECT_EQ(got_imp->rules(), imp_ref->rules()) << KernelName(k);
+          EXPECT_EQ(imp_stats.peak_counter_bytes,
+                    imp_ref_stats.peak_counter_bytes)
+              << KernelName(k) << " bitmap=" << forced_bitmap;
+
+          sim.policy.kernel = k;
+          MiningStats sim_stats;
+          auto got_sim =
+              StreamSimilarities(m.num_columns(), m.column_ones(),
+                                 m.num_rows(), sim, replay, &mask, &sim_stats);
+          ASSERT_TRUE(got_sim.ok()) << KernelName(k);
+          EXPECT_EQ(got_sim->pairs(), sim_ref->pairs()) << KernelName(k);
+          EXPECT_EQ(sim_stats.peak_counter_bytes,
+                    sim_ref_stats.peak_counter_bytes)
+              << KernelName(k) << " bitmap=" << forced_bitmap;
+        }
+      }
+    }
   }
 }
 

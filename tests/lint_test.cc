@@ -130,8 +130,8 @@ TEST(LintFixtureTest, BannedRawUnlinkFiresExactlyOnce) {
 
 TEST(LintFixtureTest, BannedHotPathMapFiresExactlyOnce) {
   const auto findings =
-      LintFile("core/dmc_sim_pass.cc",
-               ReadFile(FixturePath("core/dmc_sim_pass.cc")), {});
+      LintFile("core/streaming_sim.cc",
+               ReadFile(FixturePath("core/streaming_sim.cc")), {});
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "banned-hot-path-map");
   EXPECT_EQ(findings[0].line, 12);
@@ -374,7 +374,7 @@ TEST(LintRuleTest, QualifiedNonStdRandIsAllowed) {
 TEST(LintRuleTest, HotPathMapIsPathConditional) {
   const std::string body =
       "#include <map>\nvoid F(){ std::map<int, int> m; (void)m; }\n";
-  EXPECT_EQ(LintFile("src/core/dmc_base.cc", body, {}).size(), 1u);
+  EXPECT_EQ(LintFile("src/core/streaming_imp.cc", body, {}).size(), 1u);
   EXPECT_EQ(LintFile("src/core/kernels.cc", body, {}).size(), 1u);
   // Everywhere else node-based containers stay legal.
   EXPECT_TRUE(LintFile("src/core/dmc_imp.cc", body, {}).empty());
@@ -383,10 +383,10 @@ TEST(LintRuleTest, HotPathMapIsPathConditional) {
 
 TEST(LintRuleTest, HotPathMapRequiresStdQualifier) {
   // A project type or member named map is not the banned container.
-  EXPECT_TRUE(LintFile("src/core/dmc_base.cc",
+  EXPECT_TRUE(LintFile("src/core/streaming_imp.cc",
                        "void F(){ ColumnMap map; map.Clear(); }\n", {})
                   .empty());
-  EXPECT_EQ(LintFile("src/core/dmc_base.cc",
+  EXPECT_EQ(LintFile("src/core/streaming_imp.cc",
                      "void F(){ std::unordered_map<int, int> m; }\n", {})
                 .size(),
             1u);
@@ -395,7 +395,7 @@ TEST(LintRuleTest, HotPathMapRequiresStdQualifier) {
 TEST(LintRuleTest, HotPathMapSuppressionWorks) {
   const std::string body =
       "void F(){ std::map<int, int> m; }  // dmc_lint: ignore\n";
-  EXPECT_TRUE(LintFile("src/core/dmc_base.cc", body, {}).empty());
+  EXPECT_TRUE(LintFile("src/core/streaming_imp.cc", body, {}).empty());
 }
 
 TEST(LintRuleTest, RawLockAllowedOnlyUnderUtil) {

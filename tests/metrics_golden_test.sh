@@ -54,6 +54,11 @@ run_case mine_imp_parallel \
   mine-imp --input="$FIXTURE" --minconf=0.8 --order=sort --threads=2
 run_case mine_sim \
   mine-sim --input="$FIXTURE" --minsim=0.6 --order=sort
+# The external scan reports its own "mining" block next to "external";
+# its peak_counter_bytes equals the in-memory mine's in the default
+# density-bucket order.
+run_case mine_imp_external \
+  mine-imp --input="$FIXTURE" --minconf=0.8 --external --workdir="$TMP"
 
 if [ "$fail" -ne 0 ]; then
   exit 1

@@ -30,6 +30,7 @@
 #include "observe/metrics.h"
 #include "shard/coordinator.h"
 #include "shard/shard_checkpoint.h"
+#include "shard/shard_worker.h"
 #include "util/failpoint.h"
 #include "util/random.h"
 
@@ -397,6 +398,65 @@ TEST_F(ShardDifferentialTest, InvalidOptionsAreRejectedUpFront) {
   EXPECT_EQ(
       MineImplicationsSharded(input_, bad, dir_, BaseOptions()).status().code(),
       StatusCode::kInvalidArgument);
+}
+
+// A task reports the exact counter peak of its scan: the peak the
+// in-memory miner reports for the same antecedent mask. MineShardTask is
+// what workers and the coordinator's degrade path both run.
+TEST_F(ShardDifferentialTest, TaskPeakIsTheExactScanPeak) {
+  const BinaryMatrix m = TestMatrix();
+  ExternalMiningStats ext_stats;
+  ExternalInput input(input_, dir_, /*bucketed=*/true, ExternalIoOptions{},
+                      ObserveContext{}, &ext_stats);
+  ASSERT_TRUE(input.Prepare().ok());
+  ShardPlan plan;
+  plan.num_columns = input.first_pass().num_columns;
+  plan.num_rows = input.first_pass().num_rows;
+  plan.column_ones = input.first_pass().column_ones;
+  ASSERT_EQ(plan.num_columns, m.num_columns());
+  const auto masks = MakeColumnShards(plan.column_ones, 3);
+  for (uint32_t id = 0; id < masks.size(); ++id) {
+    plan.engine = Engine::kImplications;
+    plan.threshold = imp_.min_confidence;
+    auto imp_task = MineShardTask(plan, imp_.policy, masks[id], id, &input);
+    ASSERT_TRUE(imp_task.ok()) << imp_task.status().ToString();
+    MiningStats imp_want;
+    auto rules = ::dmc::MineImplicationsSharded(m, imp_, masks[id], &imp_want);
+    ASSERT_TRUE(rules.ok());
+    EXPECT_EQ(imp_task->imp_rules, rules->rules()) << "task " << id;
+    EXPECT_EQ(imp_task->peak_counter_bytes, imp_want.peak_counter_bytes)
+        << "task " << id;
+
+    plan.engine = Engine::kSimilarities;
+    plan.threshold = sim_.min_similarity;
+    auto sim_task = MineShardTask(plan, sim_.policy, masks[id], id, &input);
+    ASSERT_TRUE(sim_task.ok()) << sim_task.status().ToString();
+    MiningStats sim_want;
+    auto pairs = ::dmc::MineSimilaritiesSharded(m, sim_, masks[id], &sim_want);
+    ASSERT_TRUE(pairs.ok());
+    EXPECT_EQ(sim_task->sim_pairs, pairs->pairs()) << "task " << id;
+    EXPECT_EQ(sim_task->peak_counter_bytes, sim_want.peak_counter_bytes)
+        << "task " << id;
+  }
+
+  // Through a real worker: one task over every column, its peak read
+  // back from the worker's metrics.
+  const std::string metrics_dir = dir_ + "/worker_metrics";
+  MetricsRegistry registry;
+  imp_.policy.observe.metrics = &registry;
+  ShardOptions s = BaseOptions();
+  s.num_workers = 1;
+  s.tasks_per_worker = 1;
+  s.worker_metrics_dir = metrics_dir;
+  ShardMiningStats stats;
+  auto sharded = MineImplicationsSharded(input_, imp_, dir_, s, &stats);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  EXPECT_EQ(stats.degraded_tasks, 0);
+  MiningStats whole;
+  imp_.policy.observe.metrics = nullptr;
+  ASSERT_TRUE(::dmc::MineImplications(m, imp_, &whole).ok());
+  EXPECT_EQ(registry.gauge("dmc.shard.worker.peak_counter_bytes"),
+            static_cast<double>(whole.peak_counter_bytes));
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "baselines/bruteforce.h"
 #include "core/dmc_sim.h"
 #include "core/external_miner.h"
+#include "core/kernels.h"
 #include "datagen/dictionary_gen.h"
 #include "datagen/quest_gen.h"
 #include "matrix/matrix_io.h"
@@ -113,6 +116,54 @@ TEST(ExternalSimMinerTest, MatchesInMemoryMining) {
     EXPECT_EQ(external->Pairs(), in_memory->Pairs()) << s;
     EXPECT_EQ(stats.rows, m.num_rows());
   }
+}
+
+// Similarity counterpart of ExternalMinerTest.ReportsTheInMemoryScanStats.
+TEST(ExternalSimMinerTest, ReportsTheInMemoryScanStats) {
+  const std::string dir = testing::TempDir() + "/external_scan_stats_sim";
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/input.txt";
+  MatrixBuilder blocks(48);
+  for (uint32_t r = 0; r < 400; ++r) {
+    std::vector<ColumnId> row;
+    for (ColumnId c = 0; c < 48; ++c) {
+      if ((c / 8 == r % 6 && (r + c) % 11 != 0) || (r * 7 + c) % 13 == 0) {
+        row.push_back(c);
+      }
+    }
+    blocks.AddRow(row);
+  }
+  QuestOptions wide;
+  wide.num_transactions = 3000;
+  wide.num_items = 1000;
+  wide.seed = 2;
+  for (const BinaryMatrix& m : {GenerateQuest(wide), blocks.Build()}) {
+    ASSERT_GT(m.column_ones().back(), 0u);  // the file has every column
+    const bool vector_side = m.num_columns() <= 64;
+    EXPECT_EQ(kernels::PreferVectorSweep(m.num_columns(), m.num_rows(),
+                                         m.num_ones()),
+              vector_side && kernels::VectorSweepAvailable());
+    ASSERT_TRUE(WriteMatrixTextFile(m, path).ok());
+    SimilarityMiningOptions o;
+    o.min_similarity = 0.5;
+    MiningStats in_memory_stats;
+    auto in_memory = MineSimilarities(m, o, &in_memory_stats);
+    ASSERT_TRUE(in_memory.ok());
+    ExternalMiningStats stats;
+    auto external = MineSimilaritiesFromFile(path, o, dir, &stats);
+    ASSERT_TRUE(external.ok()) << external.status();
+    EXPECT_EQ(external->pairs(), in_memory->pairs());
+    const MiningStats& scan = stats.mining;
+    EXPECT_GT(scan.peak_counter_bytes, 0u);
+    EXPECT_EQ(scan.peak_counter_bytes, in_memory_stats.peak_counter_bytes);
+    EXPECT_EQ(scan.peak_candidates, in_memory_stats.peak_candidates);
+    EXPECT_EQ(scan.columns_cut_off, in_memory_stats.columns_cut_off);
+    EXPECT_EQ(scan.rules_from_hundred_phase,
+              in_memory_stats.rules_from_hundred_phase);
+    EXPECT_EQ(scan.rules_from_sub_phase, in_memory_stats.rules_from_sub_phase);
+    EXPECT_EQ(scan.kernel, in_memory_stats.kernel);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 
 #include "baselines/bruteforce.h"
 #include "core/dmc_imp.h"
 #include "core/external_miner.h"
+#include "core/kernels.h"
 #include "datagen/quest_gen.h"
 #include "datagen/weblog_gen.h"
 #include "matrix/matrix_io.h"
@@ -151,6 +153,59 @@ TEST(ExternalMinerTest, CleansUpBucketFiles) {
   // No bucket files left behind.
   std::ifstream probe(dir + "/dmc_bucket_0.txt");
   EXPECT_FALSE(probe.good());
+}
+
+// The external run's scan is the in-memory mine's scan over the same
+// rows in the same order, so its MiningStats — exported as the "mining"
+// block — carry the same deterministic figures. The wide Quest baskets
+// fall on the mask side of the kernel selection, the narrow block matrix
+// on the vector side.
+TEST(ExternalMinerTest, ReportsTheInMemoryScanStats) {
+  const std::string dir = testing::TempDir() + "/external_scan_stats_imp";
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/input.txt";
+  MatrixBuilder blocks(48);
+  for (uint32_t r = 0; r < 400; ++r) {
+    std::vector<ColumnId> row;
+    for (ColumnId c = 0; c < 48; ++c) {
+      if ((c / 8 == r % 6 && (r + c) % 11 != 0) || (r * 7 + c) % 13 == 0) {
+        row.push_back(c);
+      }
+    }
+    blocks.AddRow(row);
+  }
+  QuestOptions wide;
+  wide.num_transactions = 3000;
+  wide.num_items = 1000;
+  wide.seed = 2;
+  for (const BinaryMatrix& m : {GenerateQuest(wide), blocks.Build()}) {
+    ASSERT_GT(m.column_ones().back(), 0u);  // the file has every column
+    const bool vector_side = m.num_columns() <= 64;
+    EXPECT_EQ(kernels::PreferVectorSweep(m.num_columns(), m.num_rows(),
+                                         m.num_ones()),
+              vector_side && kernels::VectorSweepAvailable());
+    ASSERT_TRUE(WriteMatrixTextFile(m, path).ok());
+    ImplicationMiningOptions o;
+    o.min_confidence = 0.7;
+    MiningStats in_memory_stats;
+    auto in_memory = MineImplications(m, o, &in_memory_stats);
+    ASSERT_TRUE(in_memory.ok());
+    ExternalMiningStats stats;
+    auto external = MineImplicationsFromFile(path, o, dir, &stats);
+    ASSERT_TRUE(external.ok()) << external.status();
+    EXPECT_EQ(external->rules(), in_memory->rules());
+    const MiningStats& scan = stats.mining;
+    EXPECT_GT(scan.peak_counter_bytes, 0u);
+    EXPECT_EQ(scan.peak_counter_bytes, in_memory_stats.peak_counter_bytes);
+    EXPECT_EQ(scan.peak_candidates, in_memory_stats.peak_candidates);
+    EXPECT_EQ(scan.columns_cut_off, in_memory_stats.columns_cut_off);
+    EXPECT_EQ(scan.rules_from_hundred_phase,
+              in_memory_stats.rules_from_hundred_phase);
+    EXPECT_EQ(scan.rules_from_sub_phase, in_memory_stats.rules_from_sub_phase);
+    EXPECT_EQ(scan.kernel, in_memory_stats.kernel);
+    EXPECT_GE(scan.total_seconds, stats.mine_seconds);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

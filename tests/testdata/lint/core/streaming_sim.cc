@@ -1,5 +1,5 @@
 // Fixture: a std::unordered_map in a file whose path ends with
-// core/dmc_sim_pass.cc (a hot-path TU) must fire banned-hot-path-map
+// core/streaming_sim.cc (a hot-path TU) must fire banned-hot-path-map
 // exactly once. The suppressed use and the unqualified mention stay
 // legal. This is testdata, not the real similarity pass.
 

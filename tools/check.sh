@@ -6,7 +6,8 @@
 #   (c) TSan build + parallel/observe/cancellation/fault/rule-index/
 #       serve/shard-coordinator stress
 #   (d) dmc_lint over src/ + tools/
-#   (e) metrics-schema smoke check (dmc_cli --metrics-out)
+#   (e) metrics-schema smoke check (dmc_cli --metrics-out, in-memory and
+#       --external, whose peak_counter_bytes must agree)
 #   (e2) serve smoke: dmc_serve daemon round-trip over a real socket
 #   (f) fault-injection sweep under ASan+UBSan (differential exactness)
 #   (f2) kill-a-worker shard sweep under ASan+UBSan (byte-identity under
@@ -16,8 +17,9 @@
 #        schedules byte-identical to fresh window mines)
 #   (h) coverage build + gate against tools/coverage_floor.txt
 #   (i) perf smoke: release-native build + bench_kernels --json-out schema
-#   (i2) dense-scan bench regression gate vs the committed BENCH_bitmap.json
-#        (>10% rows_per_sec drop on any scan_*_dense variant fails)
+#   (i2) scan bench regression gate vs the committed BENCH_bitmap.json
+#        (>10% rows_per_sec drop on any scan_*_dense or scan_*_sparse
+#        variant fails — both sides of the vector-sweep selection)
 #   (i3) incremental/window scenario gate vs the committed BENCH_window.json
 #        (>10% rows_per_sec drop on any append/slide scenario fails)
 #   (j) clang -Wthread-safety -Werror build          (preset: thread-safety)
@@ -79,7 +81,28 @@ for field in '"schema_version": 1' '"mining"' '"peak_counter_bytes"' \
     exit 1
   }
 done
-echo "metrics schema OK"
+# External arm: the --external document carries the scan's own "mining"
+# block, and its peak_counter_bytes (the first one, inside "mining")
+# equals the in-memory mine's — the external replay is the same scan in
+# the same density-bucket order.
+"${repo_root}/build/tools/dmc_cli" mine-imp \
+  --input="${repo_root}/tests/testdata/metrics/fixture_matrix.txt" \
+  --minconf=0.8 --external --workdir="${metrics_tmp}" \
+  --metrics-out="${metrics_tmp}/external.json" >/dev/null
+for field in '"schema_version": 1' '"mining"' '"external"' \
+             '"peak_counter_bytes"' '"rules_total"'; do
+  grep -qF "${field}" "${metrics_tmp}/external.json" || {
+    echo "external metrics schema smoke check failed: missing ${field}" >&2
+    exit 1
+  }
+done
+first_peak() { grep -m1 '"peak_counter_bytes"' "$1"; }
+if [[ "$(first_peak "${metrics_tmp}/metrics.json")" != \
+      "$(first_peak "${metrics_tmp}/external.json")" ]]; then
+  echo "external peak_counter_bytes differs from the in-memory mine" >&2
+  exit 1
+fi
+echo "metrics schema OK (in-memory and external)"
 
 step "(e2) serve smoke: dmc_serve daemon round-trip"
 # Boots the daemon on an ephemeral port against the fixture matrix, then
@@ -230,20 +253,21 @@ if [[ "${fast}" -eq 0 ]]; then
   done
   echo "bench json schema OK"
 
-  step "(i2) dense-scan bench regression gate vs BENCH_bitmap.json"
-  # Re-runs the dense scans at the committed baseline's scale and lets
-  # bench_kernels compare rows_per_sec per kernel variant against
-  # BENCH_bitmap.json (the curve recorded with the hybrid posting
-  # substrate); any variant dropping below 90% of the committed
-  # throughput fails the gate. This one IS a performance gate — noise on
-  # a loaded machine can trip it, in which case rerun on a quiet one.
+  step "(i2) scan bench regression gate vs BENCH_bitmap.json"
+  # Re-runs the dense scans (kSimd on the vector sweep) and the sparse
+  # Quest scans (kSimd on the row-mask merge) at the committed baseline's
+  # scale and lets bench_kernels compare rows_per_sec per kernel variant
+  # against BENCH_bitmap.json; any variant dropping below 90% of the
+  # committed throughput fails the gate. This one IS a performance gate
+  # — noise on a loaded machine can trip it, in which case rerun on a
+  # quiet one.
   "${repo_root}/build-native/bench/bench_kernels" --scale=1 \
     --json-out="${metrics_tmp}/bench_full.json" \
     --baseline="${repo_root}/BENCH_bitmap.json" >/dev/null || {
-    echo "dense-scan throughput regression vs BENCH_bitmap.json" >&2
+    echo "scan throughput regression vs BENCH_bitmap.json" >&2
     exit 1
   }
-  echo "dense-scan regression gate OK"
+  echo "scan regression gate OK"
 
   step "(i3) incremental/window scenario gate vs BENCH_window.json"
   # Re-runs the append-batch and window-slide scenarios (google-benchmark

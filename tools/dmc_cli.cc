@@ -536,6 +536,7 @@ int MineImp(const Flags& flags) {
                  stats.mine_seconds);
     std::fprintf(stderr, "%zu rules\n", rules->size());
     report.external = &stats;
+    report.mining = &stats.mining;
     report.rules_total = static_cast<int64_t>(rules->size());
     const int rc = EmitRules(rules->SortedByConfidence(), flags);
     const int observe_rc = observe.Finish(report);

@@ -310,12 +310,12 @@ bool IsStdQualified(const std::string& s, size_t pos) {
 // std::map / std::unordered_map allocate per element and chase pointers,
 // exactly the behaviour the arena/SoA layout exists to avoid. Dense
 // vectors with a touched-list reset are the sanctioned replacement (see
-// the bitmap hit-counting phase in dmc_base.cc).
+// the bitmap hit-counting phase in streaming_imp.cc).
 void CheckHotPathMap(const std::string& path, const std::string& scrubbed,
                      const std::vector<bool>& suppressed,
                      std::vector<Finding>* findings) {
   static const char* kHotPathSuffixes[] = {
-      "core/dmc_base.cc", "core/dmc_sim_pass.cc", "core/kernels.cc"};
+      "core/streaming_imp.cc", "core/streaming_sim.cc", "core/kernels.cc"};
   bool is_hot_path = false;
   for (const char* suffix : kHotPathSuffixes) {
     const size_t n = std::strlen(suffix);
@@ -349,7 +349,7 @@ void CheckHotPathMap(const std::string& path, const std::string& scrubbed,
           {path, line, "banned-hot-path-map",
            "std::map/std::unordered_map are banned in hot-path mining "
            "code; use dense vectors with a touched-list reset (see the "
-           "bitmap hit-counting in core/dmc_base.cc)"});
+           "bitmap hit-counting in core/streaming_imp.cc)"});
     }
   }
 }

@@ -221,10 +221,10 @@ void CheckBannedTokens(const FileCtx& ctx, std::vector<Finding>* findings) {
 // std::map / std::unordered_map allocate per element and chase pointers,
 // exactly the behaviour the arena/SoA layout exists to avoid. Dense
 // vectors with a touched-list reset are the sanctioned replacement (see
-// the bitmap hit-counting phase in dmc_base.cc).
+// the bitmap hit-counting phase in streaming_imp.cc).
 void CheckHotPathMap(const FileCtx& ctx, std::vector<Finding>* findings) {
   static const char* kHotPathSuffixes[] = {
-      "core/dmc_base.cc", "core/dmc_sim_pass.cc", "core/kernels.cc"};
+      "core/streaming_imp.cc", "core/streaming_sim.cc", "core/kernels.cc"};
   bool is_hot_path = false;
   for (const char* suffix : kHotPathSuffixes) {
     if (ctx.PathEndsWith(suffix)) {
@@ -251,7 +251,7 @@ void CheckHotPathMap(const FileCtx& ctx, std::vector<Finding>* findings) {
         {ctx.path, ctx.code[i].line, "banned-hot-path-map",
          "std::map/std::unordered_map are banned in hot-path mining "
          "code; use dense vectors with a touched-list reset (see the "
-         "bitmap hit-counting in core/dmc_base.cc)"});
+         "bitmap hit-counting in core/streaming_imp.cc)"});
   }
 }
 
@@ -605,7 +605,7 @@ void CheckUnannotatedMutex(const FileCtx& ctx,
 // the sweep that relaxed these counters is easy to silently regress.
 void CheckAtomicOrdering(const FileCtx& ctx, std::vector<Finding>* findings) {
   static const char* kAuditedSuffixes[] = {
-      "core/dmc_base.cc",     "core/dmc_sim_pass.cc", "core/kernels.cc",
+      "core/streaming_imp.cc", "core/streaming_sim.cc", "core/kernels.cc",
       "core/parallel_dmc.cc", "util/failpoint.cc",    "util/logging.cc",
       "util/atomic_io.cc"};
   bool audited = false;

@@ -26,7 +26,7 @@
 //                     deletes, and util/atomic_io.* is whitelisted
 //   banned-hot-path-map  no std::map/std::unordered_map (or multimap
 //                     variants) in the hot-path mining TUs
-//                     (core/dmc_base.cc, core/dmc_sim_pass.cc,
+//                     (core/streaming_imp.cc, core/streaming_sim.cc,
 //                     core/kernels.cc) — node-based containers allocate
 //                     per element and chase pointers; use dense vectors
 //                     with a touched-list reset instead
