@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
               log.num_rows(), log.num_columns(), log.num_ones());
 
   // Pass 1 as it would run on disk: stream the text form and collect
-  // ones(c) + row densities without materializing the matrix.
+  // ones(c) without materializing the matrix.
   std::stringstream disk;
   if (!WriteMatrixText(log, disk).ok()) return 1;
   auto scan = ScanMatrixText(disk);
@@ -36,10 +36,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", scan.status().ToString().c_str());
     return 1;
   }
-  uint32_t max_density = 0;
-  for (uint32_t d : scan->row_density) max_density = std::max(max_density, d);
-  std::printf("first pass: %u rows scanned, densest client hit %u URLs"
-              " (crawler)\n", scan->num_rows, max_density);
+  std::printf("first pass: %u rows scanned, densest client hit %zu URLs"
+              " (crawler)\n", scan->num_rows, Summarize(log).max_row_density);
 
   const BucketedOrder buckets = DensityBucketOrder(log);
   std::printf("density buckets: %zu (sparsest first, as in §4.1)\n",

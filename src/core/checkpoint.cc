@@ -1,11 +1,12 @@
 #include "core/checkpoint.h"
 
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "matrix/row_spill.h"
 #include "util/atomic_io.h"
+#include "util/checksum.h"
 #include "util/failpoint.h"
 
 namespace dmc {
@@ -14,17 +15,6 @@ namespace {
 
 constexpr char kMagic[8] = {'D', 'M', 'C', 'C', 'K', 'P', 'T', '\n'};
 constexpr char kEndMagic[4] = {'D', 'M', 'C', 'E'};
-constexpr uint32_t kVersion = 1;
-
-uint64_t Fnv1aInit() { return 1469598103934665603ULL; }
-
-uint64_t Fnv1aUpdate(uint64_t h, const char* data, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 template <typename T>
 void AppendLE(std::string* out, T value) {
@@ -54,13 +44,13 @@ StatusOr<FileFingerprint> FingerprintFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return IOError("cannot open for fingerprint: " + path);
   FileFingerprint fp;
-  fp.hash = Fnv1aInit();
+  fp.hash = kFnv1aBasis;
   char buf[1 << 16];
   while (in) {
     in.read(buf, sizeof(buf));
     const std::streamsize n = in.gcount();
     if (n <= 0) break;
-    fp.hash = Fnv1aUpdate(fp.hash, buf, static_cast<size_t>(n));
+    fp.hash = Fnv1a(buf, static_cast<size_t>(n), fp.hash);
     fp.bytes += static_cast<uint64_t>(n);
   }
   if (in.bad()) return IOError("read failed while fingerprinting " + path);
@@ -68,7 +58,7 @@ StatusOr<FileFingerprint> FingerprintFile(const std::string& path) {
 }
 
 std::string ExternalBucketPath(const std::string& work_dir, int bucket) {
-  return work_dir + "/dmc_bucket_" + std::to_string(bucket) + ".txt";
+  return work_dir + "/dmc_bucket_" + std::to_string(bucket) + ".spill";
 }
 
 Status WriteCheckpointFile(const ExternalCheckpoint& cp,
@@ -78,7 +68,7 @@ Status WriteCheckpointFile(const ExternalCheckpoint& cp,
   }
   std::string out;
   out.append(kMagic, sizeof(kMagic));
-  AppendLE<uint32_t>(&out, kVersion);
+  AppendLE<uint32_t>(&out, kCheckpointVersion);
   AppendLE<uint64_t>(&out, cp.input.bytes);
   AppendLE<uint64_t>(&out, cp.input.hash);
   AppendLE<uint8_t>(&out, cp.bucketed ? 1 : 0);
@@ -90,8 +80,9 @@ Status WriteCheckpointFile(const ExternalCheckpoint& cp,
     AppendLE<int32_t>(&out, b.id);
     AppendLE<uint64_t>(&out, b.rows);
     AppendLE<uint64_t>(&out, b.bytes);
+    AppendLE<uint64_t>(&out, b.digest);
   }
-  AppendLE<uint64_t>(&out, Fnv1aUpdate(Fnv1aInit(), out.data(), out.size()));
+  AppendLE<uint64_t>(&out, Fnv1a(out));
   out.append(kEndMagic, sizeof(kEndMagic));
   return AtomicWriteFile(path, out);
 }
@@ -117,7 +108,7 @@ StatusOr<ExternalCheckpoint> ReadCheckpointFile(const std::string& path) {
   size_t offset = sizeof(kMagic);
   uint32_t version = 0;
   (void)ReadLE(data, &offset, &version);
-  if (version != kVersion) {
+  if (version != kCheckpointVersion) {
     return Corrupt(path, "unsupported version " + std::to_string(version));
   }
 
@@ -147,14 +138,14 @@ StatusOr<ExternalCheckpoint> ReadCheckpointFile(const std::string& path) {
   if (!ReadLE(data, &offset, &bucket_count)) {
     return Corrupt(path, "truncated before bucket list");
   }
-  if (static_cast<uint64_t>(bucket_count) * 20 > data.size() - offset) {
+  if (static_cast<uint64_t>(bucket_count) * 28 > data.size() - offset) {
     return Corrupt(path, "bucket count " + std::to_string(bucket_count) +
                              " exceeds file size");
   }
   cp.buckets.resize(bucket_count);
   for (auto& b : cp.buckets) {
     if (!ReadLE(data, &offset, &b.id) || !ReadLE(data, &offset, &b.rows) ||
-        !ReadLE(data, &offset, &b.bytes)) {
+        !ReadLE(data, &offset, &b.bytes) || !ReadLE(data, &offset, &b.digest)) {
       return Corrupt(path, "truncated in bucket list");
     }
   }
@@ -163,7 +154,7 @@ StatusOr<ExternalCheckpoint> ReadCheckpointFile(const std::string& path) {
   if (!ReadLE(data, &offset, &stored)) {
     return Corrupt(path, "truncated before checksum");
   }
-  const uint64_t actual = Fnv1aUpdate(Fnv1aInit(), data.data(), body_end);
+  const uint64_t actual = Fnv1a(data.data(), body_end);
   if (stored != actual) {
     return Corrupt(path, "checksum mismatch (stored " + std::to_string(stored) +
                              ", computed " + std::to_string(actual) + ")");
@@ -188,16 +179,20 @@ Status ValidateCheckpoint(const ExternalCheckpoint& cp,
   uint64_t rows = 0;
   for (const auto& b : cp.buckets) {
     const std::string bucket_path = ExternalBucketPath(work_dir, b.id);
-    std::error_code ec;
-    const uint64_t size = std::filesystem::file_size(bucket_path, ec);
-    if (ec) {
+    std::ifstream in(bucket_path, std::ios::binary);
+    if (!in) {
       return DataLossError("checkpoint bucket file missing: " + bucket_path);
     }
-    if (size != b.bytes) {
-      return DataLossError("checkpoint bucket file " + bucket_path +
-                           " is " + std::to_string(size) +
-                           " bytes, expected " + std::to_string(b.bytes) +
-                           " (torn write?)");
+    auto spill = ReadRowSpill(in, bucket_path, cp.num_columns, nullptr);
+    if (!spill.ok()) return spill.status();
+    if (spill->rows != b.rows || spill->bytes != b.bytes ||
+        spill->digest != b.digest) {
+      return DataLossError(
+          "checkpoint bucket file " + bucket_path + " holds " +
+          std::to_string(spill->rows) + " rows in " +
+          std::to_string(spill->bytes) + " bytes, expected " +
+          std::to_string(b.rows) + " rows in " + std::to_string(b.bytes) +
+          " bytes with the recorded digest");
     }
     rows += b.rows;
   }

@@ -1,16 +1,16 @@
 // Checkpoint/resume for the external (disk-based) miner.
 //
-// Pass 1 of the external pipeline (ones(c) + density-bucket partitioning)
-// is a full scan of the input; on big inputs it dominates wall-clock when
-// a run dies midway. A checkpoint persists everything pass 1 produced —
-// the first-pass statistics and the bucket inventory — so a restarted run
-// can validate it and jump straight to pass 2 over the surviving bucket
-// files.
+// Pass 1 of the external pipeline is the one read of the text input: it
+// counts ones(c) and spills every row to its density bucket
+// (matrix/row_spill.h). On big inputs it dominates wall-clock when a run
+// dies midway. A checkpoint persists everything pass 1 produced — the
+// first-pass statistics and the bucket inventory — so a restarted run
+// can validate it and go straight to mining over the surviving spills.
 //
 // On-disk format (little-endian):
 //
 //   offset 0   8 bytes   magic "DMCCKPT\n"
-//          8   u32       version (1)
+//          8   u32       version (kCheckpointVersion)
 //         12   u64       input file byte size     \ fingerprint of the
 //         20   u64       input file FNV-1a hash   / original input
 //         28   u8        bucketed flag
@@ -18,14 +18,17 @@
 //         33   u64       num_rows
 //         41   u32 * num_columns   column_ones
 //        ...   u32       bucket count
-//        ...   per bucket: i32 id, u64 rows, u64 bytes
+//        ...   per bucket: i32 id, u64 rows, u64 bytes, u64 spill digest
 //        ...   u64       FNV-1a checksum of every byte above
 //        ...   4 bytes   end magic "DMCE"
 //
-// The reader treats any structural problem or checksum mismatch as
-// kDataLoss; ValidateCheckpoint additionally re-fingerprints the input
-// and stats the bucket files so a stale or torn checkpoint degrades to a
-// fresh run instead of silently mining the wrong data.
+// The reader treats any structural problem, checksum mismatch or other
+// version as kDataLoss. ValidateCheckpoint then re-fingerprints the input
+// and reads every bucket spill through ReadRowSpill, which checks each
+// block's checksum, row count and ids; the spill's rows, size and digest
+// must equal what the checkpoint recorded. So a stale checkpoint, or a
+// bucket that is torn or damaged even at its old size, degrades to a
+// fresh run instead of mining the wrong data.
 
 #ifndef DMC_CORE_CHECKPOINT_H_
 #define DMC_CORE_CHECKPOINT_H_
@@ -39,6 +42,10 @@
 #include "util/statusor.h"
 
 namespace dmc {
+
+/// Version written into, and the only one accepted from, a checkpoint.
+/// Version 1 recorded text buckets without a digest.
+inline constexpr uint32_t kCheckpointVersion = 2;
 
 /// Cheap identity of a file: byte size + FNV-1a of the raw content.
 struct FileFingerprint {
@@ -67,9 +74,10 @@ struct ExternalCheckpoint {
   struct Bucket {
     int32_t id = 0;
     uint64_t rows = 0;
-    /// Byte size of the bucket file at checkpoint time; used to detect
-    /// torn or tampered bucket files before resuming.
+    /// Byte size of the bucket spill at checkpoint time.
     uint64_t bytes = 0;
+    /// The spill's digest (RowSpillSummary::digest).
+    uint64_t digest = 0;
   };
   std::vector<Bucket> buckets;
 };
@@ -88,10 +96,10 @@ std::string ExternalBucketPath(const std::string& work_dir, int bucket);
     const std::string& path);
 
 /// Confirms `cp` still describes reality: the input at `input_path`
-/// fingerprints identically and every bucket file under `work_dir`
-/// exists with its recorded byte size. Returns kFailedPrecondition when
-/// the input changed and kDataLoss when a bucket file is missing or the
-/// wrong size.
+/// fingerprints identically and every bucket spill under `work_dir` reads
+/// back intact with its recorded rows, byte size and digest. Returns
+/// kFailedPrecondition when the input changed and kDataLoss when a bucket
+/// spill is missing, damaged or not the one recorded.
 [[nodiscard]] Status ValidateCheckpoint(const ExternalCheckpoint& cp,
                                         const std::string& input_path,
                                         const std::string& work_dir);

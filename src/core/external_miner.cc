@@ -58,31 +58,48 @@ ExternalInput::~ExternalInput() {
 }
 
 Status ExternalInput::Prepare() {
+  Stopwatch pass1_sw;
   if (io_.resume && !io_.checkpoint_path.empty() && TryResume()) {
+    if (stats_ != nullptr) stats_->pass1_seconds = pass1_sw.ElapsedSeconds();
     return Status::OK();
   }
 
-  Stopwatch pass1_sw;
-  {
-    std::ifstream in;
-    DMC_RETURN_IF_ERROR(OpenForRead("external.pass1.open", path_, &in));
-    auto scanned = ScanMatrixText(in);
-    if (!scanned.ok()) return scanned.status();
-    first_pass_ = std::move(scanned).value();
-  }
+  // The one read of the input: count ones(c) and, when bucketed, append
+  // each row to the spill of its density bucket.
+  std::ifstream in;
+  DMC_RETURN_IF_ERROR(OpenForRead("external.pass1.open", path_, &in));
+  first_pass_ = FirstPassStats{};
+  std::vector<RowSpillWriter> spills(bucketed_ ? kMaxDensityBuckets : 0);
+  const bool inject = fail::Enabled();
+  DMC_RETURN_IF_ERROR(
+      ForEachRowText(in, [&](std::span<const ColumnId> row) -> Status {
+        first_pass_.AddRow(row);
+        if (!bucketed_) return Status::OK();
+        if (inject) {
+          DMC_RETURN_IF_ERROR(fail::InjectStatus("external.spill.write"));
+        }
+        const int b = DensityBucket(row.size());
+        if (!spills[b].is_open()) {
+          DMC_RETURN_IF_ERROR(CreateSpill(b, &spills[b]));
+        }
+        return spills[b].AppendRow(row);
+      }));
   if (stats_ != nullptr) {
     stats_->pass1_seconds = pass1_sw.ElapsedSeconds();
     stats_->rows = first_pass_.num_rows;
     stats_->columns = first_pass_.num_columns;
   }
 
-  Stopwatch partition_sw;
-  if (bucketed_) {
-    DMC_RETURN_IF_ERROR(Partition());
-    if (stats_ != nullptr) stats_->bucket_files = used_buckets_.size();
+  Stopwatch close_sw;
+  std::sort(used_buckets_.begin(), used_buckets_.end());
+  for (int b : used_buckets_) {
+    auto closed = spills[b].Finish();
+    if (!closed.ok()) return closed.status();
+    spilled_.push_back(*closed);
   }
   if (stats_ != nullptr) {
-    stats_->partition_seconds = partition_sw.ElapsedSeconds();
+    stats_->partition_seconds = close_sw.ElapsedSeconds();
+    stats_->bucket_files = used_buckets_.size();
   }
 
   if (!io_.checkpoint_path.empty()) {
@@ -118,11 +135,19 @@ Status ExternalInput::Replay(const RowSink& sink, const char* row_site) {
     DMC_RETURN_IF_ERROR(OpenForRead("external.replay.open", path_, &in));
     return ForEachRowText(in, each);
   }
+  uint64_t rows = 0;
   for (int b : used_buckets_) {
+    const std::string bucket_path = ExternalBucketPath(work_dir_, b);
     std::ifstream in;
-    DMC_RETURN_IF_ERROR(OpenForRead("external.replay.open",
-                                    ExternalBucketPath(work_dir_, b), &in));
-    DMC_RETURN_IF_ERROR(ForEachRowText(in, each));
+    DMC_RETURN_IF_ERROR(OpenForRead("external.replay.open", bucket_path, &in));
+    auto spill = ReadRowSpill(in, bucket_path, first_pass_.num_columns, each);
+    if (!spill.ok()) return spill.status();
+    rows += spill->rows;
+  }
+  if (rows != first_pass_.num_rows) {
+    return DataLossError("bucket spills in " + work_dir_ + " hold " +
+                         std::to_string(rows) + " rows, pass 1 counted " +
+                         std::to_string(first_pass_.num_rows));
   }
   return Status::OK();
 }
@@ -136,7 +161,7 @@ Status ExternalInput::OpenForRead(const char* site,
     }
     if (in->is_open()) in->close();
     in->clear();
-    in->open(file_path);
+    in->open(file_path, std::ios::binary);
     if (!*in) return IOError("cannot open " + file_path);
     return Status::OK();
   });
@@ -161,54 +186,15 @@ Status ExternalInput::RetryOp(const std::function<Status()>& op) {
   return st;
 }
 
-Status ExternalInput::Partition() {
-  // The bucket partitioner is the one core component that genuinely
-  // writes files (the paper's disk pipeline).
-  std::vector<std::ofstream> outs(kMaxDensityBuckets);  // dmc_lint: ignore
-  std::vector<uint8_t> seen(kMaxDensityBuckets, 0);
-  std::vector<uint64_t> rows_in_bucket(kMaxDensityBuckets, 0);
-  std::ifstream in;
-  DMC_RETURN_IF_ERROR(OpenForRead("external.partition.open", path_, &in));
-  const bool inject = fail::Enabled();
-  const Status scan = ForEachRowText(
-      in, [&](std::span<const ColumnId> row) -> Status {
-        if (inject) {
-          DMC_RETURN_IF_ERROR(fail::InjectStatus("external.spill.write"));
-        }
-        const int b = DensityBucket(row.size());
-        if (!seen[b]) {
-          seen[b] = 1;
-          outs[b].open(ExternalBucketPath(work_dir_, b));
-          if (!outs[b]) {
-            return IOError("cannot create bucket file in " + work_dir_);
-          }
-          used_buckets_.push_back(b);
-        }
-        bool first = true;
-        for (ColumnId c : row) {
-          if (!first) outs[b] << ' ';
-          outs[b] << c;
-          first = false;
-        }
-        outs[b] << '\n';
-        if (!outs[b]) {
-          return IOError("write failed for bucket " + std::to_string(b) +
-                         " in " + work_dir_);
-        }
-        ++rows_in_bucket[b];
-        return Status::OK();
-      });
-  if (!scan.ok()) return scan;
-  for (int b : used_buckets_) {
-    outs[b].close();
-    if (!outs[b]) {
-      return IOError("bucket close failed for bucket " + std::to_string(b));
+Status ExternalInput::CreateSpill(int bucket, RowSpillWriter* spill) {
+  // Listed first, so a failed run removes whatever the open left behind.
+  used_buckets_.push_back(bucket);
+  return RetryOp([&]() -> Status {
+    if (fail::Enabled()) {
+      DMC_RETURN_IF_ERROR(fail::InjectStatus("external.partition.open"));
     }
-  }
-  std::sort(used_buckets_.begin(), used_buckets_.end());
-  bucket_rows_.assign(kMaxDensityBuckets, 0);
-  for (int b : used_buckets_) bucket_rows_[b] = rows_in_bucket[b];
-  return Status::OK();
+    return spill->Open(ExternalBucketPath(work_dir_, bucket));
+  });
 }
 
 Status ExternalInput::WriteCheckpoint() {
@@ -220,15 +206,10 @@ Status ExternalInput::WriteCheckpoint() {
   cp.num_columns = first_pass_.num_columns;
   cp.num_rows = first_pass_.num_rows;
   cp.column_ones = first_pass_.column_ones;
-  for (int b : used_buckets_) {
-    const std::string bucket_path = ExternalBucketPath(work_dir_, b);
-    std::error_code ec;
-    const uint64_t size = std::filesystem::file_size(bucket_path, ec);
-    if (ec) {
-      return IOError("cannot stat bucket file " + bucket_path);
-    }
+  for (size_t i = 0; i < used_buckets_.size(); ++i) {
+    const RowSpillSummary& spill = spilled_[i];
     cp.buckets.push_back(
-        {b, bucket_rows_.empty() ? 0 : bucket_rows_[b], size});
+        {used_buckets_[i], spill.rows, spill.bytes, spill.digest});
   }
   return WriteCheckpointFile(cp, io_.checkpoint_path);
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/atomic_io.h"
+#include "util/checksum.h"
 #include "util/failpoint.h"
 
 namespace dmc {
@@ -120,15 +121,6 @@ Status ForEachValidatedRow(
 constexpr char kBinaryMagic[8] = {'D', 'M', 'C', 'B', 'I', 'N', '1', '\n'};
 constexpr char kBinaryEndMagic[4] = {'D', 'M', 'C', 'E'};
 
-uint64_t Fnv1a(std::string_view data) {
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 template <typename T>
 void AppendLE(std::string* out, T value) {
   char buf[sizeof(T)];
@@ -208,20 +200,21 @@ Status ForEachRowText(
                              });
 }
 
+void FirstPassStats::AddRow(std::span<const ColumnId> row) {
+  if (!row.empty() && row.back() >= num_columns) {
+    num_columns = row.back() + 1;
+    column_ones.resize(num_columns, 0);
+  }
+  for (ColumnId c : row) ++column_ones[c];
+  ++num_rows;
+}
+
 StatusOr<FirstPassStats> ScanMatrixText(std::istream& is,
                                         const TextReadOptions& options) {
   FirstPassStats stats;
   DMC_RETURN_IF_ERROR(
       ForEachValidatedRow(is, options, [&](std::vector<ColumnId>& cols) {
-        for (ColumnId c : cols) {
-          if (c >= stats.num_columns) {
-            stats.num_columns = c + 1;
-            stats.column_ones.resize(stats.num_columns, 0);
-          }
-          ++stats.column_ones[c];
-        }
-        stats.row_density.push_back(static_cast<uint32_t>(cols.size()));
-        ++stats.num_rows;
+        stats.AddRow(cols);
         return Status::OK();
       }));
   return stats;

@@ -70,14 +70,16 @@ struct TextReadOptions {
     const std::string& path, const TextReadOptions& options = {});
 
 /// First-pass statistics obtainable from a single stream scan without
-/// materializing the matrix: ones(c) per column and per-row densities.
-/// This mirrors the paper's first disk pass (count 1s, assign rows to
-/// density buckets).
+/// materializing the matrix: the row count and ones(c) per column, the
+/// counts the paper's first disk pass collects. Its size is O(columns),
+/// whatever the number of rows.
 struct FirstPassStats {
   ColumnId num_columns = 0;
   RowId num_rows = 0;
   std::vector<uint32_t> column_ones;
-  std::vector<uint32_t> row_density;
+
+  /// Counts one row of sorted, deduplicated column ids.
+  void AddRow(std::span<const ColumnId> row);
 };
 
 [[nodiscard]] StatusOr<FirstPassStats> ScanMatrixText(

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "util/atomic_io.h"
+#include "util/checksum.h"
 #include "util/failpoint.h"
 
 namespace dmc {
@@ -18,16 +19,6 @@ constexpr char kMagic[8] = {'D', 'M', 'C', 'R', 'I', 'D', 'X', '\n'};
 constexpr char kEndMagic[4] = {'D', 'M', 'C', 'E'};
 constexpr uint32_t kVersion = 1;
 constexpr size_t kRecordBytes = 4 * sizeof(uint32_t);
-
-uint64_t Fnv1aInit() { return 1469598103934665603ULL; }
-
-uint64_t Fnv1aUpdate(uint64_t h, const char* data, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 template <typename T>
 void AppendLE(std::string* out, T value) {
@@ -143,7 +134,7 @@ std::string RuleIndexSnapshot::Serialize() const {
     AppendLE<uint32_t>(&out, r.lhs_ones);
     AppendLE<uint32_t>(&out, r.misses);
   }
-  AppendLE<uint64_t>(&out, Fnv1aUpdate(Fnv1aInit(), out.data(), out.size()));
+  AppendLE<uint64_t>(&out, Fnv1a(out));
   out.append(kEndMagic, sizeof(kEndMagic));
   return out;
 }
@@ -184,8 +175,7 @@ StatusOr<std::shared_ptr<const RuleIndexSnapshot>> RuleIndexSnapshot::Deserializ
     size_t checksum_offset = body_size;
     (void)ReadLE(data, &checksum_offset, &stored_checksum);
   }
-  const uint64_t actual =
-      Fnv1aUpdate(Fnv1aInit(), data.data(), body_size);
+  const uint64_t actual = Fnv1a(data.data(), body_size);
   if (actual != stored_checksum) {
     return Corrupt(context, "checksum mismatch");
   }

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/atomic_io.h"
+#include "util/checksum.h"
 
 namespace dmc {
 namespace shard {
@@ -14,16 +15,6 @@ namespace {
 constexpr char kMagic[8] = {'D', 'M', 'C', 'S', 'H', 'R', 'D', '\n'};
 constexpr char kEndMagic[4] = {'D', 'M', 'C', 'E'};
 constexpr uint32_t kVersion = 1;
-
-uint64_t Fnv1aInit() { return 1469598103934665603ULL; }
-
-uint64_t Fnv1aUpdate(uint64_t h, const char* data, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 template <typename T>
 void AppendLE(std::string* out, T value) {
@@ -62,7 +53,7 @@ uint64_t TaskFingerprint(const FileFingerprint& input, Engine engine,
   AppendLE<uint32_t>(&blob, task_id);
   blob.append(reinterpret_cast<const char*>(shard_mask.data()),
               shard_mask.size());
-  return Fnv1aUpdate(Fnv1aInit(), blob.data(), blob.size());
+  return Fnv1a(blob);
 }
 
 std::string ShardCheckpointPath(const std::string& dir, uint32_t task_id) {
@@ -95,7 +86,7 @@ Status WriteShardCheckpoint(const ShardResult& result, uint64_t fingerprint,
       AppendLE<uint32_t>(&out, p.intersection);
     }
   }
-  AppendLE<uint64_t>(&out, Fnv1aUpdate(Fnv1aInit(), out.data(), out.size()));
+  AppendLE<uint64_t>(&out, Fnv1a(out));
   out.append(kEndMagic, sizeof(kEndMagic));
   return AtomicWriteFile(path, out);
 }
@@ -167,7 +158,7 @@ StatusOr<LoadedShardCheckpoint> ReadShardCheckpoint(const std::string& path) {
   if (!ReadLE(data, &offset, &stored)) {
     return Corrupt(path, "truncated before checksum");
   }
-  const uint64_t actual = Fnv1aUpdate(Fnv1aInit(), data.data(), body_end);
+  const uint64_t actual = Fnv1a(data.data(), body_end);
   if (stored != actual) {
     return Corrupt(path, "checksum mismatch (stored " +
                              std::to_string(stored) + ", computed " +

@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 
+#include "util/checksum.h"
 #include "util/thread_annotations.h"
 
 namespace dmc {
@@ -46,20 +47,11 @@ uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-uint64_t HashString(const char* s) {
-  uint64_t h = 1469598103934665603ULL;  // FNV-1a
-  for (; *s != '\0'; ++s) {
-    h ^= static_cast<unsigned char>(*s);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 // Deterministic per-(seed, site, hit) coin flip.
 bool CoinFlip(uint64_t seed, const char* site, uint64_t hit, double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
-  const uint64_t r = SplitMix64(seed ^ HashString(site) ^ (hit * 0x9E37ULL));
+  const uint64_t r = SplitMix64(seed ^ Fnv1a(site) ^ (hit * 0x9E37ULL));
   return static_cast<double>(r) <
          p * static_cast<double>(UINT64_MAX);
 }

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "matrix/row_spill.h"
 #include "util/atomic_io.h"
+#include "util/checksum.h"
 
 namespace dmc {
 namespace {
@@ -27,9 +31,19 @@ ExternalCheckpoint SampleCheckpoint() {
   cp.num_columns = 4;
   cp.num_rows = 9;
   cp.column_ones = {3, 0, 5, 1};
-  cp.buckets.push_back({1, 4, 20});
-  cp.buckets.push_back({2, 5, 35});
+  cp.buckets.push_back({1, 4, 20, 0xABCDEF12345ull});
+  cp.buckets.push_back({2, 5, 35, 77});
   return cp;
+}
+
+// Rewrites the version field of the checkpoint bytes and re-seals the
+// trailing checksum (8 bytes before the 4-byte end magic), so only the
+// version check can tell the result from a checkpoint this build wrote.
+std::string WithVersion(std::string bytes, uint32_t version) {
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));
+  const uint64_t h = Fnv1a(bytes.data(), bytes.size() - 12);
+  std::memcpy(bytes.data() + bytes.size() - 12, &h, sizeof(h));
+  return bytes;
 }
 
 class CheckpointTest : public ::testing::Test {
@@ -66,6 +80,7 @@ TEST_F(CheckpointTest, RoundTripPreservesEveryField) {
     EXPECT_EQ(read->buckets[i].id, cp.buckets[i].id);
     EXPECT_EQ(read->buckets[i].rows, cp.buckets[i].rows);
     EXPECT_EQ(read->buckets[i].bytes, cp.buckets[i].bytes);
+    EXPECT_EQ(read->buckets[i].digest, cp.buckets[i].digest);
   }
 }
 
@@ -113,17 +128,26 @@ TEST_F(CheckpointTest, FutureVersionIsDataLossEvenWithValidChecksum) {
   // misparsing it. Bump the version and re-seal the checksum so that
   // check is the one being exercised.
   ASSERT_TRUE(WriteCheckpointFile(SampleCheckpoint(), path_).ok());
-  std::string bytes = ReadFileOrDie(path_);
-  ASSERT_GT(bytes.size(), 12u);
-  bytes[8] = 2;  // u32 version lives right after the 8-byte magic
-  uint64_t h = 14695981039346656037ull;  // FNV-1a over all bytes above
-  for (size_t i = 0; i + 12 < bytes.size(); ++i) {
-    h = (h ^ static_cast<unsigned char>(bytes[i])) * 1099511628211ull;
-  }
-  for (int i = 0; i < 8; ++i) {
-    bytes[bytes.size() - 12 + i] = static_cast<char>(h >> (8 * i));
-  }
-  ASSERT_TRUE(AtomicWriteFile(path_, bytes).ok());
+  const std::string bytes = ReadFileOrDie(path_);
+  // Re-sealing with the version unchanged reproduces the file byte for
+  // byte, so the seal below is one this build accepts.
+  ASSERT_EQ(WithVersion(bytes, kCheckpointVersion), bytes);
+  ASSERT_TRUE(
+      AtomicWriteFile(path_, WithVersion(bytes, kCheckpointVersion + 1)).ok());
+  const auto read = ReadCheckpointFile(path_);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(read.status().message().find("unsupported version"),
+            std::string::npos)
+      << read.status();
+}
+
+// A version-1 checkpoint recorded text buckets without digests; this
+// build reads it as unsupported, so a resume falls back to a fresh run.
+TEST_F(CheckpointTest, OlderVersionIsDataLoss) {
+  ASSERT_TRUE(WriteCheckpointFile(SampleCheckpoint(), path_).ok());
+  ASSERT_TRUE(
+      AtomicWriteFile(path_, WithVersion(ReadFileOrDie(path_), 1)).ok());
   const auto read = ReadCheckpointFile(path_);
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kDataLoss);
@@ -158,14 +182,23 @@ class ValidateCheckpointTest : public CheckpointTest {
     cp_.num_columns = 3;
     cp_.num_rows = 3;
     cp_.column_ones = {2, 1, 2};
-    const std::string low = ExternalBucketPath(dir_, 0);
-    ASSERT_TRUE(AtomicWriteFile(low, "2\n").ok());
-    cp_.buckets.push_back(
-        {0, 1, static_cast<uint64_t>(std::filesystem::file_size(low))});
-    const std::string high = ExternalBucketPath(dir_, 1);
-    ASSERT_TRUE(AtomicWriteFile(high, "0 1\n0 2\n").ok());
-    cp_.buckets.push_back(
-        {1, 2, static_cast<uint64_t>(std::filesystem::file_size(high))});
+    cp_.buckets.push_back({0, 0, 0, 0});
+    WriteBucket(&cp_.buckets.back(), {{2}});
+    cp_.buckets.push_back({1, 0, 0, 0});
+    WriteBucket(&cp_.buckets.back(), {{0, 1}, {0, 2}});
+  }
+
+  // Spills `rows` as bucket `b->id` and records what the spill holds.
+  void WriteBucket(ExternalCheckpoint::Bucket* b,
+                   const std::vector<std::vector<ColumnId>>& rows) {
+    RowSpillWriter writer;
+    ASSERT_TRUE(writer.Open(ExternalBucketPath(dir_, b->id)).ok());
+    for (const auto& row : rows) ASSERT_TRUE(writer.AppendRow(row).ok());
+    const auto spill = writer.Finish();
+    ASSERT_TRUE(spill.ok()) << spill.status();
+    b->rows = spill->rows;
+    b->bytes = spill->bytes;
+    b->digest = spill->digest;
   }
 
   std::string input_;
@@ -189,7 +222,35 @@ TEST_F(ValidateCheckpointTest, MissingBucketFileIsDataLoss) {
 }
 
 TEST_F(ValidateCheckpointTest, ResizedBucketFileIsDataLoss) {
-  ASSERT_TRUE(AtomicWriteFile(ExternalBucketPath(dir_, 1), "2\n2\n").ok());
+  const std::string bucket = ExternalBucketPath(dir_, 1);
+  std::filesystem::resize_file(bucket,
+                               std::filesystem::file_size(bucket) - 1);
+  EXPECT_EQ(ValidateCheckpoint(cp_, input_, dir_).code(),
+            StatusCode::kDataLoss);
+}
+
+// Resume reads every spill back: a damaged byte is caught even when the
+// file keeps its size, and the error names the bucket and byte offset.
+TEST_F(ValidateCheckpointTest, DamagedBucketOfTheSameSizeIsDataLoss) {
+  const std::string bucket = ExternalBucketPath(dir_, 1);
+  std::string bytes = ReadFileOrDie(bucket);
+  // The end block is the last 16 bytes; before it, the only data block's
+  // 6-byte payload.
+  bytes[bytes.size() - 20] ^= 0x01;
+  ASSERT_TRUE(AtomicWriteFile(bucket, bytes).ok());
+  const Status st = ValidateCheckpoint(cp_, input_, dir_);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+  EXPECT_NE(st.message().find(bucket), std::string::npos) << st;
+  EXPECT_NE(st.message().find("at byte "), std::string::npos) << st;
+}
+
+// An intact spill that is not the one the checkpoint recorded — same
+// rows, same size, other content — fails on its digest.
+TEST_F(ValidateCheckpointTest, OtherSpillOfTheSameShapeIsDataLoss) {
+  ExternalCheckpoint::Bucket swapped = cp_.buckets[1];
+  WriteBucket(&swapped, {{0, 2}, {0, 1}});
+  ASSERT_EQ(swapped.rows, cp_.buckets[1].rows);
+  ASSERT_EQ(swapped.bytes, cp_.buckets[1].bytes);
   EXPECT_EQ(ValidateCheckpoint(cp_, input_, dir_).code(),
             StatusCode::kDataLoss);
 }

@@ -8,18 +8,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/engine.h"
 #include "core/external_miner.h"
 #include "core/parallel_dmc.h"
 #include "incr/window_miner.h"
 #include "matrix/binary_matrix.h"
 #include "matrix/matrix_io.h"
+#include "matrix/row_order.h"
 #include "observe/metrics.h"
+#include "util/checksum.h"
 #include "util/failpoint.h"
 #include "util/random.h"
 
@@ -48,6 +52,17 @@ bool NoBucketFilesLeft(const std::string& dir) {
     if (name.rfind("dmc_bucket_", 0) == 0) return false;
   }
   return true;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// Overwrites `path` in place, keeping its size.
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 class FaultInjectionTest : public ::testing::Test {
@@ -266,26 +281,16 @@ TEST_F(FaultInjectionTest, ResumeWithFutureVersionFallsBackToFreshRun) {
     auto first = MineImplicationsFromFile(input_, options_, dir_, io);
     ASSERT_TRUE(first.ok());
   }
-  // Bump the version field and re-seal the trailing FNV-1a checksum so
-  // only the version check stands between resume and a misparse.
-  std::string bytes;
-  {
-    std::ifstream in(ckpt, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
+  // Bump the version field and re-seal the trailing FNV-1a checksum (8
+  // bytes before the end magic) so only the version check stands between
+  // resume and a misparse.
+  std::string bytes = ReadBytes(ckpt);
   ASSERT_GT(bytes.size(), 12u);
-  bytes[8] = 9;
-  uint64_t h = 14695981039346656037ull;
-  for (size_t i = 0; i + 12 < bytes.size(); ++i) {
-    h = (h ^ static_cast<unsigned char>(bytes[i])) * 1099511628211ull;
-  }
-  for (int i = 0; i < 8; ++i) {
-    bytes[bytes.size() - 12 + i] = static_cast<char>(h >> (8 * i));
-  }
-  {
-    std::ofstream out(ckpt, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  const uint32_t future = kCheckpointVersion + 1;
+  std::memcpy(bytes.data() + 8, &future, sizeof(future));
+  const uint64_t h = Fnv1a(bytes.data(), bytes.size() - 12);
+  std::memcpy(bytes.data() + bytes.size() - 12, &h, sizeof(h));
+  WriteBytes(ckpt, bytes);
 
   io.resume = true;
   ExternalMiningStats stats;
@@ -294,6 +299,75 @@ TEST_F(FaultInjectionTest, ResumeWithFutureVersionFallsBackToFreshRun) {
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_FALSE(stats.resumed);
   EXPECT_EQ(resumed->Pairs(), truth_);
+}
+
+// A bucket damaged after the checkpoint but still its old size (here one
+// payload byte of its first block) must not be resumed: resume reads
+// every spill back, so the run falls back to a fresh, exact one.
+TEST_F(FaultInjectionTest, ResumeWithDamagedBucketOfTheSameSizeFallsBack) {
+  const std::string ckpt = dir_ + "/ckpt.bin";
+  ExternalIoOptions io;
+  io.checkpoint_path = ckpt;
+  {
+    auto first = MineImplicationsFromFile(input_, options_, dir_, io);
+    ASSERT_TRUE(first.ok());
+  }
+  std::string bucket;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("dmc_bucket_", 0) == 0) {
+      bucket = entry.path().string();
+      break;
+    }
+  }
+  ASSERT_FALSE(bucket.empty());
+  std::string bytes = ReadBytes(bucket);
+  const size_t first_payload_byte = 8 + 16;  // after magic + block header
+  ASSERT_GT(bytes.size(), first_payload_byte + 16);
+  bytes[first_payload_byte] ^= 0x01;
+  WriteBytes(bucket, bytes);
+
+  io.resume = true;
+  ExternalMiningStats stats;
+  auto resumed =
+      MineImplicationsFromFile(input_, options_, dir_, io, &stats);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_FALSE(stats.resumed);
+  EXPECT_EQ(resumed->Pairs(), truth_);
+}
+
+// A worker replaying a bucket spill damaged after pass 1 (no checkpoint
+// involved) stops at the damaged block with kDataLoss naming the file
+// and byte offset; none of that block's rows reaches the scan.
+TEST_F(FaultInjectionTest, DamagedSpillNeverReachesTheScan) {
+  ExternalIoOptions keep;
+  keep.keep_artifacts = true;
+  ExternalInput prepared(input_, dir_, /*bucketed=*/true, keep,
+                         ObserveContext{}, nullptr);
+  ASSERT_TRUE(prepared.Prepare().ok());
+  ASSERT_GE(prepared.buckets().size(), 2u);
+  const int densest = prepared.buckets().back();
+  const std::string bucket = ExternalBucketPath(dir_, densest);
+  std::string bytes = ReadBytes(bucket);
+  bytes[bytes.size() / 2] ^= 0x20;
+  WriteBytes(bucket, bytes);
+
+  ExternalInput worker(input_, dir_, /*bucketed=*/true, ExternalIoOptions{},
+                       ObserveContext{}, nullptr);
+  worker.AdoptPlan(prepared.first_pass(), prepared.buckets());
+  uint64_t rows = 0;
+  const Status replayed = worker.Replay(
+      [&](std::span<const ColumnId> row) {
+        ++rows;
+        EXPECT_LT(DensityBucket(row.size()), densest);
+      },
+      "streaming.imp.row");
+  ASSERT_FALSE(replayed.ok());
+  EXPECT_EQ(replayed.code(), StatusCode::kDataLoss);
+  EXPECT_NE(replayed.message().find(bucket), std::string::npos) << replayed;
+  EXPECT_NE(replayed.message().find("at byte "), std::string::npos)
+      << replayed;
+  EXPECT_LT(rows, prepared.first_pass().num_rows);
 }
 
 // Parallel miner: a transient shard fault is retried in-thread (exact

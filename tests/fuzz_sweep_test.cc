@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <span>
 #include <sstream>
 #include <string>
@@ -17,6 +20,7 @@
 #include "core/streaming_sim.h"
 #include "matrix/matrix_io.h"
 #include "matrix/row_order.h"
+#include "matrix/row_spill.h"
 #include "util/random.h"
 
 namespace dmc {
@@ -360,6 +364,70 @@ TEST(FuzzSweepTest, BinaryReaderSurvivesRandomMutations) {
                 msg.find("byte") != std::string::npos)
         << "trial " << trial << ": " << msg;
   }
+}
+
+// Spill reader fuzz: the external miner's bucket format must turn every
+// mutation that changes a byte into kDataLoss naming the file and byte
+// offset, and the sink may only ever see intact rows in their original
+// order — never an id out of range or out of order.
+TEST(FuzzSweepTest, SpillReaderSurvivesRandomMutations) {
+  const std::string dir = testing::TempDir() + "/fuzz_spill";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/dmc_bucket_0.spill";
+  Rng rng(0xF199);
+  for (int trial = 0; trial < 300; ++trial) {
+    const BinaryMatrix m = RandomMatrix(rng);
+    RowSpillWriter writer;
+    ASSERT_TRUE(writer.Open(path).ok());
+    for (RowId r = 0; r < m.num_rows(); ++r) {
+      ASSERT_TRUE(writer.AppendRow(m.Row(r)).ok());
+    }
+    ASSERT_TRUE(writer.Finish().ok());
+    std::string whole;
+    {
+      std::ifstream in(path, std::ios::binary);
+      whole.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const std::string mutated = Mutate(rng, whole);
+
+    std::istringstream in(mutated);
+    RowId next = 0;
+    const auto read = ReadRowSpill(
+        in, path, m.num_columns(),
+        [&](std::span<const ColumnId> row) -> Status {
+          for (size_t i = 0; i < row.size(); ++i) {
+            EXPECT_LT(row[i], m.num_columns()) << "trial " << trial;
+            if (i > 0) {
+              EXPECT_LT(row[i - 1], row[i]) << "trial " << trial;
+            }
+          }
+          EXPECT_LT(next, m.num_rows()) << "trial " << trial;
+          if (next < m.num_rows()) {
+            const auto want = m.Row(next);
+            EXPECT_TRUE(std::equal(row.begin(), row.end(), want.begin(),
+                                   want.end()))
+                << "trial " << trial << " row " << next;
+          }
+          ++next;
+          return Status::OK();
+        });
+    if (mutated == whole) {
+      ASSERT_TRUE(read.ok()) << "trial " << trial << ": " << read.status();
+      EXPECT_EQ(next, m.num_rows());
+      continue;
+    }
+    ASSERT_FALSE(read.ok())
+        << "trial " << trial << ": corrupt spill accepted";
+    EXPECT_EQ(read.status().code(), StatusCode::kDataLoss)
+        << "trial " << trial;
+    const std::string& msg = read.status().message();
+    EXPECT_NE(msg.find(path), std::string::npos)
+        << "trial " << trial << ": " << msg;
+    EXPECT_NE(msg.find("at byte "), std::string::npos)
+        << "trial " << trial << ": " << msg;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FuzzSweepTest, DegenerateMatrices) {

@@ -75,10 +75,6 @@ TEST(MatrixIoTest, ScanMatchesMaterializedStats) {
   for (ColumnId c = 0; c < 5; ++c) {
     EXPECT_EQ(stats->column_ones[c], m.column_ones()[c]) << c;
   }
-  ASSERT_EQ(stats->row_density.size(), 4u);
-  for (RowId r = 0; r < 4; ++r) {
-    EXPECT_EQ(stats->row_density[r], m.RowSize(r)) << r;
-  }
 }
 
 TEST(MatrixIoTest, ScanDeduplicatesWithinRowWhenNormalizing) {
@@ -88,7 +84,6 @@ TEST(MatrixIoTest, ScanDeduplicatesWithinRowWhenNormalizing) {
   auto stats = ScanMatrixText(ss, options);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->column_ones[2], 1u);
-  EXPECT_EQ(stats->row_density[0], 1u);
 }
 
 TEST(MatrixIoTest, StrictScanRejectsDuplicateIds) {

@@ -144,15 +144,22 @@ TEST(ExternalMinerTest, MissingFileFails) {
 
 TEST(ExternalMinerTest, CleansUpBucketFiles) {
   const BinaryMatrix m = Workload(36);
-  const std::string dir = testing::TempDir();
-  const std::string path = dir + "/external_cleanup_test.txt";
+  const std::string dir = testing::TempDir() + "/external_cleanup";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/input.txt";
   ASSERT_TRUE(WriteMatrixTextFile(m, path).ok());
   ImplicationMiningOptions o;
   o.min_confidence = 0.9;
-  ASSERT_TRUE(MineImplicationsFromFile(path, o, dir).ok());
-  // No bucket files left behind.
-  std::ifstream probe(dir + "/dmc_bucket_0.txt");
-  EXPECT_FALSE(probe.good());
+  ExternalMiningStats stats;
+  ASSERT_TRUE(MineImplicationsFromFile(path, o, dir, &stats).ok());
+  ASSERT_GT(stats.bucket_files, 1u);  // there were files to clean up
+  // No bucket file of any id or extension is left behind.
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().filename().string().rfind("dmc_bucket_", 0), 0u)
+        << entry.path();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // The external run's scan is the in-memory mine's scan over the same
