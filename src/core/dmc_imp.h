@@ -4,7 +4,8 @@
 // with the §4.3 simplification -> column cutoff (sound form of step 3) ->
 // sub-100% phase -> union. Both phases use DMC-base with the DMC-bitmap
 // fallback: the matrix rows are replayed in the pre-scan order through
-// StreamImplications (streaming_imp.h), the one scan every miner shares.
+// StreamPhases<ImplicationKind> (streaming_pass.h), the one scan every
+// miner shares.
 
 #ifndef DMC_CORE_DMC_IMP_H_
 #define DMC_CORE_DMC_IMP_H_

@@ -4,7 +4,8 @@
 // the pair budgets exactly the paper's step 2) -> column cutoff (sound
 // form of step 3) -> sub-100% phase with column-density and maximum-hits
 // pruning -> union. The matrix rows are replayed through
-// StreamSimilarities (streaming_sim.h), the one similarity scan.
+// StreamPhases<SimilarityKind> (streaming_pass.h), the one scan every
+// miner shares.
 
 #ifndef DMC_CORE_DMC_SIM_H_
 #define DMC_CORE_DMC_SIM_H_

@@ -4,12 +4,10 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <type_traits>
 #include <vector>
 
 #include "core/checkpoint.h"
-#include "core/streaming_imp.h"
-#include "core/streaming_sim.h"
+#include "core/streaming_pass.h"
 #include "matrix/matrix_io.h"
 #include "matrix/row_order.h"
 #include "observe/metrics.h"
@@ -239,14 +237,11 @@ namespace {
 
 // The two-pass disk pipeline for either rule kind: pass 1 (or a
 // checkpoint resume), then the phase driver over the bucket files.
-template <typename Options>
-auto MineFromFile(const std::string& path, const Options& options,
-                  const std::string& work_dir, const ExternalIoOptions& io,
-                  ExternalMiningStats* stats) {
-  constexpr bool kSim = std::is_same_v<Options, SimilarityMiningOptions>;
-  using Result =
-      StatusOr<std::conditional_t<kSim, SimilarityRuleSet,
-                                  ImplicationRuleSet>>;
+template <typename Kind>
+StatusOr<typename Kind::RuleSet> MineFromFile(
+    const std::string& path, const typename Kind::Options& options,
+    const std::string& work_dir, const ExternalIoOptions& io,
+    ExternalMiningStats* stats) {
   ExternalMiningStats local;
   if (stats == nullptr) stats = &local;
   *stats = ExternalMiningStats{};
@@ -261,7 +256,7 @@ auto MineFromFile(const std::string& path, const Options& options,
     const Status prepared = run.Prepare();
     if (!prepared.ok()) {
       CountInjected(obs, prepared);
-      return Result(prepared);
+      return prepared;
     }
   }
   stats->mining.prescan_seconds =
@@ -271,25 +266,18 @@ auto MineFromFile(const std::string& path, const Options& options,
   Status replay_status = Status::OK();
   const auto replay = [&](auto&& sink) {
     if (!replay_status.ok()) return;
-    replay_status = run.Replay(
-        sink, kSim ? "streaming.sim.row" : "streaming.imp.row");
+    replay_status = run.Replay(sink, Kind::kRowSite);
   };
   const FirstPassStats& fp = run.first_pass();
-  Result rules = [&]() -> Result {
-    if constexpr (kSim) {
-      return StreamSimilarities(fp.num_columns, fp.column_ones, fp.num_rows,
-                                options, replay, nullptr, &stats->mining);
-    } else {
-      return StreamImplications(fp.num_columns, fp.column_ones, fp.num_rows,
-                                options, replay, nullptr, &stats->mining);
-    }
-  }();
+  auto rules = StreamPhases<Kind>(fp.num_columns, fp.column_ones,
+                                  fp.num_rows, options, replay, nullptr,
+                                  &stats->mining);
   stats->mine_seconds = mine_sw.ElapsedSeconds();
   // A failed replay also starves the pass; report the cause.
   const Status failed = !replay_status.ok() ? replay_status : rules.status();
   if (!failed.ok()) {
     CountInjected(obs, failed);
-    return Result(failed);
+    return failed;
   }
   stats->total_seconds = total_sw.ElapsedSeconds();
   stats->mining.total_seconds = stats->total_seconds;
@@ -303,26 +291,28 @@ StatusOr<ImplicationRuleSet> MineImplicationsFromFile(
     const std::string& path, const ImplicationMiningOptions& options,
     const std::string& work_dir, const ExternalIoOptions& io,
     ExternalMiningStats* stats) {
-  return MineFromFile(path, options, work_dir, io, stats);
+  return MineFromFile<ImplicationKind>(path, options, work_dir, io, stats);
 }
 
 StatusOr<ImplicationRuleSet> MineImplicationsFromFile(
     const std::string& path, const ImplicationMiningOptions& options,
     const std::string& work_dir, ExternalMiningStats* stats) {
-  return MineFromFile(path, options, work_dir, ExternalIoOptions{}, stats);
+  return MineFromFile<ImplicationKind>(path, options, work_dir,
+                                       ExternalIoOptions{}, stats);
 }
 
 StatusOr<SimilarityRuleSet> MineSimilaritiesFromFile(
     const std::string& path, const SimilarityMiningOptions& options,
     const std::string& work_dir, const ExternalIoOptions& io,
     ExternalMiningStats* stats) {
-  return MineFromFile(path, options, work_dir, io, stats);
+  return MineFromFile<SimilarityKind>(path, options, work_dir, io, stats);
 }
 
 StatusOr<SimilarityRuleSet> MineSimilaritiesFromFile(
     const std::string& path, const SimilarityMiningOptions& options,
     const std::string& work_dir, ExternalMiningStats* stats) {
-  return MineFromFile(path, options, work_dir, ExternalIoOptions{}, stats);
+  return MineFromFile<SimilarityKind>(path, options, work_dir,
+                                      ExternalIoOptions{}, stats);
 }
 
 }  // namespace dmc

@@ -10,7 +10,7 @@
 // block buffer per bucket.
 //
 // Pass 2 replays the spills sparsest-first through the streamed
-// DMC-imp/DMC-sim phase drivers (streaming_imp.h / streaming_sim.h, the
+// DMC-imp/DMC-sim phase driver (StreamPhases in streaming_pass.h, the
 // scan the in-memory miners run too), once per phase, never
 // materializing the matrix and never parsing text again. Each block is
 // verified — checksum, row count, every id below num_columns and

@@ -20,9 +20,9 @@
 // rule sets, peak_counter_bytes and the per-row history samples are
 // invariant under DmcPolicy::kernel.
 //
-// The pass-specific policy (who qualifies, who survives a hit or a miss)
-// is injected through three predicates so the two scans (implication and
-// similarity, core/streaming_{imp,sim}.cc) share one implementation:
+// The rule kind's policy (who qualifies, who survives a hit or a miss)
+// is injected through three predicates so both kinds of the one scan
+// (StreamingPass<Kind>, core/streaming_pass.cc) share one implementation:
 //   accept_new(ck)        — may ck join cj's list on this row?
 //   keep_on_hit(ck, m)    — does an entry that hit survive? (sim's §5.2
 //                           maximum-hits pruning can drop it)
@@ -86,8 +86,8 @@ bool PreferVectorSweep(ColumnId num_columns, uint64_t rows,
 /// row-mask byte per candidate, bump misses, drop over-budget entries
 /// with a permute-compress, and clear the presence-sidecar bit of every
 /// death (implication deaths are always miss-deaths). Returns the new
-/// list size; the caller commits it with SetSize. Byte-identical to the
-/// scalar predicates in core/streaming_imp.cc.
+/// list size; the caller commits it with SetSize. Byte-identical to
+/// ImplicationKind's scalar predicates (core/streaming_pass.h).
 size_t ImpVectorSweep(ColumnId* cand, uint32_t* miss, size_t n,
                       const uint8_t* row_mask, uint32_t budget,
                       uint64_t* sidecar);

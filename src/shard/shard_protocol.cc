@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "core/dmc_options.h"
+
 namespace dmc {
 namespace shard {
 
@@ -212,6 +214,12 @@ StatusOr<Message> DecodeMessagePayload(std::string_view payload) {
         return Malformed("truncated kInit body");
       }
       if (engine > 1) return Malformed("unknown engine");
+      if (p.row_order > static_cast<uint8_t>(RowOrderPolicy::kExactSort)) {
+        return Malformed("unknown row_order");
+      }
+      if (p.kernel > static_cast<uint8_t>(MergeKernel::kSimd)) {
+        return Malformed("unknown kernel");
+      }
       p.engine = static_cast<Engine>(engine);
       p.hundred_percent_phase = hundred != 0;
       p.bitmap_fallback = bitmap != 0;

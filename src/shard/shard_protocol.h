@@ -145,8 +145,9 @@ std::string EncodeTaskError(uint32_t task_id, const Status& status);
 std::string EncodeShutdown();
 
 /// Decodes one payload (frame prefix already stripped). Version skew,
-/// unknown op, short/trailing bytes, or counts that overrun the payload
-/// yield kInvalidArgument.
+/// unknown op, short/trailing bytes, counts that overrun the payload, or
+/// an engine, row_order or kernel byte outside its enum yield
+/// kInvalidArgument.
 [[nodiscard]] StatusOr<Message> DecodeMessagePayload(
     std::string_view payload);
 

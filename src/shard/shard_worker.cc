@@ -12,8 +12,7 @@
 #include "core/dmc_options.h"
 #include "core/external_miner.h"
 #include "core/mining_stats.h"
-#include "core/streaming_imp.h"
-#include "core/streaming_sim.h"
+#include "core/streaming_pass.h"
 #include "observe/metrics.h"
 #include "serve/protocol.h"
 #include "shard/shard_protocol.h"
@@ -114,6 +113,29 @@ StatusOr<ShardResult> MineTask(const ShardPlan& plan,
   return MineShardTask(plan, policy, mask, task_id, &input);
 }
 
+// Streams the task's phases for one rule kind into `out`; a failed
+// replay also starves the pass, so it is the error reported.
+template <typename Kind>
+Status StreamTask(const ShardPlan& plan, const DmcPolicy& policy,
+                  const std::vector<uint8_t>& mask, ExternalInput* input,
+                  MiningStats* stats, typename Kind::RuleSet* out) {
+  typename Kind::Options options;
+  options.*Kind::kThreshold = plan.threshold;
+  options.policy = policy;
+  Status replay_status = Status::OK();
+  const auto replay = [&](auto&& sink) {
+    if (!replay_status.ok()) return;
+    replay_status = input->Replay(sink, Kind::kRowSite);
+  };
+  auto rules = StreamPhases<Kind>(plan.num_columns, plan.column_ones,
+                                  plan.num_rows, options, replay, &mask,
+                                  stats);
+  DMC_RETURN_IF_ERROR(replay_status);
+  if (!rules.ok()) return rules.status();
+  *out = std::move(*rules);
+  return Status::OK();
+}
+
 void ExportMetrics(const MetricsRegistry& metrics, const std::string& path) {
   if (path.empty()) return;
   std::ostringstream os;
@@ -132,42 +154,21 @@ StatusOr<ShardResult> MineShardTask(const ShardPlan& plan,
   if (mask.size() != plan.column_ones.size()) {
     return InvalidArgumentError("task mask width does not match the plan");
   }
-  const bool sim = plan.engine == Engine::kSimilarities;
-  Status replay_status = Status::OK();
-  const auto replay = [&](auto&& sink) {
-    if (!replay_status.ok()) return;
-    replay_status = input->Replay(
-        sink, sim ? "streaming.sim.row" : "streaming.imp.row");
-  };
-
   ShardResult result;
   result.task_id = task_id;
   result.engine = plan.engine;
   MiningStats stats;
   Stopwatch sw;
-  Status mined;
-  if (sim) {
-    SimilarityMiningOptions options;
-    options.min_similarity = plan.threshold;
-    options.policy = policy;
-    auto pairs = StreamSimilarities(plan.num_columns, plan.column_ones,
-                                    plan.num_rows, options, replay, &mask,
-                                    &stats);
-    mined = pairs.status();
-    if (pairs.ok()) result.sim_pairs = pairs->TakePairs();
-  } else {
-    ImplicationMiningOptions options;
-    options.min_confidence = plan.threshold;
-    options.policy = policy;
-    auto rules = StreamImplications(plan.num_columns, plan.column_ones,
-                                    plan.num_rows, options, replay, &mask,
-                                    &stats);
-    mined = rules.status();
-    if (rules.ok()) result.imp_rules = rules->TakeRules();
-  }
-  // A failed replay also starves the pass; report the cause.
-  DMC_RETURN_IF_ERROR(replay_status);
-  DMC_RETURN_IF_ERROR(mined);
+  ImplicationRuleSet rules;
+  SimilarityRuleSet pairs;
+  DMC_RETURN_IF_ERROR(
+      plan.engine == Engine::kSimilarities
+          ? StreamTask<SimilarityKind>(plan, policy, mask, input, &stats,
+                                       &pairs)
+          : StreamTask<ImplicationKind>(plan, policy, mask, input, &stats,
+                                        &rules));
+  result.imp_rules = rules.TakeRules();
+  result.sim_pairs = pairs.TakePairs();
   result.mine_seconds = sw.ElapsedSeconds();
   result.peak_counter_bytes = stats.peak_counter_bytes;
   return result;

@@ -16,8 +16,7 @@
 
 #include "baselines/bruteforce.h"
 #include "core/engine.h"
-#include "core/streaming_imp.h"
-#include "core/streaming_sim.h"
+#include "core/streaming_pass.h"
 #include "matrix/matrix_io.h"
 #include "matrix/row_order.h"
 #include "matrix/row_spill.h"
@@ -82,7 +81,7 @@ TEST(FuzzSweepTest, ImplicationsAcrossEnginesMatchOracle) {
     ASSERT_EQ(batch->Pairs(), truth) << "trial " << trial;
 
     const auto order = SortedByDensityOrder(m);
-    auto streamed = StreamImplications(
+    auto streamed = StreamPhases<ImplicationKind>(
         m.num_columns(), m.column_ones(), m.num_rows(), o,
         [&](auto&& sink) {
           for (RowId r : order) sink(m.Row(r));
@@ -112,7 +111,7 @@ TEST(FuzzSweepTest, SimilaritiesAcrossEnginesMatchOracle) {
     ASSERT_EQ(batch->Pairs(), truth) << "trial " << trial;
 
     const auto order = DensityBucketOrder(m).order;
-    auto streamed = StreamSimilarities(
+    auto streamed = StreamPhases<SimilarityKind>(
         m.num_columns(), m.column_ones(), m.num_rows(), o,
         [&](auto&& sink) {
           for (RowId r : order) sink(m.Row(r));
@@ -183,7 +182,7 @@ TEST(FuzzSweepTest, ImplicationCancellationAtRandomRowsIsClean) {
       Canceller cancel(cancel_after);
       o.policy.observe.progress = cancel.Callback();
       const auto order = SortedByDensityOrder(m);
-      auto streamed = StreamImplications(
+      auto streamed = StreamPhases<ImplicationKind>(
           m.num_columns(), m.column_ones(), m.num_rows(), o,
           [&](auto&& sink) {
             for (RowId r : order) sink(m.Row(r));
@@ -240,7 +239,7 @@ TEST(FuzzSweepTest, SimilarityCancellationAtRandomRowsIsClean) {
       Canceller cancel(cancel_after);
       o.policy.observe.progress = cancel.Callback();
       const auto order = DensityBucketOrder(m).order;
-      auto streamed = StreamSimilarities(
+      auto streamed = StreamPhases<SimilarityKind>(
           m.num_columns(), m.column_ones(), m.num_rows(), o,
           [&](auto&& sink) {
             for (RowId r : order) sink(m.Row(r));

@@ -4,14 +4,14 @@
 // peak_counter_bytes, peak_candidates, or the per-row history curves is a
 // bug, and this harness is the tripwire.
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
 #include "core/kernels.h"
-#include "core/streaming_imp.h"
-#include "core/streaming_sim.h"
+#include "core/streaming_pass.h"
 #include "matrix/binary_matrix.h"
 #include "matrix/row_order.h"
 #include "util/random.h"
@@ -79,10 +79,32 @@ SimRun RunSim(const BinaryMatrix& m, MergeKernel kernel, RowOrderPolicy order,
   return run;
 }
 
+// The default policy, then the three switches the rule kinds read
+// differently: without the 100% phase each kind's sub-100% pass emits
+// the 100% records itself; the §5.1/§5.2 pruning switches change only
+// the similarity predicates, and with max_hits_pruning off kSimd's
+// similarity pass takes the mask merge even where the vector sweep
+// would be chosen.
+struct BasePolicy {
+  const char* name;
+  DmcPolicy policy;
+};
+
+std::vector<BasePolicy> BasePolicies() {
+  std::vector<BasePolicy> out = {{"default", {}},
+                                 {"no_hundred_phase", {}},
+                                 {"no_density_pruning", {}},
+                                 {"no_max_hits_pruning", {}}};
+  out[1].policy.hundred_percent_phase = false;
+  out[2].policy.column_density_pruning = false;
+  out[3].policy.max_hits_pruning = false;
+  return out;
+}
+
 // Rules, accounting peaks, AND per-row history must all match. Exact
 // struct equality on rules also compares the underlying counts.
 void ExpectStatsEqual(const MiningStats& want, const MiningStats& got,
-                      const char* label) {
+                      const std::string& label) {
   EXPECT_EQ(want.peak_counter_bytes, got.peak_counter_bytes) << label;
   EXPECT_EQ(want.peak_candidates, got.peak_candidates) << label;
   EXPECT_EQ(want.memory_history, got.memory_history) << label;
@@ -99,14 +121,18 @@ TEST(KernelParityTest, ImplicationsAcrossSeedsDensitiesAndOrders) {
       const BinaryMatrix m = RandomMatrix(seed, 300, 60, density);
       for (const RowOrderPolicy order :
            {RowOrderPolicy::kIdentity, RowOrderPolicy::kDensityBuckets}) {
-        const ImpRun ref =
-            RunImp(m, MergeKernel::kLegacy, order, /*conf=*/0.7);
-        for (const MergeKernel k : kAllKernels) {
-          const ImpRun got = RunImp(m, k, order, /*conf=*/0.7);
-          EXPECT_EQ(ref.rules.rules(), got.rules.rules())
-              << "kernel=" << KernelName(k) << " seed=" << seed
-              << " density=" << density;
-          ExpectStatsEqual(ref.stats, got.stats, KernelName(k));
+        for (const BasePolicy& base : BasePolicies()) {
+          const ImpRun ref = RunImp(m, MergeKernel::kLegacy, order,
+                                    /*conf=*/0.7, &base.policy);
+          for (const MergeKernel k : kAllKernels) {
+            const ImpRun got = RunImp(m, k, order, /*conf=*/0.7,
+                                      &base.policy);
+            EXPECT_EQ(ref.rules.rules(), got.rules.rules())
+                << "kernel=" << KernelName(k) << " seed=" << seed
+                << " density=" << density << " policy=" << base.name;
+            ExpectStatsEqual(ref.stats, got.stats,
+                             std::string(KernelName(k)) + " " + base.name);
+          }
         }
       }
     }
@@ -119,14 +145,18 @@ TEST(KernelParityTest, SimilaritiesAcrossSeedsDensitiesAndOrders) {
       const BinaryMatrix m = RandomMatrix(seed, 300, 60, density);
       for (const RowOrderPolicy order :
            {RowOrderPolicy::kIdentity, RowOrderPolicy::kDensityBuckets}) {
-        const SimRun ref =
-            RunSim(m, MergeKernel::kLegacy, order, /*sim=*/0.4);
-        for (const MergeKernel k : kAllKernels) {
-          const SimRun got = RunSim(m, k, order, /*sim=*/0.4);
-          EXPECT_EQ(ref.pairs.pairs(), got.pairs.pairs())
-              << "kernel=" << KernelName(k) << " seed=" << seed
-              << " density=" << density;
-          ExpectStatsEqual(ref.stats, got.stats, KernelName(k));
+        for (const BasePolicy& base : BasePolicies()) {
+          const SimRun ref = RunSim(m, MergeKernel::kLegacy, order,
+                                    /*sim=*/0.4, &base.policy);
+          for (const MergeKernel k : kAllKernels) {
+            const SimRun got = RunSim(m, k, order, /*sim=*/0.4,
+                                      &base.policy);
+            EXPECT_EQ(ref.pairs.pairs(), got.pairs.pairs())
+                << "kernel=" << KernelName(k) << " seed=" << seed
+                << " density=" << density << " policy=" << base.name;
+            ExpectStatsEqual(ref.stats, got.stats,
+                             std::string(KernelName(k)) + " " + base.name);
+          }
         }
       }
     }
@@ -188,17 +218,26 @@ TEST(KernelParityTest, WideSparseMatrixOnTheMaskSide) {
   const BinaryMatrix m = WideSparseMatrix();
   for (const RowOrderPolicy order :
        {RowOrderPolicy::kIdentity, RowOrderPolicy::kDensityBuckets}) {
-    const ImpRun imp_ref = RunImp(m, MergeKernel::kLegacy, order, 0.5);
-    EXPECT_FALSE(imp_ref.rules.empty());
-    const SimRun sim_ref = RunSim(m, MergeKernel::kLegacy, order, 0.3);
-    EXPECT_FALSE(sim_ref.pairs.empty());
-    for (const MergeKernel k : kAllKernels) {
-      const ImpRun imp = RunImp(m, k, order, 0.5);
-      EXPECT_EQ(imp_ref.rules.rules(), imp.rules.rules()) << KernelName(k);
-      ExpectStatsEqual(imp_ref.stats, imp.stats, KernelName(k));
-      const SimRun sim = RunSim(m, k, order, 0.3);
-      EXPECT_EQ(sim_ref.pairs.pairs(), sim.pairs.pairs()) << KernelName(k);
-      ExpectStatsEqual(sim_ref.stats, sim.stats, KernelName(k));
+    for (const BasePolicy& base : BasePolicies()) {
+      const DmcPolicy* policy = &base.policy;
+      const ImpRun imp_ref =
+          RunImp(m, MergeKernel::kLegacy, order, 0.5, policy);
+      EXPECT_FALSE(imp_ref.rules.empty());
+      const SimRun sim_ref =
+          RunSim(m, MergeKernel::kLegacy, order, 0.3, policy);
+      EXPECT_FALSE(sim_ref.pairs.empty());
+      for (const MergeKernel k : kAllKernels) {
+        const ImpRun imp = RunImp(m, k, order, 0.5, policy);
+        EXPECT_EQ(imp_ref.rules.rules(), imp.rules.rules())
+            << KernelName(k) << " policy=" << base.name;
+        ExpectStatsEqual(imp_ref.stats, imp.stats,
+                         std::string(KernelName(k)) + " " + base.name);
+        const SimRun sim = RunSim(m, k, order, 0.3, policy);
+        EXPECT_EQ(sim_ref.pairs.pairs(), sim.pairs.pairs())
+            << KernelName(k) << " policy=" << base.name;
+        ExpectStatsEqual(sim_ref.stats, sim.stats,
+                         std::string(KernelName(k)) + " " + base.name);
+      }
     }
   }
 }
@@ -243,9 +282,9 @@ TEST(KernelParityTest, StreamedPassesMatchTheLegacyBatchReference) {
         for (const MergeKernel k : kAllKernels) {
           imp.policy.kernel = k;
           MiningStats imp_stats;
-          auto got_imp =
-              StreamImplications(m.num_columns(), m.column_ones(),
-                                 m.num_rows(), imp, replay, &mask, &imp_stats);
+          auto got_imp = StreamPhases<ImplicationKind>(
+              m.num_columns(), m.column_ones(), m.num_rows(), imp, replay,
+              &mask, &imp_stats);
           ASSERT_TRUE(got_imp.ok()) << KernelName(k);
           EXPECT_EQ(got_imp->rules(), imp_ref->rules()) << KernelName(k);
           EXPECT_EQ(imp_stats.peak_counter_bytes,
@@ -254,9 +293,9 @@ TEST(KernelParityTest, StreamedPassesMatchTheLegacyBatchReference) {
 
           sim.policy.kernel = k;
           MiningStats sim_stats;
-          auto got_sim =
-              StreamSimilarities(m.num_columns(), m.column_ones(),
-                                 m.num_rows(), sim, replay, &mask, &sim_stats);
+          auto got_sim = StreamPhases<SimilarityKind>(
+              m.num_columns(), m.column_ones(), m.num_rows(), sim, replay,
+              &mask, &sim_stats);
           ASSERT_TRUE(got_sim.ok()) << KernelName(k);
           EXPECT_EQ(got_sim->pairs(), sim_ref->pairs()) << KernelName(k);
           EXPECT_EQ(sim_stats.peak_counter_bytes,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -130,8 +131,8 @@ TEST(LintFixtureTest, BannedRawUnlinkFiresExactlyOnce) {
 
 TEST(LintFixtureTest, BannedHotPathMapFiresExactlyOnce) {
   const auto findings =
-      LintFile("core/streaming_sim.cc",
-               ReadFile(FixturePath("core/streaming_sim.cc")), {});
+      LintFile("core/streaming_pass.cc",
+               ReadFile(FixturePath("core/streaming_pass.cc")), {});
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "banned-hot-path-map");
   EXPECT_EQ(findings[0].line, 12);
@@ -374,8 +375,15 @@ TEST(LintRuleTest, QualifiedNonStdRandIsAllowed) {
 TEST(LintRuleTest, HotPathMapIsPathConditional) {
   const std::string body =
       "#include <map>\nvoid F(){ std::map<int, int> m; (void)m; }\n";
-  EXPECT_EQ(LintFile("src/core/streaming_imp.cc", body, {}).size(), 1u);
-  EXPECT_EQ(LintFile("src/core/kernels.cc", body, {}).size(), 1u);
+  // The scan pass, the merge kernels and the candidate table; headers
+  // also draw include-guard, so count the rule alone.
+  for (const char* path :
+       {"src/core/streaming_pass.cc", "src/core/streaming_pass.h",
+        "src/core/kernels.cc", "src/core/kernels.h",
+        "src/core/miss_counter_table.h"}) {
+    EXPECT_EQ(CountRule(LintFile(path, body, {}), "banned-hot-path-map"), 1u)
+        << path;
+  }
   // Everywhere else node-based containers stay legal.
   EXPECT_TRUE(LintFile("src/core/dmc_imp.cc", body, {}).empty());
   EXPECT_TRUE(LintFile("src/observe/metrics.cc", body, {}).empty());
@@ -383,10 +391,10 @@ TEST(LintRuleTest, HotPathMapIsPathConditional) {
 
 TEST(LintRuleTest, HotPathMapRequiresStdQualifier) {
   // A project type or member named map is not the banned container.
-  EXPECT_TRUE(LintFile("src/core/streaming_imp.cc",
+  EXPECT_TRUE(LintFile("src/core/streaming_pass.cc",
                        "void F(){ ColumnMap map; map.Clear(); }\n", {})
                   .empty());
-  EXPECT_EQ(LintFile("src/core/streaming_imp.cc",
+  EXPECT_EQ(LintFile("src/core/streaming_pass.cc",
                      "void F(){ std::unordered_map<int, int> m; }\n", {})
                 .size(),
             1u);
@@ -395,7 +403,7 @@ TEST(LintRuleTest, HotPathMapRequiresStdQualifier) {
 TEST(LintRuleTest, HotPathMapSuppressionWorks) {
   const std::string body =
       "void F(){ std::map<int, int> m; }  // dmc_lint: ignore\n";
-  EXPECT_TRUE(LintFile("src/core/streaming_imp.cc", body, {}).empty());
+  EXPECT_TRUE(LintFile("src/core/streaming_pass.cc", body, {}).empty());
 }
 
 TEST(LintRuleTest, RawLockAllowedOnlyUnderUtil) {
@@ -453,8 +461,27 @@ TEST(LintRuleTest, AtomicOrderingAuditIsPathConditional) {
   const std::string body = "long F(A& a){ return a.load(); }\n";
   EXPECT_EQ(LintFile("src/core/parallel_dmc.cc", body, {}).size(), 1u);
   EXPECT_EQ(LintFile("src/util/failpoint.cc", body, {}).size(), 1u);
+  for (const char* path :
+       {"src/core/streaming_pass.h", "src/core/kernels.h",
+        "src/core/miss_counter_table.h"}) {
+    EXPECT_EQ(CountRule(LintFile(path, body, {}), "atomic-ordering-audit"),
+              1u)
+        << path;
+  }
   // Outside the audited TUs a defaulted order is left to review.
   EXPECT_TRUE(LintFile("src/observe/metrics.cc", body, {}).empty());
+}
+
+// Both rules match by path suffix, so a renamed or deleted file would
+// silently leave its rule; every listed suffix must name a real source.
+TEST(LintRuleTest, RuleFileListsNameExistingSources) {
+  for (const auto* files : {&HotPathFiles(), &AtomicAuditedFiles()}) {
+    for (const std::string& suffix : *files) {
+      EXPECT_TRUE(std::filesystem::is_regular_file(
+          std::string(DMC_SOURCE_DIR) + "/src/" + suffix))
+          << suffix;
+    }
+  }
 }
 
 TEST(LintRuleTest, AtomicOrderingAcceptsExplicitOrder) {

@@ -14,8 +14,7 @@
 #include "core/engine.h"
 #include "core/external_miner.h"
 #include "core/parallel_dmc.h"
-#include "core/streaming_imp.h"
-#include "core/streaming_sim.h"
+#include "core/streaming_pass.h"
 #include "incr/incr_miner.h"
 #include "matrix/binary_matrix.h"
 #include "matrix/matrix_io.h"
@@ -131,13 +130,13 @@ TEST(SeedStabilityTest, StreamingDriversAreRunToRunIdentical) {
   for (int run = 0; run < 2; ++run) {
     ImplicationMiningOptions io;
     io.min_confidence = kConf;
-    auto rules = StreamImplications(m.num_columns(), m.column_ones(),
-                                    m.num_rows(), io, replay);
+    auto rules = StreamPhases<ImplicationKind>(
+        m.num_columns(), m.column_ones(), m.num_rows(), io, replay);
     ASSERT_TRUE(rules.ok());
     SimilarityMiningOptions so;
     so.min_similarity = kSim;
-    auto pairs = StreamSimilarities(m.num_columns(), m.column_ones(),
-                                    m.num_rows(), so, replay);
+    auto pairs = StreamPhases<SimilarityKind>(
+        m.num_columns(), m.column_ones(), m.num_rows(), so, replay);
     ASSERT_TRUE(pairs.ok());
     if (run == 0) {
       imp_text = PrintImp(*rules);

@@ -202,6 +202,29 @@ TEST(ShardProtocolTest, VersionSkewAndUnknownOpAreRejected) {
   EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ShardProtocolTest, OutOfRangeInitEnumsAreRejected) {
+  // kInit layout: 4-byte header, u8 engine, f64 threshold, u8 row_order,
+  // four u8 policy flags, u8 kernel. A worker casts these bytes straight
+  // to Engine, RowOrderPolicy and MergeKernel, so any value outside the
+  // enums must bounce off the decoder.
+  const std::string init(PayloadOf(EncodeInit(SamplePlan())));
+  ASSERT_TRUE(DecodeMessagePayload(init).ok());
+  const struct {
+    size_t offset;
+    uint8_t first_bad;
+  } kFields[] = {{4, 2}, {13, 3}, {18, 4}};
+  for (const auto& field : kFields) {
+    for (const uint8_t bad : {field.first_bad, uint8_t{7}, uint8_t{0xFF}}) {
+      std::string payload = init;
+      payload[field.offset] = static_cast<char>(bad);
+      auto msg = DecodeMessagePayload(payload);
+      ASSERT_FALSE(msg.ok()) << "offset " << field.offset << " byte "
+                             << int{bad};
+      EXPECT_EQ(msg.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
 TEST(ShardProtocolTest, HostileCountsAreRejectedBeforeAllocation) {
   // kTask layout: 4-byte header, u32 task_id, u32 mask_len, mask bytes.
   // A 16-byte frame announcing a 4 GiB mask must bounce off the bounds

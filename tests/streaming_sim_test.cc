@@ -1,4 +1,4 @@
-#include "core/streaming_sim.h"
+#include "core/streaming_pass.h"
 
 #include <gtest/gtest.h>
 
@@ -38,9 +38,9 @@ TEST(StreamingSimTest, MatchesBatchEngine) {
     o.min_similarity = s;
     auto batch = MineSimilarities(m, o);
     ASSERT_TRUE(batch.ok());
-    auto streamed =
-        StreamSimilarities(m.num_columns(), m.column_ones(), m.num_rows(),
-                           o, MatrixReplay(m, order));
+    auto streamed = StreamPhases<SimilarityKind>(
+        m.num_columns(), m.column_ones(), m.num_rows(), o,
+        MatrixReplay(m, order));
     ASSERT_TRUE(streamed.ok()) << streamed.status();
     EXPECT_EQ(streamed->Pairs(), batch->Pairs()) << s;
   }
@@ -54,9 +54,9 @@ TEST(StreamingSimTest, BitmapModeMatches) {
   o.policy.bitmap_fallback = true;
   o.policy.memory_threshold_bytes = 1;
   o.policy.bitmap_max_remaining_rows = 200;
-  auto streamed =
-      StreamSimilarities(m.num_columns(), m.column_ones(), m.num_rows(), o,
-                         MatrixReplay(m, order));
+  auto streamed = StreamPhases<SimilarityKind>(
+      m.num_columns(), m.column_ones(), m.num_rows(), o,
+      MatrixReplay(m, order));
   ASSERT_TRUE(streamed.ok());
   EXPECT_EQ(streamed->Pairs(), BruteForceSimilarities(m, 0.7).Pairs());
 }
@@ -71,7 +71,7 @@ TEST(StreamingSimTest, PruningFlagsMatch) {
       o.min_similarity = 0.6;
       o.policy.column_density_pruning = density;
       o.policy.max_hits_pruning = maxhits;
-      auto streamed = StreamSimilarities(
+      auto streamed = StreamPhases<SimilarityKind>(
           m.num_columns(), m.column_ones(), m.num_rows(), o,
           MatrixReplay(m, order));
       ASSERT_TRUE(streamed.ok());
@@ -88,7 +88,7 @@ TEST(StreamingSimTest, RejectsShortStream) {
   auto truncated = [&m](auto&& sink) {
     for (RowId r = 0; r + 1 < m.num_rows(); ++r) sink(m.Row(r));
   };
-  auto streamed = StreamSimilarities(
+  auto streamed = StreamPhases<SimilarityKind>(
       m.num_columns(), m.column_ones(), m.num_rows(), o, truncated);
   ASSERT_FALSE(streamed.ok());
   EXPECT_EQ(streamed.status().code(), StatusCode::kFailedPrecondition);

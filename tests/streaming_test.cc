@@ -1,4 +1,4 @@
-#include "core/streaming_imp.h"
+#include "core/streaming_pass.h"
 
 #include <gtest/gtest.h>
 
@@ -40,9 +40,9 @@ TEST(StreamingImpTest, MatchesBatchEngine) {
     o.min_confidence = conf;
     auto batch = MineImplications(m, o);
     ASSERT_TRUE(batch.ok());
-    auto streamed =
-        StreamImplications(m.num_columns(), m.column_ones(), m.num_rows(),
-                           o, MatrixReplay(m, order));
+    auto streamed = StreamPhases<ImplicationKind>(
+        m.num_columns(), m.column_ones(), m.num_rows(), o,
+        MatrixReplay(m, order));
     ASSERT_TRUE(streamed.ok()) << streamed.status();
     EXPECT_EQ(streamed->Pairs(), batch->Pairs()) << conf;
   }
@@ -56,9 +56,9 @@ TEST(StreamingImpTest, BitmapModeMatches) {
   o.policy.bitmap_fallback = true;
   o.policy.memory_threshold_bytes = 1;
   o.policy.bitmap_max_remaining_rows = 300;
-  auto streamed =
-      StreamImplications(m.num_columns(), m.column_ones(), m.num_rows(), o,
-                         MatrixReplay(m, order));
+  auto streamed = StreamPhases<ImplicationKind>(
+      m.num_columns(), m.column_ones(), m.num_rows(), o,
+      MatrixReplay(m, order));
   ASSERT_TRUE(streamed.ok());
   EXPECT_EQ(streamed->Pairs(), BruteForceImplications(m, 0.85).Pairs());
 }
@@ -70,7 +70,7 @@ TEST(StreamingImpTest, RejectsShortStream) {
   auto truncated = [&m](auto&& sink) {
     for (RowId r = 0; r + 1 < m.num_rows(); ++r) sink(m.Row(r));
   };
-  auto streamed = StreamImplications(
+  auto streamed = StreamPhases<ImplicationKind>(
       m.num_columns(), m.column_ones(), m.num_rows(), o, truncated);
   ASSERT_FALSE(streamed.ok());
   EXPECT_EQ(streamed.status().code(), StatusCode::kFailedPrecondition);
@@ -78,12 +78,12 @@ TEST(StreamingImpTest, RejectsShortStream) {
 
 TEST(StreamingImpTest, PassExposesProgress) {
   const BinaryMatrix m = Workload(34);
-  StreamingImplicationPass::Config cfg;
+  StreamingPass<ImplicationKind>::Config cfg;
   cfg.num_columns = m.num_columns();
   cfg.ones = m.column_ones();
   cfg.total_rows = m.num_rows();
-  cfg.max_misses.assign(m.num_columns(), 0);
-  StreamingImplicationPass pass(std::move(cfg));
+  cfg.threshold = 1.0;
+  StreamingPass<ImplicationKind> pass(std::move(cfg));
   EXPECT_EQ(pass.rows_seen(), 0u);
   pass.ProcessRow(m.Row(0));
   EXPECT_EQ(pass.rows_seen(), 1u);

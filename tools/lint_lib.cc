@@ -216,18 +216,16 @@ void CheckBannedTokens(const FileCtx& ctx, std::vector<Finding>* findings) {
   }
 }
 
-// The hot-path translation units — the per-row merge loops and their
-// kernels — must stay free of node-based associative containers:
-// std::map / std::unordered_map allocate per element and chase pointers,
-// exactly the behaviour the arena/SoA layout exists to avoid. Dense
-// vectors with a touched-list reset are the sanctioned replacement (see
-// the bitmap hit-counting phase in streaming_imp.cc).
+// The hot-path files — the per-row merge loop, its kernels and the
+// candidate table they write — must stay free of node-based associative
+// containers: std::map / std::unordered_map allocate per element and
+// chase pointers, exactly the behaviour the arena/SoA layout exists to
+// avoid. Dense vectors with a touched-list reset are the sanctioned
+// replacement (see the bitmap hit-counting phase in streaming_pass.cc).
 void CheckHotPathMap(const FileCtx& ctx, std::vector<Finding>* findings) {
-  static const char* kHotPathSuffixes[] = {
-      "core/streaming_imp.cc", "core/streaming_sim.cc", "core/kernels.cc"};
   bool is_hot_path = false;
-  for (const char* suffix : kHotPathSuffixes) {
-    if (ctx.PathEndsWith(suffix)) {
+  for (const std::string& suffix : HotPathFiles()) {
+    if (ctx.PathEndsWith(suffix.c_str())) {
       is_hot_path = true;
       break;
     }
@@ -251,7 +249,7 @@ void CheckHotPathMap(const FileCtx& ctx, std::vector<Finding>* findings) {
         {ctx.path, ctx.code[i].line, "banned-hot-path-map",
          "std::map/std::unordered_map are banned in hot-path mining "
          "code; use dense vectors with a touched-list reset (see the "
-         "bitmap hit-counting in core/streaming_imp.cc)"});
+         "bitmap hit-counting in core/streaming_pass.cc)"});
   }
 }
 
@@ -604,13 +602,9 @@ void CheckUnannotatedMutex(const FileCtx& ctx,
 // as "ordering not thought about", not "strongest therefore safe" —
 // the sweep that relaxed these counters is easy to silently regress.
 void CheckAtomicOrdering(const FileCtx& ctx, std::vector<Finding>* findings) {
-  static const char* kAuditedSuffixes[] = {
-      "core/streaming_imp.cc", "core/streaming_sim.cc", "core/kernels.cc",
-      "core/parallel_dmc.cc", "util/failpoint.cc",    "util/logging.cc",
-      "util/atomic_io.cc"};
   bool audited = false;
-  for (const char* suffix : kAuditedSuffixes) {
-    if (ctx.PathEndsWith(suffix)) {
+  for (const std::string& suffix : AtomicAuditedFiles()) {
+    if (ctx.PathEndsWith(suffix.c_str())) {
       audited = true;
       break;
     }
@@ -698,6 +692,23 @@ std::set<std::string> CollectStatusFunctions(const std::string& content) {
     }
   }
   return names;
+}
+
+const std::vector<std::string>& HotPathFiles() {
+  static const std::vector<std::string> kFiles = {
+      "core/streaming_pass.h", "core/streaming_pass.cc", "core/kernels.h",
+      "core/kernels.cc", "core/miss_counter_table.h"};
+  return kFiles;
+}
+
+const std::vector<std::string>& AtomicAuditedFiles() {
+  static const std::vector<std::string> kFiles = {
+      "core/streaming_pass.h", "core/streaming_pass.cc",
+      "core/kernels.h",        "core/kernels.cc",
+      "core/miss_counter_table.h",
+      "core/parallel_dmc.cc",  "util/failpoint.cc",
+      "util/logging.cc",       "util/atomic_io.cc"};
+  return kFiles;
 }
 
 std::vector<Finding> LintFile(const std::string& path,

@@ -25,11 +25,11 @@
 //                     std::filesystem::remove stays legal for deliberate
 //                     deletes, and util/atomic_io.* is whitelisted
 //   banned-hot-path-map  no std::map/std::unordered_map (or multimap
-//                     variants) in the hot-path mining TUs
-//                     (core/streaming_imp.cc, core/streaming_sim.cc,
-//                     core/kernels.cc) — node-based containers allocate
-//                     per element and chase pointers; use dense vectors
-//                     with a touched-list reset instead
+//                     variants) in the hot-path mining files
+//                     (HotPathFiles(): the scan pass, the merge kernels
+//                     and the candidate table) — node-based containers
+//                     allocate per element and chase pointers; use dense
+//                     vectors with a touched-list reset instead
 //   banned-raw-posting  no std::vector<std::vector<RowId>> (or the raw
 //                     uint32_t spelling) outside src/postings/ — nested
 //                     row-id vectors are the hand-rolled posting-list
@@ -68,7 +68,8 @@
 //                     invisible to thread-safety analysis; declare it as
 //                     dmc::Mutex, or reference it from a
 //                     DMC_GUARDED_BY/DMC_REQUIRES annotation
-//   atomic-ordering-audit  in the audited hot-path TUs every named
+//   atomic-ordering-audit  in the audited hot-path files
+//                     (AtomicAuditedFiles()) every named
 //                     atomic operation (.load/.store/.fetch_*/...)
 //                     must spell an explicit std::memory_order —
 //                     a defaulted seq_cst is treated as "not thought
@@ -123,6 +124,12 @@ std::vector<Finding> LintFile(const std::string& path,
 /// Status-function registry from every source file, then lints every
 /// .h/.cc/.cpp file. Findings are sorted by (file, line).
 std::vector<Finding> LintTree(const std::string& root);
+
+/// Path suffixes, relative to src/, of the files banned-hot-path-map
+/// and atomic-ordering-audit cover. A test checks that each one exists,
+/// so a rename cannot silently drop a file from its rule.
+const std::vector<std::string>& HotPathFiles();
+const std::vector<std::string>& AtomicAuditedFiles();
 
 /// "file:line: [rule] message" for diagnostics.
 std::string FormatFinding(const Finding& f);
