@@ -1,12 +1,10 @@
 #include "incr/incr_miner.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "core/dmc_imp.h"
-#include "core/dmc_sim.h"
-#include "core/kernels.h"
 #include "core/thresholds.h"
 #include "observe/metrics.h"
 #include "observe/trace.h"
@@ -114,19 +112,6 @@ class DecidedPairs {
   std::vector<uint64_t> keys_;
 };
 
-// MaxMissesForConfidence for every reachable ones count: the implication
-// regen passes evaluate two budgets per examined pair, and on dense
-// windows that is T x width floating-point floors per batch — one small
-// table turns them into indexed loads.
-std::vector<int64_t> ConfidenceBudgetTable(uint64_t max_ones,
-                                           double minconf) {
-  std::vector<int64_t> table(max_ones + 1);
-  for (uint64_t n = 0; n <= max_ones; ++n) {
-    table[n] = MaxMissesForConfidence(static_cast<uint32_t>(n), minconf);
-  }
-  return table;
-}
-
 void RecordAppendMetrics(MetricsRegistry* metrics,
                          const IncrAppendStats& stats) {
   if (metrics == nullptr) return;
@@ -233,35 +218,144 @@ class SuffixBitmapCache {
   std::vector<uint8_t> built_;
 };
 
+// A held rule read back: the unordered pair it counts and its exact
+// hits at the previous boundary.
+struct HeldPair {
+  ColumnId u;
+  ColumnId v;
+  uint32_t hits;
+};
+
+// A pair oriented sparser-first under the new ones counts, with its
+// exact budget.
+struct OrientedPair {
+  ColumnId lhs;
+  ColumnId rhs;
+  uint32_t lhs_ones;
+  uint32_t rhs_ones;
+  int64_t budget;
+
+  /// The exact hit floor: the fewest hits that keep misses in budget.
+  int64_t MinHits() const { return static_cast<int64_t>(lhs_ones) - budget; }
+  /// The rule test. hits >= 1 mirrors the batch engines' candidate
+  /// seeding: columns that never co-occur in the window never form a
+  /// rule there.
+  bool Qualifies(uint32_t hits) const {
+    return hits >= 1 && static_cast<int64_t>(lhs_ones - hits) <= budget;
+  }
+};
+
+// What a rule kind supplies to the incremental passes, and all that
+// differs between DMC-imp and DMC-sim here: the exact miss budget of a
+// pair oriented sparser-first, the record built for a pair that clears
+// it, and the pair and hits read back from a held record. One instance
+// serves one batch; `max_ones` bounds every ones count it is asked
+// about.
+template <typename Kind>
+class PairRules;
+
+template <>
+class PairRules<ImplicationKind> {
+ public:
+  // MaxMissesForConfidence for every reachable ones count: the passes
+  // evaluate up to two budgets per examined pair, and on dense windows
+  // that is T x width floating-point floors per batch — one small table
+  // turns them into indexed loads.
+  PairRules(double minconf, uint64_t max_ones) : budgets_(max_ones + 1) {
+    for (uint64_t n = 0; n <= max_ones; ++n) {
+      budgets_[n] = MaxMissesForConfidence(static_cast<uint32_t>(n), minconf);
+    }
+  }
+
+  int64_t Budget(uint32_t lhs_ones, uint32_t) const {
+    return budgets_[lhs_ones];
+  }
+  static HeldPair Held(const ImplicationRule& r) {
+    return {r.lhs, r.rhs, r.hits()};
+  }
+  static ImplicationRule Make(const OrientedPair& p, uint32_t hits) {
+    return ImplicationRule{p.lhs, p.rhs, p.lhs_ones, p.lhs_ones - hits};
+  }
+
+ private:
+  std::vector<int64_t> budgets_;
+};
+
+template <>
+class PairRules<SimilarityKind> {
+ public:
+  PairRules(double minsim, uint64_t) : minsim_(minsim) {}
+
+  int64_t Budget(uint32_t ones_a, uint32_t ones_b) const {
+    return MaxMissesForSimilarity(ones_a, ones_b, minsim_);
+  }
+  static HeldPair Held(const SimilarityPair& p) {
+    return {p.a, p.b, p.intersection};
+  }
+  static SimilarityPair Make(const OrientedPair& p, uint32_t hits) {
+    return SimilarityPair{p.lhs, p.rhs, p.lhs_ones, p.rhs_ones, hits};
+  }
+
+ private:
+  double minsim_;
+};
+
+template <typename Kind>
+OrientedPair Orient(const PairRules<Kind>& kind, ColumnId u, ColumnId v,
+                    const std::vector<uint32_t>& ones) {
+  if (!SparserFirst(ones[u], u, ones[v], v)) std::swap(u, v);
+  return {u, v, ones[u], ones[v], kind.Budget(ones[u], ones[v])};
+}
+
+// Miss-monotonicity screens: the most hits a pair that was NOT held at
+// the old boundary (ones counts old_u, old_v) can have had. The engine
+// decided it there under the old counts, sparser column first, so its
+// hits fell below that hit floor — and a pair with an empty column had
+// none. Appends add hits only through co-occurrences, and evictions
+// only take hits away, so each regeneration pass rules a pair out on
+// this ceiling before any full-list intersection.
+template <typename Kind>
+int64_t OldHitCeiling(const PairRules<Kind>& kind, uint32_t old_u,
+                      uint32_t old_v) {
+  const uint32_t lo = std::min(old_u, old_v);
+  if (lo == 0) return 0;
+  return static_cast<int64_t>(lo) - kind.Budget(lo, std::max(old_u, old_v)) -
+         1;
+}
+
+template <typename Kind>
+Status ValidateThreshold(const typename Kind::Options& options) {
+  const double threshold = options.*Kind::kThreshold;
+  if (!(threshold > 0.0) || threshold > 1.0) {
+    return InvalidArgumentError(std::string(Kind::kThresholdName) +
+                                " must be in (0, 1]");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
-// ---------------------------------------------------------------------
-// Implications
-// ---------------------------------------------------------------------
-
-IncrementalImplicationMiner::IncrementalImplicationMiner(
-    ImplicationMiningOptions options, ColumnId num_columns)
+template <typename Kind>
+IncrementalMiner<Kind>::IncrementalMiner(Options options,
+                                         ColumnId num_columns)
     : options_(std::move(options)), postings_(num_columns) {}
 
-StatusOr<IncrementalImplicationMiner>
-IncrementalImplicationMiner::FromBatchMine(
-    const BinaryMatrix& initial, const ImplicationMiningOptions& options,
-    MiningStats* stats) {
-  DMC_ASSIGN_OR_RETURN(ImplicationRuleSet rules,
-                       MineImplications(initial, options, stats));
-  IncrementalImplicationMiner miner(options, initial.num_columns());
+template <typename Kind>
+StatusOr<IncrementalMiner<Kind>> IncrementalMiner<Kind>::FromBatchMine(
+    const BinaryMatrix& initial, const Options& options, MiningStats* stats) {
+  DMC_ASSIGN_OR_RETURN(RuleSet rules,
+                       MineMatrix<Kind>(initial, options, nullptr, stats));
+  IncrementalMiner miner(options, initial.num_columns());
   miner.postings_.Append(initial);
   miner.rules_ = std::move(rules);
   miner.cumulative_.rows_total = initial.num_rows();
   return miner;
 }
 
-Status IncrementalImplicationMiner::AppendBatch(const BinaryMatrix& delta,
-                                                IncrAppendStats* stats) {
-  const double minconf = options_.min_confidence;
-  if (!(minconf > 0.0) || minconf > 1.0) {
-    return InvalidArgumentError("min_confidence must be in (0, 1]");
-  }
+template <typename Kind>
+Status IncrementalMiner<Kind>::AppendBatch(const BinaryMatrix& delta,
+                                           IncrAppendStats* stats) {
+  DMC_RETURN_IF_ERROR(ValidateThreshold<Kind>(options_));
   if (fail::Enabled()) {
     DMC_RETURN_IF_ERROR(fail::InjectStatus("incr.append"));
   }
@@ -279,37 +373,35 @@ Status IncrementalImplicationMiner::AppendBatch(const BinaryMatrix& delta,
   for (ColumnId c = 0; c < width; ++c) old_ones[c] = postings_.ones(c);
   const uint32_t rows_before = static_cast<uint32_t>(postings_.num_rows());
   postings_.Append(delta);
+  std::vector<uint32_t> new_ones(width);
+  for (ColumnId c = 0; c < width; ++c) new_ones[c] = postings_.ones(c);
   SuffixBitmapCache bitmaps(postings_, rows_before,
                             postings_.num_rows() - rows_before);
+  // |delta rows where u and v are both 1|: the posting suffixes alone.
+  const auto delta_hits = [&](ColumnId u, ColumnId v) -> uint32_t {
+    return bitmaps.usable()
+               ? new_ones[u] - old_ones[u] - bitmaps.SuffixMisses(u, v)
+               : postings_.SuffixIntersectOnes(u, old_ones[u], v,
+                                               old_ones[v]);
+  };
+  const PairRules<Kind> kind(options_.*Kind::kThreshold, num_rows());
 
   // Update pass: re-decide every held rule under the new counts. The
   // stored rule carries the exact previous-boundary counts, so the new
   // intersection is old intersection + |delta co-occurrences|, and the
   // suffix intersection touches only the delta's rows.
   DecidedPairs decided(width, rules_.size());
-  ImplicationRuleSet next;
+  RuleSet next;
   {
     ScopedSpan span(obs.trace, "incr/update", obs.trace_lane);
-    for (const ImplicationRule& r : rules_) {
+    for (const auto& rule : rules_) {
       ++local.rules_updated;
-      decided.Add(r.lhs, r.rhs);
-      const uint32_t delta_inter =
-          bitmaps.usable()
-              ? postings_.ones(r.lhs) - old_ones[r.lhs] -
-                    bitmaps.SuffixMisses(r.lhs, r.rhs)
-              : postings_.SuffixIntersectOnes(r.lhs, old_ones[r.lhs], r.rhs,
-                                              old_ones[r.rhs]);
-      const uint32_t inter = r.hits() + delta_inter;
-      ColumnId lhs = r.lhs;
-      ColumnId rhs = r.rhs;
-      if (!SparserFirst(postings_.ones(lhs), lhs, postings_.ones(rhs),
-                        rhs)) {
-        std::swap(lhs, rhs);
-      }
-      const uint32_t lhs_ones = postings_.ones(lhs);
-      const uint32_t misses = lhs_ones - inter;
-      if (misses <= MaxMissesForConfidence(lhs_ones, minconf)) {
-        next.Add(ImplicationRule{lhs, rhs, lhs_ones, misses});
+      const HeldPair held = PairRules<Kind>::Held(rule);
+      decided.Add(held.u, held.v);
+      const uint32_t hits = held.hits + delta_hits(held.u, held.v);
+      const OrientedPair p = Orient(kind, held.u, held.v, new_ones);
+      if (p.Qualifies(hits)) {
+        next.Add(kind.Make(p, hits));
       } else {
         ++local.candidates_killed;
       }
@@ -322,50 +414,25 @@ Status IncrementalImplicationMiner::AppendBatch(const BinaryMatrix& delta,
   // update pass already decided the held ones exactly.
   {
     ScopedSpan span(obs.trace, "incr/regen", obs.trace_lane);
-    const std::vector<int64_t> budgets =
-        ConfidenceBudgetTable(num_rows(), minconf);
     for (const uint64_t key : CoOccurringDeltaPairs(delta)) {
       const ColumnId u = static_cast<ColumnId>(key >> 32);
       const ColumnId v = static_cast<ColumnId>(key & 0xffffffffu);
       if (decided.Contains(u, v)) continue;
       ++local.delta_pairs_examined;
-      ColumnId lhs = u;
-      ColumnId rhs = v;
-      if (!SparserFirst(postings_.ones(lhs), lhs, postings_.ones(rhs),
-                        rhs)) {
-        std::swap(lhs, rhs);
-      }
-      const uint32_t lhs_ones = postings_.ones(lhs);
-      const int64_t budget = budgets[lhs_ones];
-      // A pair needs at least lhs_ones - budget hits; with fewer total
-      // rows in the denser column it can never qualify.
-      const int64_t required_new = static_cast<int64_t>(lhs_ones) - budget;
-      if (required_new > static_cast<int64_t>(postings_.ones(rhs))) {
+      const OrientedPair p = Orient(kind, u, v, new_ones);
+      // §5.1 density screen: a negative budget means ones(lhs)/ones(rhs)
+      // is already below the threshold — no intersection needed.
+      if (p.budget < 0) continue;
+      // Only the delta's co-occurrences, countable from the posting
+      // suffixes, can lift the pair from its old hit ceiling to the new
+      // floor — so most pairs skip the full-list intersection.
+      if (OldHitCeiling(kind, old_ones[u], old_ones[v]) + delta_hits(u, v) <
+          p.MinHits()) {
         continue;
       }
-      // Miss-monotonicity screen: the pair was NOT held at the previous
-      // boundary, so its old intersection was at most
-      // required_old - 1 hits (required(n) = n - budget(n) is the exact
-      // hit floor for min-ones n, and required >= 1 whenever n >= 1).
-      // Only the delta's co-occurrences can close the gap to the new
-      // floor, and those are countable from the posting suffixes alone —
-      // so most pairs skip the full-list intersection entirely.
-      const uint32_t m_old = std::min(old_ones[u], old_ones[v]);
-      const int64_t required_old =
-          m_old == 0 ? 0
-                     : static_cast<int64_t>(m_old) - budgets[m_old];
-      const uint32_t delta_inter =
-          bitmaps.usable()
-              ? postings_.ones(u) - old_ones[u] - bitmaps.SuffixMisses(u, v)
-              : postings_.SuffixIntersectOnes(u, old_ones[u], v, old_ones[v]);
-      if (static_cast<int64_t>(delta_inter) <
-          required_new - required_old + (m_old > 0 ? 1 : 0)) {
-        continue;
-      }
-      const uint32_t inter = postings_.IntersectOnes(lhs, rhs);
-      const uint32_t misses = lhs_ones - inter;
-      if (misses <= budget) {
-        next.Add(ImplicationRule{lhs, rhs, lhs_ones, misses});
+      const uint32_t hits = postings_.IntersectOnes(p.lhs, p.rhs);
+      if (p.Qualifies(hits)) {
+        next.Add(kind.Make(p, hits));
         ++local.candidates_revived;
       }
     }
@@ -384,12 +451,9 @@ Status IncrementalImplicationMiner::AppendBatch(const BinaryMatrix& delta,
   return Status::OK();
 }
 
-Status IncrementalImplicationMiner::EvictBatch(uint64_t k,
-                                               IncrEvictStats* stats) {
-  const double minconf = options_.min_confidence;
-  if (!(minconf > 0.0) || minconf > 1.0) {
-    return InvalidArgumentError("min_confidence must be in (0, 1]");
-  }
+template <typename Kind>
+Status IncrementalMiner<Kind>::EvictBatch(uint64_t k, IncrEvictStats* stats) {
+  DMC_RETURN_IF_ERROR(ValidateThreshold<Kind>(options_));
   if (k > num_rows()) {
     return InvalidArgumentError("EvictBatch: cannot evict more rows than "
                                 "the window holds");
@@ -421,32 +485,27 @@ Status IncrementalImplicationMiner::EvictBatch(uint64_t k,
     new_ones[c] = old_ones[c] - prefix_ones[c];
   }
   SuffixBitmapCache bitmaps(postings_, bound, num_rows() - k);
+  const PairRules<Kind> kind(options_.*Kind::kThreshold, num_rows());
 
   // Update pass: every held rule loses exactly the evicted prefix's
   // co-occurrences, then is re-oriented and re-tested under the new
   // counts.
   DecidedPairs decided(width, rules_.size());
-  ImplicationRuleSet next;
+  RuleSet next;
   {
     ScopedSpan span(obs.trace, "incr/evict_update", obs.trace_lane);
-    for (const ImplicationRule& r : rules_) {
+    for (const auto& rule : rules_) {
       ++local.rules_updated;
-      decided.Add(r.lhs, r.rhs);
-      const uint32_t inter =
+      const HeldPair held = PairRules<Kind>::Held(rule);
+      decided.Add(held.u, held.v);
+      const uint32_t hits =
           bitmaps.usable()
-              ? new_ones[r.lhs] - bitmaps.SuffixMisses(r.lhs, r.rhs)
-              : r.hits() - postings_.PrefixIntersectOnes(r.lhs, r.rhs, bound);
-      ColumnId lhs = r.lhs;
-      ColumnId rhs = r.rhs;
-      if (!SparserFirst(new_ones[lhs], lhs, new_ones[rhs], rhs)) {
-        std::swap(lhs, rhs);
-      }
-      const uint32_t lhs_ones = new_ones[lhs];
-      const uint32_t misses = lhs_ones - inter;
-      // inter >= 1 mirrors the batch engines' candidate seeding: columns
-      // that no longer co-occur in the window never form a rule there.
-      if (inter >= 1 && misses <= MaxMissesForConfidence(lhs_ones, minconf)) {
-        next.Add(ImplicationRule{lhs, rhs, lhs_ones, misses});
+              ? new_ones[held.u] - bitmaps.SuffixMisses(held.u, held.v)
+              : held.hits -
+                    postings_.PrefixIntersectOnes(held.u, held.v, bound);
+      const OrientedPair p = Orient(kind, held.u, held.v, new_ones);
+      if (p.Qualifies(hits)) {
+        next.Add(kind.Make(p, hits));
       } else {
         ++local.candidates_killed;
       }
@@ -460,46 +519,35 @@ Status IncrementalImplicationMiner::EvictBatch(uint64_t k,
   // the held ones exactly.
   {
     ScopedSpan span(obs.trace, "incr/evict_regen", obs.trace_lane);
-    const std::vector<int64_t> budgets =
-        ConfidenceBudgetTable(num_rows(), minconf);
     for (const uint64_t key : EvictCandidatePairs(prefix_ones, width)) {
       const ColumnId u = static_cast<ColumnId>(key >> 32);
       const ColumnId v = static_cast<ColumnId>(key & 0xffffffffu);
       if (decided.Contains(u, v)) continue;
       ++local.regen_pairs_examined;
       if (new_ones[u] == 0 || new_ones[v] == 0) continue;
-      ColumnId lhs = u;
-      ColumnId rhs = v;
-      if (!SparserFirst(new_ones[lhs], lhs, new_ones[rhs], rhs)) {
-        std::swap(lhs, rhs);
-      }
-      const uint32_t lhs_ones = new_ones[lhs];
-      const int64_t budget = budgets[lhs_ones];
-      const int64_t required_new = static_cast<int64_t>(lhs_ones) - budget;
-      if (required_new > static_cast<int64_t>(new_ones[rhs])) continue;
-      // Dual monotonicity screen: the pair was NOT held before, so its
-      // intersection was at most max(required_old, 1) - 1 — and eviction
-      // only shrinks intersections. It can qualify now only if eviction
-      // lowered the effective hit floor, a counts-only test.
-      const uint32_t m_old = std::min(old_ones[u], old_ones[v]);
-      const int64_t required_old =
-          m_old == 0 ? 0
-                     : static_cast<int64_t>(m_old) - budgets[m_old];
-      if (std::max<int64_t>(required_new, 1) >
-          std::max<int64_t>(required_old, 1) - 1) {
+      const OrientedPair p = Orient(kind, u, v, new_ones);
+      // §5.1 density screen, unchanged under eviction.
+      if (p.budget < 0) continue;
+      // Dual monotonicity screen: eviction only shrinks intersections,
+      // so the pair can qualify now only if eviction lowered the
+      // effective hit floor under its old hit ceiling — a counts-only
+      // test.
+      if (std::max<int64_t>(p.MinHits(), 1) >
+          std::max<int64_t>(OldHitCeiling(kind, old_ones[u], old_ones[v]),
+                            0)) {
         continue;
       }
       // The capped form is exact whenever the pair qualifies (misses <=
       // budget); an over-cap partial count only feeds the failing branch.
-      const uint32_t misses =
+      const uint32_t hits =
           bitmaps.usable()
-              ? bitmaps.SuffixMissesCapped(lhs, rhs,
-                                           static_cast<uint32_t>(budget))
-              : lhs_ones - postings_.SuffixIntersectOnes(u, prefix_ones[u],
-                                                         v, prefix_ones[v]);
-      const uint32_t inter = lhs_ones - misses;
-      if (inter >= 1 && static_cast<int64_t>(misses) <= budget) {
-        next.Add(ImplicationRule{lhs, rhs, lhs_ones, misses});
+              ? p.lhs_ones -
+                    bitmaps.SuffixMissesCapped(
+                        p.lhs, p.rhs, static_cast<uint32_t>(p.budget))
+              : postings_.SuffixIntersectOnes(u, prefix_ones[u], v,
+                                              prefix_ones[v]);
+      if (p.Qualifies(hits)) {
+        next.Add(kind.Make(p, hits));
         ++local.candidates_regenerated;
       }
     }
@@ -519,273 +567,7 @@ Status IncrementalImplicationMiner::EvictBatch(uint64_t k,
   return Status::OK();
 }
 
-// ---------------------------------------------------------------------
-// Similarities
-// ---------------------------------------------------------------------
-
-IncrementalSimilarityMiner::IncrementalSimilarityMiner(
-    SimilarityMiningOptions options, ColumnId num_columns)
-    : options_(std::move(options)), postings_(num_columns) {}
-
-StatusOr<IncrementalSimilarityMiner> IncrementalSimilarityMiner::FromBatchMine(
-    const BinaryMatrix& initial, const SimilarityMiningOptions& options,
-    MiningStats* stats) {
-  DMC_ASSIGN_OR_RETURN(SimilarityRuleSet pairs,
-                       MineSimilarities(initial, options, stats));
-  IncrementalSimilarityMiner miner(options, initial.num_columns());
-  miner.postings_.Append(initial);
-  miner.pairs_ = std::move(pairs);
-  miner.cumulative_.rows_total = initial.num_rows();
-  return miner;
-}
-
-Status IncrementalSimilarityMiner::AppendBatch(const BinaryMatrix& delta,
-                                               IncrAppendStats* stats) {
-  const double minsim = options_.min_similarity;
-  if (!(minsim > 0.0) || minsim > 1.0) {
-    return InvalidArgumentError("min_similarity must be in (0, 1]");
-  }
-  if (fail::Enabled()) {
-    DMC_RETURN_IF_ERROR(fail::InjectStatus("incr.append"));
-  }
-  const ObserveContext& obs = options_.policy.observe;
-  ScopedSpan batch_span(obs.trace, "incr/append_batch", obs.trace_lane);
-  Stopwatch timer;
-  IncrAppendStats local;
-  local.rows_appended = delta.num_rows();
-
-  const ColumnId width =
-      std::max(postings_.num_columns(), delta.num_columns());
-  std::vector<uint32_t> old_ones(width);
-  for (ColumnId c = 0; c < width; ++c) old_ones[c] = postings_.ones(c);
-  const uint32_t rows_before = static_cast<uint32_t>(postings_.num_rows());
-  postings_.Append(delta);
-  SuffixBitmapCache bitmaps(postings_, rows_before,
-                            postings_.num_rows() - rows_before);
-
-  DecidedPairs decided(width, pairs_.size());
-  SimilarityRuleSet next;
-  {
-    ScopedSpan span(obs.trace, "incr/update", obs.trace_lane);
-    for (const SimilarityPair& p : pairs_) {
-      ++local.rules_updated;
-      decided.Add(p.a, p.b);
-      const uint32_t delta_inter =
-          bitmaps.usable()
-              ? postings_.ones(p.a) - old_ones[p.a] -
-                    bitmaps.SuffixMisses(p.a, p.b)
-              : postings_.SuffixIntersectOnes(p.a, old_ones[p.a], p.b,
-                                              old_ones[p.b]);
-      const uint32_t inter = p.intersection + delta_inter;
-      ColumnId a = p.a;
-      ColumnId b = p.b;
-      if (!SparserFirst(postings_.ones(a), a, postings_.ones(b), b)) {
-        std::swap(a, b);
-      }
-      const uint32_t ones_a = postings_.ones(a);
-      const uint32_t ones_b = postings_.ones(b);
-      const uint32_t misses = ones_a - inter;
-      if (static_cast<int64_t>(misses) <=
-          MaxMissesForSimilarity(ones_a, ones_b, minsim)) {
-        next.Add(SimilarityPair{a, b, ones_a, ones_b, inter});
-      } else {
-        ++local.candidates_killed;
-      }
-    }
-  }
-  decided.Seal();
-
-  {
-    ScopedSpan span(obs.trace, "incr/regen", obs.trace_lane);
-    for (const uint64_t key : CoOccurringDeltaPairs(delta)) {
-      const ColumnId u = static_cast<ColumnId>(key >> 32);
-      const ColumnId v = static_cast<ColumnId>(key & 0xffffffffu);
-      if (decided.Contains(u, v)) continue;
-      ++local.delta_pairs_examined;
-      ColumnId a = u;
-      ColumnId b = v;
-      if (!SparserFirst(postings_.ones(a), a, postings_.ones(b), b)) {
-        std::swap(a, b);
-      }
-      const uint32_t ones_a = postings_.ones(a);
-      const uint32_t ones_b = postings_.ones(b);
-      const int64_t budget = MaxMissesForSimilarity(ones_a, ones_b, minsim);
-      // §5.1 density screen: a negative budget means ones_a/ones_b is
-      // already below the threshold — no intersection needed.
-      if (budget < 0) continue;
-      // Miss-monotonicity screen, Jaccard flavor: the pair failed the
-      // previous boundary, so its old intersection was below the old
-      // required-hit floor (computed under the old sparser-first
-      // orientation, exactly as the engine decided it back then); only
-      // delta co-occurrences can close the gap to the new floor.
-      const int64_t required_new = static_cast<int64_t>(ones_a) - budget;
-      uint32_t old_a = old_ones[u];
-      uint32_t old_b = old_ones[v];
-      if (!SparserFirst(old_a, u, old_b, v)) std::swap(old_a, old_b);
-      const int64_t required_old =
-          old_a + old_b == 0
-              ? 0
-              : static_cast<int64_t>(old_a) -
-                    MaxMissesForSimilarity(old_a, old_b, minsim);
-      const uint32_t delta_inter =
-          bitmaps.usable()
-              ? postings_.ones(u) - old_ones[u] - bitmaps.SuffixMisses(u, v)
-              : postings_.SuffixIntersectOnes(u, old_ones[u], v, old_ones[v]);
-      if (static_cast<int64_t>(delta_inter) <
-          required_new - required_old + (old_a + old_b > 0 ? 1 : 0)) {
-        continue;
-      }
-      const uint32_t inter = postings_.IntersectOnes(a, b);
-      const uint32_t misses = ones_a - inter;
-      if (static_cast<int64_t>(misses) <= budget) {
-        next.Add(SimilarityPair{a, b, ones_a, ones_b, inter});
-        ++local.candidates_revived;
-      }
-    }
-  }
-
-  next.Canonicalize();
-  pairs_ = std::move(next);
-
-  ++cumulative_.batches;
-  cumulative_.rows_total += local.rows_appended;
-  cumulative_.candidates_killed += local.candidates_killed;
-  cumulative_.candidates_revived += local.candidates_revived;
-  local.seconds = timer.ElapsedSeconds();
-  RecordAppendMetrics(obs.metrics, local);
-  if (stats != nullptr) *stats = local;
-  return Status::OK();
-}
-
-Status IncrementalSimilarityMiner::EvictBatch(uint64_t k,
-                                              IncrEvictStats* stats) {
-  const double minsim = options_.min_similarity;
-  if (!(minsim > 0.0) || minsim > 1.0) {
-    return InvalidArgumentError("min_similarity must be in (0, 1]");
-  }
-  if (k > num_rows()) {
-    return InvalidArgumentError("EvictBatch: cannot evict more rows than "
-                                "the window holds");
-  }
-  if (fail::Enabled()) {
-    DMC_RETURN_IF_ERROR(fail::InjectStatus("incr.evict"));
-  }
-  IncrEvictStats local;
-  local.rows_evicted = k;
-  if (k == 0) {
-    if (stats != nullptr) *stats = local;
-    return Status::OK();
-  }
-  const ObserveContext& obs = options_.policy.observe;
-  ScopedSpan batch_span(obs.trace, "incr/evict_batch", obs.trace_lane);
-  Stopwatch timer;
-
-  const uint32_t bound = static_cast<uint32_t>(k);
-  const ColumnId width = postings_.num_columns();
-  std::vector<uint32_t> old_ones(width);
-  std::vector<uint32_t> prefix_ones(width);
-  std::vector<uint32_t> new_ones(width);
-  for (ColumnId c = 0; c < width; ++c) {
-    old_ones[c] = postings_.ones(c);
-    prefix_ones[c] = postings_.PrefixOnes(c, bound);
-    new_ones[c] = old_ones[c] - prefix_ones[c];
-  }
-  SuffixBitmapCache bitmaps(postings_, bound, num_rows() - k);
-
-  DecidedPairs decided(width, pairs_.size());
-  SimilarityRuleSet next;
-  {
-    ScopedSpan span(obs.trace, "incr/evict_update", obs.trace_lane);
-    for (const SimilarityPair& p : pairs_) {
-      ++local.rules_updated;
-      decided.Add(p.a, p.b);
-      const uint32_t inter =
-          bitmaps.usable()
-              ? new_ones[p.a] - bitmaps.SuffixMisses(p.a, p.b)
-              : p.intersection - postings_.PrefixIntersectOnes(p.a, p.b, bound);
-      ColumnId a = p.a;
-      ColumnId b = p.b;
-      if (!SparserFirst(new_ones[a], a, new_ones[b], b)) {
-        std::swap(a, b);
-      }
-      const uint32_t ones_a = new_ones[a];
-      const uint32_t ones_b = new_ones[b];
-      const uint32_t misses = ones_a - inter;
-      if (inter >= 1 &&
-          static_cast<int64_t>(misses) <=
-              MaxMissesForSimilarity(ones_a, ones_b, minsim)) {
-        next.Add(SimilarityPair{a, b, ones_a, ones_b, inter});
-      } else {
-        ++local.candidates_killed;
-      }
-    }
-  }
-  decided.Seal();
-
-  {
-    ScopedSpan span(obs.trace, "incr/evict_regen", obs.trace_lane);
-    for (const uint64_t key : EvictCandidatePairs(prefix_ones, width)) {
-      const ColumnId u = static_cast<ColumnId>(key >> 32);
-      const ColumnId v = static_cast<ColumnId>(key & 0xffffffffu);
-      if (decided.Contains(u, v)) continue;
-      ++local.regen_pairs_examined;
-      if (new_ones[u] == 0 || new_ones[v] == 0) continue;
-      ColumnId a = u;
-      ColumnId b = v;
-      if (!SparserFirst(new_ones[a], a, new_ones[b], b)) {
-        std::swap(a, b);
-      }
-      const uint32_t ones_a = new_ones[a];
-      const uint32_t ones_b = new_ones[b];
-      const int64_t budget = MaxMissesForSimilarity(ones_a, ones_b, minsim);
-      // §5.1 density screen, unchanged under eviction.
-      if (budget < 0) continue;
-      // Dual monotonicity screen (Jaccard flavor): the pair failed
-      // before, so its intersection was below the old effective hit
-      // floor (computed under the old sparser-first orientation, exactly
-      // as the engine decided it back then) — and eviction only shrinks
-      // intersections.
-      const int64_t required_new = static_cast<int64_t>(ones_a) - budget;
-      uint32_t old_a = old_ones[u];
-      uint32_t old_b = old_ones[v];
-      if (!SparserFirst(old_a, u, old_b, v)) std::swap(old_a, old_b);
-      const int64_t required_old =
-          old_a + old_b == 0
-              ? 0
-              : static_cast<int64_t>(old_a) -
-                    MaxMissesForSimilarity(old_a, old_b, minsim);
-      if (std::max<int64_t>(required_new, 1) >
-          std::max<int64_t>(required_old, 1) - 1) {
-        continue;
-      }
-      // The capped form is exact whenever the pair qualifies (misses <=
-      // budget); an over-cap partial count only feeds the failing branch.
-      const uint32_t misses =
-          bitmaps.usable()
-              ? bitmaps.SuffixMissesCapped(a, b,
-                                           static_cast<uint32_t>(budget))
-              : ones_a - postings_.SuffixIntersectOnes(u, prefix_ones[u], v,
-                                                       prefix_ones[v]);
-      const uint32_t inter = ones_a - misses;
-      if (inter >= 1 && static_cast<int64_t>(misses) <= budget) {
-        next.Add(SimilarityPair{a, b, ones_a, ones_b, inter});
-        ++local.candidates_regenerated;
-      }
-    }
-  }
-
-  next.Canonicalize();
-  postings_.EvictPrefix(k);
-  pairs_ = std::move(next);
-
-  ++cumulative_.evict_batches;
-  cumulative_.rows_evicted += k;
-  cumulative_.candidates_killed += local.candidates_killed;
-  cumulative_.candidates_revived += local.candidates_regenerated;
-  local.seconds = timer.ElapsedSeconds();
-  RecordEvictMetrics(obs.metrics, local);
-  if (stats != nullptr) *stats = local;
-  return Status::OK();
-}
+template class IncrementalMiner<ImplicationKind>;
+template class IncrementalMiner<SimilarityKind>;
 
 }  // namespace dmc

@@ -21,9 +21,11 @@
 //      from pairs that co-occur in the delta (proof below), so one pass
 //      enumerates the 2-subsets of the delta rows, deduplicates them,
 //      skips the pairs step 1 already decided, and evaluates the rest
-//      exactly against the full posting lists. DMC-sim's §5.1 density
-//      screen (negative pair budget) prunes hopeless pairs before any
-//      intersection is computed.
+//      exactly against the full posting lists. The §5.1 density screen
+//      (a negative pair budget, which only DMC-sim's can be) and the
+//      miss-monotonicity screen (old hits plus delta co-occurrences
+//      cannot reach the new hit floor) prune hopeless pairs before any
+//      full-list intersection is computed.
 //
 // Why the delta pass is exact (miss monotonicity): consider an unordered
 // pair at two boundaries t < t'. Appending one row changes the pair's
@@ -64,8 +66,8 @@
 
 #include <cstdint>
 
-#include "core/dmc_options.h"
 #include "core/mining_stats.h"
+#include "core/streaming_pass.h"
 #include "incr/postings.h"
 #include "matrix/binary_matrix.h"
 #include "rules/rule_set.h"
@@ -118,25 +120,37 @@ struct IncrCumulativeStats {
   uint64_t rows_evicted = 0;
 };
 
-/// Incrementally maintained implication-rule miner. Construct empty (or
-/// seed from a batch mine), then AppendBatch row deltas; rules() is
-/// always exactly MineImplications over the concatenation of everything
-/// appended so far.
-class IncrementalImplicationMiner {
+/// Incrementally maintained miner of one rule kind (ImplicationKind or
+/// SimilarityKind, core/streaming_pass.h). Construct empty (or seed from
+/// a batch mine), then AppendBatch row deltas and EvictBatch prefixes;
+/// rules() is always exactly the batch miner of that kind
+/// (MineImplications / MineSimilarities) over the rows held.
+///
+/// The kind is a template argument and supplies only the exact pair
+/// budget (the confidence budget, read from a per-batch table, or the
+/// Jaccard budget), the record built and the pair and hit count read
+/// back from a held record. Validation, failpoints, spans, metrics, the
+/// suffix-bitmap/posting-merge choice, the update and regeneration
+/// passes and their monotonicity screens exist once; both kinds are
+/// instantiated in incr_miner.cc.
+template <typename Kind>
+class IncrementalMiner {
  public:
+  using Options = typename Kind::Options;
+  using RuleSet = typename Kind::RuleSet;
+
   /// Empty state: zero rows, no rules. `num_columns` may be 0 — the
   /// column count grows to fit the widest appended batch.
-  explicit IncrementalImplicationMiner(ImplicationMiningOptions options,
-                                       ColumnId num_columns = 0);
+  explicit IncrementalMiner(Options options, ColumnId num_columns = 0);
 
   /// Seeds from a batch mine of `initial` (the snapshot-after-batch-mine
-  /// entry point): runs MineImplications with `options`, keeps its rule
+  /// entry point): runs the batch miner with `options`, keeps its rule
   /// set as the live candidate state and builds the postings in one row
   /// sweep. `stats`, when non-null, receives the batch engine's
   /// breakdown.
-  static StatusOr<IncrementalImplicationMiner> FromBatchMine(
-      const BinaryMatrix& initial, const ImplicationMiningOptions& options,
-      MiningStats* stats = nullptr);
+  static StatusOr<IncrementalMiner> FromBatchMine(const BinaryMatrix& initial,
+                                                  const Options& options,
+                                                  MiningStats* stats = nullptr);
 
   /// Absorbs `delta` (its rows become rows [num_rows(),
   /// num_rows() + delta rows)). On error (invalid options, injected
@@ -149,65 +163,37 @@ class IncrementalImplicationMiner {
                                    IncrAppendStats* stats = nullptr);
 
   /// Evicts the oldest `k` rows (the window's prefix) and renumbers the
-  /// survivors, leaving rules() exactly MineImplications over the
-  /// surviving rows. k == 0 is a no-op; k > num_rows() is an error and,
-  /// like an injected fault at site "incr.evict", leaves the state
-  /// untouched. The column count is sticky (never shrinks).
-  /// Observability: spans incr/evict_batch, incr/evict_update,
-  /// incr/evict_regen and counters dmc.incr.evict.*.
+  /// survivors, leaving rules() exactly the batch mine of the surviving
+  /// rows. k == 0 is a no-op; k > num_rows() is an error and, like an
+  /// injected fault at site "incr.evict", leaves the state untouched.
+  /// The column count is sticky (never shrinks). Observability: spans
+  /// incr/evict_batch, incr/evict_update, incr/evict_regen and counters
+  /// dmc.incr.evict.*.
   [[nodiscard]] Status EvictBatch(uint64_t k,
                                   IncrEvictStats* stats = nullptr);
 
   /// The current rule set, canonical, with exact counts.
-  const ImplicationRuleSet& rules() const { return rules_; }
+  const RuleSet& rules() const { return rules_; }
 
   uint64_t num_rows() const { return postings_.num_rows(); }
   ColumnId num_columns() const { return postings_.num_columns(); }
-  const ImplicationMiningOptions& options() const { return options_; }
+  const Options& options() const { return options_; }
   const IncrCumulativeStats& cumulative() const { return cumulative_; }
   /// Heap bytes of the persistent counting state.
   size_t MemoryBytes() const { return postings_.MemoryBytes(); }
 
  private:
-  ImplicationMiningOptions options_;
+  Options options_;
   ColumnPostings postings_;
-  ImplicationRuleSet rules_;
+  RuleSet rules_;
   IncrCumulativeStats cumulative_;
 };
 
-/// Incrementally maintained similarity-pair miner; same contract as
-/// IncrementalImplicationMiner with MineSimilarities as the reference.
-class IncrementalSimilarityMiner {
- public:
-  explicit IncrementalSimilarityMiner(SimilarityMiningOptions options,
-                                      ColumnId num_columns = 0);
+extern template class IncrementalMiner<ImplicationKind>;
+extern template class IncrementalMiner<SimilarityKind>;
 
-  static StatusOr<IncrementalSimilarityMiner> FromBatchMine(
-      const BinaryMatrix& initial, const SimilarityMiningOptions& options,
-      MiningStats* stats = nullptr);
-
-  [[nodiscard]] Status AppendBatch(const BinaryMatrix& delta,
-                                   IncrAppendStats* stats = nullptr);
-
-  /// Same contract as IncrementalImplicationMiner::EvictBatch with
-  /// MineSimilarities as the reference.
-  [[nodiscard]] Status EvictBatch(uint64_t k,
-                                  IncrEvictStats* stats = nullptr);
-
-  const SimilarityRuleSet& pairs() const { return pairs_; }
-
-  uint64_t num_rows() const { return postings_.num_rows(); }
-  ColumnId num_columns() const { return postings_.num_columns(); }
-  const SimilarityMiningOptions& options() const { return options_; }
-  const IncrCumulativeStats& cumulative() const { return cumulative_; }
-  size_t MemoryBytes() const { return postings_.MemoryBytes(); }
-
- private:
-  SimilarityMiningOptions options_;
-  ColumnPostings postings_;
-  SimilarityRuleSet pairs_;
-  IncrCumulativeStats cumulative_;
-};
+using IncrementalImplicationMiner = IncrementalMiner<ImplicationKind>;
+using IncrementalSimilarityMiner = IncrementalMiner<SimilarityKind>;
 
 }  // namespace dmc
 

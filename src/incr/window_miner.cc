@@ -6,105 +6,49 @@
 
 namespace dmc {
 
-namespace {
+template <typename Kind>
+WindowedMiner<Kind>::WindowedMiner(Options options, uint64_t window_rows,
+                                   ColumnId num_columns)
+    : window_rows_(window_rows), miner_(std::move(options), num_columns) {}
 
-void RecordSlide(MetricsRegistry* metrics, uint64_t rows_evicted) {
-  if (metrics == nullptr) return;
-  metrics->IncrCounter("dmc.window.slides");
-  metrics->IncrCounter("dmc.window.rows_evicted", rows_evicted);
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------
-// Implications
-// ---------------------------------------------------------------------
-
-WindowedImplicationMiner::WindowedImplicationMiner(
-    ImplicationMiningOptions options, uint64_t window_rows,
-    ColumnId num_columns)
-    : window_rows_(window_rows),
-      miner_(std::move(options), num_columns) {}
-
-StatusOr<WindowedImplicationMiner> WindowedImplicationMiner::FromBatchMine(
-    const BinaryMatrix& initial, const ImplicationMiningOptions& options,
+template <typename Kind>
+StatusOr<WindowedMiner<Kind>> WindowedMiner<Kind>::FromBatchMine(
+    const BinaryMatrix& initial, const Options& options,
     uint64_t window_rows, MiningStats* stats) {
   DMC_ASSIGN_OR_RETURN(
-      IncrementalImplicationMiner inner,
-      IncrementalImplicationMiner::FromBatchMine(initial, options, stats));
-  WindowedImplicationMiner miner(options, window_rows,
-                                 initial.num_columns());
+      IncrementalMiner<Kind> inner,
+      IncrementalMiner<Kind>::FromBatchMine(initial, options, stats));
+  WindowedMiner miner(options, window_rows, initial.num_columns());
   miner.miner_ = std::move(inner);
   DMC_RETURN_IF_ERROR(miner.SlideToWindow(nullptr));
   return miner;
 }
 
-Status WindowedImplicationMiner::SlideToWindow(IncrEvictStats* stats) {
+template <typename Kind>
+Status WindowedMiner<Kind>::SlideToWindow(IncrEvictStats* stats) {
   IncrEvictStats local;
   if (window_rows_ > 0 && miner_.num_rows() > window_rows_) {
     const uint64_t overflow = miner_.num_rows() - window_rows_;
     DMC_RETURN_IF_ERROR(miner_.EvictBatch(overflow, &local));
-    RecordSlide(miner_.options().policy.observe.metrics, overflow);
+    MetricsRegistry* metrics = miner_.options().policy.observe.metrics;
+    if (metrics != nullptr) {
+      metrics->IncrCounter("dmc.window.slides");
+      metrics->IncrCounter("dmc.window.rows_evicted", overflow);
+    }
   }
   if (stats != nullptr) *stats = local;
   return Status::OK();
 }
 
-Status WindowedImplicationMiner::AppendBatch(const BinaryMatrix& delta,
-                                             IncrAppendStats* append_stats,
-                                             IncrEvictStats* evict_stats) {
+template <typename Kind>
+Status WindowedMiner<Kind>::AppendBatch(const BinaryMatrix& delta,
+                                        IncrAppendStats* append_stats,
+                                        IncrEvictStats* evict_stats) {
   DMC_RETURN_IF_ERROR(miner_.AppendBatch(delta, append_stats));
   return SlideToWindow(evict_stats);
 }
 
-Status WindowedImplicationMiner::EvictBatch(uint64_t k,
-                                            IncrEvictStats* stats) {
-  return miner_.EvictBatch(k, stats);
-}
-
-// ---------------------------------------------------------------------
-// Similarities
-// ---------------------------------------------------------------------
-
-WindowedSimilarityMiner::WindowedSimilarityMiner(
-    SimilarityMiningOptions options, uint64_t window_rows,
-    ColumnId num_columns)
-    : window_rows_(window_rows),
-      miner_(std::move(options), num_columns) {}
-
-StatusOr<WindowedSimilarityMiner> WindowedSimilarityMiner::FromBatchMine(
-    const BinaryMatrix& initial, const SimilarityMiningOptions& options,
-    uint64_t window_rows, MiningStats* stats) {
-  DMC_ASSIGN_OR_RETURN(
-      IncrementalSimilarityMiner inner,
-      IncrementalSimilarityMiner::FromBatchMine(initial, options, stats));
-  WindowedSimilarityMiner miner(options, window_rows, initial.num_columns());
-  miner.miner_ = std::move(inner);
-  DMC_RETURN_IF_ERROR(miner.SlideToWindow(nullptr));
-  return miner;
-}
-
-Status WindowedSimilarityMiner::SlideToWindow(IncrEvictStats* stats) {
-  IncrEvictStats local;
-  if (window_rows_ > 0 && miner_.num_rows() > window_rows_) {
-    const uint64_t overflow = miner_.num_rows() - window_rows_;
-    DMC_RETURN_IF_ERROR(miner_.EvictBatch(overflow, &local));
-    RecordSlide(miner_.options().policy.observe.metrics, overflow);
-  }
-  if (stats != nullptr) *stats = local;
-  return Status::OK();
-}
-
-Status WindowedSimilarityMiner::AppendBatch(const BinaryMatrix& delta,
-                                            IncrAppendStats* append_stats,
-                                            IncrEvictStats* evict_stats) {
-  DMC_RETURN_IF_ERROR(miner_.AppendBatch(delta, append_stats));
-  return SlideToWindow(evict_stats);
-}
-
-Status WindowedSimilarityMiner::EvictBatch(uint64_t k,
-                                           IncrEvictStats* stats) {
-  return miner_.EvictBatch(k, stats);
-}
+template class WindowedMiner<ImplicationKind>;
+template class WindowedMiner<SimilarityKind>;
 
 }  // namespace dmc

@@ -1,5 +1,5 @@
 // Sliding-window mining — the count-bounded convenience layer over the
-// incremental miners (DESIGN §5.10).
+// incremental miner, IncrementalMiner<Kind> (DESIGN §5.10).
 //
 // A windowed miner is an incremental miner plus a row budget: every
 // AppendBatch that pushes the live row count past `window_rows`
@@ -28,19 +28,25 @@
 
 namespace dmc {
 
-/// Count-bounded sliding-window implication miner.
-class WindowedImplicationMiner {
+/// Count-bounded sliding-window miner of one rule kind (ImplicationKind
+/// or SimilarityKind): an IncrementalMiner<Kind> plus the row budget.
+/// Both kinds are instantiated in window_miner.cc.
+template <typename Kind>
+class WindowedMiner {
  public:
+  using Options = typename Kind::Options;
+  using RuleSet = typename Kind::RuleSet;
+
   /// Empty window. `window_rows` == 0 means unbounded.
-  explicit WindowedImplicationMiner(ImplicationMiningOptions options,
-                                    uint64_t window_rows = 0,
-                                    ColumnId num_columns = 0);
+  explicit WindowedMiner(Options options, uint64_t window_rows = 0,
+                         ColumnId num_columns = 0);
 
   /// Seeds from a batch mine of `initial`, then trims the overflow so
   /// the window invariant holds from the start.
-  static StatusOr<WindowedImplicationMiner> FromBatchMine(
-      const BinaryMatrix& initial, const ImplicationMiningOptions& options,
-      uint64_t window_rows = 0, MiningStats* stats = nullptr);
+  static StatusOr<WindowedMiner> FromBatchMine(const BinaryMatrix& initial,
+                                               const Options& options,
+                                               uint64_t window_rows = 0,
+                                               MiningStats* stats = nullptr);
 
   /// Appends `delta`, then auto-evicts any overflow past window_rows().
   /// `evict_stats`, when non-null, receives the slide's breakdown
@@ -52,9 +58,11 @@ class WindowedImplicationMiner {
   /// Explicitly evicts the oldest `k` rows (same contract as the inner
   /// miner's EvictBatch).
   [[nodiscard]] Status EvictBatch(uint64_t k,
-                                  IncrEvictStats* stats = nullptr);
+                                  IncrEvictStats* stats = nullptr) {
+    return miner_.EvictBatch(k, stats);
+  }
 
-  const ImplicationRuleSet& rules() const { return miner_.rules(); }
+  const RuleSet& rules() const { return miner_.rules(); }
   uint64_t num_rows() const { return miner_.num_rows(); }
   ColumnId num_columns() const { return miner_.num_columns(); }
   uint64_t window_rows() const { return window_rows_; }
@@ -67,43 +75,14 @@ class WindowedImplicationMiner {
   Status SlideToWindow(IncrEvictStats* stats);
 
   uint64_t window_rows_ = 0;
-  IncrementalImplicationMiner miner_;
+  IncrementalMiner<Kind> miner_;
 };
 
-/// Count-bounded sliding-window similarity miner; same contract as
-/// WindowedImplicationMiner with the similarity engine underneath.
-class WindowedSimilarityMiner {
- public:
-  explicit WindowedSimilarityMiner(SimilarityMiningOptions options,
-                                   uint64_t window_rows = 0,
-                                   ColumnId num_columns = 0);
+extern template class WindowedMiner<ImplicationKind>;
+extern template class WindowedMiner<SimilarityKind>;
 
-  static StatusOr<WindowedSimilarityMiner> FromBatchMine(
-      const BinaryMatrix& initial, const SimilarityMiningOptions& options,
-      uint64_t window_rows = 0, MiningStats* stats = nullptr);
-
-  [[nodiscard]] Status AppendBatch(const BinaryMatrix& delta,
-                                   IncrAppendStats* append_stats = nullptr,
-                                   IncrEvictStats* evict_stats = nullptr);
-
-  [[nodiscard]] Status EvictBatch(uint64_t k,
-                                  IncrEvictStats* stats = nullptr);
-
-  const SimilarityRuleSet& pairs() const { return miner_.pairs(); }
-  uint64_t num_rows() const { return miner_.num_rows(); }
-  ColumnId num_columns() const { return miner_.num_columns(); }
-  uint64_t window_rows() const { return window_rows_; }
-  const IncrCumulativeStats& cumulative() const {
-    return miner_.cumulative();
-  }
-  size_t MemoryBytes() const { return miner_.MemoryBytes(); }
-
- private:
-  Status SlideToWindow(IncrEvictStats* stats);
-
-  uint64_t window_rows_ = 0;
-  IncrementalSimilarityMiner miner_;
-};
+using WindowedImplicationMiner = WindowedMiner<ImplicationKind>;
+using WindowedSimilarityMiner = WindowedMiner<SimilarityKind>;
 
 }  // namespace dmc
 

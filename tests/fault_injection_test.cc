@@ -429,16 +429,23 @@ TEST_F(FaultInjectionTest, ParallelShardFaultsAreContained) {
   }
 }
 
-// Streaming row faults surface from Finish() as the injected status —
-// never as a truncated rule set. The external miner streams every row
-// through the site, so a mid-stream fault is guaranteed to fire.
-// Eviction-path fault arm: drive a windowed miner through an
-// append/evict schedule with faults forced at the incr.evict site.
-// After every op, faulted or not, the rule set must be exactly a fresh
-// mine of the rows the miner actually holds — a fault may abort an
-// evict (or the auto-slide half of an append), but it must never leave
-// a corrupted window.
-TEST_F(FaultInjectionTest, WindowEvictFaultLeavesExactWindowOrFailsCleanly) {
+// The records of either rule kind, by value, for exact comparison.
+std::vector<ImplicationRule> Items(const ImplicationRuleSet& rules) {
+  return rules.rules();
+}
+std::vector<SimilarityPair> Items(const SimilarityRuleSet& pairs) {
+  return pairs.pairs();
+}
+
+// Incremental fault arm: drive a windowed miner of each rule kind
+// through an append/evict schedule with faults forced at the
+// incr.append or incr.evict site. After every op, faulted or not, the
+// rule set must be exactly a fresh mine of the rows the miner actually
+// holds — a fault may abort an append, an evict or the auto-slide half
+// of an append, but it must never leave a corrupted window.
+template <typename Kind>
+void WindowFaultLeavesExactWindow(double threshold, const char* arm) {
+  SCOPED_TRACE(std::string(Kind::kName) + " " + arm);
   Rng rng(0xE71C);
   std::vector<std::vector<ColumnId>> feed;
   for (int r = 0; r < 120; ++r) {
@@ -448,72 +455,78 @@ TEST_F(FaultInjectionTest, WindowEvictFaultLeavesExactWindowOrFailsCleanly) {
     }
     feed.push_back(std::move(row));
   }
-  ImplicationMiningOptions o;
-  o.min_confidence = 0.85;
+  typename Kind::Options o;
+  o.*Kind::kThreshold = threshold;
 
   const auto fresh_rules =
       [&o](const std::vector<std::vector<ColumnId>>& rows) {
-        auto mined = MineImplications(BinaryMatrix::FromRows(10, rows), o);
+        auto mined = MineMatrix<Kind>(BinaryMatrix::FromRows(10, rows), o,
+                                      nullptr, nullptr);
         EXPECT_TRUE(mined.ok());
-        ImplicationRuleSet out =
-            mined.ok() ? std::move(*mined) : ImplicationRuleSet();
+        typename Kind::RuleSet out =
+            mined.ok() ? std::move(*mined) : typename Kind::RuleSet();
         out.Canonicalize();
-        return out.rules();
+        return Items(out);
       };
 
-  for (const char* arm :
-       {"incr.evict=error@1", "incr.evict=enospc@2",
-        "incr.evict=dataloss@3", "incr.evict=error@5",
-        "incr.evict=error@p0.4;seed=7", "incr.evict=error"}) {
-    ASSERT_TRUE(fail::Configure(arm).ok());
-    WindowedImplicationMiner miner(o, 30);
-    size_t absorbed = 0;  // rows successfully appended, in feed order
-    size_t pos = 0;
-    int op = 0;
-    bool saw_fault = false;
-    while (pos < feed.size()) {
-      const uint64_t rows_before = miner.num_rows();
-      Status st = Status::OK();
-      size_t n = 0;
-      if (op % 3 == 2 && miner.num_rows() >= 7) {
-        st = miner.EvictBatch(7);
-      } else {
-        n = std::min<size_t>(10, feed.size() - pos);
-        st = miner.AppendBatch(BinaryMatrix::FromRows(
-            10, std::vector<std::vector<ColumnId>>(
-                    feed.begin() + pos, feed.begin() + pos + n)));
-      }
-      ++op;
-      if (st.ok()) {
-        if (n > 0) {
-          pos += n;
-          absorbed += n;
-        }
-      } else {
-        saw_fault = true;
-        EXPECT_TRUE(fail::IsInjectedFault(st)) << arm;
-        // A faulted windowed append may have absorbed its rows and
-        // failed only in the auto-slide; the row count says which.
-        if (n > 0 && miner.num_rows() == rows_before + n) {
-          pos += n;
-          absorbed += n;
-        }
-      }
-      // The contract: the miner holds exactly the newest num_rows() of
-      // the absorbed feed, mined exactly.
-      ASSERT_LE(miner.num_rows(), absorbed);
-      const std::vector<std::vector<ColumnId>> held(
-          feed.begin() + (absorbed - miner.num_rows()),
-          feed.begin() + absorbed);
-      ASSERT_EQ(miner.rules().rules(), fresh_rules(held))
-          << arm << " op=" << op;
+  ASSERT_TRUE(fail::Configure(arm).ok());
+  WindowedMiner<Kind> miner(o, 30);
+  // Rows successfully appended, in feed order; a batch whose append
+  // faulted before absorbing anything is dropped.
+  std::vector<std::vector<ColumnId>> absorbed;
+  size_t pos = 0;
+  int op = 0;
+  bool saw_fault = false;
+  while (pos < feed.size()) {
+    const uint64_t rows_before = miner.num_rows();
+    Status st = Status::OK();
+    size_t n = 0;
+    if (op % 3 == 2 && miner.num_rows() >= 7) {
+      st = miner.EvictBatch(7);
+    } else {
+      n = std::min<size_t>(10, feed.size() - pos);
+      st = miner.AppendBatch(BinaryMatrix::FromRows(
+          10, std::vector<std::vector<ColumnId>>(feed.begin() + pos,
+                                                 feed.begin() + pos + n)));
     }
-    const uint64_t fires = fail::TotalFires();
-    fail::Disable();
-    EXPECT_EQ(saw_fault, fires > 0) << arm;
+    ++op;
+    if (!st.ok()) {
+      saw_fault = true;
+      EXPECT_TRUE(fail::IsInjectedFault(st));
+    }
+    // A faulted windowed append may have absorbed its rows and failed
+    // only in the auto-slide; the row count says which.
+    if (n > 0 && (st.ok() || miner.num_rows() == rows_before + n)) {
+      absorbed.insert(absorbed.end(), feed.begin() + pos,
+                      feed.begin() + pos + n);
+    }
+    pos += n;
+    // The contract: the miner holds exactly the newest num_rows() of
+    // the absorbed feed, mined exactly.
+    ASSERT_LE(miner.num_rows(), absorbed.size());
+    const std::vector<std::vector<ColumnId>> held(
+        absorbed.end() - miner.num_rows(), absorbed.end());
+    ASSERT_EQ(Items(miner.rules()), fresh_rules(held)) << " op=" << op;
+  }
+  const uint64_t fires = fail::TotalFires();
+  fail::Disable();
+  EXPECT_EQ(saw_fault, fires > 0);
+}
+
+TEST_F(FaultInjectionTest, WindowEvictFaultLeavesExactWindowOrFailsCleanly) {
+  for (const char* site : {"incr.evict", "incr.append"}) {
+    for (const char* mode : {"=error@1", "=enospc@2", "=dataloss@3",
+                             "=error@5", "=error@p0.4;seed=7", "=error"}) {
+      const std::string arm = std::string(site) + mode;
+      WindowFaultLeavesExactWindow<ImplicationKind>(0.85, arm.c_str());
+      WindowFaultLeavesExactWindow<SimilarityKind>(0.3, arm.c_str());
+    }
   }
 }
 
+// Streaming row faults surface from Finish() as the injected status —
+// never as a truncated rule set. The external miner streams every row
+// through the site, so a mid-stream fault is guaranteed to fire.
 TEST_F(FaultInjectionTest, StreamingRowFaultSurfaces) {
   ASSERT_TRUE(fail::Configure("streaming.imp.row=dataloss@17").ok());
   auto rules = MineImplicationsFromFile(input_, options_, dir_);

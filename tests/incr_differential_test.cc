@@ -161,9 +161,9 @@ TEST_P(IncrDifferentialTest, SimilaritiesMatchBatchAcrossKernels) {
       pos += s;
     }
     ASSERT_EQ(pos, c.rows);
-    EXPECT_EQ(miner.pairs().pairs(), expected.pairs())
+    EXPECT_EQ(miner.rules().pairs(), expected.pairs())
         << "kernel=" << KernelName(kernel);
-    EXPECT_EQ(PrintSim(miner.pairs()), PrintSim(expected));
+    EXPECT_EQ(PrintSim(miner.rules()), PrintSim(expected));
   }
 }
 
@@ -194,7 +194,7 @@ TEST_P(IncrDifferentialTest, FromBatchMineThenAppendMatches) {
     ASSERT_TRUE(miner.ok()) << miner.status();
     ASSERT_TRUE(
         miner->AppendBatch(Slice(full, head, c.rows - head, c.cols)).ok());
-    EXPECT_EQ(miner->pairs().pairs(),
+    EXPECT_EQ(miner->rules().pairs(),
               BatchSim(full, c.threshold, MergeKernel::kAuto).pairs());
   }
 }
@@ -281,7 +281,7 @@ TEST(IncrWidthGrowthTest, WideningAppendMatchesBatch) {
   IncrementalSimilarityMiner sim(so);
   ASSERT_TRUE(sim.AppendBatch(head).ok());
   ASSERT_TRUE(sim.AppendBatch(tail).ok());
-  EXPECT_EQ(sim.pairs().pairs(), BatchSim(full, 0.6, MergeKernel::kAuto).pairs());
+  EXPECT_EQ(sim.rules().pairs(), BatchSim(full, 0.6, MergeKernel::kAuto).pairs());
 }
 
 // Widening, evicting the pre-widening prefix, then appending more must
@@ -326,7 +326,7 @@ TEST(IncrWidthGrowthTest, AppendAfterWideningThenEvictMatchesBatch) {
   ASSERT_TRUE(sim.AppendBatch(mid).ok());
   ASSERT_TRUE(sim.EvictBatch(evicted).ok());
   ASSERT_TRUE(sim.AppendBatch(tail).ok());
-  EXPECT_EQ(sim.pairs().pairs(),
+  EXPECT_EQ(sim.rules().pairs(),
             BatchSim(survivors, 0.6, MergeKernel::kAuto).pairs());
 }
 

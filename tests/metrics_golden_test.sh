@@ -59,6 +59,8 @@ run_case mine_sim \
 # density-bucket order.
 run_case mine_imp_external \
   mine-imp --input="$FIXTURE" --minconf=0.8 --external --workdir="$TMP"
+run_case mine_sim_external \
+  mine-sim --input="$FIXTURE" --minsim=0.6 --external --workdir="$TMP"
 
 if [ "$fail" -ne 0 ]; then
   exit 1

@@ -198,12 +198,12 @@ TEST(SeedStabilityTest, IncrementalMinerIsRunToRunIdentical) {
         RuleIndexSnapshot::Build(imp.rules(), 1)->Serialize();
     if (run == 0) {
       imp_text = PrintImp(imp.rules());
-      sim_text = PrintSim(sim.pairs());
+      sim_text = PrintSim(sim.rules());
       imp_bytes = imp.MemoryBytes();
       index_image = image;
     } else {
       EXPECT_EQ(PrintImp(imp.rules()), imp_text);
-      EXPECT_EQ(PrintSim(sim.pairs()), sim_text);
+      EXPECT_EQ(PrintSim(sim.rules()), sim_text);
       EXPECT_EQ(imp.MemoryBytes(), imp_bytes);
       EXPECT_EQ(image, index_image);
     }

@@ -40,6 +40,14 @@ std::string PrintSim(const SimilarityRuleSet& pairs) {
   return os.str();
 }
 
+// The records of either rule kind, for exact comparison.
+const std::vector<ImplicationRule>& Items(const ImplicationRuleSet& rules) {
+  return rules.rules();
+}
+const std::vector<SimilarityPair>& Items(const SimilarityRuleSet& pairs) {
+  return pairs.pairs();
+}
+
 const MergeKernel kAllKernels[] = {MergeKernel::kLegacy, MergeKernel::kScalar,
                                    MergeKernel::kSimd, MergeKernel::kAuto};
 
@@ -210,7 +218,7 @@ TEST_P(WindowDifferentialTest, SimilaritiesMatchFreshWindowMine) {
         }
         ASSERT_EQ(miner.num_rows(), window.size());
         const BinaryMatrix contents = window.Matrix(miner.num_columns());
-        EXPECT_EQ(miner.pairs().pairs(),
+        EXPECT_EQ(miner.rules().pairs(),
                   BatchSim(contents, c.threshold, kernel).pairs())
             << "schedule=" << s << " op=" << i
             << " kernel=" << KernelName(kernel);
@@ -250,10 +258,10 @@ TEST_P(WindowDifferentialTest, SchedulesAreSeedStable) {
     }
     if (pass == 0) {
       first_imp = PrintImp(imp.rules());
-      first_sim = PrintSim(sim.pairs());
+      first_sim = PrintSim(sim.rules());
     } else {
       EXPECT_EQ(PrintImp(imp.rules()), first_imp);
-      EXPECT_EQ(PrintSim(sim.pairs()), first_sim);
+      EXPECT_EQ(PrintSim(sim.rules()), first_sim);
     }
   }
 }
@@ -370,7 +378,7 @@ TEST(WindowedMinerTest, SlidingModeTracksNewestRows) {
     const BinaryMatrix contents = BinaryMatrix::FromRows(cols, live);
     EXPECT_EQ(imp.rules().rules(),
               BatchImp(contents, 0.8, MergeKernel::kAuto).rules());
-    EXPECT_EQ(sim.pairs().pairs(),
+    EXPECT_EQ(sim.rules().pairs(),
               BatchSim(contents, 0.6, MergeKernel::kAuto).pairs());
   }
   EXPECT_GT(metrics.counter("dmc.window.slides"), 0u);
@@ -380,8 +388,11 @@ TEST(WindowedMinerTest, SlidingModeTracksNewestRows) {
             static_cast<uint64_t>(feed.size()) - window);
 }
 
-// FromBatchMine with an over-full seed trims down to the window.
-TEST(WindowedMinerTest, FromBatchMineTrimsOverflow) {
+// FromBatchMine with an over-full seed trims down to the window, for
+// each rule kind.
+template <typename Kind>
+void FromBatchMineTrims(double threshold) {
+  SCOPED_TRACE(Kind::kName);
   Rng rng(71);
   std::vector<std::vector<ColumnId>> rows;
   for (int r = 0; r < 40; ++r) {
@@ -392,16 +403,22 @@ TEST(WindowedMinerTest, FromBatchMineTrimsOverflow) {
     rows.push_back(std::move(row));
   }
   const BinaryMatrix seed = BinaryMatrix::FromRows(8, rows);
-  ImplicationMiningOptions o;
-  o.min_confidence = 0.8;
-  auto miner = WindowedImplicationMiner::FromBatchMine(seed, o, 15);
+  typename Kind::Options o;
+  o.*Kind::kThreshold = threshold;
+  auto miner = WindowedMiner<Kind>::FromBatchMine(seed, o, 15);
   ASSERT_TRUE(miner.ok()) << miner.status();
   EXPECT_EQ(miner->num_rows(), 15u);
   const std::vector<std::vector<ColumnId>> live(rows.end() - 15, rows.end());
-  EXPECT_EQ(miner->rules().rules(),
-            BatchImp(BinaryMatrix::FromRows(8, live), 0.8,
-                     MergeKernel::kAuto)
-                .rules());
+  auto fresh = MineMatrix<Kind>(BinaryMatrix::FromRows(8, live), o, nullptr,
+                                nullptr);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  fresh->Canonicalize();
+  EXPECT_EQ(Items(miner->rules()), Items(*fresh));
+}
+
+TEST(WindowedMinerTest, FromBatchMineTrimsOverflow) {
+  FromBatchMineTrims<ImplicationKind>(0.8);
+  FromBatchMineTrims<SimilarityKind>(0.4);
 }
 
 // Edge contracts: zero evictions are no-ops, over-evictions fail cleanly

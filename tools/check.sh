@@ -5,6 +5,9 @@
 #   (b) ASan+UBSan build + full ctest                (preset: asan-ubsan)
 #   (c) TSan build + parallel/observe/cancellation/fault/rule-index/
 #       serve/shard-coordinator stress
+#   Stages (c) through (g2) pick their tests by ctest label (-L), which
+#   tests/CMakeLists.txt gives every test of a binary, so renaming a test
+#   cannot drop it from its stage.
 #   (d) dmc_lint over src/ + tools/
 #   (e) metrics-schema smoke check (dmc_cli --metrics-out, in-memory and
 #       --external, whose peak_counter_bytes must agree), then a resume
@@ -62,9 +65,7 @@ if [[ "${fast}" -eq 0 ]]; then
   # ShardStressTest races concurrent shard coordinators (fork/exec fleets)
   # over one shared MetricsRegistry; WindowStressTest races wire readers
   # against interleaved append/evict publishes and window auto-slides.
-  ctest --test-dir build-tsan \
-    -R 'Parallel|ColumnShards|Observe|Cancel|Fault|Kernel|RuleIndex|Serve|ShardStress|WindowStress' \
-    -j "${jobs}" --output-on-failure
+  ctest --test-dir build-tsan -L '^tsan$' -j "${jobs}" --output-on-failure
 fi
 
 step "(d) dmc_lint over src/ + tools/"
@@ -215,7 +216,7 @@ if [[ "${fast}" -eq 0 ]]; then
   # set exactly. Running it under ASan+UBSan additionally proves the error
   # paths leak nothing and tear nothing.
   sweep_log="$(mktemp)"
-  ctest --test-dir build-asan -R 'FaultInjection' \
+  ctest --test-dir build-asan -L '^fault-sweep$' \
     -j "${jobs}" --output-on-failure | tee "${sweep_log}"
   # ctest can exit 0 without running anything (e.g. bad --test-dir);
   # insist the sweep actually executed tests.
@@ -234,7 +235,7 @@ if [[ "${fast}" -eq 0 ]]; then
   # with a clean Status. The worker binary is compile-defined from the
   # same build tree, so the forked children are sanitized too.
   shard_log="$(mktemp)"
-  ctest --test-dir build-asan -R 'ShardDifferential|ShardProtocol|ShardCheckpoint|TaskFingerprint|ShardMerge' \
+  ctest --test-dir build-asan -L '^shard-sweep$' \
     -j "${jobs}" --output-on-failure | tee "${shard_log}"
   grep -q 'tests passed' "${shard_log}" || {
     echo "shard kill-a-worker sweep did not run" >&2
@@ -250,7 +251,7 @@ if [[ "${fast}" -eq 0 ]]; then
   # concatenation, across every merge kernel. Under ASan+UBSan it also
   # proves the append hot path stays clean.
   incr_log="$(mktemp)"
-  ctest --test-dir build-asan -R 'Incr|RuleIndex|SeedStability' \
+  ctest --test-dir build-asan -L '^incr-sweep$' \
     -j "${jobs}" --output-on-failure | tee "${incr_log}"
   grep -q 'tests passed' "${incr_log}" || {
     echo "incremental differential sweep did not run" >&2
@@ -266,8 +267,7 @@ if [[ "${fast}" -eq 0 ]]; then
   # mine of the surviving window, across every merge kernel. Under
   # ASan+UBSan it also proves the eviction hot path stays clean.
   window_log="$(mktemp)"
-  ctest --test-dir build-asan \
-    -R 'WindowDifferential|WindowWidening|WindowedMiner|WindowEdge' \
+  ctest --test-dir build-asan -L '^window-sweep$' \
     -j "${jobs}" --output-on-failure | tee "${window_log}"
   grep -q 'tests passed' "${window_log}" || {
     echo "sliding-window differential sweep did not run" >&2

@@ -2,12 +2,13 @@
 # coverage.sh — line-coverage gate for the mining core.
 #
 # Builds the `coverage` preset (--coverage instrumentation, -O0), runs
-# the full test suite, aggregates gcov line rates for src/core/ and
-# src/incr/, writes an lcov-style per-file summary to
+# the full test suite, aggregates gcov line coverage for src/core/ and
+# src/incr/ (tools/coverage_aggregate.py), writes a per-file summary to
 # build-coverage/coverage_summary.txt, and fails if the aggregate line
 # coverage drops below the floor recorded in tools/coverage_floor.txt.
 #
-# Uses the stock `gcov` text output only — no lcov/gcovr dependency.
+# Uses the stock `gcov --json-format` output and python3 only — no
+# lcov/gcovr dependency.
 #
 # Usage:
 #   tools/coverage.sh              # build + test + gate
@@ -29,8 +30,10 @@ if [[ "${1:-}" != "--no-build" ]]; then
 fi
 
 # Every .gcda under the instrumented core/incr object dirs feeds one gcov
-# invocation; `gcov -n` prints per-source "File/Lines executed" pairs
-# without dropping .gcov files anywhere.
+# invocation; `gcov --json-format --stdout` prints one JSON document per
+# .gcda without dropping .gcov files anywhere. The aggregator counts each
+# src/core or src/incr file once: the union of its executable and of its
+# covered lines across every translation unit that includes it.
 summary="${build_dir}/coverage_summary.txt"
 gcda_list="$(find "${build_dir}/src/core" "${build_dir}/src/incr" \
              -name '*.gcda' 2>/dev/null | sort)"
@@ -41,35 +44,9 @@ if [[ -z "${gcda_list}" ]]; then
 fi
 
 # shellcheck disable=SC2086
-gcov -n ${gcda_list} 2>/dev/null | awk -v repo="${repo_root}/" '
-  # gcov output alternates: File <q>path<q> / Lines executed:PP% of N.
-  /^File / {
-    file = substr($0, 7, length($0) - 7)   # strip File + quotes
-    sub(repo, "", file)
-    keep = (file ~ /^src\/(core|incr)\//)
-  }
-  /^Lines executed:/ {
-    if (keep) {
-      line = $0
-      sub(/^Lines executed:/, "", line)
-      split(line, parts, "% of ")
-      covered[file] += (parts[1] + 0) * (parts[2] + 0) / 100.0
-      total[file] += parts[2] + 0
-      keep = 0
-    }
-  }
-  END {
-    grand_cov = 0
-    grand_tot = 0
-    for (f in total) {
-      printf "%-52s %7.2f%% of %5d lines\n", f, \
-             total[f] ? 100.0 * covered[f] / total[f] : 0, total[f]
-      grand_cov += covered[f]
-      grand_tot += total[f]
-    }
-    printf "TOTAL %.2f %d\n", \
-           grand_tot ? 100.0 * grand_cov / grand_tot : 0, grand_tot
-  }' | sort > "${summary}"
+gcov --json-format --stdout ${gcda_list} 2>/dev/null |
+  python3 "${repo_root}/tools/coverage_aggregate.py" --root "${repo_root}" \
+    --prefix src/core/ --prefix src/incr/ > "${summary}"
 
 total_line="$(grep '^TOTAL ' "${summary}")"
 pct="$(echo "${total_line}" | awk '{print $2}')"

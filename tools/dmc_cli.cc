@@ -16,7 +16,7 @@
 //   --no-bitmap                     disable the DMC-bitmap fallback
 //   --min-support=N --max-support=N support window (column pruning)
 //   --threads=N                     parallel divide-and-conquer shards
-//   --external --workdir=DIR        disk-based two-pass (mine-imp only)
+//   --external --workdir=DIR        disk-based two-pass
 //   --top=N                         print only the N strongest rules
 //   --output=FILE                   write all rules to FILE
 //
@@ -43,6 +43,9 @@
 //   --serve-index=FILE              mine-imp: publish the mined rules
 //                                   into a RuleIndex and save its
 //                                   checksummed snapshot to FILE
+//                                   (mine-sim exits 2 on it and on the
+//                                   --query-* flags: a RuleIndex holds
+//                                   implications only)
 //   --query-lhs=COL                 with --serve-index: reload the saved
 //                                   index and print rules COL => *
 //   --query-rhs=COL                 with --serve-index: reload the saved
@@ -464,9 +467,83 @@ void ReportShardStats(const shard::ShardMiningStats& s) {
                s.degraded_tasks);
 }
 
-int MineImp(const Flags& flags) {
-  ImplicationMiningOptions options;
-  options.min_confidence = flags.GetDouble("minconf", 0.9);
+// What mine-imp and mine-sim differ in: the threshold flag, the words
+// the narration uses, the library entry point of each mining path and
+// whether the rules can be served (RuleIndex holds implications only).
+// Every flag check and every path is MineCommand<Kind>, once.
+template <typename Kind>
+struct Command;
+
+template <>
+struct Command<ImplicationKind> {
+  static constexpr const char* kName = "mine-imp";
+  static constexpr const char* kThresholdFlag = "minconf";
+  static constexpr double kDefaultThreshold = 0.9;
+  static constexpr const char* kNoun = "rules";
+  static constexpr const char* kMeasure = "confidence";
+  static constexpr bool kServesIndex = true;
+  using Options = ImplicationMiningOptions;
+
+  static auto Sorted(const ImplicationRuleSet& r) {
+    return r.SortedByConfidence();
+  }
+  static auto Mine(const BinaryMatrix& m, const Options& o, MiningStats* s) {
+    return MineImplications(m, o, s);
+  }
+  static auto Parallel(const BinaryMatrix& m, const Options& o,
+                       const ParallelOptions& p, ParallelMiningStats* s) {
+    return MineImplicationsParallel(m, o, p, s);
+  }
+  static auto External(const std::string& in, const Options& o,
+                       const std::string& dir, const ExternalIoOptions& io,
+                       ExternalMiningStats* s) {
+    return MineImplicationsFromFile(in, o, dir, io, s);
+  }
+  static auto Sharded(const std::string& in, const Options& o,
+                      const std::string& dir, const shard::ShardOptions& so,
+                      shard::ShardMiningStats* s) {
+    return shard::MineImplicationsSharded(in, o, dir, so, s);
+  }
+};
+
+template <>
+struct Command<SimilarityKind> {
+  static constexpr const char* kName = "mine-sim";
+  static constexpr const char* kThresholdFlag = "minsim";
+  static constexpr double kDefaultThreshold = 0.8;
+  static constexpr const char* kNoun = "pairs";
+  static constexpr const char* kMeasure = "similarity";
+  static constexpr bool kServesIndex = false;
+  using Options = SimilarityMiningOptions;
+
+  static auto Sorted(const SimilarityRuleSet& r) {
+    return r.SortedBySimilarity();
+  }
+  static auto Mine(const BinaryMatrix& m, const Options& o, MiningStats* s) {
+    return MineSimilarities(m, o, s);
+  }
+  static auto Parallel(const BinaryMatrix& m, const Options& o,
+                       const ParallelOptions& p, ParallelMiningStats* s) {
+    return MineSimilaritiesParallel(m, o, p, s);
+  }
+  static auto External(const std::string& in, const Options& o,
+                       const std::string& dir, const ExternalIoOptions& io,
+                       ExternalMiningStats* s) {
+    return MineSimilaritiesFromFile(in, o, dir, io, s);
+  }
+  static auto Sharded(const std::string& in, const Options& o,
+                      const std::string& dir, const shard::ShardOptions& so,
+                      shard::ShardMiningStats* s) {
+    return shard::MineSimilaritiesSharded(in, o, dir, so, s);
+  }
+};
+
+template <typename Kind>
+int MineCommand(const Flags& flags) {
+  using Cmd = Command<Kind>;
+  typename Cmd::Options options;
+  options.*Kind::kThreshold =
+      flags.GetDouble(Cmd::kThresholdFlag, Cmd::kDefaultThreshold);
   options.policy = PolicyFromFlags(flags);
   Observability observe;
   observe.Configure(flags, &options.policy);
@@ -474,7 +551,7 @@ int MineImp(const Flags& flags) {
   MetricsReport report;
   report.tool = "dmc_cli";
   report.dataset = flags.Get("input");
-  report.labels["command"] = "mine-imp";
+  report.labels["command"] = Cmd::kName;
 
   if ((flags.GetBool("append") || flags.GetBool("evict") ||
        flags.GetBool("window-rows")) &&
@@ -486,59 +563,60 @@ int MineImp(const Flags& flags) {
                  "--external, --shard-workers and --threads\n");
     return 2;
   }
-
-  if (flags.GetBool("shard-workers")) {
-    if (flags.GetInt("threads", 1) > 1) {
-      std::fprintf(stderr,
-                   "--shard-workers and --threads are incompatible; the "
-                   "sharded pipeline parallelizes across processes\n");
-      return 2;
-    }
-    const std::string input = flags.Get("input");
-    const std::string work_dir = flags.Get("workdir", "/tmp");
-    shard::ShardOptions sopts = ShardOptionsFromFlags(flags);
-    shard::ShardMiningStats sstats;
-    auto rules = shard::MineImplicationsSharded(input, options, work_dir,
-                                                sopts, &sstats);
-    if (!rules.ok()) {
-      std::fprintf(stderr, "%s\n", rules.status().ToString().c_str());
-      return 1;
-    }
-    ReportShardStats(sstats);
-    std::fprintf(stderr, "%zu rules\n", rules->size());
-    report.shard = &sstats;
-    report.rules_total = static_cast<int64_t>(rules->size());
-    const int rc = EmitRules(rules->SortedByConfidence(), flags);
-    const int observe_rc = observe.Finish(report);
-    return rc != 0 ? rc : observe_rc;
+  if (!Cmd::kServesIndex &&
+      (flags.GetBool("serve-index") || flags.GetBool("query-lhs") ||
+       flags.GetBool("query-rhs"))) {
+    std::fprintf(stderr,
+                 "--serve-index/--query-lhs/--query-rhs serve implication "
+                 "rules; %s has none to serve\n",
+                 Cmd::kName);
+    return 2;
   }
 
-  if (flags.GetBool("external")) {
+  // The file pipelines: sharded across worker processes, or the
+  // disk-based two-pass miner. Neither loads the matrix.
+  if (flags.GetBool("shard-workers") || flags.GetBool("external")) {
     const std::string input = flags.Get("input");
     const std::string work_dir = flags.Get("workdir", "/tmp");
-    ExternalIoOptions io;
-    io.checkpoint_path = flags.Get("checkpoint");
-    io.resume = flags.GetBool("resume");
-    io.retry.max_attempts =
-        static_cast<int>(flags.GetInt("io-retries", 3));
-    ExternalMiningStats stats;
-    auto rules =
-        MineImplicationsFromFile(input, options, work_dir, io, &stats);
+    shard::ShardMiningStats sstats;
+    ExternalMiningStats estats;
+    StatusOr<typename Kind::RuleSet> rules = typename Kind::RuleSet{};
+    if (flags.GetBool("shard-workers")) {
+      if (flags.GetInt("threads", 1) > 1) {
+        std::fprintf(stderr,
+                     "--shard-workers and --threads are incompatible; the "
+                     "sharded pipeline parallelizes across processes\n");
+        return 2;
+      }
+      rules = Cmd::Sharded(input, options, work_dir,
+                           ShardOptionsFromFlags(flags), &sstats);
+      if (rules.ok()) ReportShardStats(sstats);
+      report.shard = &sstats;
+    } else {
+      ExternalIoOptions io;
+      io.checkpoint_path = flags.Get("checkpoint");
+      io.resume = flags.GetBool("resume");
+      io.retry.max_attempts =
+          static_cast<int>(flags.GetInt("io-retries", 3));
+      rules = Cmd::External(input, options, work_dir, io, &estats);
+      if (rules.ok()) {
+        std::fprintf(stderr,
+                     "external: pass1 %.3fs%s, partition %.3fs (%zu "
+                     "buckets), mine %.3fs\n",
+                     estats.pass1_seconds, estats.resumed ? " (resumed)" : "",
+                     estats.partition_seconds, estats.bucket_files,
+                     estats.mine_seconds);
+      }
+      report.external = &estats;
+      report.mining = &estats.mining;
+    }
     if (!rules.ok()) {
       std::fprintf(stderr, "%s\n", rules.status().ToString().c_str());
       return 1;
     }
-    std::fprintf(stderr,
-                 "external: pass1 %.3fs%s, partition %.3fs (%zu buckets), "
-                 "mine %.3fs\n",
-                 stats.pass1_seconds, stats.resumed ? " (resumed)" : "",
-                 stats.partition_seconds, stats.bucket_files,
-                 stats.mine_seconds);
-    std::fprintf(stderr, "%zu rules\n", rules->size());
-    report.external = &stats;
-    report.mining = &stats.mining;
+    std::fprintf(stderr, "%zu %s\n", rules->size(), Cmd::kNoun);
     report.rules_total = static_cast<int64_t>(rules->size());
-    const int rc = EmitRules(rules->SortedByConfidence(), flags);
+    const int rc = EmitRules(Cmd::Sorted(*rules), flags);
     const int observe_rc = observe.Finish(report);
     return rc != 0 ? rc : observe_rc;
   }
@@ -552,13 +630,13 @@ int MineImp(const Flags& flags) {
       static_cast<uint32_t>(flags.GetInt("threads", 1));
   MiningStats stats;
   ParallelMiningStats pstats;
-  StatusOr<ImplicationRuleSet> rules = ImplicationRuleSet{};
+  StatusOr<typename Kind::RuleSet> rules = typename Kind::RuleSet{};
   const std::string append = flags.Get("append");
   const std::string evict = flags.Get("evict");
   const uint64_t window_rows = flags.GetInt("window-rows", 0);
   if (!append.empty() || !evict.empty() || window_rows > 0) {
-    auto miner = WindowedImplicationMiner::FromBatchMine(*matrix, options,
-                                                         window_rows, &stats);
+    auto miner = WindowedMiner<Kind>::FromBatchMine(*matrix, options,
+                                                    window_rows, &stats);
     if (!miner.ok()) {
       std::fprintf(stderr, "%s\n", miner.status().ToString().c_str());
       return 1;
@@ -576,13 +654,13 @@ int MineImp(const Flags& flags) {
   } else if (threads > 1) {
     ParallelOptions p;
     p.num_threads = threads;
-    rules = MineImplicationsParallel(*matrix, options, p, &pstats);
+    rules = Cmd::Parallel(*matrix, options, p, &pstats);
     std::fprintf(stderr, "parallel: %u shards, wall %.3fs (work %.3fs)\n",
                  pstats.shards, pstats.total_seconds,
                  pstats.sum_shard_seconds);
     report.parallel = &pstats;
   } else {
-    rules = MineImplications(*matrix, options, &stats);
+    rules = Cmd::Mine(*matrix, options, &stats);
     if (rules.ok()) ReportStats(stats);
     report.mining = &stats;
   }
@@ -590,113 +668,15 @@ int MineImp(const Flags& flags) {
     std::fprintf(stderr, "%s\n", rules.status().ToString().c_str());
     return 1;
   }
-  std::fprintf(stderr, "%zu rules at confidence >= %.3f\n", rules->size(),
-               options.min_confidence);
+  std::fprintf(stderr, "%zu %s at %s >= %.3f\n", rules->size(), Cmd::kNoun,
+               Cmd::kMeasure, options.*Kind::kThreshold);
   report.rules_total = static_cast<int64_t>(rules->size());
-  int rc = EmitRules(rules->SortedByConfidence(), flags);
-  if (rc == 0 && flags.GetBool("serve-index")) {
-    rc = ServeIndex(*rules, flags);
-  }
-  const int observe_rc = observe.Finish(report);
-  return rc != 0 ? rc : observe_rc;
-}
-
-int MineSim(const Flags& flags) {
-  SimilarityMiningOptions options;
-  options.min_similarity = flags.GetDouble("minsim", 0.8);
-  options.policy = PolicyFromFlags(flags);
-  Observability observe;
-  observe.Configure(flags, &options.policy);
-
-  MetricsReport report;
-  report.tool = "dmc_cli";
-  report.dataset = flags.Get("input");
-  report.labels["command"] = "mine-sim";
-
-  if ((flags.GetBool("append") || flags.GetBool("evict") ||
-       flags.GetBool("window-rows")) &&
-      (flags.GetBool("shard-workers") || flags.GetInt("threads", 1) > 1)) {
-    std::fprintf(stderr,
-                 "--append/--evict/--window-rows use the in-memory "
-                 "incremental engine; they are incompatible with "
-                 "--shard-workers and --threads\n");
-    return 2;
-  }
-
-  if (flags.GetBool("shard-workers")) {
-    if (flags.GetInt("threads", 1) > 1) {
-      std::fprintf(stderr,
-                   "--shard-workers and --threads are incompatible; the "
-                   "sharded pipeline parallelizes across processes\n");
-      return 2;
+  int rc = EmitRules(Cmd::Sorted(*rules), flags);
+  if constexpr (Cmd::kServesIndex) {
+    if (rc == 0 && flags.GetBool("serve-index")) {
+      rc = ServeIndex(*rules, flags);
     }
-    const std::string input = flags.Get("input");
-    const std::string work_dir = flags.Get("workdir", "/tmp");
-    shard::ShardOptions sopts = ShardOptionsFromFlags(flags);
-    shard::ShardMiningStats sstats;
-    auto pairs = shard::MineSimilaritiesSharded(input, options, work_dir,
-                                                sopts, &sstats);
-    if (!pairs.ok()) {
-      std::fprintf(stderr, "%s\n", pairs.status().ToString().c_str());
-      return 1;
-    }
-    ReportShardStats(sstats);
-    std::fprintf(stderr, "%zu pairs\n", pairs->size());
-    report.shard = &sstats;
-    report.rules_total = static_cast<int64_t>(pairs->size());
-    const int rc = EmitRules(pairs->SortedBySimilarity(), flags);
-    const int observe_rc = observe.Finish(report);
-    return rc != 0 ? rc : observe_rc;
   }
-
-  auto matrix = LoadInput(flags);
-  if (!matrix.ok()) {
-    std::fprintf(stderr, "%s\n", matrix.status().ToString().c_str());
-    return 1;
-  }
-  const uint32_t threads =
-      static_cast<uint32_t>(flags.GetInt("threads", 1));
-  MiningStats stats;
-  ParallelMiningStats pstats;
-  StatusOr<SimilarityRuleSet> pairs = SimilarityRuleSet{};
-  const std::string append = flags.Get("append");
-  const std::string evict = flags.Get("evict");
-  const uint64_t window_rows = flags.GetInt("window-rows", 0);
-  if (!append.empty() || !evict.empty() || window_rows > 0) {
-    auto miner = WindowedSimilarityMiner::FromBatchMine(*matrix, options,
-                                                        window_rows, &stats);
-    if (!miner.ok()) {
-      std::fprintf(stderr, "%s\n", miner.status().ToString().c_str());
-      return 1;
-    }
-    if (window_rows > 0) {
-      std::fprintf(stderr, "window: newest %llu rows (holding %llu)\n",
-                   (unsigned long long)window_rows,
-                   (unsigned long long)miner->num_rows());
-    }
-    ReportStats(stats);
-    report.mining = &stats;
-    const int append_rc = AppendBatches(append, evict, &*miner);
-    if (append_rc != 0) return append_rc;
-    pairs = miner->pairs();
-  } else if (threads > 1) {
-    ParallelOptions p;
-    p.num_threads = threads;
-    pairs = MineSimilaritiesParallel(*matrix, options, p, &pstats);
-    report.parallel = &pstats;
-  } else {
-    pairs = MineSimilarities(*matrix, options, &stats);
-    if (pairs.ok()) ReportStats(stats);
-    report.mining = &stats;
-  }
-  if (!pairs.ok()) {
-    std::fprintf(stderr, "%s\n", pairs.status().ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "%zu pairs at similarity >= %.3f\n", pairs->size(),
-               options.min_similarity);
-  report.rules_total = static_cast<int64_t>(pairs->size());
-  const int rc = EmitRules(pairs->SortedBySimilarity(), flags);
   const int observe_rc = observe.Finish(report);
   return rc != 0 ? rc : observe_rc;
 }
@@ -814,8 +794,8 @@ int Run(int argc, char** argv) {
       return 2;
     }
   }
-  if (command == "mine-imp") return MineImp(flags);
-  if (command == "mine-sim") return MineSim(flags);
+  if (command == "mine-imp") return MineCommand<ImplicationKind>(flags);
+  if (command == "mine-sim") return MineCommand<SimilarityKind>(flags);
   if (command == "stats") return Stats(flags);
   if (command == "generate") return Generate(flags);
   return Usage();
