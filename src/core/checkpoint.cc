@@ -1,39 +1,21 @@
 #include "core/checkpoint.h"
 
-#include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "matrix/row_spill.h"
 #include "util/atomic_io.h"
+#include "util/byte_codec.h"
 #include "util/checksum.h"
 #include "util/failpoint.h"
+#include "util/sealed_file.h"
 
 namespace dmc {
 
 namespace {
 
-constexpr char kMagic[8] = {'D', 'M', 'C', 'C', 'K', 'P', 'T', '\n'};
-constexpr char kEndMagic[4] = {'D', 'M', 'C', 'E'};
-
-template <typename T>
-void AppendLE(std::string* out, T value) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out->append(buf, sizeof(T));
-}
-
-template <typename T>
-bool ReadLE(const std::string& data, size_t* offset, T* value) {
-  if (data.size() - *offset < sizeof(T)) return false;
-  std::memcpy(value, data.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
-
-Status Corrupt(const std::string& path, const std::string& what) {
-  return DataLossError("checkpoint " + path + ": " + what);
-}
+constexpr std::string_view kMagic = "DMCCKPT\n";
+/// Bytes of one bucket entry: i32 id, u64 rows, u64 bytes, u64 digest.
+constexpr size_t kBucketBytes = 4 + 3 * 8;
 
 }  // namespace
 
@@ -66,8 +48,7 @@ Status WriteCheckpointFile(const ExternalCheckpoint& cp,
   if (fail::Enabled()) {
     DMC_RETURN_IF_ERROR(fail::InjectStatus("checkpoint.write"));
   }
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
+  std::string out(kMagic);
   AppendLE<uint32_t>(&out, kCheckpointVersion);
   AppendLE<uint64_t>(&out, cp.input.bytes);
   AppendLE<uint64_t>(&out, cp.input.hash);
@@ -82,8 +63,7 @@ Status WriteCheckpointFile(const ExternalCheckpoint& cp,
     AppendLE<uint64_t>(&out, b.bytes);
     AppendLE<uint64_t>(&out, b.digest);
   }
-  AppendLE<uint64_t>(&out, Fnv1a(out));
-  out.append(kEndMagic, sizeof(kEndMagic));
+  AppendSeal(&out);
   return AtomicWriteFile(path, out);
 }
 
@@ -91,78 +71,52 @@ StatusOr<ExternalCheckpoint> ReadCheckpointFile(const std::string& path) {
   if (fail::Enabled()) {
     DMC_RETURN_IF_ERROR(fail::InjectStatus("checkpoint.read"));
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return IOError("cannot open checkpoint: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return IOError("read failed for checkpoint: " + path);
-  const std::string data = buffer.str();
-
-  if (data.size() < sizeof(kMagic) + 4 + 8 + 8 + 1 + 4 + 8 + 4 + 8 + 4) {
-    return Corrupt(path, "truncated (" + std::to_string(data.size()) +
-                             " bytes)");
-  }
-  if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Corrupt(path, "bad magic");
-  }
-  size_t offset = sizeof(kMagic);
+  DMC_ASSIGN_OR_RETURN(const std::string data,
+                       ReadWholeFile(path, "checkpoint"));
+  const std::string what = "checkpoint " + path;
+  // The fixed fields: version through num_rows, then the bucket count.
+  DMC_RETURN_IF_ERROR(
+      CheckSealedHeader(data, kMagic, 4 + 8 + 8 + 1 + 4 + 8 + 4, what));
+  size_t offset = kMagic.size();
   uint32_t version = 0;
   (void)ReadLE(data, &offset, &version);
   if (version != kCheckpointVersion) {
-    return Corrupt(path, "unsupported version " + std::to_string(version));
+    return DataLossError(what + ": unsupported version " +
+                         std::to_string(version));
   }
 
   ExternalCheckpoint cp;
   uint8_t bucketed = 0;
-  if (!ReadLE(data, &offset, &cp.input.bytes) ||
-      !ReadLE(data, &offset, &cp.input.hash) ||
-      !ReadLE(data, &offset, &bucketed) ||
-      !ReadLE(data, &offset, &cp.num_columns) ||
-      !ReadLE(data, &offset, &cp.num_rows)) {
-    return Corrupt(path, "truncated header");
-  }
+  (void)ReadLE(data, &offset, &cp.input.bytes);  // length pre-checked above
+  (void)ReadLE(data, &offset, &cp.input.hash);
+  (void)ReadLE(data, &offset, &bucketed);
+  (void)ReadLE(data, &offset, &cp.num_columns);
+  (void)ReadLE(data, &offset, &cp.num_rows);
   cp.bucketed = bucketed != 0;
-  // Guard the vector resize against a corrupt column count: the header
-  // cannot legitimately claim more u32s than bytes left in the file.
-  if (static_cast<uint64_t>(cp.num_columns) * 4 > data.size() - offset) {
-    return Corrupt(path, "column count " + std::to_string(cp.num_columns) +
-                             " exceeds file size");
+  // A corrupt column or bucket count must not drive a resize: the header
+  // cannot claim more entries than bytes left in the file.
+  if (!CountFits(data, offset, cp.num_columns, sizeof(uint32_t))) {
+    return DataLossError(what + ": column count " +
+                         std::to_string(cp.num_columns) + " exceeds file size");
   }
   cp.column_ones.resize(cp.num_columns);
-  for (uint32_t& ones : cp.column_ones) {
-    if (!ReadLE(data, &offset, &ones)) {
-      return Corrupt(path, "truncated in column_ones");
-    }
-  }
+  for (uint32_t& ones : cp.column_ones) (void)ReadLE(data, &offset, &ones);
   uint32_t bucket_count = 0;
   if (!ReadLE(data, &offset, &bucket_count)) {
-    return Corrupt(path, "truncated before bucket list");
+    return DataLossError(what + ": truncated before bucket list");
   }
-  if (static_cast<uint64_t>(bucket_count) * 28 > data.size() - offset) {
-    return Corrupt(path, "bucket count " + std::to_string(bucket_count) +
-                             " exceeds file size");
+  if (!CountFits(data, offset, bucket_count, kBucketBytes)) {
+    return DataLossError(what + ": bucket count " +
+                         std::to_string(bucket_count) + " exceeds file size");
   }
   cp.buckets.resize(bucket_count);
   for (auto& b : cp.buckets) {
-    if (!ReadLE(data, &offset, &b.id) || !ReadLE(data, &offset, &b.rows) ||
-        !ReadLE(data, &offset, &b.bytes) || !ReadLE(data, &offset, &b.digest)) {
-      return Corrupt(path, "truncated in bucket list");
-    }
+    (void)ReadLE(data, &offset, &b.id);
+    (void)ReadLE(data, &offset, &b.rows);
+    (void)ReadLE(data, &offset, &b.bytes);
+    (void)ReadLE(data, &offset, &b.digest);
   }
-  const size_t body_end = offset;
-  uint64_t stored = 0;
-  if (!ReadLE(data, &offset, &stored)) {
-    return Corrupt(path, "truncated before checksum");
-  }
-  const uint64_t actual = Fnv1a(data.data(), body_end);
-  if (stored != actual) {
-    return Corrupt(path, "checksum mismatch (stored " + std::to_string(stored) +
-                             ", computed " + std::to_string(actual) + ")");
-  }
-  if (data.size() - offset != sizeof(kEndMagic) ||
-      std::memcmp(data.data() + offset, kEndMagic, sizeof(kEndMagic)) != 0) {
-    return Corrupt(path, "missing end magic");
-  }
+  DMC_RETURN_IF_ERROR(CheckSeal(data, offset, what));
   return cp;
 }
 
@@ -196,7 +150,7 @@ Status ValidateCheckpoint(const ExternalCheckpoint& cp,
     }
     rows += b.rows;
   }
-  if (cp.bucketed && rows != cp.num_rows) {
+  if (rows != cp.num_rows) {
     return DataLossError("checkpoint bucket rows sum to " +
                          std::to_string(rows) + ", expected " +
                          std::to_string(cp.num_rows));

@@ -7,28 +7,28 @@
 // first-pass statistics and the bucket inventory — so a restarted run
 // can validate it and go straight to mining over the surviving spills.
 //
-// On-disk format (little-endian):
+// On-disk format: a sealed file (util/sealed_file.h), little-endian —
 //
 //   offset 0   8 bytes   magic "DMCCKPT\n"
 //          8   u32       version (kCheckpointVersion)
 //         12   u64       input file byte size     \ fingerprint of the
 //         20   u64       input file FNV-1a hash   / original input
-//         28   u8        bucketed flag
+//         28   u8        bucketed flag (0 = identity order)
 //         29   u32       num_columns
 //         33   u64       num_rows
 //         41   u32 * num_columns   column_ones
 //        ...   u32       bucket count
 //        ...   per bucket: i32 id, u64 rows, u64 bytes, u64 spill digest
-//        ...   u64       FNV-1a checksum of every byte above
-//        ...   4 bytes   end magic "DMCE"
+//        ...   12 bytes  seal: u64 FNV-1a of every byte above, "DMCE"
 //
 // The reader treats any structural problem, checksum mismatch or other
 // version as kDataLoss. ValidateCheckpoint then re-fingerprints the input
 // and reads every bucket spill through ReadRowSpill, which checks each
 // block's checksum, row count and ids; the spill's rows, size and digest
-// must equal what the checkpoint recorded. So a stale checkpoint, or a
-// bucket that is torn or damaged even at its old size, degrades to a
-// fresh run instead of mining the wrong data.
+// must equal what the checkpoint recorded, and the buckets must hold
+// num_rows rows between them. So a stale checkpoint, or a bucket that is
+// torn or damaged even at its old size, degrades to a fresh run instead
+// of mining the wrong data.
 
 #ifndef DMC_CORE_CHECKPOINT_H_
 #define DMC_CORE_CHECKPOINT_H_
@@ -64,8 +64,8 @@ struct FileFingerprint {
 /// Everything pass 1 of the external miner produces.
 struct ExternalCheckpoint {
   FileFingerprint input;
-  /// Whether the rows were partitioned into density buckets (false =
-  /// identity order, pass 2 streams the original file).
+  /// Density buckets, or (false) identity order's one bucket in input
+  /// order. A run resumes only a checkpoint of its own row order.
   bool bucketed = false;
   ColumnId num_columns = 0;
   uint64_t num_rows = 0;

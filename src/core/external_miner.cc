@@ -62,21 +62,20 @@ Status ExternalInput::Prepare() {
     return Status::OK();
   }
 
-  // The one read of the input: count ones(c) and, when bucketed, append
-  // each row to the spill of its density bucket.
+  // The one read of the input: count ones(c) and append each row to the
+  // spill of its bucket (identity order: bucket 0, in input order).
   std::ifstream in;
   DMC_RETURN_IF_ERROR(OpenForRead("external.pass1.open", path_, &in));
   first_pass_ = FirstPassStats{};
-  std::vector<RowSpillWriter> spills(bucketed_ ? kMaxDensityBuckets : 0);
+  std::vector<RowSpillWriter> spills(kMaxDensityBuckets);
   const bool inject = fail::Enabled();
   DMC_RETURN_IF_ERROR(
       ForEachRowText(in, [&](std::span<const ColumnId> row) -> Status {
         first_pass_.AddRow(row);
-        if (!bucketed_) return Status::OK();
         if (inject) {
           DMC_RETURN_IF_ERROR(fail::InjectStatus("external.spill.write"));
         }
-        const int b = DensityBucket(row.size());
+        const int b = bucketed_ ? DensityBucket(row.size()) : 0;
         if (!spills[b].is_open()) {
           DMC_RETURN_IF_ERROR(CreateSpill(b, &spills[b]));
         }
@@ -128,11 +127,6 @@ Status ExternalInput::Replay(const RowSink& sink, const char* row_site) {
     sink(row);
     return Status::OK();
   };
-  if (!bucketed_) {
-    std::ifstream in;
-    DMC_RETURN_IF_ERROR(OpenForRead("external.replay.open", path_, &in));
-    return ForEachRowText(in, each);
-  }
   uint64_t rows = 0;
   for (int b : used_buckets_) {
     const std::string bucket_path = ExternalBucketPath(work_dir_, b);

@@ -22,7 +22,7 @@
 // matrix/row_order.h's DensityBucket, so the replay order — and with it
 // every rule count and counter peak — equals the in-memory miner's under
 // RowOrderPolicy::kDensityBuckets. RowOrderPolicy::kIdentity spills
-// nothing: pass 2 streams the original text.
+// every row to one bucket, in input order.
 //
 // Robustness: every file operation sits behind a failpoint site and a
 // bounded retry policy; pass-1 results can be checkpointed
@@ -97,8 +97,8 @@ struct ExternalMiningStats {
 /// the same artifacts without re-scanning the input.
 ///
 /// Two construction paths:
-///   * Prepare(): pass 1, which spills the buckets when bucketed, or a
-///     checkpoint resume — what the single-process miners do.
+///   * Prepare(): pass 1, which spills the buckets, or a checkpoint
+///     resume — what the single-process miners do.
 ///   * AdoptPlan(): trust an externally supplied first-pass result and
 ///     bucket inventory (a shard worker receiving the coordinator's
 ///     kInit frame). No scan, no partitioning, no checkpointing.
@@ -116,13 +116,13 @@ class ExternalInput {
   ExternalInput(const ExternalInput&) = delete;
   ExternalInput& operator=(const ExternalInput&) = delete;
 
-  /// Pass 1 (one read of the input that counts ones(c) and, when
-  /// bucketed, spills each row to its bucket), or a checkpoint resume.
+  /// Pass 1 (one read of the input that counts ones(c) and spills each
+  /// row to its bucket), or a checkpoint resume.
   [[nodiscard]] Status Prepare();
 
   /// Adopts an externally computed plan: first-pass stats plus the ids
-  /// of the bucket files already present under work_dir (ignored when
-  /// !bucketed). Artifacts are treated as borrowed and never removed.
+  /// of the bucket files already present under work_dir. Artifacts are
+  /// treated as borrowed and never removed.
   void AdoptPlan(FirstPassStats first_pass, std::vector<int> buckets);
 
   const FirstPassStats& first_pass() const { return first_pass_; }
@@ -165,7 +165,7 @@ class ExternalInput {
 /// Mines implication rules from a transaction text file at `path`.
 /// Bucket spills are created under `work_dir` (which must exist) and
 /// removed afterwards unless the io options keep them. RowOrderPolicy::
-/// kIdentity spills nothing and streams the original file in each phase.
+/// kIdentity spills one bucket, in input order.
 [[nodiscard]] StatusOr<ImplicationRuleSet> MineImplicationsFromFile(
     const std::string& path, const ImplicationMiningOptions& options,
     const std::string& work_dir, ExternalMiningStats* stats = nullptr);

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "util/atomic_io.h"
-#include "util/checksum.h"
+#include "util/byte_codec.h"
 #include "util/failpoint.h"
+#include "util/sealed_file.h"
 
 namespace dmc {
 
@@ -118,25 +118,8 @@ Status ForEachValidatedRow(
   return Status::OK();
 }
 
-constexpr char kBinaryMagic[8] = {'D', 'M', 'C', 'B', 'I', 'N', '1', '\n'};
-constexpr char kBinaryEndMagic[4] = {'D', 'M', 'C', 'E'};
-
-template <typename T>
-void AppendLE(std::string* out, T value) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out->append(buf, sizeof(T));
-}
-
-// Reads a little-endian integer at `*offset`, advancing it. Returns false
-// when the buffer is too short.
-template <typename T>
-bool ReadLE(std::string_view data, size_t* offset, T* value) {
-  if (data.size() - *offset < sizeof(T)) return false;
-  std::memcpy(value, data.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
+constexpr std::string_view kBinaryMagic = "DMCBIN1\n";
+constexpr std::string_view kBinaryWhat = "binary matrix";
 
 std::string ByteContext(size_t offset) {
   return "byte " + std::to_string(offset);
@@ -222,9 +205,9 @@ StatusOr<FirstPassStats> ScanMatrixText(std::istream& is,
 
 std::string SerializeMatrixBinary(const BinaryMatrix& m) {
   std::string out;
-  out.reserve(sizeof(kBinaryMagic) + 12 + m.num_ones() * sizeof(ColumnId) +
-              m.num_rows() * sizeof(uint32_t) + 12);
-  out.append(kBinaryMagic, sizeof(kBinaryMagic));
+  out.reserve(kBinaryMagic.size() + 12 + m.num_ones() * sizeof(ColumnId) +
+              m.num_rows() * sizeof(uint32_t) + kSealBytes);
+  out.append(kBinaryMagic);
   AppendLE<uint32_t>(&out, m.num_columns());
   AppendLE<uint64_t>(&out, m.num_rows());
   for (RowId r = 0; r < m.num_rows(); ++r) {
@@ -232,8 +215,7 @@ std::string SerializeMatrixBinary(const BinaryMatrix& m) {
     AppendLE<uint32_t>(&out, static_cast<uint32_t>(row.size()));
     for (ColumnId c : row) AppendLE<uint32_t>(&out, c);
   }
-  AppendLE<uint64_t>(&out, Fnv1a(out));
-  out.append(kBinaryEndMagic, sizeof(kBinaryEndMagic));
+  AppendSeal(&out);
   return out;
 }
 
@@ -245,25 +227,24 @@ Status WriteMatrixBinaryFile(const BinaryMatrix& m, const std::string& path) {
 }
 
 StatusOr<BinaryMatrix> ReadMatrixBinary(std::string_view data) {
-  size_t offset = 0;
-  if (data.size() < sizeof(kBinaryMagic) + 12 + 12) {
-    return DataLossError("binary matrix truncated: only " +
-                         std::to_string(data.size()) +
-                         " bytes, smaller than the minimal container");
-  }
-  if (std::memcmp(data.data(), kBinaryMagic, sizeof(kBinaryMagic)) != 0) {
-    return DataLossError("binary matrix has bad magic at byte 0");
-  }
-  offset = sizeof(kBinaryMagic);
+  DMC_RETURN_IF_ERROR(CheckSealedHeader(data, kBinaryMagic, 12, kBinaryWhat));
+  size_t offset = kBinaryMagic.size();
   uint32_t num_columns = 0;
   uint64_t num_rows = 0;
   (void)ReadLE(data, &offset, &num_columns);  // length pre-checked above
   (void)ReadLE(data, &offset, &num_rows);
+  if (num_columns > kMaxMatrixColumns) {
+    return DataLossError("binary matrix header claims " +
+                         std::to_string(num_columns) + " columns, above the " +
+                         std::to_string(kMaxMatrixColumns) +
+                         "-column cap (byte " +
+                         std::to_string(kBinaryMagic.size()) + ")");
+  }
   if (num_rows > static_cast<uint64_t>(UINT32_MAX)) {
     return DataLossError("binary matrix header claims " +
                          std::to_string(num_rows) +
                          " rows, beyond the 32-bit row-id space (byte " +
-                         std::to_string(sizeof(kBinaryMagic) + 4) + ")");
+                         std::to_string(kBinaryMagic.size() + 4) + ")");
   }
   MatrixBuilder builder(num_columns);
   std::vector<ColumnId> cols;
@@ -285,14 +266,15 @@ StatusOr<BinaryMatrix> ReadMatrixBinary(std::string_view data) {
                            std::to_string(count) + " ids but there are only " +
                            std::to_string(num_columns) + " columns");
     }
+    if (!CountFits(data, offset, count, sizeof(uint32_t))) {
+      return DataLossError("binary matrix truncated in row " +
+                           std::to_string(r) + " at " + ByteContext(offset));
+    }
     cols.clear();
     cols.reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
       uint32_t id = 0;
-      if (!ReadLE(data, &offset, &id)) {
-        return DataLossError("binary matrix truncated in row " +
-                             std::to_string(r) + " at " + ByteContext(offset));
-      }
+      (void)ReadLE(data, &offset, &id);  // CountFits checked above
       if (id >= num_columns) {
         return DataLossError("binary matrix row " + std::to_string(r) +
                              " at " + ByteContext(offset - sizeof(uint32_t)) +
@@ -311,32 +293,7 @@ StatusOr<BinaryMatrix> ReadMatrixBinary(std::string_view data) {
     }
     builder.AddRow(cols);
   }
-  const size_t body_end = offset;
-  uint64_t stored_checksum = 0;
-  if (!ReadLE(data, &offset, &stored_checksum)) {
-    return DataLossError("binary matrix truncated before checksum at " +
-                         ByteContext(body_end));
-  }
-  const uint64_t actual = Fnv1a(data.substr(0, body_end));
-  if (stored_checksum != actual) {
-    return DataLossError("binary matrix checksum mismatch at " +
-                         ByteContext(body_end) + ": stored " +
-                         std::to_string(stored_checksum) + ", computed " +
-                         std::to_string(actual));
-  }
-  if (data.size() - offset < sizeof(kBinaryEndMagic) ||
-      std::memcmp(data.data() + offset, kBinaryEndMagic,
-                  sizeof(kBinaryEndMagic)) != 0) {
-    return DataLossError("binary matrix missing end magic at " +
-                         ByteContext(offset));
-  }
-  offset += sizeof(kBinaryEndMagic);
-  if (offset != data.size()) {
-    return DataLossError("binary matrix has " +
-                         std::to_string(data.size() - offset) +
-                         " trailing bytes after the end magic at " +
-                         ByteContext(offset));
-  }
+  DMC_RETURN_IF_ERROR(CheckSeal(data, offset, kBinaryWhat));
   return builder.Build();
 }
 
@@ -344,12 +301,9 @@ StatusOr<BinaryMatrix> ReadMatrixBinaryFile(const std::string& path) {
   if (fail::Enabled()) {
     DMC_RETURN_IF_ERROR(fail::InjectStatus("matrix.binary.open"));
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return IOError("cannot open for read: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return IOError("read failed for " + path);
-  return ReadMatrixBinary(buffer.str());
+  DMC_ASSIGN_OR_RETURN(const std::string data,
+                       ReadWholeFile(path, kBinaryWhat));
+  return ReadMatrixBinary(data);
 }
 
 }  // namespace dmc

@@ -5,15 +5,14 @@
 // comments. This matches common association-rule data sets and keeps the
 // examples/CLI self-contained.
 //
-// Binary format: a checksummed container for the same data —
+// Binary format: the same data as a sealed file (util/sealed_file.h) —
 //
 //   offset 0   8 bytes   magic "DMCBIN1\n"
-//          8   u32       num_columns
+//          8   u32       num_columns (at most kMaxMatrixColumns)
 //         12   u64       num_rows
 //         20   per row:  u32 count, then count u32 column ids
 //                        (strictly increasing, all < num_columns)
-//        ...   u64       FNV-1a checksum of every byte above
-//        ...   4 bytes   end magic "DMCE"
+//        ...   12 bytes  seal: u64 FNV-1a of every byte above, "DMCE"
 //
 // All integers are little-endian. Readers validate structure, ranges,
 // sortedness and the checksum, and report failures as kDataLoss with the
@@ -44,6 +43,10 @@
 
 namespace dmc {
 
+/// Widest matrix a reader accepts: 2^26 (~64M) columns, so a corrupt id
+/// or header cannot size per-column state into an OOM.
+inline constexpr ColumnId kMaxMatrixColumns = ColumnId{1} << 26;
+
 /// Controls how the text readers treat imperfect rows.
 struct TextReadOptions {
   /// When true, rows are sorted and deduplicated on the fly (the historic
@@ -51,9 +54,8 @@ struct TextReadOptions {
   /// duplicate column ids is rejected with kInvalidArgument.
   bool normalize = false;
   /// Largest acceptable column id; anything above it is rejected. The
-  /// default (2^26 - 1) caps implied matrix width at ~64M columns so a
-  /// corrupt id cannot balloon column_ones into an OOM.
-  ColumnId max_column_id = (1u << 26) - 1;
+  /// default caps implied matrix width at kMaxMatrixColumns.
+  ColumnId max_column_id = kMaxMatrixColumns - 1;
 };
 
 /// Writes `m` in transaction text format.

@@ -1,43 +1,20 @@
 #include "rules/rule_index.h"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <tuple>
 #include <utility>
 
+#include "rules/rule_codec.h"
 #include "util/atomic_io.h"
-#include "util/checksum.h"
 #include "util/failpoint.h"
+#include "util/sealed_file.h"
 
 namespace dmc {
 
 namespace {
 
-constexpr char kMagic[8] = {'D', 'M', 'C', 'R', 'I', 'D', 'X', '\n'};
-constexpr char kEndMagic[4] = {'D', 'M', 'C', 'E'};
+constexpr std::string_view kMagic = "DMCRIDX\n";
 constexpr uint32_t kVersion = 1;
-constexpr size_t kRecordBytes = 4 * sizeof(uint32_t);
-
-template <typename T>
-void AppendLE(std::string* out, T value) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out->append(buf, sizeof(T));
-}
-
-template <typename T>
-bool ReadLE(const std::string& data, size_t* offset, T* value) {
-  if (data.size() - *offset < sizeof(T)) return false;
-  std::memcpy(value, data.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
-
-Status Corrupt(const std::string& context, const std::string& what) {
-  return DataLossError("rule index " + context + ": " + what);
-}
 
 }  // namespace
 
@@ -123,73 +100,38 @@ std::vector<ImplicationRule> RuleIndexSnapshot::TopK(size_t k) const {
 }
 
 std::string RuleIndexSnapshot::Serialize() const {
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
+  std::string out(kMagic);
   AppendLE<uint32_t>(&out, kVersion);
   AppendLE<uint64_t>(&out, generation_);
   AppendLE<uint64_t>(&out, static_cast<uint64_t>(by_lhs_.size()));
-  for (const ImplicationRule& r : by_lhs_) {
-    AppendLE<uint32_t>(&out, r.lhs);
-    AppendLE<uint32_t>(&out, r.rhs);
-    AppendLE<uint32_t>(&out, r.lhs_ones);
-    AppendLE<uint32_t>(&out, r.misses);
-  }
-  AppendLE<uint64_t>(&out, Fnv1a(out));
-  out.append(kEndMagic, sizeof(kEndMagic));
+  for (const ImplicationRule& r : by_lhs_) AppendRecord(&out, r);
+  AppendSeal(&out);
   return out;
 }
 
 StatusOr<std::shared_ptr<const RuleIndexSnapshot>> RuleIndexSnapshot::Deserialize(
     const std::string& data, const std::string& context) {
-  constexpr size_t kMinBytes =
-      sizeof(kMagic) + 4 + 8 + 8 + 8 + sizeof(kEndMagic);
-  if (data.size() < kMinBytes) {
-    return Corrupt(context,
-                   "truncated (" + std::to_string(data.size()) + " bytes)");
-  }
-  if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Corrupt(context, "bad magic");
-  }
-  if (std::memcmp(data.data() + data.size() - sizeof(kEndMagic), kEndMagic,
-                  sizeof(kEndMagic)) != 0) {
-    return Corrupt(context, "missing end marker");
-  }
-  const size_t body_size = data.size() - sizeof(kEndMagic) - sizeof(uint64_t);
-  size_t offset = sizeof(kMagic);
+  const std::string what = "rule index " + context;
+  // The fixed fields: version, generation, rule count.
+  DMC_RETURN_IF_ERROR(CheckSealedHeader(data, kMagic, 4 + 8 + 8, what));
+  size_t offset = kMagic.size();
   uint32_t version = 0;
   (void)ReadLE(data, &offset, &version);
   if (version != kVersion) {
-    return Corrupt(context, "unsupported version " + std::to_string(version));
+    return DataLossError(what + ": unsupported version " +
+                         std::to_string(version));
   }
   uint64_t generation = 0;
   uint64_t count = 0;
-  if (!ReadLE(data, &offset, &generation) || !ReadLE(data, &offset, &count)) {
-    return Corrupt(context, "truncated header");
+  (void)ReadLE(data, &offset, &generation);  // length pre-checked above
+  (void)ReadLE(data, &offset, &count);
+  std::vector<ImplicationRule> rules;
+  if (!ReadRecords(data, &offset, count, &rules)) {
+    return DataLossError(what + ": rule count " + std::to_string(count) +
+                         " exceeds file size");
   }
-  if (count * kRecordBytes != body_size - offset) {
-    return Corrupt(context, "rule count " + std::to_string(count) +
-                                " does not match file size");
-  }
-  uint64_t stored_checksum = 0;
-  {
-    size_t checksum_offset = body_size;
-    (void)ReadLE(data, &checksum_offset, &stored_checksum);
-  }
-  const uint64_t actual = Fnv1a(data.data(), body_size);
-  if (actual != stored_checksum) {
-    return Corrupt(context, "checksum mismatch");
-  }
-
-  ImplicationRuleSet rules;
-  for (uint64_t i = 0; i < count; ++i) {
-    ImplicationRule r;
-    (void)ReadLE(data, &offset, &r.lhs);
-    (void)ReadLE(data, &offset, &r.rhs);
-    (void)ReadLE(data, &offset, &r.lhs_ones);
-    (void)ReadLE(data, &offset, &r.misses);
-    rules.Add(r);
-  }
-  return Build(rules, generation);
+  DMC_RETURN_IF_ERROR(CheckSeal(data, offset, what));
+  return Build(ImplicationRuleSet(std::move(rules)), generation);
 }
 
 RuleIndex::RuleIndex()
@@ -220,24 +162,17 @@ Status RuleIndex::Save(const std::string& path) const {
   if (fail::Enabled()) {
     DMC_RETURN_IF_ERROR(fail::InjectStatus("rule_index.save"));
   }
-  const std::string image = snapshot()->Serialize();
-  AtomicFileWriter writer;
-  DMC_RETURN_IF_ERROR(writer.Open(path));
-  DMC_RETURN_IF_ERROR(writer.Write(image));
-  return writer.Commit();
+  return AtomicWriteFile(path, snapshot()->Serialize());
 }
 
 Status RuleIndex::Load(const std::string& path) {
   if (fail::Enabled()) {
     DMC_RETURN_IF_ERROR(fail::InjectStatus("rule_index.load"));
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return IOError("cannot open rule index: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return IOError("read failed for rule index: " + path);
+  DMC_ASSIGN_OR_RETURN(const std::string data,
+                       ReadWholeFile(path, "rule index"));
   DMC_ASSIGN_OR_RETURN(std::shared_ptr<const RuleIndexSnapshot> snapshot,
-                       RuleIndexSnapshot::Deserialize(buffer.str(), path));
+                       RuleIndexSnapshot::Deserialize(data, path));
   MutexLock publish_lock(publish_mu_);
   MutexLock lock(mu_);
   snapshot_ = std::move(snapshot);

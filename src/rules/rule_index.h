@@ -14,10 +14,10 @@
 // and swaps it in under a mutex. Readers holding the old snapshot keep
 // a consistent view for as long as they need it — the swap never blocks
 // or mutates what they see (the TSan stage exercises queries racing
-// Publish). Save/Load persist a snapshot with the checkpoint layer's
-// fingerprint scheme: AtomicFileWriter on the way out, FNV-1a checksum
-// + end magic verified on the way in, failpoint sites rule_index.save /
-// rule_index.load for fault drills.
+// Publish). Save/Load persist a snapshot as a sealed file
+// (util/sealed_file.h, the checkpoints' envelope): AtomicFileWriter on
+// the way out, FNV-1a checksum + end magic verified on the way in,
+// failpoint sites rule_index.save / rule_index.load for fault drills.
 
 #ifndef DMC_RULES_RULE_INDEX_H_
 #define DMC_RULES_RULE_INDEX_H_
@@ -64,13 +64,13 @@ class RuleIndexSnapshot {
   size_t size() const { return by_lhs_.size(); }
   bool empty() const { return by_lhs_.empty(); }
 
-  /// Checksummed binary image (magic DMCRIDX, version, generation, rule
-  /// records, FNV-1a fingerprint, end magic).
+  /// Sealed binary image (util/sealed_file.h): magic DMCRIDX, u32 version,
+  /// u64 generation, u64 rule count, rule records (rules/rule_codec.h).
   std::string Serialize() const;
 
   /// Rebuilds a snapshot from Serialize() output. Truncation, bad magic,
-  /// version skew, or checksum mismatch yield kDataLoss mentioning
-  /// `context` (typically the file path).
+  /// version skew, a rule count the bytes cannot hold, or a bad seal
+  /// yield kDataLoss mentioning `context` (typically the file path).
   static StatusOr<std::shared_ptr<const RuleIndexSnapshot>> Deserialize(
       const std::string& data, const std::string& context);
 

@@ -1,6 +1,5 @@
 #include "serve/client.h"
 
-#include <cstring>
 #include <utility>
 
 #include "serve/net_socket.h"
@@ -44,8 +43,9 @@ StatusOr<Reply> RuleClient::ReadReply() {
   if (fd_ < 0) return FailedPreconditionError("client not connected");
   char len_buf[sizeof(uint32_t)];
   DMC_RETURN_IF_ERROR(net::RecvAll(fd_, len_buf, sizeof(len_buf)));
+  size_t offset = 0;
   uint32_t len = 0;
-  std::memcpy(&len, len_buf, sizeof(len));
+  (void)ReadLE(std::string_view(len_buf, sizeof(len_buf)), &offset, &len);
   if (len < kMinFramePayloadBytes || len > kMaxFramePayloadBytes) {
     return InvalidArgumentError("protocol: reply frame length " +
                                 std::to_string(len) + " out of bounds");

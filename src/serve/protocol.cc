@@ -1,60 +1,36 @@
 #include "serve/protocol.h"
 
-#include <cstring>
+#include <iterator>
+#include <utility>
+
+#include "rules/rule_codec.h"
 
 namespace dmc {
 namespace serve {
 
 namespace {
 
-template <typename T>
-void AppendLE(std::string* out, T value) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out->append(buf, sizeof(T));
-}
-
-template <typename T>
-bool ReadLE(std::string_view data, size_t* offset, T* value) {
-  if (data.size() - *offset < sizeof(T)) return false;
-  std::memcpy(value, data.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
-
 Status Malformed(const std::string& what) {
   return InvalidArgumentError("protocol: " + what);
 }
 
-/// Wraps a finished payload into a frame by prefixing its length.
-std::string Frame(std::string payload) {
-  std::string out;
-  out.reserve(payload.size() + sizeof(uint32_t));
-  AppendLE<uint32_t>(&out, static_cast<uint32_t>(payload.size()));
-  out += payload;
-  return out;
+/// A payload of this protocol holding only its header.
+std::string Payload(Op op, uint8_t reserved = 0) {
+  return BeginPayload({kProtocolVersion, static_cast<uint8_t>(op), reserved});
 }
 
-void AppendPayloadHeader(std::string* out, Op op, uint8_t reserved) {
-  AppendLE<uint16_t>(out, kProtocolVersion);
-  AppendLE<uint8_t>(out, static_cast<uint8_t>(op));
-  AppendLE<uint8_t>(out, reserved);
-}
-
-/// Shared header check for both directions. On success *op / *reserved
-/// hold the decoded fields and *offset points at the body.
-Status DecodeHeader(std::string_view payload, size_t* offset, uint8_t* op,
-                    uint8_t* reserved) {
-  uint16_t version = 0;
-  if (!ReadLE(payload, offset, &version) || !ReadLE(payload, offset, op) ||
-      !ReadLE(payload, offset, reserved)) {
-    return Malformed("payload shorter than the 4-byte header");
-  }
-  if (version != kProtocolVersion) {
-    return Malformed("unsupported version " + std::to_string(version));
-  }
-  return Status::OK();
-}
+/// ServeStats on the wire: each field a u64, in declaration order.
+constexpr uint64_t ServeStats::*kStatsFields[] = {
+    &ServeStats::generation,           &ServeStats::num_rules,
+    &ServeStats::rows_mined,           &ServeStats::batches_ingested,
+    &ServeStats::rows_ingested,        &ServeStats::pending_batches,
+    &ServeStats::snapshots_published,  &ServeStats::requests_served,
+    &ServeStats::connections_accepted, &ServeStats::connections_active,
+    &ServeStats::protocol_errors,      &ServeStats::io_errors,
+    &ServeStats::batches_dropped,      &ServeStats::batches_evicted,
+    &ServeStats::rows_evicted,         &ServeStats::evicts_dropped};
+static_assert(std::size(kStatsFields) * sizeof(uint64_t) == sizeof(ServeStats),
+              "kStatsFields must list every ServeStats field");
 
 bool IsRequestOp(uint8_t op) {
   switch (static_cast<Op>(op)) {
@@ -73,53 +49,66 @@ bool IsRequestOp(uint8_t op) {
 
 }  // namespace
 
+StatusOr<PayloadHeader> ReadPayloadHeader(std::string_view payload,
+                                          uint16_t version,
+                                          std::string_view what,
+                                          size_t* offset) {
+  PayloadHeader header;
+  if (!ReadLE(payload, offset, &header.version) ||
+      !ReadLE(payload, offset, &header.op) ||
+      !ReadLE(payload, offset, &header.reserved)) {
+    return InvalidArgumentError(std::string(what) +
+                                ": payload shorter than the 4-byte header");
+  }
+  if (header.version != version) {
+    return InvalidArgumentError(std::string(what) + ": unsupported version " +
+                                std::to_string(header.version));
+  }
+  return header;
+}
+
 std::string EncodeQueryRequest(Op op, uint32_t arg) {
-  std::string payload;
-  AppendPayloadHeader(&payload, op, 0);
+  std::string payload = Payload(op);
   AppendLE<uint32_t>(&payload, arg);
-  return Frame(std::move(payload));
+  return Frame(payload);
 }
 
 std::string EncodeStatsRequest() {
-  std::string payload;
-  AppendPayloadHeader(&payload, Op::kStats, 0);
-  return Frame(std::move(payload));
+  return Frame(Payload(Op::kStats));
 }
 
 std::string EncodeAppendRequest(
     uint32_t num_columns, const std::vector<std::vector<ColumnId>>& rows) {
-  std::string payload;
-  AppendPayloadHeader(&payload, Op::kAppend, 0);
+  std::string payload = Payload(Op::kAppend);
   AppendLE<uint32_t>(&payload, num_columns);
   AppendLE<uint32_t>(&payload, static_cast<uint32_t>(rows.size()));
   for (const std::vector<ColumnId>& row : rows) {
     AppendLE<uint32_t>(&payload, static_cast<uint32_t>(row.size()));
     for (ColumnId c : row) AppendLE<uint32_t>(&payload, c);
   }
-  return Frame(std::move(payload));
+  return Frame(payload);
 }
 
 std::string EncodeEvictRequest(uint64_t rows) {
-  std::string payload;
-  AppendPayloadHeader(&payload, Op::kEvict, 0);
+  std::string payload = Payload(Op::kEvict);
   AppendLE<uint64_t>(&payload, rows);
-  return Frame(std::move(payload));
+  return Frame(payload);
 }
 
 StatusOr<Request> DecodeRequestPayload(std::string_view payload) {
   size_t offset = 0;
-  uint8_t op = 0;
-  uint8_t reserved = 0;
-  DMC_RETURN_IF_ERROR(DecodeHeader(payload, &offset, &op, &reserved));
-  if (!IsRequestOp(op)) {
-    return Malformed("unknown request op " + std::to_string(op));
+  DMC_ASSIGN_OR_RETURN(
+      const PayloadHeader header,
+      ReadPayloadHeader(payload, kProtocolVersion, "protocol", &offset));
+  if (!IsRequestOp(header.op)) {
+    return Malformed("unknown request op " + std::to_string(header.op));
   }
-  if (reserved != 0) {
+  if (header.reserved != 0) {
     return Malformed("nonzero reserved byte on a request");
   }
 
   Request request;
-  request.op = static_cast<Op>(op);
+  request.op = static_cast<Op>(header.op);
   switch (request.op) {
     case Op::kQueryByAntecedent:
     case Op::kQueryByConsequent:
@@ -149,8 +138,7 @@ StatusOr<Request> DecodeRequestPayload(std::string_view payload) {
       }
       // Each announced row needs at least its 4-byte count, so a hostile
       // num_rows can never make us reserve more than the payload holds.
-      if (static_cast<uint64_t>(num_rows) * sizeof(uint32_t) >
-          payload.size() - offset) {
+      if (!CountFits(payload, offset, num_rows, sizeof(uint32_t))) {
         return Malformed("append row count exceeds payload size");
       }
       request.append_rows.resize(num_rows);
@@ -159,8 +147,7 @@ StatusOr<Request> DecodeRequestPayload(std::string_view payload) {
         if (!ReadLE(payload, &offset, &n)) {
           return Malformed("append row " + std::to_string(r) + " truncated");
         }
-        if (static_cast<uint64_t>(n) * sizeof(uint32_t) >
-            payload.size() - offset) {
+        if (!CountFits(payload, offset, n, sizeof(uint32_t))) {
           return Malformed("append row " + std::to_string(r) +
                            " longer than the remaining payload");
         }
@@ -198,86 +185,60 @@ StatusOr<Request> DecodeRequestPayload(std::string_view payload) {
 
 std::string EncodeRulesReply(Op op, uint64_t generation,
                              const std::vector<ImplicationRule>& rules) {
-  std::string payload;
-  AppendPayloadHeader(&payload, op, 0);
+  std::string payload = Payload(op);
   AppendLE<uint64_t>(&payload, generation);
   AppendLE<uint32_t>(&payload, static_cast<uint32_t>(rules.size()));
-  for (const ImplicationRule& r : rules) {
-    AppendLE<uint32_t>(&payload, r.lhs);
-    AppendLE<uint32_t>(&payload, r.rhs);
-    AppendLE<uint32_t>(&payload, r.lhs_ones);
-    AppendLE<uint32_t>(&payload, r.misses);
-  }
-  return Frame(std::move(payload));
+  for (const ImplicationRule& r : rules) AppendRecord(&payload, r);
+  return Frame(payload);
 }
 
 std::string EncodeStatsReply(const ServeStats& stats) {
-  std::string payload;
-  AppendPayloadHeader(&payload, Op::kStats, 0);
-  AppendLE<uint64_t>(&payload, stats.generation);
-  AppendLE<uint64_t>(&payload, stats.num_rules);
-  AppendLE<uint64_t>(&payload, stats.rows_mined);
-  AppendLE<uint64_t>(&payload, stats.batches_ingested);
-  AppendLE<uint64_t>(&payload, stats.rows_ingested);
-  AppendLE<uint64_t>(&payload, stats.pending_batches);
-  AppendLE<uint64_t>(&payload, stats.snapshots_published);
-  AppendLE<uint64_t>(&payload, stats.requests_served);
-  AppendLE<uint64_t>(&payload, stats.connections_accepted);
-  AppendLE<uint64_t>(&payload, stats.connections_active);
-  AppendLE<uint64_t>(&payload, stats.protocol_errors);
-  AppendLE<uint64_t>(&payload, stats.io_errors);
-  AppendLE<uint64_t>(&payload, stats.batches_dropped);
-  AppendLE<uint64_t>(&payload, stats.batches_evicted);
-  AppendLE<uint64_t>(&payload, stats.rows_evicted);
-  AppendLE<uint64_t>(&payload, stats.evicts_dropped);
-  return Frame(std::move(payload));
+  std::string payload = Payload(Op::kStats);
+  for (uint64_t ServeStats::*field : kStatsFields) {
+    AppendLE<uint64_t>(&payload, stats.*field);
+  }
+  return Frame(payload);
 }
 
 std::string EncodeAppendReply(uint64_t pending_batches) {
-  std::string payload;
-  AppendPayloadHeader(&payload, Op::kAppend, 0);
+  std::string payload = Payload(Op::kAppend);
   AppendLE<uint64_t>(&payload, pending_batches);
-  return Frame(std::move(payload));
+  return Frame(payload);
 }
 
 std::string EncodeEvictReply(uint64_t pending_batches) {
-  std::string payload;
-  AppendPayloadHeader(&payload, Op::kEvict, 0);
+  std::string payload = Payload(Op::kEvict);
   AppendLE<uint64_t>(&payload, pending_batches);
-  return Frame(std::move(payload));
+  return Frame(payload);
 }
 
 std::string EncodeErrorReply(Op op, const Status& status) {
-  std::string payload;
-  AppendPayloadHeader(&payload, op, static_cast<uint8_t>(status.code()));
-  const std::string& message = status.message();
-  AppendLE<uint32_t>(&payload, static_cast<uint32_t>(message.size()));
-  payload += message;
-  return Frame(std::move(payload));
+  std::string payload = Payload(op, static_cast<uint8_t>(status.code()));
+  AppendString(&payload, status.message());
+  return Frame(payload);
 }
 
 StatusOr<Reply> DecodeReplyPayload(std::string_view payload) {
   size_t offset = 0;
-  uint8_t op = 0;
-  uint8_t code = 0;
-  DMC_RETURN_IF_ERROR(DecodeHeader(payload, &offset, &op, &code));
-  if (!IsRequestOp(op) && static_cast<Op>(op) != Op::kError) {
-    return Malformed("unknown reply op " + std::to_string(op));
+  DMC_ASSIGN_OR_RETURN(
+      const PayloadHeader header,
+      ReadPayloadHeader(payload, kProtocolVersion, "protocol", &offset));
+  if (!IsRequestOp(header.op) && static_cast<Op>(header.op) != Op::kError) {
+    return Malformed("unknown reply op " + std::to_string(header.op));
   }
 
   Reply reply;
-  reply.op = static_cast<Op>(op);
+  reply.op = static_cast<Op>(header.op);
+  const uint8_t code = header.reserved;
   if (code != 0) {
     if (code > static_cast<uint8_t>(StatusCode::kDataLoss)) {
       return Malformed("unknown status code " + std::to_string(code));
     }
-    uint32_t msg_len = 0;
-    if (!ReadLE(payload, &offset, &msg_len) ||
-        msg_len != payload.size() - offset) {
+    std::string message;
+    if (!ReadString(payload, &offset, &message) || offset != payload.size()) {
       return Malformed("error reply message truncated");
     }
-    reply.status = Status(static_cast<StatusCode>(code),
-                          std::string(payload.substr(offset, msg_len)));
+    reply.status = Status(static_cast<StatusCode>(code), std::move(message));
     return reply;
   }
 
@@ -290,39 +251,22 @@ StatusOr<Reply> DecodeReplyPayload(std::string_view payload) {
           !ReadLE(payload, &offset, &count)) {
         return Malformed("rules reply header truncated");
       }
-      if (static_cast<uint64_t>(count) * 4 * sizeof(uint32_t) !=
-          payload.size() - offset) {
+      if (!ReadRecords(payload, &offset, count, &reply.rules) ||
+          offset != payload.size()) {
         return Malformed("rules reply count does not match payload size");
-      }
-      reply.rules.resize(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        ImplicationRule& r = reply.rules[i];
-        (void)ReadLE(payload, &offset, &r.lhs);
-        (void)ReadLE(payload, &offset, &r.rhs);
-        (void)ReadLE(payload, &offset, &r.lhs_ones);
-        (void)ReadLE(payload, &offset, &r.misses);
       }
       return reply;
     }
     case Op::kStats: {
-      ServeStats& s = reply.stats;
-      uint64_t* const fields[] = {
-          &s.generation,       &s.num_rules,          &s.rows_mined,
-          &s.batches_ingested, &s.rows_ingested,      &s.pending_batches,
-          &s.snapshots_published, &s.requests_served,
-          &s.connections_accepted, &s.connections_active,
-          &s.protocol_errors,  &s.io_errors,
-          &s.batches_dropped,  &s.batches_evicted,
-          &s.rows_evicted,     &s.evicts_dropped};
-      for (uint64_t* field : fields) {
-        if (!ReadLE(payload, &offset, field)) {
+      for (uint64_t ServeStats::*field : kStatsFields) {
+        if (!ReadLE(payload, &offset, &(reply.stats.*field))) {
           return Malformed("stats reply truncated");
         }
       }
       if (offset != payload.size()) {
         return Malformed("trailing bytes after the stats reply");
       }
-      reply.generation = s.generation;
+      reply.generation = reply.stats.generation;
       return reply;
     }
     case Op::kAppend:
@@ -347,8 +291,9 @@ FrameBuffer::Poll FrameBuffer::Next(std::string* payload) {
   }
   const size_t available = buffer_.size() - consumed_;
   if (available < sizeof(uint32_t)) return Poll::kNeedMore;
+  size_t at = consumed_;
   uint32_t len = 0;
-  std::memcpy(&len, buffer_.data() + consumed_, sizeof(uint32_t));
+  (void)ReadLE(buffer_, &at, &len);
   if (len < kMinFramePayloadBytes || len > max_payload_bytes_) {
     return Poll::kBadFrame;
   }

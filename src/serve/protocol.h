@@ -54,7 +54,9 @@
 // All encode/decode helpers are pure functions over std::string buffers
 // shared by the server, the client, the fuzz battery and the bench — a
 // frame either round-trips exactly or decodes to kInvalidArgument;
-// nothing here does I/O.
+// nothing here does I/O. Frame, the payload header and FrameBuffer are
+// also the shard protocol's (shard/shard_protocol.h); fields are written
+// with util/byte_codec.h and rule records with rules/rule_codec.h.
 
 #ifndef DMC_SERVE_PROTOCOL_H_
 #define DMC_SERVE_PROTOCOL_H_
@@ -65,6 +67,7 @@
 #include <vector>
 
 #include "rules/rule.h"
+#include "util/byte_codec.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
@@ -96,9 +99,42 @@ enum class Op : uint8_t {
   kError = 0x7F,
 };
 
+/// The 4-byte header every payload starts with, here and in the shard
+/// protocol.
+struct PayloadHeader {
+  uint16_t version = 0;
+  uint8_t op = 0;
+  uint8_t reserved = 0;
+};
+
+/// A payload holding only `header`; the body is appended to it.
+inline std::string BeginPayload(const PayloadHeader& header) {
+  std::string payload;
+  AppendLE<uint16_t>(&payload, header.version);
+  AppendLE<uint8_t>(&payload, header.op);
+  AppendLE<uint8_t>(&payload, header.reserved);
+  return payload;
+}
+
+/// Reads the header at the start of `payload` and leaves *offset at the
+/// body. A payload shorter than the header, or of another version than
+/// `version`, is kInvalidArgument "<what>: ...".
+[[nodiscard]] StatusOr<PayloadHeader> ReadPayloadHeader(
+    std::string_view payload, uint16_t version, std::string_view what,
+    size_t* offset);
+
+/// Wraps a finished payload into a frame by prefixing its u32 length.
+inline std::string Frame(std::string_view payload) {
+  std::string out;
+  out.reserve(payload.size() + sizeof(uint32_t));
+  AppendLE<uint32_t>(&out, static_cast<uint32_t>(payload.size()));
+  out += payload;
+  return out;
+}
+
 /// Server counters served by kStats (and RuleServer::StatsSnapshot).
-/// All fields ride the wire as u64 in declaration order — append new
-/// fields at the end and bump kProtocolVersion.
+/// All fields ride the wire as u64 in declaration order (kStatsFields in
+/// protocol.cc) — append new fields at the end and bump kProtocolVersion.
 struct ServeStats {
   uint64_t generation = 0;
   uint64_t num_rules = 0;

@@ -4,8 +4,6 @@
 #include <iterator>
 #include <utility>
 
-#include "rules/rule_index.h"
-
 namespace dmc {
 namespace shard {
 
@@ -51,19 +49,6 @@ SimilarityRuleSet MergeCanonicalSim(std::vector<SimilarityRuleSet> parts) {
   return SimilarityRuleSet(KWayMerge(
       std::move(runs),
       [](const SimilarityPair& x, const SimilarityPair& y) { return x < y; }));
-}
-
-ImplicationRuleSet MergeByConfidence(std::vector<ImplicationRuleSet> parts) {
-  // Per-shard sets arrive in (lhs, rhs) order, not confidence order, so
-  // each run is re-sorted under the exact comparator before the merge.
-  std::vector<std::vector<ImplicationRule>> runs;
-  runs.reserve(parts.size());
-  for (auto& p : parts) {
-    std::vector<ImplicationRule> run = p.TakeRules();
-    std::sort(run.begin(), run.end(), HigherConfidence);
-    runs.push_back(std::move(run));
-  }
-  return ImplicationRuleSet(KWayMerge(std::move(runs), HigherConfidence));
 }
 
 }  // namespace shard

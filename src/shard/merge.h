@@ -8,10 +8,6 @@
 // them therefore reproduces Canonicalize(union) byte for byte — the
 // merge-order invariant DESIGN §5.8 proves and the differential tests
 // enforce.
-//
-// The confidence-ordered variants use the exact uint64 cross-multiplied
-// comparators (rules/rule_index.h) so the merged ranking agrees with
-// exact rational comparison even where doubles would tie.
 
 #ifndef DMC_SHARD_MERGE_H_
 #define DMC_SHARD_MERGE_H_
@@ -32,15 +28,6 @@ ImplicationRuleSet MergeCanonical(
 /// Same for similarity pairs (inputs canonical: sparser-first
 /// orientation, sorted by (a, b)).
 SimilarityRuleSet MergeCanonicalSim(std::vector<SimilarityRuleSet> parts);
-
-/// Merges per-shard rule sets directly into descending-confidence order
-/// (exact uint64 cross-multiply, ties by ascending (lhs, rhs)) without
-/// materializing the canonical union first. Equals
-/// MergeCanonical(parts).SortedByConfidence() when no two rules'
-/// confidences straddle a double-rounding boundary, and is the exact
-/// order regardless.
-ImplicationRuleSet MergeByConfidence(
-    std::vector<ImplicationRuleSet> parts);
 
 }  // namespace shard
 }  // namespace dmc

@@ -9,7 +9,8 @@
 // durable result rather than restarting (core/checkpoint.h does the same
 // for pass 1).
 //
-// On-disk format (little-endian), mirroring core/checkpoint.h:
+// On-disk format: a sealed file (util/sealed_file.h) like
+// core/checkpoint.h, little-endian —
 //
 //   offset 0   8 bytes   magic "DMCSHRD\n"
 //          8   u32       version (1)
@@ -17,9 +18,8 @@
 //         20   u32       task id
 //         24   u8        engine (0 = implications, 1 = similarities)
 //         25   u32       record count
-//        ...   records   imp: 4 x u32 per rule; sim: 5 x u32 per pair
-//        ...   u64       FNV-1a checksum of every byte above
-//        ...   4 bytes   end magic "DMCE"
+//        ...   records   the engine's rule records (rules/rule_codec.h)
+//        ...   12 bytes  seal: u64 FNV-1a of every byte above, "DMCE"
 //
 // Any structural problem, checksum mismatch, or unsupported version
 // reads as kDataLoss; the coordinator treats every read failure as

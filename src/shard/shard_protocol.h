@@ -1,6 +1,7 @@
 // Wire protocol between the shard coordinator and its worker processes
-// (DESIGN §5.8). Reuses the dmc_serve framing (serve/protocol.h): every
-// message is a u32-LE length prefix plus a payload starting with
+// (DESIGN §5.8). Reuses the dmc_serve framing (serve/protocol.h: Frame,
+// the payload header and FrameBuffer): every message is a u32-LE length
+// prefix plus a payload starting with
 //
 //   u16  version       kShardProtocolVersion (1)
 //   u8   op            Op below
@@ -29,8 +30,10 @@
 // a 2^24-column matrix or a multi-million-rule kResult fits; a hostile
 // length prefix beyond the cap is rejected before buffering, exactly as
 // in serve). Decoders validate every count against the remaining payload
-// bytes before allocating, so a 16-byte frame can never announce a
-// multi-GiB vector.
+// bytes before allocating (CountFits, util/byte_codec.h), and column
+// counts against kMaxMatrixColumns (matrix/matrix_io.h), so a 16-byte
+// frame can never announce a multi-GiB vector. Rule records use the
+// shared codec of rules/rule_codec.h.
 //
 // All encode/decode helpers are pure functions over std::string buffers;
 // a frame either round-trips exactly or decodes to kInvalidArgument.
@@ -55,9 +58,6 @@ inline constexpr uint16_t kShardProtocolVersion = 1;
 /// Frame cap; sized for wide matrices (column_ones in kInit) and large
 /// per-shard rule sets (kResult).
 inline constexpr uint32_t kShardMaxFramePayloadBytes = 64u << 20;
-/// Column cap mirrored from TextReadOptions::max_column_id (2^26 - 1):
-/// decode rejects wider announcements before sizing per-column state.
-inline constexpr uint32_t kShardMaxColumns = 1u << 26;
 
 enum class Op : uint8_t {
   kHello = 1,
@@ -78,7 +78,7 @@ enum class Engine : uint8_t {
 /// Everything a worker needs to mine any shard of the run: the mining
 /// configuration plus the coordinator's pass-1 result. Workers never
 /// scan or partition the input themselves — they replay the bucket
-/// files (or the original input, in identity order) named here.
+/// files named here (one file, in input order, under identity order).
 struct ShardPlan {
   Engine engine = Engine::kImplications;
   /// minconf (implications) or minsim (similarities).
@@ -94,7 +94,7 @@ struct ShardPlan {
   uint64_t bitmap_max_remaining_rows = 0;
   /// Heartbeat cadence: the worker's progress_interval_rows.
   uint64_t progress_interval_rows = 1024;
-  /// Original input (replayed directly when row_order is identity).
+  /// Original input; workers replay only the bucket files.
   std::string input_path;
   /// Directory holding the coordinator's bucket files.
   std::string work_dir;
@@ -143,6 +143,15 @@ std::string EncodeResult(const ShardResult& result);
 /// `status` must not be OK.
 std::string EncodeTaskError(uint32_t task_id, const Status& status);
 std::string EncodeShutdown();
+
+/// A result's rule list as kResult and the task checkpoint
+/// (shard/shard_checkpoint.h) both carry it: u32 count, then the records
+/// of the result's engine.
+void AppendResultRecords(std::string* out, const ShardResult& result);
+/// Reads `count` records of `result->engine`'s kind at *offset; false,
+/// with nothing allocated, when they overrun `data`.
+bool ReadResultRecords(std::string_view data, size_t* offset, uint32_t count,
+                       ShardResult* result);
 
 /// Decodes one payload (frame prefix already stripped). Version skew,
 /// unknown op, short/trailing bytes, counts that overrun the payload, or

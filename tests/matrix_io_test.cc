@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "util/checksum.h"
+
 namespace dmc {
 namespace {
 
@@ -178,6 +180,25 @@ TEST(MatrixIoTest, BinaryRejectsTruncation) {
     ASSERT_FALSE(parsed.ok()) << "prefix of " << len << " bytes parsed";
     EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss) << len;
   }
+}
+
+TEST(MatrixIoTest, BinaryRejectsColumnCountAboveTheCap) {
+  // A sealed 32-byte image with 0 rows and 2^26 + 1 columns: one column
+  // past the cap the text reader enforces, so it must not size a matrix.
+  std::string data = "DMCBIN1\n";
+  const uint32_t num_columns = (1u << 26) + 1;
+  const uint64_t num_rows = 0;
+  data.append(reinterpret_cast<const char*>(&num_columns), 4);
+  data.append(reinterpret_cast<const char*>(&num_rows), 8);
+  const uint64_t seal = Fnv1a(data);
+  data.append(reinterpret_cast<const char*>(&seal), 8);
+  data.append("DMCE");
+  ASSERT_EQ(data.size(), 32u);
+  auto parsed = ReadMatrixBinary(data);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(parsed.status().message().find("byte 8"), std::string::npos)
+      << parsed.status();
 }
 
 TEST(MatrixIoTest, BinaryErrorsCarryRowAndByteContext) {

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "rules/rule_index.h"
+#include "util/checksum.h"
 #include "util/failpoint.h"
 
 namespace dmc {
@@ -133,6 +134,19 @@ TEST(RuleIndexSnapshotTest, DeserializeRejectsCorruption) {
             StatusCode::kDataLoss);
 
   EXPECT_EQ(RuleIndexSnapshot::Deserialize("", "t").status().code(),
+            StatusCode::kDataLoss);
+
+  // A 40-byte snapshot that announces 2^60 rules, holds none, and
+  // carries a correct seal: the count must be bounded by the bytes that
+  // follow it before anything is sized from it (count * 16 wraps to 0).
+  std::string huge = image.substr(0, 20);  // magic, version, generation
+  const uint64_t count = uint64_t{1} << 60;
+  huge.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  const uint64_t seal = Fnv1a(huge);
+  huge.append(reinterpret_cast<const char*>(&seal), sizeof(seal));
+  huge.append("DMCE");
+  ASSERT_EQ(huge.size(), 40u);
+  EXPECT_EQ(RuleIndexSnapshot::Deserialize(huge, "t").status().code(),
             StatusCode::kDataLoss);
 }
 

@@ -434,38 +434,9 @@ TEST(ShardMergeTest, MergeCanonicalSimEqualsCanonicalizeOfUnion) {
   }
 }
 
-TEST(ShardMergeTest, MergeByConfidenceMatchesSortedByConfidence) {
-  Rng rng(0xC04F);
-  for (int trial = 0; trial < 20; ++trial) {
-    const int num_shards = 2 + static_cast<int>(rng.Uniform(3));
-    std::vector<ImplicationRuleSet> parts(num_shards);
-    std::vector<ImplicationRule> all;
-    const size_t n = 1 + rng.Uniform(120);
-    for (size_t i = 0; i < n; ++i) {
-      ImplicationRule r;
-      r.lhs = static_cast<ColumnId>(rng.Uniform(20));
-      r.rhs = static_cast<ColumnId>((r.lhs + 1 + rng.Uniform(19)) % 20);
-      // Small denominators force exact-rational ties (2/4 == 1/2) that
-      // the uint64 cross-multiply comparator must break by ids; counts
-      // stay a pure function of the key (see above).
-      r.lhs_ones = 1 + (r.lhs * 3 + r.rhs) % 6;
-      r.misses = (r.lhs + r.rhs) % (r.lhs_ones + 1);
-      all.push_back(r);
-      parts[r.lhs % num_shards].Add(r);
-    }
-    for (auto& p : parts) p.Canonicalize();
-    ImplicationRuleSet expect(all);
-    expect.Canonicalize();
-    expect = expect.SortedByConfidence();
-    const ImplicationRuleSet got = MergeByConfidence(std::move(parts));
-    EXPECT_EQ(got.rules(), expect.rules()) << "trial " << trial;
-  }
-}
-
 TEST(ShardMergeTest, EmptyAndSingletonPartsAreFine) {
   EXPECT_TRUE(MergeCanonical({}).empty());
   EXPECT_TRUE(MergeCanonicalSim({}).empty());
-  EXPECT_TRUE(MergeByConfidence({}).empty());
 
   ImplicationRuleSet one;
   one.Add({1, 2, 10, 1});

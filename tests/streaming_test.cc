@@ -4,6 +4,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "baselines/bruteforce.h"
 #include "core/dmc_imp.h"
@@ -128,10 +131,46 @@ TEST(ExternalMinerTest, IdentityOrderSkipsPartitioning) {
   ExternalMiningStats stats;
   auto external = MineImplicationsFromFile(path, o, dir, &stats);
   ASSERT_TRUE(external.ok());
-  EXPECT_EQ(stats.bucket_files, 0u);
+  // Identity order spills one bucket, in input order.
+  EXPECT_EQ(stats.bucket_files, 1u);
   auto in_memory = MineImplications(m, o);
   ASSERT_TRUE(in_memory.ok());
   EXPECT_EQ(external->Pairs(), in_memory->Pairs());
+}
+
+// Pass 1 is the only read of the text under identity order too: once
+// Prepare() has spilled the rows, Replay() needs the input no more and
+// yields every row in input order.
+TEST(ExternalMinerTest, IdentityReplayReadsTheSpillNotTheInput) {
+  const BinaryMatrix m = Workload(36);
+  const std::string dir = testing::TempDir() + "/external_identity_replay";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/input.txt";
+  ASSERT_TRUE(WriteMatrixTextFile(m, path).ok());
+
+  ExternalMiningStats stats;
+  std::vector<std::vector<ColumnId>> replayed;
+  {
+    ExternalInput input(path, dir, /*bucketed=*/false, ExternalIoOptions{},
+                        ObserveContext{}, &stats);
+    ASSERT_TRUE(input.Prepare().ok());
+    ASSERT_TRUE(std::filesystem::remove(path));
+    const Status st = input.Replay(
+        [&](std::span<const ColumnId> row) {
+          replayed.emplace_back(row.begin(), row.end());
+        },
+        "streaming.imp.row");
+    ASSERT_TRUE(st.ok()) << st;
+  }
+  EXPECT_EQ(stats.bucket_files, 1u);
+  ASSERT_EQ(replayed.size(), m.num_rows());
+  for (RowId r = 0; r < m.num_rows(); ++r) {
+    const auto row = m.Row(r);
+    EXPECT_EQ(replayed[r], std::vector<ColumnId>(row.begin(), row.end()))
+        << "row " << r;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ExternalMinerTest, MissingFileFails) {

@@ -11,8 +11,9 @@
 #   (d) dmc_lint over src/ + tools/
 #   (e) metrics-schema smoke check (dmc_cli --metrics-out, in-memory and
 #       --external, whose peak_counter_bytes must agree), then a resume
-#       smoke: a checkpointed --external run whose bucket spill is damaged
-#       in place must not resume, and must print the same rules
+#       smoke per row order (default and identity): a checkpointed
+#       --external run whose bucket spill is damaged in place must not
+#       resume, and must print the same rules
 #   (e2) serve smoke: dmc_serve daemon round-trip over a real socket
 #   (f) fault-injection sweep under ASan+UBSan (differential exactness)
 #   (f2) kill-a-worker shard sweep under ASan+UBSan (byte-identity under
@@ -106,49 +107,61 @@ if [[ "$(first_peak "${metrics_tmp}/metrics.json")" != \
   exit 1
 fi
 echo "metrics schema OK (in-memory and external)"
-# Resume arm: checkpoint an external run, overwrite one byte in the
-# middle of a bucket spill without changing its size, then --resume.
-# Resume reads every spill back before it trusts the checkpoint, so the
-# run must fall back to a fresh one: identical rules, no "(resumed)".
-resume_dir="${metrics_tmp}/resume"
-mkdir -p "${resume_dir}"
-resume_args=(mine-imp
-  --input="${repo_root}/tests/testdata/metrics/fixture_matrix.txt"
-  --minconf=0.8 --external --workdir="${resume_dir}"
-  --checkpoint="${resume_dir}/ckpt.bin")
-"${repo_root}/build/tools/dmc_cli" "${resume_args[@]}" \
-  >"${metrics_tmp}/fresh_rules.txt" 2>/dev/null
-bucket="$(find "${resume_dir}" -name 'dmc_bucket_*' -print -quit)"
-if [[ -z "${bucket}" ]]; then
-  echo "resume smoke: the checkpointed run kept no bucket spill" >&2
-  exit 1
-fi
-bucket_size="$(stat -c %s "${bucket}")"
-middle=$((bucket_size / 2))
-old_byte="$(od -An -tu1 -j "${middle}" -N1 "${bucket}" | tr -d ' ')"
-# shellcheck disable=SC2059  # the format is the escaped byte itself
-printf "$(printf '\\x%02x' $((old_byte ^ 0x55)))" |
-  dd of="${bucket}" bs=1 seek="${middle}" count=1 conv=notrunc status=none
-if [[ "$(stat -c %s "${bucket}")" != "${bucket_size}" ]]; then
-  echo "resume smoke: damaging the spill changed its size" >&2
-  exit 1
-fi
-if ! "${repo_root}/build/tools/dmc_cli" "${resume_args[@]}" --resume \
-     >"${metrics_tmp}/resumed_rules.txt" 2>"${metrics_tmp}/resume.err"; then
-  echo "resume smoke: the run over a damaged spill failed:" >&2
-  cat "${metrics_tmp}/resume.err" >&2
-  exit 1
-fi
-if grep -qF '(resumed)' "${metrics_tmp}/resume.err"; then
-  echo "resume smoke: a damaged bucket spill was resumed" >&2
-  exit 1
-fi
-if ! cmp -s "${metrics_tmp}/fresh_rules.txt" \
-            "${metrics_tmp}/resumed_rules.txt"; then
-  echo "resume smoke: rules differ after resuming over a damaged spill" >&2
-  exit 1
-fi
-echo "resume smoke OK (damaged spill fell back to a fresh run)"
+# Resume arm, once per row order: the default density buckets, and
+# identity, which spills one bucket in input order. Checkpoint an
+# external run, overwrite one byte in the middle of a bucket spill
+# without changing its size, then --resume. Resume reads every spill
+# back before it trusts the checkpoint, so the run must fall back to a
+# fresh one: identical rules, no "(resumed)".
+resume_smoke() {
+  local order="$1"
+  local dir="${metrics_tmp}/resume_${order}"
+  mkdir -p "${dir}"
+  local args=(mine-imp
+    --input="${repo_root}/tests/testdata/metrics/fixture_matrix.txt"
+    --minconf=0.8 --external --workdir="${dir}"
+    --checkpoint="${dir}/ckpt.bin")
+  [[ "${order}" == "default" ]] || args+=(--order="${order}")
+  "${repo_root}/build/tools/dmc_cli" "${args[@]}" \
+    >"${dir}.fresh.txt" 2>/dev/null
+  local bucket
+  bucket="$(find "${dir}" -name 'dmc_bucket_*' -print -quit)"
+  if [[ -z "${bucket}" ]]; then
+    echo "resume smoke (${order}): the checkpointed run kept no bucket" \
+         "spill" >&2
+    exit 1
+  fi
+  local bucket_size middle old_byte
+  bucket_size="$(stat -c %s "${bucket}")"
+  middle=$((bucket_size / 2))
+  old_byte="$(od -An -tu1 -j "${middle}" -N1 "${bucket}" | tr -d ' ')"
+  # shellcheck disable=SC2059  # the format is the escaped byte itself
+  printf "$(printf '\\x%02x' $((old_byte ^ 0x55)))" |
+    dd of="${bucket}" bs=1 seek="${middle}" count=1 conv=notrunc status=none
+  if [[ "$(stat -c %s "${bucket}")" != "${bucket_size}" ]]; then
+    echo "resume smoke (${order}): damaging the spill changed its size" >&2
+    exit 1
+  fi
+  if ! "${repo_root}/build/tools/dmc_cli" "${args[@]}" --resume \
+       >"${dir}.resumed.txt" 2>"${dir}.err"; then
+    echo "resume smoke (${order}): the run over a damaged spill failed:" >&2
+    cat "${dir}.err" >&2
+    exit 1
+  fi
+  if grep -qF '(resumed)' "${dir}.err"; then
+    echo "resume smoke (${order}): a damaged bucket spill was resumed" >&2
+    exit 1
+  fi
+  if ! cmp -s "${dir}.fresh.txt" "${dir}.resumed.txt"; then
+    echo "resume smoke (${order}): rules differ after resuming over a" \
+         "damaged spill" >&2
+    exit 1
+  fi
+  echo "resume smoke OK (${order} order: damaged spill fell back to a" \
+       "fresh run)"
+}
+resume_smoke default
+resume_smoke identity
 
 step "(e2) serve smoke: dmc_serve daemon round-trip"
 # Boots the daemon on an ephemeral port against the fixture matrix, then
