@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "matrix/matrix_io.h"
 #include "util/atomic_io.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -83,25 +84,15 @@ Status GenerateQuestFile(const QuestOptions& options,
                          const std::string& path) {
   AtomicFileWriter writer;
   DMC_RETURN_IF_ERROR(writer.Open(path));
-  // Matches WriteMatrixText's header; the dimensions are known up front
-  // (the builder's column count is fixed at num_items).
-  std::string buffer;
+  // WriteMatrixText's bytes; the dimensions are known up front (the
+  // builder's column count is fixed at num_items).
   constexpr size_t kFlushBytes = 1 << 20;
+  std::string buffer =
+      TextHeader(options.num_transactions, options.num_items);
   buffer.reserve(kFlushBytes + 4096);
-  buffer += "# dmc matrix: rows=";
-  buffer += std::to_string(options.num_transactions);
-  buffer += " columns=";
-  buffer += std::to_string(options.num_items);
-  buffer += '\n';
   const Status gen = GenerateQuestStream(
       options, [&](std::span<const ColumnId> row) -> Status {
-        bool first = true;
-        for (ColumnId c : row) {
-          if (!first) buffer += ' ';
-          buffer += std::to_string(c);
-          first = false;
-        }
-        buffer += '\n';
+        AppendTextRow(row, &buffer);
         if (buffer.size() >= kFlushBytes) {
           DMC_RETURN_IF_ERROR(writer.Write(buffer));
           buffer.clear();

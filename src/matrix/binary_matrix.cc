@@ -1,6 +1,8 @@
 #include "matrix/binary_matrix.h"
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -8,24 +10,9 @@ namespace dmc {
 
 BinaryMatrix BinaryMatrix::FromRows(ColumnId num_columns,
                                     std::vector<std::vector<ColumnId>> rows) {
-  BinaryMatrix m;
-  m.num_columns_ = num_columns;
-  m.column_ones_.assign(num_columns, 0);
-  m.row_offsets_.reserve(rows.size() + 1);
-  size_t total = 0;
-  for (const auto& row : rows) total += row.size();
-  m.column_ids_.reserve(total);
-  for (auto& row : rows) {
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
-    for (ColumnId c : row) {
-      DMC_CHECK_LT(c, num_columns);
-      m.column_ids_.push_back(c);
-      ++m.column_ones_[c];
-    }
-    m.row_offsets_.push_back(m.column_ids_.size());
-  }
-  return m;
+  MatrixBuilder builder(num_columns);
+  for (auto& row : rows) builder.AddRow(std::move(row));
+  return builder.Build();
 }
 
 bool BinaryMatrix::Get(RowId r, ColumnId c) const {
@@ -88,19 +75,33 @@ std::vector<PostingContainer> BinaryMatrix::AllColumnPostings() const {
 }
 
 void MatrixBuilder::AddRow(std::vector<ColumnId> cols) {
-  for (ColumnId c : cols) {
+  if (std::adjacent_find(cols.begin(), cols.end(),
+                         std::greater_equal<>()) != cols.end()) {
+    std::sort(cols.begin(), cols.end());
+    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  }
+  AddSortedRow(cols);
+}
+
+void MatrixBuilder::AddSortedRow(std::span<const ColumnId> row) {
+  if (!row.empty()) {
     if (fixed_columns_) {
-      DMC_CHECK_LT(c, num_columns_);
-    } else if (c >= num_columns_) {
-      num_columns_ = c + 1;
+      DMC_CHECK_LT(row.back(), num_columns_);
+    } else if (row.back() >= num_columns_) {
+      num_columns_ = row.back() + 1;
     }
   }
-  rows_.push_back(std::move(cols));
+  column_ids_.insert(column_ids_.end(), row.begin(), row.end());
+  row_offsets_.push_back(column_ids_.size());
 }
 
 BinaryMatrix MatrixBuilder::Build() {
-  BinaryMatrix m = BinaryMatrix::FromRows(num_columns_, std::move(rows_));
-  rows_.clear();
+  BinaryMatrix m;
+  m.num_columns_ = num_columns_;
+  m.column_ones_.assign(num_columns_, 0);
+  for (ColumnId c : column_ids_) ++m.column_ones_[c];
+  m.row_offsets_ = std::exchange(row_offsets_, {0});
+  m.column_ids_ = std::exchange(column_ids_, {});
   if (!fixed_columns_) num_columns_ = 0;
   return m;
 }

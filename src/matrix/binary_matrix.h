@@ -29,8 +29,9 @@ class BinaryMatrix {
   /// Empty 0x0 matrix.
   BinaryMatrix() = default;
 
-  /// Builds from row lists. Each row is sorted and deduplicated; column
-  /// ids must be < num_columns.
+  /// Builds from row lists through MatrixBuilder::AddRow: a row that is
+  /// not strictly increasing is sorted and deduplicated; column ids must
+  /// be < num_columns.
   static BinaryMatrix FromRows(ColumnId num_columns,
                                std::vector<std::vector<ColumnId>> rows);
 
@@ -94,6 +95,8 @@ class BinaryMatrix {
   }
 
  private:
+  friend class MatrixBuilder;
+
   ColumnId num_columns_ = 0;
   // CSR layout: row r spans column_ids_[row_offsets_[r] .. row_offsets_[r+1]).
   std::vector<size_t> row_offsets_{0};
@@ -101,8 +104,10 @@ class BinaryMatrix {
   std::vector<uint32_t> column_ones_;
 };
 
-/// Incremental row-by-row builder. Grows the column count automatically to
-/// fit the largest id seen unless a fixed count is given.
+/// Incremental row-by-row builder. It appends each row straight into the
+/// matrix's CSR arrays, and Build() moves them into the matrix. Grows the
+/// column count automatically to fit the largest id seen unless a fixed
+/// count is given.
 class MatrixBuilder {
  public:
   MatrixBuilder() = default;
@@ -111,19 +116,28 @@ class MatrixBuilder {
   explicit MatrixBuilder(ColumnId num_columns)
       : num_columns_(num_columns), fixed_columns_(true) {}
 
-  /// Appends a row; `cols` may be unsorted and contain duplicates.
+  /// Appends a row; `cols` may be unsorted and contain duplicates. A row
+  /// that is already strictly increasing is not sorted again.
   void AddRow(std::vector<ColumnId> cols);
 
-  /// Number of rows added so far.
-  RowId num_rows() const { return static_cast<RowId>(rows_.size()); }
+  /// Appends a row whose ids are strictly increasing, as the matrix
+  /// readers validate them; only its last id is range-checked.
+  void AddSortedRow(std::span<const ColumnId> row);
 
-  /// Finalizes. The builder is left empty and reusable.
+  /// Number of rows added so far.
+  RowId num_rows() const {
+    return static_cast<RowId>(row_offsets_.size() - 1);
+  }
+
+  /// Finalizes: counts ones(c) and moves the CSR arrays into the matrix.
+  /// The builder is left empty and reusable.
   BinaryMatrix Build();
 
  private:
   ColumnId num_columns_ = 0;
   bool fixed_columns_ = false;
-  std::vector<std::vector<ColumnId>> rows_;
+  std::vector<size_t> row_offsets_{0};
+  std::vector<ColumnId> column_ids_;
 };
 
 }  // namespace dmc

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <functional>
 #include <vector>
 
 #include "util/atomic_io.h"
@@ -15,34 +16,41 @@ namespace dmc {
 
 namespace {
 
-// Parses one text line into column ids. Returns false on malformed input
-// and fills `error`.
-bool ParseLine(std::string_view line, std::vector<ColumnId>* cols,
-               std::string* error) {
-  cols->clear();
-  size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t' ||
-                               line[i] == '\r')) {
-      ++i;
-    }
-    if (i >= line.size()) break;
-    const size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t' &&
-           line[i] != '\r') {
-      ++i;
-    }
+// The text readers read the stream in blocks of this size. A line longer
+// than a block doubles it until the line fits.
+constexpr size_t kTextBlockBytes = size_t{64} << 10;
+
+bool IsSeparator(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+// Parses the column ids of the line starting at `p` into `out`, which has
+// room for one id per two bytes of the line plus one. The line ends at a
+// '\n' (a sentinel for a last line without one), so no loop needs a bounds
+// check. Returns the id count, or -1 with the first malformed token in
+// `*bad`: a token is malformed unless it is all digits and fits in 32
+// bits, exactly the tokens std::from_chars<uint32_t> accepts whole.
+ptrdiff_t ParseIds(const char* p, ColumnId* out, std::string_view* bad) {
+  ColumnId* const first = out;
+  while (true) {
+    while (IsSeparator(*p)) ++p;
+    if (*p == '\n') return out - first;
+    const char* const token = p;
     uint32_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(line.data() + start, line.data() + i, value);
-    if (ec != std::errc() || ptr != line.data() + i) {
-      *error = "malformed column id '" +
-               std::string(line.substr(start, i - start)) + "'";
-      return false;
+    uint32_t digit;
+    while ((digit = static_cast<uint8_t>(*p) - uint32_t{'0'}) <= 9) {
+      value = value * 10 + digit;
+      ++p;
     }
-    cols->push_back(value);
+    // Nine digits cannot overflow; a longer token (zero-padded, or too
+    // big) is re-read by from_chars, which rejects a value past 32 bits.
+    const bool fits =
+        p - token <= 9 || std::from_chars(token, p, value).ec == std::errc();
+    if (p == token || !fits || !(IsSeparator(*p) || *p == '\n')) {
+      while (!IsSeparator(*p) && *p != '\n') ++p;
+      *bad = std::string_view(token, static_cast<size_t>(p - token));
+      return -1;
+    }
+    *out++ = value;
   }
-  return true;
 }
 
 std::string LineContext(size_t line_no, uint64_t byte_offset) {
@@ -50,72 +58,112 @@ std::string LineContext(size_t line_no, uint64_t byte_offset) {
          std::to_string(byte_offset) + ")";
 }
 
-// Range check + strictness check (or sort/dedup when normalizing).
-// `byte_offset` is the offset of the line start in the stream.
-Status ValidateOrNormalizeRow(std::vector<ColumnId>* cols,
+// Range check, then the strictness check (or sort/dedup when
+// normalizing), reporting the first out-of-range id ahead of any order
+// error. `line_start` is the stream offset of the line. A strictly
+// increasing row in range — the common case — costs one pass.
+Status ValidateOrNormalizeRow(std::span<ColumnId>* row,
                               const TextReadOptions& options, size_t line_no,
-                              uint64_t byte_offset) {
-  for (ColumnId c : *cols) {
+                              uint64_t line_start) {
+  const auto cols = *row;
+  if (std::adjacent_find(cols.begin(), cols.end(), std::greater_equal<>()) ==
+          cols.end() &&
+      (cols.empty() || cols.back() <= options.max_column_id)) {
+    return Status::OK();
+  }
+  for (ColumnId c : cols) {
     if (c > options.max_column_id) {
       return InvalidArgumentError(
-          LineContext(line_no, byte_offset) + ": column id " +
+          LineContext(line_no, line_start) + ": column id " +
           std::to_string(c) + " exceeds the configured maximum " +
           std::to_string(options.max_column_id));
     }
   }
   if (options.normalize) {
-    std::sort(cols->begin(), cols->end());
-    cols->erase(std::unique(cols->begin(), cols->end()), cols->end());
+    std::sort(cols.begin(), cols.end());
+    *row = cols.first(static_cast<size_t>(
+        std::unique(cols.begin(), cols.end()) - cols.begin()));
     return Status::OK();
   }
-  for (size_t i = 1; i < cols->size(); ++i) {
-    const ColumnId prev = (*cols)[i - 1];
-    const ColumnId cur = (*cols)[i];
+  for (size_t i = 1; i < cols.size(); ++i) {
+    const ColumnId prev = cols[i - 1];
+    const ColumnId cur = cols[i];
     if (cur == prev) {
-      return InvalidArgumentError(LineContext(line_no, byte_offset) +
+      return InvalidArgumentError(LineContext(line_no, line_start) +
                                   ": duplicate column id " +
                                   std::to_string(cur));
     }
     if (cur < prev) {
       return InvalidArgumentError(
-          LineContext(line_no, byte_offset) + ": column ids not sorted (" +
+          LineContext(line_no, line_start) + ": column ids not sorted (" +
           std::to_string(cur) + " after " + std::to_string(prev) + ")");
     }
   }
   return Status::OK();
 }
 
-// Shared line loop for the three text readers: handles comments, byte
-// offsets, parse errors, validation and the per-row failpoint.
-Status ForEachValidatedRow(
-    std::istream& is, const TextReadOptions& options,
-    const std::function<Status(std::vector<ColumnId>&)>& per_row) {
-  std::string line;
-  std::vector<ColumnId> cols;
-  std::string error;
+// The block tokenizer behind the three text readers. It reads the stream
+// in kTextBlockBytes blocks, carries a line cut by a block's end over to
+// the next block, and hands every data row to `per_row` as validated,
+// strictly increasing ids. Its memory is the block, grown only for a line
+// longer than it, plus one row of ids. Line rules: only '\n' ends a line
+// (a last line without one is still a row), a blank line is an empty row
+// and '#' in column 0 starts a comment; ' ', '\t' and '\r' separate ids.
+template <typename PerRow>
+Status ForEachValidatedRow(std::istream& is, const TextReadOptions& options,
+                           PerRow&& per_row) {
+  std::vector<char> block(kTextBlockBytes);
+  std::vector<ColumnId> ids;
   size_t line_no = 0;
-  uint64_t byte_offset = 0;
+  uint64_t byte_offset = 0;  // stream offset of the next line
   const bool inject = fail::Enabled();
-  while (std::getline(is, line)) {
+  // One line, [begin, end) with *end == '\n'.
+  const auto parse_line = [&](const char* begin, const char* end) -> Status {
     ++line_no;
     const uint64_t line_start = byte_offset;
-    byte_offset += line.size() + 1;
-    if (!line.empty() && line[0] == '#') continue;
+    byte_offset += static_cast<uint64_t>(end - begin) + 1;
+    if (*begin == '#') return Status::OK();
     if (inject) {
       DMC_RETURN_IF_ERROR(fail::InjectStatus("matrix.text.row"));
     }
-    if (!ParseLine(line, &cols, &error)) {
-      return InvalidArgumentError(LineContext(line_no, line_start) + ": " +
-                                  error);
+    const size_t room = static_cast<size_t>(end - begin) / 2 + 1;
+    if (ids.size() < room) ids.resize(room);
+    std::string_view bad;
+    const ptrdiff_t count = ParseIds(begin, ids.data(), &bad);
+    if (count < 0) {
+      return InvalidArgumentError(LineContext(line_no, line_start) +
+                                  ": malformed column id '" +
+                                  std::string(bad) + "'");
     }
+    std::span<ColumnId> row(ids.data(), static_cast<size_t>(count));
     DMC_RETURN_IF_ERROR(
-        ValidateOrNormalizeRow(&cols, options, line_no, line_start));
-    DMC_RETURN_IF_ERROR(per_row(cols));
+        ValidateOrNormalizeRow(&row, options, line_no, line_start));
+    return per_row(std::span<const ColumnId>(row));
+  };
+  size_t carry = 0;  // block[0, carry) is a line the last block cut
+  while (true) {
+    if (carry == block.size()) block.resize(2 * block.size());
+    is.read(block.data() + carry,
+            static_cast<std::streamsize>(block.size() - carry));
+    char* const end = block.data() + carry + is.gcount();
+    char* line = block.data();
+    char* scan = block.data() + carry;  // the carried part holds no '\n'
+    while (char* nl = static_cast<char*>(
+               std::memchr(scan, '\n', static_cast<size_t>(end - scan)))) {
+      DMC_RETURN_IF_ERROR(parse_line(line, nl));
+      line = scan = nl + 1;
+    }
+    carry = static_cast<size_t>(end - line);
+    if (is.bad()) {
+      return IOError("read failed at " + LineContext(line_no, byte_offset));
+    }
+    if (!is) {  // end of stream: a short read leaves room for a sentinel
+      if (carry == 0) return Status::OK();
+      *end = '\n';
+      return parse_line(line, end);
+    }
+    std::memmove(block.data(), line, carry);
   }
-  if (is.bad()) {
-    return IOError("read failed at " + LineContext(line_no, byte_offset));
-  }
-  return Status::OK();
 }
 
 constexpr std::string_view kBinaryMagic = "DMCBIN1\n";
@@ -127,18 +175,35 @@ std::string ByteContext(size_t offset) {
 
 }  // namespace
 
-Status WriteMatrixText(const BinaryMatrix& m, std::ostream& os) {
-  os << "# dmc matrix: rows=" << m.num_rows()
-     << " columns=" << m.num_columns() << "\n";
-  for (RowId r = 0; r < m.num_rows(); ++r) {
-    bool first = true;
-    for (ColumnId c : m.Row(r)) {
-      if (!first) os << ' ';
-      os << c;
-      first = false;
-    }
-    os << '\n';
+std::string TextHeader(uint64_t num_rows, ColumnId num_columns) {
+  return "# dmc matrix: rows=" + std::to_string(num_rows) +
+         " columns=" + std::to_string(num_columns) + "\n";
+}
+
+void AppendTextRow(std::span<const ColumnId> row, std::string* out) {
+  const size_t start = out->size();
+  // At most ten digits and a separator per id, and the newline.
+  out->resize(start + row.size() * 11 + 1);
+  char* p = out->data() + start;
+  char* const limit = out->data() + out->size();
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (i > 0) *p++ = ' ';
+    p = std::to_chars(p, limit, row[i]).ptr;
   }
+  *p++ = '\n';
+  out->resize(static_cast<size_t>(p - out->data()));
+}
+
+Status WriteMatrixText(const BinaryMatrix& m, std::ostream& os) {
+  std::string buffer = TextHeader(m.num_rows(), m.num_columns());
+  for (RowId r = 0; r < m.num_rows(); ++r) {
+    AppendTextRow(m.Row(r), &buffer);
+    if (buffer.size() >= kTextBlockBytes) {
+      os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+      buffer.clear();
+    }
+  }
+  os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
   if (!os) return IOError("write failed");
   return Status::OK();
 }
@@ -147,17 +212,17 @@ Status WriteMatrixTextFile(const BinaryMatrix& m, const std::string& path) {
   if (fail::Enabled()) {
     DMC_RETURN_IF_ERROR(fail::InjectStatus("matrix.text.write"));
   }
-  std::ostringstream out;
-  DMC_RETURN_IF_ERROR(WriteMatrixText(m, out));
-  return AtomicWriteFile(path, out.str());
+  std::string text = TextHeader(m.num_rows(), m.num_columns());
+  for (RowId r = 0; r < m.num_rows(); ++r) AppendTextRow(m.Row(r), &text);
+  return AtomicWriteFile(path, text);
 }
 
 StatusOr<BinaryMatrix> ReadMatrixText(std::istream& is,
                                       const TextReadOptions& options) {
   MatrixBuilder builder;
   DMC_RETURN_IF_ERROR(
-      ForEachValidatedRow(is, options, [&](std::vector<ColumnId>& cols) {
-        builder.AddRow(cols);
+      ForEachValidatedRow(is, options, [&](std::span<const ColumnId> row) {
+        builder.AddSortedRow(row);
         return Status::OK();
       }));
   return builder.Build();
@@ -177,10 +242,7 @@ Status ForEachRowText(
     std::istream& is,
     const std::function<Status(std::span<const ColumnId>)>& callback,
     const TextReadOptions& options) {
-  return ForEachValidatedRow(is, options,
-                             [&](std::vector<ColumnId>& cols) {
-                               return callback(cols);
-                             });
+  return ForEachValidatedRow(is, options, callback);
 }
 
 void FirstPassStats::AddRow(std::span<const ColumnId> row) {
@@ -196,8 +258,8 @@ StatusOr<FirstPassStats> ScanMatrixText(std::istream& is,
                                         const TextReadOptions& options) {
   FirstPassStats stats;
   DMC_RETURN_IF_ERROR(
-      ForEachValidatedRow(is, options, [&](std::vector<ColumnId>& cols) {
-        stats.AddRow(cols);
+      ForEachValidatedRow(is, options, [&](std::span<const ColumnId> row) {
+        stats.AddRow(row);
         return Status::OK();
       }));
   return stats;
@@ -291,7 +353,7 @@ StatusOr<BinaryMatrix> ReadMatrixBinary(std::string_view data) {
       }
       cols.push_back(id);
     }
-    builder.AddRow(cols);
+    builder.AddSortedRow(cols);
   }
   DMC_RETURN_IF_ERROR(CheckSeal(data, offset, kBinaryWhat));
   return builder.Build();

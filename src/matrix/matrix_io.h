@@ -1,9 +1,13 @@
 // Matrix serialization and a streaming first-pass reader.
 //
-// Text format ("transaction format"): one row per line, space-separated
-// column ids; blank lines are empty rows; lines starting with '#' are
-// comments. This matches common association-rule data sets and keeps the
-// examples/CLI self-contained.
+// Text format ("transaction format"): one row per '\n'-terminated line of
+// decimal column ids separated by ' ', '\t' or '\r' (so CRLF files read
+// like LF ones); a last line without '\n' is still a row; blank lines are
+// empty rows; lines starting with '#' are comments. This matches common
+// association-rule data sets and keeps the examples/CLI self-contained.
+// The three text readers share one block tokenizer: it reads the stream
+// 64 KiB at a time (more only for a longer line), so streaming a file
+// never loads it.
 //
 // Binary format: the same data as a sealed file (util/sealed_file.h) —
 //
@@ -58,6 +62,12 @@ struct TextReadOptions {
   ColumnId max_column_id = kMaxMatrixColumns - 1;
 };
 
+/// The first line of transaction text: "# dmc matrix: rows=R columns=C".
+[[nodiscard]] std::string TextHeader(uint64_t num_rows, ColumnId num_columns);
+/// Appends `row` to `out` as one line of transaction text: the ids in
+/// decimal, separated by single spaces, then '\n'.
+void AppendTextRow(std::span<const ColumnId> row, std::string* out);
+
 /// Writes `m` in transaction text format.
 [[nodiscard]] Status WriteMatrixText(const BinaryMatrix& m, std::ostream& os);
 /// Atomically replaces `path` with `m` in transaction text format.
@@ -65,7 +75,8 @@ struct TextReadOptions {
 
 /// Parses transaction text format. Fails on malformed tokens and (unless
 /// `options.normalize`) on unsorted/duplicate ids; errors carry the line
-/// number and byte offset.
+/// number and byte offset. Validated rows go straight into the matrix's
+/// CSR arrays.
 [[nodiscard]] StatusOr<BinaryMatrix> ReadMatrixText(
     std::istream& is, const TextReadOptions& options = {});
 [[nodiscard]] StatusOr<BinaryMatrix> ReadMatrixTextFile(

@@ -13,7 +13,9 @@
 #       --external, whose peak_counter_bytes must agree), then a resume
 #       smoke per row order (default and identity): a checkpointed
 #       --external run whose bucket spill is damaged in place must not
-#       resume, and must print the same rules
+#       resume, and must print the same rules; then a line-ending smoke:
+#       a CRLF copy of the fixture without its final newline must mine
+#       to the same rules, in memory and --external
 #   (e2) serve smoke: dmc_serve daemon round-trip over a real socket
 #   (f) fault-injection sweep under ASan+UBSan (differential exactness)
 #   (f2) kill-a-worker shard sweep under ASan+UBSan (byte-identity under
@@ -162,6 +164,28 @@ resume_smoke() {
 }
 resume_smoke default
 resume_smoke identity
+# Line-ending arm: a CRLF copy of the fixture with its final newline
+# removed must mine to the same rules as the original, in memory and
+# --external: '\r' separates ids, and a last line without '\n' is a row.
+fixture="${repo_root}/tests/testdata/metrics/fixture_matrix.txt"
+crlf="${metrics_tmp}/fixture_crlf.txt"
+sed 's/$/\r/' "${fixture}" | head -c -1 >"${crlf}"
+for mode in memory external; do
+  mode_args=(--minconf=0.8 --top=0)
+  [[ "${mode}" == "memory" ]] ||
+    mode_args+=(--external --workdir="${metrics_tmp}")
+  "${repo_root}/build/tools/dmc_cli" mine-imp --input="${fixture}" \
+    "${mode_args[@]}" >"${metrics_tmp}/lf_${mode}.txt" 2>/dev/null
+  "${repo_root}/build/tools/dmc_cli" mine-imp --input="${crlf}" \
+    "${mode_args[@]}" >"${metrics_tmp}/crlf_${mode}.txt" 2>/dev/null
+  if [[ ! -s "${metrics_tmp}/lf_${mode}.txt" ]] ||
+     ! cmp -s "${metrics_tmp}/lf_${mode}.txt" \
+       "${metrics_tmp}/crlf_${mode}.txt"; then
+    echo "line-ending smoke (${mode}): the CRLF copy mined other rules" >&2
+    exit 1
+  fi
+done
+echo "line-ending smoke OK (CRLF, no final newline: in memory and external)"
 
 step "(e2) serve smoke: dmc_serve daemon round-trip"
 # Boots the daemon on an ephemeral port against the fixture matrix, then

@@ -75,6 +75,7 @@
 //                                   (schema_version 1 JSON; see
 //                                   src/observe/stats_export.h)
 //   --trace-out=FILE                write a Chrome-tracing JSON of the
+//                                   input parse (in memory only) and the
 //                                   mining phases (load in ui.perfetto.dev)
 //   --progress[=ROWS]               print progress to stderr every ROWS
 //                                   rows (default 65536)
@@ -621,7 +622,10 @@ int MineCommand(const Flags& flags) {
     return rc != 0 ? rc : observe_rc;
   }
 
-  auto matrix = LoadInput(flags);
+  auto matrix = [&] {
+    ScopedSpan span(options.policy.observe.trace, "matrix/parse");
+    return LoadInput(flags);
+  }();
   if (!matrix.ok()) {
     std::fprintf(stderr, "%s\n", matrix.status().ToString().c_str());
     return 1;
