@@ -16,8 +16,8 @@ int main(int argc, char** argv) {
 
   bench::PrintHeader("Ablation: 100%-rule phase + cutoff (§4.3), DMC-imp"
                      " @ 90% (scale=" + std::to_string(scale) + ")");
-  std::printf("%-8s %-14s %14s %12s %10s %10s\n", "Data", "variant",
-              "peak MB", "peak cands", "time [s]", "rules");
+  std::printf("%-8s %-14s %14s %12s %10s %10s %8s\n", "Data", "variant",
+              "peak MB", "peak cands", "time [s]", "rules", "cut");
   for (const auto& maker :
        {bench::MakeWlog, bench::MakeNewsSet, bench::MakeDicD}) {
     const bench::Dataset d = maker(scale);
@@ -29,10 +29,11 @@ int main(int argc, char** argv) {
       MiningStats s;
       auto rules = MineImplications(d.matrix, o, &s);
       if (!rules.ok()) continue;
-      std::printf("%-8s %-14s %14.3f %12zu %10.3f %10zu\n",
+      std::printf("%-8s %-14s %14.3f %12zu %10.3f %10zu %8zu\n",
                   d.name.c_str(), hundred ? "with-100%" : "without",
                   s.peak_counter_bytes / (1024.0 * 1024.0),
-                  s.peak_candidates, s.total_seconds, rules->size());
+                  s.peak_candidates, s.total_seconds, rules->size(),
+                  s.columns_cut_off);
       std::fflush(stdout);
     }
   }

@@ -44,9 +44,11 @@ enum class MergeKernel {
 struct DmcPolicy {
   RowOrderPolicy row_order = RowOrderPolicy::kDensityBuckets;
 
-  /// Run the dedicated 100%-confidence (resp. identical-column) phase
-  /// first, then cut off columns that can only produce 100% rules (§4.3,
-  /// DMC-imp/DMC-sim step 3).
+  /// The step-3 cutoff (§4.3, DMC-imp/DMC-sim): a column that can only
+  /// be in 100% rules (resp. identical pairs) is mined by the id-only
+  /// 100% phase alone, which runs only when there is such a column; the
+  /// sub-100% phase mines the rest, their 100% rules included. Off
+  /// (ablation): one sub-100% pass mines every column.
   bool hundred_percent_phase = true;
 
   /// Allow switching to the low-memory DMC-bitmap algorithm (§4.2).

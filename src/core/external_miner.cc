@@ -69,7 +69,7 @@ Status ExternalInput::Prepare() {
   first_pass_ = FirstPassStats{};
   std::vector<RowSpillWriter> spills(kMaxDensityBuckets);
   const bool inject = fail::Enabled();
-  DMC_RETURN_IF_ERROR(
+  const Status read =
       ForEachRowText(in, [&](std::span<const ColumnId> row) -> Status {
         first_pass_.AddRow(row);
         if (inject) {
@@ -80,7 +80,10 @@ Status ExternalInput::Prepare() {
           DMC_RETURN_IF_ERROR(CreateSpill(b, &spills[b]));
         }
         return spills[b].AppendRow(row);
-      }));
+      });
+  // Only the stream itself sets badbit; name the file it failed on.
+  if (!read.ok() && in.bad()) return IOError(path_ + ": " + read.message());
+  DMC_RETURN_IF_ERROR(read);
   if (stats_ != nullptr) {
     stats_->pass1_seconds = pass1_sw.ElapsedSeconds();
     stats_->rows = first_pass_.num_rows;

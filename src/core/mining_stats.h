@@ -17,7 +17,7 @@ struct MiningStats {
   /// First pass: ones(c) counting + row bucketing.
   double prescan_seconds = 0.0;
   /// 100%-rule (or identical-column) phase, split into the in-memory scan
-  /// and the bitmap fallback.
+  /// and the bitmap fallback; 0 when the cutoff left it nothing to mine.
   double hundred_base_seconds = 0.0;
   double hundred_bitmap_seconds = 0.0;
   /// Sub-100% phase, same split.
@@ -57,9 +57,12 @@ struct MiningStats {
   std::string kernel;
 
   // --- output ---
+  /// The final rule set split into its 100% records (zero-miss
+  /// implications, identical pairs; 0 with the 100% phase off) and the
+  /// rest, whichever pass found them.
   size_t rules_from_hundred_phase = 0;
   size_t rules_from_sub_phase = 0;
-  /// Columns removed by the step-3 cutoff between the phases.
+  /// Columns the step-3 cutoff leaves to the 100% phase alone.
   size_t columns_cut_off = 0;
 };
 

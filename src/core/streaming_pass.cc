@@ -96,27 +96,12 @@ StreamingPass<Kind>::StreamingPass(Config config)
       table_(config_.num_columns, config_.bytes_per_entry, tracker_),
       cnt_(config_.num_columns, 0) {
   DMC_CHECK_EQ(config_.ones.size(), config_.num_columns);
-  if (!config_.lhs_shard.empty()) {
-    DMC_CHECK_EQ(config_.lhs_shard.size(), config_.num_columns);
+  if (!config_.antecedents.empty()) {
+    DMC_CHECK_EQ(config_.antecedents.size(), config_.num_columns);
   }
   DMC_CHECK_GT(config_.threshold, 0.0);
   DMC_CHECK_LE(config_.threshold, 1.0);
-  all_active_ =
-      config_.active.empty() ||
-      std::all_of(config_.active.begin(), config_.active.end(),
-                  [](uint8_t a) { return a != 0; });
   if (use_vector_) table_.EnableSidecars();
-}
-
-template <typename Kind>
-std::span<const ColumnId> StreamingPass<Kind>::FilteredRow(
-    std::span<const ColumnId> row) {
-  if (all_active_) return row;
-  scratch_row_.clear();
-  for (ColumnId c : row) {
-    if (config_.active[c]) scratch_row_.push_back(c);
-  }
-  return scratch_row_;
 }
 
 template <typename Kind>
@@ -138,8 +123,6 @@ void StreamingPass<Kind>::ProcessRow(std::span<const ColumnId> row) {
     return;
   }
 
-  const auto filtered = FilteredRow(row);
-
   if (!bitmap_mode_ && config_.policy.bitmap_fallback &&
       config_.total_rows - rows_seen_ <=
           config_.policy.bitmap_max_remaining_rows &&
@@ -148,25 +131,25 @@ void StreamingPass<Kind>::ProcessRow(std::span<const ColumnId> row) {
   }
 
   if (bitmap_mode_) {
-    tail_.emplace_back(filtered.begin(), filtered.end());
+    tail_.emplace_back(row.begin(), row.end());
     ++rows_seen_;
     return;
   }
 
   if (kernel_ == MergeKernel::kSimd) {
-    scratch_.BeginRow(filtered, config_.num_columns);
+    scratch_.BeginRow(row, config_.num_columns);
   }
   // Step 3(a): update/extend every candidate list touched by this row.
-  for (ColumnId cj : filtered) {
-    if (!LhsOk(cj)) continue;  // not this shard's antecedent
+  for (ColumnId cj : row) {
+    if (!Owns(cj)) continue;  // not this pass's antecedent
     if (static_cast<int64_t>(cnt_[cj]) <= kind_.ColumnBudget(cj)) {
-      MergeWithAdd(cj, filtered);
+      MergeWithAdd(cj, row);
     } else if (table_.HasList(cj)) {
-      MergeMissOnly(cj, filtered);
+      MergeMissOnly(cj, row);
     }
   }
   // Step 3(b): bump counters; flush columns that are complete.
-  for (ColumnId cj : filtered) {
+  for (ColumnId cj : row) {
     ++cnt_[cj];
     kind_.Counted(cj);
     if (cnt_[cj] == config_.ones[cj] && table_.HasList(cj)) {
@@ -324,18 +307,9 @@ void StreamingPass<Kind>::FlushColumn(ColumnId cj) {
         kind_.PairBudget(cj, list.cand[j])) {
       continue;
     }
-    Emit(cj, list.cand[j], list.miss[j]);
+    out_.Add(kind_.MakeRule(cj, list.cand[j], list.miss[j]));
   }
   table_.Release(cj);
-}
-
-template <typename Kind>
-void StreamingPass<Kind>::Emit(ColumnId lhs, ColumnId rhs, uint32_t misses) {
-  if (!config_.emit_hundred_percent &&
-      kind_.IsHundredPercent(lhs, rhs, misses)) {
-    return;
-  }
-  out_.Add(kind_.MakeRule(lhs, rhs, misses));
 }
 
 template <typename Kind>
@@ -390,7 +364,8 @@ void StreamingPass<Kind>::RunBitmapPhases() {
       }
       const int64_t total = static_cast<int64_t>(list.miss[e]) + extra;
       if (total <= kind_.PairBudget(c, list.cand[e])) {
-        Emit(c, list.cand[e], static_cast<uint32_t>(total));
+        out_.Add(kind_.MakeRule(c, list.cand[e],
+                                static_cast<uint32_t>(total)));
       }
     }
     table_.Release(c);
@@ -419,7 +394,7 @@ void StreamingPass<Kind>::RunBitmapPhases() {
     }
   };
   for (ColumnId c = 0; c < config_.num_columns; ++c) {
-    if (!LhsOk(c) || !ActiveOk(c) || config_.ones[c] == 0) continue;
+    if (!Owns(c) || config_.ones[c] == 0) continue;
     if (static_cast<int64_t>(cnt_[c]) > kind_.ColumnBudget(c)) continue;
     touched.clear();
     if (table_.HasList(c)) {
@@ -446,7 +421,7 @@ void StreamingPass<Kind>::RunBitmapPhases() {
       if (!Qualifies(ck, c)) continue;
       const int64_t misses = static_cast<int64_t>(config_.ones[c]) - h;
       if (misses <= kind_.PairBudget(c, ck)) {
-        Emit(c, ck, static_cast<uint32_t>(misses));
+        out_.Add(kind_.MakeRule(c, ck, static_cast<uint32_t>(misses)));
       }
     }
     if (table_.HasList(c)) table_.Release(c);
@@ -466,7 +441,7 @@ void StreamingPass<Kind>::EmitEqualBitmapGroups(
     const std::vector<PostingContainer>& bitmaps) {
   std::vector<std::pair<uint64_t, ColumnId>> hashed;
   for (ColumnId c = 0; c < config_.num_columns; ++c) {
-    if (!ActiveOk(c) || config_.ones[c] == 0) continue;
+    if (config_.ones[c] == 0) continue;
     if (static_cast<int64_t>(cnt_[c]) > kind_.ColumnBudget(c)) continue;
     if (table_.HasList(c)) table_.Release(c);
     if (cnt_[c] != 0 || bm_index[c] < 0) continue;
@@ -485,9 +460,9 @@ void StreamingPass<Kind>::EmitEqualBitmapGroups(
         // The canonical antecedent of an identical pair is the lower
         // id; in sharded runs only its owner emits the pair. Hash
         // collisions are possible, so confirm exact equality.
-        if (!LhsOk(std::min(ci, cj))) continue;
+        if (!Owns(std::min(ci, cj))) continue;
         if (bitmaps[bm_index[ci]] == bitmaps[bm_index[cj]]) {
-          Emit(ci, cj, 0);
+          out_.Add(kind_.MakeRule(ci, cj, 0));
         }
       }
     }

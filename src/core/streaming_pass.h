@@ -9,12 +9,12 @@
 //    exceeds it) and the pair budget (the rule test itself);
 //  * the three merge predicates of core/kernels.h;
 //  * the vector entry sweep, and whether kSimd may run it;
-//  * the record emitted, and which records the 100% phase owns;
+//  * the record emitted, and which records are 100% rules;
 //  * the step-3 cutoff test, and the equal-bitmap tail shortcut that
 //    similarity takes at minsim = 1.
-// Row filtering, progress and cancellation, the DMC-bitmap switch and
-// tail, history sampling, the sidecar joiner walk, the stream-length
-// check and the 100%-phase/cutoff/sub-phase sequence exist once. The
+// The antecedent mask, progress and cancellation, the DMC-bitmap switch
+// and tail, history sampling, the sidecar joiner walk, the stream-length
+// check and the cutoff/100%-phase/sub-phase sequence exist once. The
 // predicates stay per kind because they are the per-entry cost of the
 // scan: each instantiation inlines its own, with no branch on the kind.
 //
@@ -106,10 +106,8 @@ class ImplicationKind {
   /// Called once cnt(c) has grown by one; nothing to track.
   void Counted(ColumnId) {}
 
-  /// The 100% phase's rules: zero misses.
-  bool IsHundredPercent(ColumnId, ColumnId, uint32_t misses) const {
-    return misses == 0;
-  }
+  /// The 100% rules: zero misses.
+  static bool IsHundredPercent(const Rule& r) { return r.misses == 0; }
   Rule MakeRule(ColumnId lhs, ColumnId rhs, uint32_t misses) const {
     return Rule{lhs, rhs, ones_[lhs], misses};
   }
@@ -203,9 +201,9 @@ class SimilarityKind {
     if (vector_sweep_) --rem_[c];
   }
 
-  /// The 100% phase's records: identical pairs.
-  bool IsHundredPercent(ColumnId ci, ColumnId ck, uint32_t misses) const {
-    return ones_[ci] == ones_[ck] && misses == 0;
+  /// The 100% records: identical pairs.
+  static bool IsHundredPercent(const Rule& r) {
+    return r.ones_a == r.ones_b && r.intersection == r.ones_a;
   }
   Rule MakeRule(ColumnId ci, ColumnId ck, uint32_t misses) const {
     return Rule{ci, ck, ones_[ci], ones_[ck], ones_[ci] - misses};
@@ -286,19 +284,16 @@ class StreamingPass {
     /// phase (zero-miss implications; for similarity, step 2 of
     /// Algorithm 5.1).
     double threshold = 1.0;
-    /// Active columns; empty = all active.
-    std::vector<uint8_t> active;
-    /// Antecedent shard: only columns with a nonzero entry own candidate
-    /// lists and emit rules (rhs candidates still span every active
-    /// column); an identical pair belongs to the shard of its lower-id
-    /// column. Empty = all columns. The union of the rule sets produced
-    /// by a partition of the columns equals the unsharded result exactly
-    /// — the building block of the thread-parallel miner and of every
+    /// The antecedents this pass mines: only columns with a nonzero
+    /// entry own candidate lists and emit rules (rhs candidates still
+    /// span every column of the row); an identical pair belongs to its
+    /// lower-id column. Empty = all columns. A list is built from the
+    /// rows, ones(c) and cnt(c) alone, so the union of the rule sets
+    /// produced by a partition of the columns equals the unmasked result
+    /// exactly — how StreamPhases splits the 100% and sub-100% passes,
+    /// and the building block of the thread-parallel miner and of every
     /// multi-process shard worker.
-    std::vector<uint8_t> lhs_shard;
-    /// When false, the records the 100% phase produced (zero-miss
-    /// implications, identical pairs) are suppressed.
-    bool emit_hundred_percent = true;
+    std::vector<uint8_t> antecedents;
     size_t bytes_per_entry = MissCounterTable::kEntryBytesWithCounters;
     /// Bitmap-fallback policy (row_order is ignored — the caller owns
     /// the order of the stream). Carries the ObserveContext hooks.
@@ -347,31 +342,25 @@ class StreamingPass {
   [[nodiscard]] StatusOr<typename Kind::RuleSet> Finish();
 
  private:
-  bool LhsOk(ColumnId c) const {
-    return config_.lhs_shard.empty() || config_.lhs_shard[c] != 0;
-  }
-  bool ActiveOk(ColumnId c) const {
-    return config_.active.empty() || config_.active[c] != 0;
+  bool Owns(ColumnId c) const {
+    return config_.antecedents.empty() || config_.antecedents[c] != 0;
   }
   bool Qualifies(ColumnId ck, ColumnId cj) const {
     return config_.ones[ck] > config_.ones[cj] ||
            (config_.ones[ck] == config_.ones[cj] && ck > cj);
   }
-  std::span<const ColumnId> FilteredRow(std::span<const ColumnId> row);
   void MergeWithAdd(ColumnId cj, std::span<const ColumnId> row);
   void MergeMissOnly(ColumnId cj, std::span<const ColumnId> row);
   void VectorAddMerge(ColumnId cj, std::span<const ColumnId> row,
                       uint32_t base_miss);
   void ClearDeadHits(uint64_t* sidecar);
   void FlushColumn(ColumnId cj);
-  void Emit(ColumnId lhs, ColumnId rhs, uint32_t misses);
   void RecordHistory();
   void RunBitmapPhases();
   void EmitEqualBitmapGroups(const std::vector<int32_t>& bm_index,
                              const std::vector<PostingContainer>& bitmaps);
 
   Config config_;
-  bool all_active_ = true;
   MergeKernel kernel_;
   bool use_vector_;
   Kind kind_;
@@ -387,25 +376,26 @@ class StreamingPass {
   Status stop_ = Status::OK();
   std::vector<std::vector<ColumnId>> tail_;
   typename Kind::RuleSet out_;
-  std::vector<ColumnId> scratch_row_;
   MergeScratch scratch_;
 };
 
 extern template class StreamingPass<ImplicationKind>;
 extern template class StreamingPass<SimilarityKind>;
 
-/// The phase driver of DMC-imp and DMC-sim: the 100% phase, the column
-/// cutoff and the sub-100% phase, each as one streamed pass over a row
-/// source that can be replayed. The functor `replay(sink)` must invoke
-/// `sink(std::span<const ColumnId>)` once per row, in the same order on
-/// every call; it is invoked once per phase (the paper's implementation
-/// likewise re-reads the bucketed data for each phase). `lhs_shard`
-/// (optional) restricts antecedents to the marked columns; the union
-/// over a partition of the columns is exactly the unsharded rule set.
-/// `stats` (optional) receives the phase times, the exact counter and
-/// candidate peaks, the bitmap switches, the cutoff and the kernel —
-/// and, with policy.record_history, the per-row histories; the caller
-/// owns prescan_seconds and total_seconds.
+/// The phase driver of DMC-imp and DMC-sim: the step-3 column cutoff,
+/// decided from ones(c) before any pass, then the 100% phase over the
+/// cut antecedents (skipped when the caller owns none) and the sub-100%
+/// phase over the rest, which emits their 100% rules itself — so a mine
+/// that cuts nothing streams the rows once. Each phase is one streamed
+/// pass over a row source that can be replayed: `replay(sink)` must
+/// invoke `sink(std::span<const ColumnId>)` once per row, in the same
+/// order on every call. `lhs_shard` (optional) restricts antecedents to
+/// the marked columns; the union over a partition of the columns is
+/// exactly the unsharded rule set. `stats` (optional) receives the phase
+/// times (0 for a phase that did not run), the exact counter and
+/// candidate peaks, the bitmap switches, the cutoff, the rule split and
+/// the kernel — and, with policy.record_history, the per-row histories;
+/// the caller owns prescan_seconds and total_seconds.
 template <typename Kind, typename Replay>
 [[nodiscard]] StatusOr<typename Kind::RuleSet> StreamPhases(
     ColumnId num_columns, const std::vector<uint32_t>& ones,
@@ -427,14 +417,34 @@ template <typename Kind, typename Replay>
   typename Kind::RuleSet out;
   using Pass = StreamingPass<Kind>;
 
-  const auto make_config = [&](double pass_threshold, const char* phase) {
+  // Step 3 cutoff (sound form): a column is cut iff it fits in no rule
+  // below 100% (at threshold 1, every column). A cut column stays in the
+  // rows, but only the 100% pass mines it as an antecedent: no cut column
+  // ever joins an uncut antecedent's list (DESIGN §2).
+  std::vector<uint8_t> hundred_lhs(num_columns), sub_lhs(num_columns);
+  size_t cut = 0;
+  bool hundred_owns_any = false;
+  for (ColumnId c = 0; c < num_columns; ++c) {
+    const bool cut_off =
+        ones[c] > 0 &&
+        (threshold == 1.0 ||
+         (run_hundred && !Kind::SurvivesCutoff(ones[c], threshold)));
+    const bool owned = lhs_shard == nullptr || (*lhs_shard)[c] != 0;
+    cut += cut_off;
+    hundred_lhs[c] = cut_off && owned;
+    sub_lhs[c] = !cut_off && owned;
+    hundred_owns_any = hundred_owns_any || hundred_lhs[c] != 0;
+  }
+  if (threshold < 1.0) stats->columns_cut_off = cut;
+
+  const auto make_config = [&](double pass_threshold, const char* phase,
+                               std::vector<uint8_t> antecedents) {
     typename Pass::Config cfg;
     cfg.num_columns = num_columns;
     cfg.ones = ones;
     cfg.total_rows = total_rows;
     cfg.threshold = pass_threshold;
-    cfg.active.resize(num_columns);
-    if (lhs_shard != nullptr) cfg.lhs_shard = *lhs_shard;
+    cfg.antecedents = std::move(antecedents);
     cfg.policy = policy;
     cfg.phase = phase;
     cfg.tracker = &tracker;
@@ -466,43 +476,35 @@ template <typename Kind, typename Replay>
     return Status::OK();
   };
 
-  if (run_hundred) {
+  if (threshold == 1.0 || hundred_owns_any) {
     // Step 2 at threshold 1: every column budget is 0, and for
     // similarity the pair budgets force equal 1-counts and zero misses,
     // which is exactly the paper's restriction.
-    typename Pass::Config cfg = make_config(1.0, "hundred_phase");
-    for (ColumnId c = 0; c < num_columns; ++c) cfg.active[c] = ones[c] > 0;
-    cfg.emit_hundred_percent = true;
+    typename Pass::Config cfg =
+        make_config(1.0, "hundred_phase", std::move(hundred_lhs));
     cfg.bytes_per_entry = MissCounterTable::kEntryBytesIdOnly;
     DMC_RETURN_IF_ERROR(run_pass(std::move(cfg), &stats->hundred_base_seconds,
                                  &stats->hundred_bitmap_seconds,
                                  &stats->hundred_bitmap_triggered, nullptr));
-    stats->rules_from_hundred_phase = out.size();
   }
-
   if (threshold < 1.0) {
-    // Step 3 cutoff (sound form): keep a column iff it can appear in a
-    // rule below 100%.
-    typename Pass::Config cfg = make_config(threshold, "sub_phase");
-    size_t cut = 0;
-    for (ColumnId c = 0; c < num_columns; ++c) {
-      const bool cut_off =
-          run_hundred && !Kind::SurvivesCutoff(ones[c], threshold);
-      if (ones[c] > 0 && cut_off) ++cut;
-      cfg.active[c] = ones[c] > 0 && !cut_off;
-    }
-    stats->columns_cut_off = cut;
-    cfg.emit_hundred_percent = !run_hundred;
-    cfg.bytes_per_entry = MissCounterTable::kEntryBytesWithCounters;
-    const size_t before = out.size();
-    DMC_RETURN_IF_ERROR(run_pass(std::move(cfg), &stats->sub_base_seconds,
-                                 &stats->sub_bitmap_seconds,
-                                 &stats->sub_bitmap_triggered,
-                                 &stats->sub_bitmap_rows));
-    stats->rules_from_sub_phase = out.size() - before;
+    DMC_RETURN_IF_ERROR(
+        run_pass(make_config(threshold, "sub_phase", std::move(sub_lhs)),
+                 &stats->sub_base_seconds, &stats->sub_bitmap_seconds,
+                 &stats->sub_bitmap_triggered, &stats->sub_bitmap_rows));
   }
 
-  out.Canonicalize();
+  {
+    ScopedSpan span(obs.trace, std::string(Kind::kName) + "/canonicalize",
+                    obs.trace_lane);
+    out.Canonicalize();
+  }
+  const size_t hundred_rules =
+      run_hundred ? static_cast<size_t>(std::count_if(
+                        out.begin(), out.end(), &Kind::IsHundredPercent))
+                  : 0;
+  stats->rules_from_hundred_phase = hundred_rules;
+  stats->rules_from_sub_phase = out.size() - hundred_rules;
   stats->peak_counter_bytes = tracker.peak_bytes();
   return out;
 }

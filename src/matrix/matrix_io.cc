@@ -235,7 +235,12 @@ StatusOr<BinaryMatrix> ReadMatrixTextFile(const std::string& path,
   }
   std::ifstream in(path);
   if (!in) return IOError("cannot open for read: " + path);
-  return ReadMatrixText(in, options);
+  auto matrix = ReadMatrixText(in, options);
+  // Only the stream itself sets badbit; name the file it failed on.
+  if (!matrix.ok() && in.bad()) {
+    return IOError(path + ": " + matrix.status().message());
+  }
+  return matrix;
 }
 
 Status ForEachRowText(

@@ -181,6 +181,18 @@ TEST(ExternalMinerTest, MissingFileFails) {
   EXPECT_EQ(result.status().code(), StatusCode::kIOError);
 }
 
+TEST(ExternalMinerTest, UnreadableInputNamesTheFile) {
+  // A directory opens as a stream but fails pass 1's first read.
+  const std::string dir = testing::TempDir() + "/external_unreadable";
+  std::filesystem::create_directories(dir);
+  ImplicationMiningOptions o;
+  auto result = MineImplicationsFromFile(dir, o, testing::TempDir());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().ToString(),
+            "IOError: " + dir + ": read failed at line 0 (byte 0)");
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ExternalMinerTest, CleansUpBucketFiles) {
   const BinaryMatrix m = Workload(36);
   const std::string dir = testing::TempDir() + "/external_cleanup";

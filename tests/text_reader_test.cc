@@ -113,11 +113,12 @@ TEST(TextReaderPinnedMessageTest, EveryReaderReportsThePinnedMessage) {
 }
 
 TEST(TextReaderPinnedMessageTest, UnreadableFileReportsReadFailedAtLineZero) {
-  // A directory opens as a stream but fails its first read.
+  // A directory opens as a stream but fails its first read; the file
+  // reader names the path it failed on.
   const std::string dir = testing::TempDir();
   const auto parsed = ReadMatrixTextFile(dir);
   EXPECT_EQ(parsed.status().ToString(),
-            "IOError: read failed at line 0 (byte 0)");
+            "IOError: " + dir + ": read failed at line 0 (byte 0)");
 }
 
 // Reads `text` three ways and checks they agree with each other and with

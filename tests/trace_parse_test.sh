@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Trace test for `dmc_cli --trace-out`: an in-memory mine-imp and mine-sim
 # on the checked-in fixture matrix must record the input parse as a
-# matrix/parse span, ahead of the miner's first phase.
+# matrix/parse span, ahead of the miner's first phase, and every mine
+# (in memory and --external) must record the rule output as a rules/emit
+# span after the miner's last span.
 #
 # Usage: trace_parse_test.sh <path-to-dmc_cli> <testdata-metrics-dir>
 set -u
@@ -20,30 +22,53 @@ span_line() {
     echo 0
 }
 
+# Last line of the trace file naming a span that starts with $2, or 0.
+last_span_line() {
+  grep -n "\"name\": \"$2" "$1" | tail -n 1 | cut -d: -f1 | grep . ||
+    echo 0
+}
+
+# check <label> <command> <kind> <parse span or ""> <args...>
 check() {
-  local command="$1" first_phase="$2"
-  shift 2
-  local trace="$TMP/$command.json"
+  local label="$1" command="$2" kind="$3" parse_span="$4"
+  shift 4
+  local trace="$TMP/$label.json"
   if ! "$CLI" "$command" --input="$FIXTURE" "$@" --trace-out="$trace" \
       >/dev/null 2>&1; then
-    echo "FAIL: dmc_cli $command exited non-zero" >&2
+    echo "FAIL: $label: dmc_cli $command exited non-zero" >&2
     fail=1
     return
   fi
-  local parse phase
-  parse="$(span_line "$trace" matrix/parse)"
-  phase="$(span_line "$trace" "$first_phase")"
-  if [ "$parse" -eq 0 ] || [ "$phase" -eq 0 ] || [ "$parse" -ge "$phase" ]; then
-    echo "FAIL: $command trace lacks matrix/parse ahead of $first_phase" \
-         "(lines $parse, $phase)" >&2
+  if [ -n "$parse_span" ]; then
+    local parse first
+    parse="$(span_line "$trace" "$parse_span")"
+    first="$(span_line "$trace" "$kind/prescan")"
+    if [ "$parse" -eq 0 ] || [ "$first" -eq 0 ] || [ "$parse" -ge "$first" ]
+    then
+      echo "FAIL: $label trace lacks $parse_span ahead of $kind/prescan" \
+           "(lines $parse, $first)" >&2
+      fail=1
+    fi
+  fi
+  local last emit
+  last="$(last_span_line "$trace" "$kind/")"
+  emit="$(span_line "$trace" rules/emit)"
+  if [ "$last" -eq 0 ] || [ "$emit" -le "$last" ]; then
+    echo "FAIL: $label trace lacks rules/emit after the last $kind span" \
+         "(lines $emit, $last)" >&2
     fail=1
   fi
 }
 
-check mine-imp imp/prescan --minconf=0.8
-check mine-sim sim/prescan --minsim=0.6
+check mine-imp mine-imp imp matrix/parse --minconf=0.8
+check mine-sim mine-sim sim matrix/parse --minsim=0.6
+check mine-imp-cut mine-imp imp matrix/parse --minconf=0.9
+check mine-imp-external mine-imp imp "" --minconf=0.8 --external \
+  --workdir="$TMP"
+check mine-sim-external mine-sim sim "" --minsim=0.6 --external \
+  --workdir="$TMP"
 
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "matrix/parse precedes the first mining phase"
+echo "matrix/parse precedes the first mining phase; rules/emit follows the last"

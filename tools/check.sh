@@ -15,7 +15,10 @@
 #       --external run whose bucket spill is damaged in place must not
 #       resume, and must print the same rules; then a line-ending smoke:
 #       a CRLF copy of the fixture without its final newline must mine
-#       to the same rules, in memory and --external
+#       to the same rules, in memory and --external; then a cutoff
+#       smoke: at a threshold that cuts columns and at one that cuts
+#       none, the rules equal --no-hundred-phase's (in memory and
+#       --external) and the 100% phase's span appears only when cutting
 #   (e2) serve smoke: dmc_serve daemon round-trip over a real socket
 #   (f) fault-injection sweep under ASan+UBSan (differential exactness)
 #   (f2) kill-a-worker shard sweep under ASan+UBSan (byte-identity under
@@ -186,6 +189,39 @@ for mode in memory external; do
   fi
 done
 echo "line-ending smoke OK (CRLF, no final newline: in memory and external)"
+# Cutoff arm: at --minconf=0.9 the step-3 cutoff leaves five of the
+# fixture's six columns to the 100% phase alone, at 0.8 it cuts none.
+# Either way the mine must print the rules of the run without the 100%
+# phase, in memory and --external, and the 100% phase must run (an
+# imp/hundred_phase span) only when a column is cut.
+for minconf in 0.9 0.8; do
+  want_span=0
+  [[ "${minconf}" == "0.9" ]] && want_span=1
+  for mode in memory external; do
+    mode_args=(--minconf="${minconf}" --top=0)
+    [[ "${mode}" == "memory" ]] ||
+      mode_args+=(--external --workdir="${metrics_tmp}")
+    out="${metrics_tmp}/cutoff_${minconf}_${mode}"
+    "${repo_root}/build/tools/dmc_cli" mine-imp --input="${fixture}" \
+      "${mode_args[@]}" --trace-out="${out}.json" >"${out}.txt" 2>/dev/null
+    "${repo_root}/build/tools/dmc_cli" mine-imp --input="${fixture}" \
+      "${mode_args[@]}" --no-hundred-phase >"${out}.off.txt" 2>/dev/null
+    if [[ ! -s "${out}.txt" ]] || ! cmp -s "${out}.txt" "${out}.off.txt"; then
+      echo "cutoff smoke (minconf ${minconf}, ${mode}): the rules differ" \
+           "from --no-hundred-phase" >&2
+      exit 1
+    fi
+    has_span=0
+    grep -qF '"imp/hundred_phase"' "${out}.json" && has_span=1
+    if [[ "${has_span}" != "${want_span}" ]]; then
+      echo "cutoff smoke (minconf ${minconf}, ${mode}): imp/hundred_phase" \
+           "span ${has_span}, want ${want_span}" >&2
+      exit 1
+    fi
+  done
+done
+echo "cutoff smoke OK (0.9 cuts and runs the 100% phase, 0.8 does not;" \
+     "same rules as --no-hundred-phase in memory and external)"
 
 step "(e2) serve smoke: dmc_serve daemon round-trip"
 # Boots the daemon on an ephemeral port against the fixture matrix, then

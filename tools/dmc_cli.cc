@@ -548,6 +548,11 @@ int MineCommand(const Flags& flags) {
   options.policy = PolicyFromFlags(flags);
   Observability observe;
   observe.Configure(flags, &options.policy);
+  // Sorts, prints and writes the rules under one span.
+  const auto emit = [&](const typename Kind::RuleSet& rules) {
+    ScopedSpan span(options.policy.observe.trace, "rules/emit");
+    return EmitRules(Cmd::Sorted(rules), flags);
+  };
 
   MetricsReport report;
   report.tool = "dmc_cli";
@@ -617,7 +622,7 @@ int MineCommand(const Flags& flags) {
     }
     std::fprintf(stderr, "%zu %s\n", rules->size(), Cmd::kNoun);
     report.rules_total = static_cast<int64_t>(rules->size());
-    const int rc = EmitRules(Cmd::Sorted(*rules), flags);
+    const int rc = emit(*rules);
     const int observe_rc = observe.Finish(report);
     return rc != 0 ? rc : observe_rc;
   }
@@ -675,7 +680,7 @@ int MineCommand(const Flags& flags) {
   std::fprintf(stderr, "%zu %s at %s >= %.3f\n", rules->size(), Cmd::kNoun,
                Cmd::kMeasure, options.*Kind::kThreshold);
   report.rules_total = static_cast<int64_t>(rules->size());
-  int rc = EmitRules(Cmd::Sorted(*rules), flags);
+  int rc = emit(*rules);
   if constexpr (Cmd::kServesIndex) {
     if (rc == 0 && flags.GetBool("serve-index")) {
       rc = ServeIndex(*rules, flags);
