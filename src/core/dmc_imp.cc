@@ -24,10 +24,4 @@ StatusOr<ImplicationRuleSet> MineImplications(
   return MineMatrix<ImplicationKind>(matrix, options, nullptr, stats);
 }
 
-StatusOr<ImplicationRuleSet> MineImplicationsSharded(
-    const BinaryMatrix& matrix, const ImplicationMiningOptions& options,
-    const std::vector<uint8_t>& lhs_shard, MiningStats* stats) {
-  return MineMatrix<ImplicationKind>(matrix, options, &lhs_shard, stats);
-}
-
 }  // namespace dmc

@@ -30,15 +30,6 @@ namespace dmc {
     const BinaryMatrix& matrix, const ImplicationMiningOptions& options,
     MiningStats* stats = nullptr);
 
-/// Advanced: restricts rule antecedents to the columns marked in
-/// `lhs_shard` (size num_columns). Unioning the outputs of a column
-/// partition reproduces the unsharded result exactly — the building block
-/// of the parallel divide-and-conquer miner (§7 future work; see
-/// parallel_dmc.h).
-[[nodiscard]] StatusOr<ImplicationRuleSet> MineImplicationsSharded(
-    const BinaryMatrix& matrix, const ImplicationMiningOptions& options,
-    const std::vector<uint8_t>& lhs_shard, MiningStats* stats = nullptr);
-
 /// The second-scan row order `policy` prescribes for `matrix` (§4.1);
 /// the pre-scan of both in-memory miners.
 std::vector<RowId> MakeRowOrder(const BinaryMatrix& matrix,

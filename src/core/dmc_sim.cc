@@ -10,10 +10,4 @@ StatusOr<SimilarityRuleSet> MineSimilarities(
   return MineMatrix<SimilarityKind>(matrix, options, nullptr, stats);
 }
 
-StatusOr<SimilarityRuleSet> MineSimilaritiesSharded(
-    const BinaryMatrix& matrix, const SimilarityMiningOptions& options,
-    const std::vector<uint8_t>& lhs_shard, MiningStats* stats) {
-  return MineMatrix<SimilarityKind>(matrix, options, &lhs_shard, stats);
-}
-
 }  // namespace dmc

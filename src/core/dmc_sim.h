@@ -25,12 +25,6 @@ namespace dmc {
     const BinaryMatrix& matrix, const SimilarityMiningOptions& options,
     MiningStats* stats = nullptr);
 
-/// Advanced: restricts the list-keeping (sparser) side of each pair to
-/// the columns marked in `lhs_shard`; see MineImplicationsSharded.
-[[nodiscard]] StatusOr<SimilarityRuleSet> MineSimilaritiesSharded(
-    const BinaryMatrix& matrix, const SimilarityMiningOptions& options,
-    const std::vector<uint8_t>& lhs_shard, MiningStats* stats = nullptr);
-
 }  // namespace dmc
 
 #endif  // DMC_CORE_DMC_SIM_H_

@@ -2,17 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
 #include <numeric>
 #include <thread>
 
-#include "observe/metrics.h"
+#include "core/streaming_pass.h"
 #include "observe/progress.h"
 #include "observe/stats_export.h"
 #include "observe/trace.h"
 #include "util/failpoint.h"
 #include "util/stopwatch.h"
-#include "util/thread_annotations.h"
 
 namespace dmc {
 
@@ -66,130 +66,86 @@ ObserveContext ShardContext(const ObserveContext& base, int shard,
   return ctx;
 }
 
-// A shard error is worth another attempt only when it's transient;
-// malformed input or cancellation will fail identically every time.
-bool ShardRetryable(const Status& status) {
-  return status.code() == StatusCode::kIOError ||
-         status.code() == StatusCode::kResourceExhausted;
-}
+// One antecedent shard per thread over the shared matrix, then the
+// merge of the disjoint canonical shard sets. A shard whose thread
+// cannot start — std::thread throws (std::system_error, EAGAIN under a
+// thread or pid limit; or std::bad_alloc), or the parallel.thread.start
+// failpoint fires — is mined on the calling thread after the join
+// (parallel_dmc.h), so no exception unwinds past a joinable thread.
+template <typename Kind>
+StatusOr<typename Kind::RuleSet> MineParallel(
+    const BinaryMatrix& matrix, const typename Kind::Options& options,
+    const ParallelOptions& parallel, ParallelMiningStats* stats) {
+  using RuleSet = typename Kind::RuleSet;
+  const uint32_t num_threads = ResolveThreads(parallel);
+  if (num_threads <= 1 || matrix.num_columns() < 2) {
+    MiningStats serial;
+    auto out = MineMatrix<Kind>(matrix, options, nullptr, &serial);
+    if (out.ok() && stats != nullptr) {
+      *stats = ParallelMiningStats{};
+      stats->shards = 1;
+      stats->total_seconds = serial.total_seconds;
+      stats->max_shard_seconds = serial.total_seconds;
+      stats->sum_shard_seconds = serial.total_seconds;
+      stats->sum_peak_counter_bytes = serial.peak_counter_bytes;
+      stats->max_peak_counter_bytes = serial.peak_counter_bytes;
+      stats->per_shard.push_back(serial);
+    }
+    return out;
+  }
 
-// Runs `mine(shard, t, &stats)` for every shard on its own thread and
-// merges rule sets + aggregate stats. MineShard must be callable as
-// StatusOr<RuleSetT>(const std::vector<uint8_t>&, uint32_t, MiningStats*).
-//
-// Failure containment: a shard whose mining fails with a transient error
-// is retried in-thread up to parallel.max_shard_retries times; shards
-// still failing after that are re-mined serially on the calling thread
-// (when parallel.degrade_to_serial). Only if that also fails does the
-// run return an error. Every failed attempt lands in stats->shard_errors.
-template <typename RuleSetT, typename MineShard>
-StatusOr<RuleSetT> RunSharded(const std::vector<uint32_t>& column_ones,
-                              uint32_t num_threads,
-                              const ParallelOptions& parallel,
-                              const ObserveContext& obs, MineShard mine,
-                              ParallelMiningStats* stats) {
   ParallelMiningStats local;
   if (stats == nullptr) stats = &local;
   *stats = ParallelMiningStats{};
   Stopwatch total_sw;
-
-  const auto shards = MakeColumnShards(column_ones, num_threads);
+  const ObserveContext& obs = options.policy.observe;
+  const auto shards = MakeColumnShards(matrix.column_ones(), num_threads);
   stats->shards = num_threads;
 
-  std::vector<StatusOr<RuleSetT>> results(num_threads,
-                                          StatusOr<RuleSetT>(RuleSetT{}));
+  auto cancel = std::make_shared<std::atomic<bool>>(false);
+  std::vector<StatusOr<RuleSet>> results(num_threads, RuleSet{});
   std::vector<MiningStats> shard_stats(num_threads);
-  // Guards shard_errors; worker threads append concurrently. A local
-  // capability, so the RAII guard (not DMC_GUARDED_BY, which needs a
-  // member) is the whole discipline.
-  Mutex errors_mu;
-  std::vector<std::string> shard_errors;
-  std::atomic<uint64_t> retries{0};
-  std::atomic<uint32_t> failed{0};
-
-  auto record_error = [&](uint32_t t, const Status& st) {
-    MutexLock lock(errors_mu);
-    shard_errors.push_back("shard " + std::to_string(t) + ": " +
-                           st.ToString());
-  };
-  // One mining attempt chain for shard t: initial try plus bounded
-  // in-thread retries of transient failures.
-  auto attempt_shard = [&](uint32_t t) {
-    bool failed_before = false;
-    for (uint32_t attempt = 0;; ++attempt) {
-      results[t] = mine(shards[t], t, &shard_stats[t]);
-      if (results[t].ok()) {
-        if (failed_before && obs.metrics != nullptr) {
-          obs.metrics->IncrCounter("dmc.faults.recovered");
-        }
-        return;
-      }
-      const Status& st = results[t].status();
-      if (st.code() == StatusCode::kCancelled) return;
-      if (!failed_before) {
-        failed_before = true;
-        failed.fetch_add(1, std::memory_order_relaxed);
-      }
-      record_error(t, st);
-      if (obs.metrics != nullptr && fail::IsInjectedFault(st)) {
-        obs.metrics->IncrCounter("dmc.faults.injected");
-      }
-      if (!ShardRetryable(st) || attempt >= parallel.max_shard_retries) {
-        return;
-      }
-      retries.fetch_add(1, std::memory_order_relaxed);
-      if (obs.metrics != nullptr) {
-        obs.metrics->IncrCounter("dmc.faults.retried");
-      }
-    }
+  const auto mine = [&](uint32_t t) {
+    typename Kind::Options shard_options = options;
+    shard_options.policy.observe =
+        ShardContext(obs, static_cast<int>(t), cancel);
+    results[t] =
+        MineMatrix<Kind>(matrix, shard_options, &shards[t], &shard_stats[t]);
   };
 
+  std::vector<uint32_t> unstarted;
+  unstarted.reserve(num_threads);
   {
     // Parent span on lane 0; per-shard engine spans use lanes 1..N.
     ScopedSpan parent(obs.trace, "parallel/mine", 0);
     std::vector<std::thread> workers;
     workers.reserve(num_threads);
     for (uint32_t t = 0; t < num_threads; ++t) {
-      workers.emplace_back([&attempt_shard, t]() { attempt_shard(t); });
+      if (fail::Enabled() &&
+          !fail::InjectStatus("parallel.thread.start").ok()) {
+        unstarted.push_back(t);
+        continue;
+      }
+      try {
+        workers.emplace_back(mine, t);
+      } catch (const std::exception&) {
+        unstarted.push_back(t);
+      }
     }
     for (auto& w : workers) w.join();
   }
-
-  // Degradation pass: surviving shards already hold their results; each
-  // shard that exhausted its retries gets one serial attempt with the
-  // whole machine to itself.
-  if (parallel.degrade_to_serial) {
-    for (uint32_t t = 0; t < num_threads; ++t) {
-      if (results[t].ok() ||
-          results[t].status().code() == StatusCode::kCancelled ||
-          !ShardRetryable(results[t].status())) {
-        continue;
-      }
-      ScopedSpan span(obs.trace, "parallel/degraded_shard", 0);
-      results[t] = mine(shards[t], t, &shard_stats[t]);
-      if (results[t].ok()) {
-        ++stats->shards_degraded;
-        if (obs.metrics != nullptr) {
-          obs.metrics->IncrCounter("dmc.faults.recovered");
-        }
-      } else {
-        record_error(t, results[t].status());
-        if (obs.metrics != nullptr &&
-            fail::IsInjectedFault(results[t].status())) {
-          obs.metrics->IncrCounter("dmc.faults.injected");
-        }
-      }
-    }
+  for (const uint32_t t : unstarted) {
+    ScopedSpan span(obs.trace, "parallel/degraded_shard", 0);
+    mine(t);
   }
+  stats->shards_degraded = static_cast<uint32_t>(unstarted.size());
 
-  stats->shards_failed = failed.load(std::memory_order_relaxed);
-  stats->shard_retries = retries.load(std::memory_order_relaxed);
-  stats->shard_errors = std::move(shard_errors);
-
-  RuleSetT merged;
+  std::vector<RuleSet> parts;
+  parts.reserve(num_threads);
   Status first_error = Status::OK();
   for (uint32_t t = 0; t < num_threads; ++t) {
     if (!results[t].ok()) {
+      ++stats->shards_failed;
       // Prefer a non-Cancelled error; with cooperative cancellation
       // every shard reports kCancelled, and any one of them will do.
       if (first_error.ok() ||
@@ -199,7 +155,7 @@ StatusOr<RuleSetT> RunSharded(const std::vector<uint32_t>& column_ones,
       }
       continue;
     }
-    for (const auto& rule : *results[t]) merged.Add(rule);
+    parts.push_back(std::move(*results[t]));
     stats->max_shard_seconds =
         std::max(stats->max_shard_seconds, shard_stats[t].total_seconds);
     stats->sum_shard_seconds += shard_stats[t].total_seconds;
@@ -209,24 +165,10 @@ StatusOr<RuleSetT> RunSharded(const std::vector<uint32_t>& column_ones,
   }
   if (!first_error.ok()) return first_error;
   stats->per_shard = std::move(shard_stats);
-  merged.Canonicalize();
+  RuleSet merged = MergeCanonical(std::move(parts));
   stats->total_seconds = total_sw.ElapsedSeconds();
   RecordToRegistry(obs.metrics, "parallel", *stats);
   return merged;
-}
-
-// Serial fallback bookkeeping shared by both miners.
-void FillSerialStats(const MiningStats& serial_stats,
-                     ParallelMiningStats* stats) {
-  if (stats == nullptr) return;
-  *stats = ParallelMiningStats{};
-  stats->shards = 1;
-  stats->total_seconds = serial_stats.total_seconds;
-  stats->max_shard_seconds = serial_stats.total_seconds;
-  stats->sum_shard_seconds = serial_stats.total_seconds;
-  stats->sum_peak_counter_bytes = serial_stats.peak_counter_bytes;
-  stats->max_peak_counter_bytes = serial_stats.peak_counter_bytes;
-  stats->per_shard.push_back(serial_stats);
 }
 
 }  // namespace
@@ -234,59 +176,13 @@ void FillSerialStats(const MiningStats& serial_stats,
 StatusOr<ImplicationRuleSet> MineImplicationsParallel(
     const BinaryMatrix& matrix, const ImplicationMiningOptions& options,
     const ParallelOptions& parallel, ParallelMiningStats* stats) {
-  const uint32_t threads = ResolveThreads(parallel);
-  if (threads <= 1 || matrix.num_columns() < 2) {
-    MiningStats serial_stats;
-    auto out = MineImplications(matrix, options, &serial_stats);
-    if (out.ok()) FillSerialStats(serial_stats, stats);
-    return out;
-  }
-  auto cancel = std::make_shared<std::atomic<bool>>(false);
-  return RunSharded<ImplicationRuleSet>(
-      matrix.column_ones(), threads, parallel, options.policy.observe,
-      [&matrix, &options, &cancel](const std::vector<uint8_t>& shard,
-                                   uint32_t t, MiningStats* shard_stats)
-          -> StatusOr<ImplicationRuleSet> {
-        if (fail::Enabled()) {
-          Status injected = fail::InjectStatus("parallel.shard.mine");
-          if (!injected.ok()) return injected;
-        }
-        ImplicationMiningOptions shard_options = options;
-        shard_options.policy.observe = ShardContext(
-            options.policy.observe, static_cast<int>(t), cancel);
-        return MineImplicationsSharded(matrix, shard_options, shard,
-                                       shard_stats);
-      },
-      stats);
+  return MineParallel<ImplicationKind>(matrix, options, parallel, stats);
 }
 
 StatusOr<SimilarityRuleSet> MineSimilaritiesParallel(
     const BinaryMatrix& matrix, const SimilarityMiningOptions& options,
     const ParallelOptions& parallel, ParallelMiningStats* stats) {
-  const uint32_t threads = ResolveThreads(parallel);
-  if (threads <= 1 || matrix.num_columns() < 2) {
-    MiningStats serial_stats;
-    auto out = MineSimilarities(matrix, options, &serial_stats);
-    if (out.ok()) FillSerialStats(serial_stats, stats);
-    return out;
-  }
-  auto cancel = std::make_shared<std::atomic<bool>>(false);
-  return RunSharded<SimilarityRuleSet>(
-      matrix.column_ones(), threads, parallel, options.policy.observe,
-      [&matrix, &options, &cancel](const std::vector<uint8_t>& shard,
-                                   uint32_t t, MiningStats* shard_stats)
-          -> StatusOr<SimilarityRuleSet> {
-        if (fail::Enabled()) {
-          Status injected = fail::InjectStatus("parallel.shard.mine");
-          if (!injected.ok()) return injected;
-        }
-        SimilarityMiningOptions shard_options = options;
-        shard_options.policy.observe = ShardContext(
-            options.policy.observe, static_cast<int>(t), cancel);
-        return MineSimilaritiesSharded(matrix, shard_options, shard,
-                                       shard_stats);
-      },
-      stats);
+  return MineParallel<SimilarityKind>(matrix, options, parallel, stats);
 }
 
 }  // namespace dmc

@@ -6,14 +6,21 @@
 // thread runs the full DMC pipeline over the shared (read-only) matrix,
 // owning candidate lists only for its shard's columns as antecedents.
 // The shard outputs are disjoint (a rule belongs to its antecedent's
-// shard), so the union is exactly the serial result — the same guarantee
-// the property tests enforce.
+// shard), so their merge (MergeCanonical, rules/rule_set.h) is exactly
+// the serial result — the same guarantee the property tests enforce.
+//
+// This is the thread executor of the antecedent-shard plan; the shard
+// coordinator (shard/coordinator.h) is the process executor, and both
+// follow one failure rule: the caller mines what a worker cannot run.
+// A shard whose thread cannot start is mined on the calling thread
+// after the join. Nothing is retried: over an in-memory matrix a shard
+// fails only on invalid options or cancellation, which every attempt
+// would repeat, so a failed shard fails the run.
 
 #ifndef DMC_CORE_PARALLEL_DMC_H_
 #define DMC_CORE_PARALLEL_DMC_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/dmc_imp.h"
@@ -25,15 +32,6 @@ namespace dmc {
 struct ParallelOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   uint32_t num_threads = 0;
-  /// In-thread re-attempts of a shard whose mining fails with a
-  /// transient error (kIOError / kResourceExhausted) before containment
-  /// escalates. Cancellation is never retried.
-  uint32_t max_shard_retries = 2;
-  /// After retries are exhausted, failed shards are re-mined one at a
-  /// time on the calling thread (degraded mode: slower, but a shard
-  /// that failed under concurrent memory pressure usually fits alone).
-  /// When false, the first shard failure fails the whole run.
-  bool degrade_to_serial = true;
 };
 
 /// Aggregate statistics of a parallel run.
@@ -53,16 +51,12 @@ struct ParallelMiningStats {
   /// 256 MB).
   size_t max_peak_counter_bytes = 0;
   uint32_t shards = 0;
-  /// Shards whose mining failed at least once (before any recovery).
+  /// Shards whose mine returned an error; the run then fails with the
+  /// first error that is not kCancelled (or kCancelled if all are).
   uint32_t shards_failed = 0;
-  /// Total in-thread re-attempts across all shards.
-  uint64_t shard_retries = 0;
-  /// Shards recovered by the serial degradation pass.
+  /// Shards whose thread could not start, mined on the calling thread
+  /// after the join.
   uint32_t shards_degraded = 0;
-  /// Failure log: one "shard N: <status>" line per failed attempt, in
-  /// observation order. Non-empty even when every shard eventually
-  /// recovered, so operators can see contained faults.
-  std::vector<std::string> shard_errors;
   /// Full per-shard engine stats, in shard order. The aggregate fields
   /// above are derived from these; exported under "per_shard" so the
   /// invariant tests can cross-check the aggregation.

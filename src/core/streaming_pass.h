@@ -509,10 +509,11 @@ template <typename Kind, typename Replay>
   return out;
 }
 
-/// The in-memory miners (MineImplications, MineSimilarities and their
-/// lhs_shard forms): the pre-scan row order of options.policy, then the
-/// matrix rows replayed through StreamPhases. Resets and fills `stats`
-/// (optional) and records it to the metrics registry under Kind::kName.
+/// The in-memory miners (MineImplications, MineSimilarities, and with an
+/// `lhs_shard` mask each thread of the parallel miners): the pre-scan
+/// row order of options.policy, then the matrix rows replayed through
+/// StreamPhases. Resets and fills `stats` (optional) and records it to
+/// the metrics registry under Kind::kName.
 template <typename Kind>
 [[nodiscard]] StatusOr<typename Kind::RuleSet> MineMatrix(
     const BinaryMatrix& matrix, const typename Kind::Options& options,

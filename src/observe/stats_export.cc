@@ -77,16 +77,8 @@ void WriteJson(JsonWriter& w, const ParallelMiningStats& stats) {
   w.Value(stats.shards);
   w.Key("shards_failed");
   w.Value(stats.shards_failed);
-  w.Key("shard_retries");
-  w.Value(stats.shard_retries);
   w.Key("shards_degraded");
   w.Value(stats.shards_degraded);
-  if (!stats.shard_errors.empty()) {
-    w.Key("shard_errors");
-    w.BeginArray();
-    for (const std::string& e : stats.shard_errors) w.Value(e);
-    w.EndArray();
-  }
   if (!stats.per_shard.empty()) {
     w.Key("per_shard");
     w.BeginArray();
@@ -245,7 +237,6 @@ void RecordToRegistry(MetricsRegistry* registry, const std::string& prefix,
                      static_cast<double>(stats.max_peak_counter_bytes));
   registry->SetGauge(prefix + ".shards", stats.shards);
   registry->IncrCounter(prefix + ".shards_failed", stats.shards_failed);
-  registry->IncrCounter(prefix + ".shard_retries", stats.shard_retries);
   registry->IncrCounter(prefix + ".shards_degraded", stats.shards_degraded);
 }
 

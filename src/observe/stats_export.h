@@ -9,10 +9,10 @@
 //     "labels":  { "<k>": "<v>", ... },          // free-form run labels
 //     "rules_total": <n>,                        // omitted when < 0
 //     "mining":   { ...MiningStats... },         // present when supplied
-//     "parallel": { ...ParallelMiningStats...,
+//     "parallel": { ...ParallelMiningStats...,   // --threads
 //                   "per_shard": [ {MiningStats}, ... ] },
 //     "external": { ...ExternalMiningStats... },
-//     "shard":    { ...shard::ShardMiningStats... },
+//     "shard":    { ...shard::ShardMiningStats... },  // --shard-workers
 //     "metrics":  { "counters": {...}, "gauges": {...},
 //                   "timers": {...}, "histograms": {...} }
 //   }
@@ -21,6 +21,12 @@
 // so the schema is documented by mining_stats.h / parallel_dmc.h /
 // external_miner.h / shard/shard_stats.h. Timing fields all end in
 // "seconds"; golden tests mask exactly those.
+//
+// "parallel" and "shard" report the two executors of one antecedent-
+// shard plan, threads and worker processes. They share one failure
+// rule — the caller mines what a worker cannot run — which each section
+// counts in its own field: shards_degraded (a thread did not start) and
+// degraded_tasks (no worker could take the task).
 
 #ifndef DMC_OBSERVE_STATS_EXPORT_H_
 #define DMC_OBSERVE_STATS_EXPORT_H_

@@ -1,7 +1,6 @@
 #include "rules/rule_index.h"
 
 #include <algorithm>
-#include <tuple>
 #include <utility>
 
 #include "rules/rule_codec.h"
@@ -17,20 +16,6 @@ constexpr std::string_view kMagic = "DMCRIDX\n";
 constexpr uint32_t kVersion = 1;
 
 }  // namespace
-
-bool HigherConfidence(const ImplicationRule& a, const ImplicationRule& b) {
-  // Clamp so a malformed rule (misses > lhs_ones) orders as confidence 0
-  // instead of wrapping around.
-  const uint64_t nx = a.misses > a.lhs_ones ? 0 : a.lhs_ones - a.misses;
-  const uint64_t ny = b.misses > b.lhs_ones ? 0 : b.lhs_ones - b.misses;
-  const uint64_t dx = a.lhs_ones == 0 ? 1 : a.lhs_ones;
-  const uint64_t dy = b.lhs_ones == 0 ? 1 : b.lhs_ones;
-  // nx/dx > ny/dy, exactly: counts are uint32, so the products fit.
-  const uint64_t lhs = nx * dy;
-  const uint64_t rhs = ny * dx;
-  if (lhs != rhs) return lhs > rhs;
-  return std::tie(a.lhs, a.rhs) < std::tie(b.lhs, b.rhs);
-}
 
 std::shared_ptr<const RuleIndexSnapshot> RuleIndexSnapshot::Build(
     const ImplicationRuleSet& rules, uint64_t generation) {

@@ -4,10 +4,10 @@
 // canonical ImplicationRuleSet: rules grouped by antecedent, each group
 // (and a global ordering for TopK) sorted by exact confidence, ties
 // broken by column ids so equal inputs always serve identical results.
-// Confidence comparisons cross-multiply the integer counts
-// (hits_a * lhs_ones_b vs hits_b * lhs_ones_a in uint64) instead of
-// dividing, so the order is exact — no float rounding can reorder two
-// rules whose true confidences differ.
+// Confidence comparisons (HigherConfidence, rules/rule_set.h) cross-
+// multiply the integer counts (hits_a * lhs_ones_b vs hits_b * lhs_ones_a
+// in uint64) instead of dividing, so the order is exact — no float
+// rounding can reorder two rules whose true confidences differ.
 //
 // RuleIndex is the serving handle: queries read a shared_ptr to the
 // current snapshot, Publish() builds a fresh snapshot off to the side
@@ -33,13 +33,6 @@
 #include "util/thread_annotations.h"
 
 namespace dmc {
-
-/// Exact confidence ordering: true iff a's confidence is strictly higher
-/// than b's, ties broken by ascending (lhs, rhs). Zero-antecedent rules
-/// compare as confidence 0. Integer cross-multiplication — safe in
-/// uint64 since counts are uint32 — so the comparator agrees with exact
-/// rational comparison, not with double rounding.
-bool HigherConfidence(const ImplicationRule& a, const ImplicationRule& b);
 
 /// Immutable, query-optimized view of one rule set. Build once, share
 /// freely across threads; every accessor is const and allocation-free

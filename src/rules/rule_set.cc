@@ -1,8 +1,42 @@
 #include "rules/rule_set.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace dmc {
+
+namespace {
+
+// Folds pairwise std::merge calls over the parts' sorted runs; with a
+// handful of shards that is both fast enough and obviously stable.
+template <typename Set, typename Record>
+Set MergeRuns(std::vector<Set> parts, std::vector<Record> (Set::*take)()) {
+  std::vector<Record> merged;
+  for (Set& part : parts) {
+    std::vector<Record> run = (part.*take)();
+    if (run.empty()) continue;
+    if (merged.empty()) {
+      merged = std::move(run);
+      continue;
+    }
+    std::vector<Record> next;
+    next.reserve(merged.size() + run.size());
+    std::merge(merged.begin(), merged.end(), run.begin(), run.end(),
+               std::back_inserter(next));
+    merged = std::move(next);
+  }
+  return Set(std::move(merged));
+}
+
+}  // namespace
+
+ImplicationRuleSet MergeCanonical(std::vector<ImplicationRuleSet> parts) {
+  return MergeRuns(std::move(parts), &ImplicationRuleSet::TakeRules);
+}
+
+SimilarityRuleSet MergeCanonical(std::vector<SimilarityRuleSet> parts) {
+  return MergeRuns(std::move(parts), &SimilarityRuleSet::TakePairs);
+}
 
 // Canonicalize sorts with std::stable_sort: the sets it sees are mostly
 // concatenations of sorted runs (each candidate list a scan flushes, each
@@ -40,10 +74,7 @@ ImplicationRuleSet ImplicationRuleSet::SortedByConfidence() const {
   ImplicationRuleSet out = *this;
   std::sort(out.rules_.begin(), out.rules_.end(),
             [](const ImplicationRule& a, const ImplicationRule& b) {
-              if (a.confidence() != b.confidence()) {
-                return a.confidence() > b.confidence();
-              }
-              return std::tie(a.lhs, a.rhs) < std::tie(b.lhs, b.rhs);
+              return HigherConfidence(a, b);
             });
   return out;
 }

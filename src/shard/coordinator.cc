@@ -11,14 +11,15 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "core/checkpoint.h"
 #include "core/parallel_dmc.h"
+#include "core/streaming_pass.h"
 #include "observe/metrics.h"
 #include "observe/trace.h"
 #include "serve/protocol.h"
-#include "shard/merge.h"
 #include "shard/process_control.h"
 #include "shard/shard_checkpoint.h"
 #include "shard/shard_protocol.h"
@@ -663,48 +664,49 @@ StatusOr<std::vector<ShardResult>> RunShardedMine(
   return results;
 }
 
+// Both rule kinds: the fleet (or its degrade path) mines every task,
+// then the disjoint canonical task sets merge in task order.
+template <typename Kind>
+StatusOr<typename Kind::RuleSet> MineSharded(
+    const std::string& path, const typename Kind::Options& options,
+    const std::string& work_dir, const ShardOptions& shard,
+    ShardMiningStats* stats) {
+  constexpr bool kSim = std::is_same_v<Kind, SimilarityKind>;
+  auto results = RunShardedMine(
+      kSim ? Engine::kSimilarities : Engine::kImplications,
+      options.*Kind::kThreshold, options.policy, path, work_dir, shard, stats);
+  if (!results.ok()) return results.status();
+  if (fail::Enabled()) {
+    DMC_RETURN_IF_ERROR(fail::InjectStatus("shard.merge"));
+  }
+  const ObserveContext& obs = options.policy.observe;
+  ScopedSpan span(obs.trace, "shard/merge", obs.trace_lane);
+  std::vector<typename Kind::RuleSet> parts;
+  parts.reserve(results->size());
+  for (ShardResult& r : *results) {
+    if constexpr (kSim) {
+      parts.emplace_back(std::move(r.sim_pairs));
+    } else {
+      parts.emplace_back(std::move(r.imp_rules));
+    }
+  }
+  return MergeCanonical(std::move(parts));
+}
+
 }  // namespace
 
 StatusOr<ImplicationRuleSet> MineImplicationsSharded(
     const std::string& path, const ImplicationMiningOptions& options,
     const std::string& work_dir, const ShardOptions& shard,
     ShardMiningStats* stats) {
-  auto results =
-      RunShardedMine(Engine::kImplications, options.min_confidence,
-                     options.policy, path, work_dir, shard, stats);
-  if (!results.ok()) return results.status();
-  if (fail::Enabled()) {
-    DMC_RETURN_IF_ERROR(fail::InjectStatus("shard.merge"));
-  }
-  const ObserveContext& obs = options.policy.observe;
-  ScopedSpan span(obs.trace, "shard/merge", obs.trace_lane);
-  std::vector<ImplicationRuleSet> parts;
-  parts.reserve(results->size());
-  for (ShardResult& r : *results) {
-    parts.emplace_back(std::move(r.imp_rules));
-  }
-  return MergeCanonical(std::move(parts));
+  return MineSharded<ImplicationKind>(path, options, work_dir, shard, stats);
 }
 
 StatusOr<SimilarityRuleSet> MineSimilaritiesSharded(
     const std::string& path, const SimilarityMiningOptions& options,
     const std::string& work_dir, const ShardOptions& shard,
     ShardMiningStats* stats) {
-  auto results =
-      RunShardedMine(Engine::kSimilarities, options.min_similarity,
-                     options.policy, path, work_dir, shard, stats);
-  if (!results.ok()) return results.status();
-  if (fail::Enabled()) {
-    DMC_RETURN_IF_ERROR(fail::InjectStatus("shard.merge"));
-  }
-  const ObserveContext& obs = options.policy.observe;
-  ScopedSpan span(obs.trace, "shard/merge", obs.trace_lane);
-  std::vector<SimilarityRuleSet> parts;
-  parts.reserve(results->size());
-  for (ShardResult& r : *results) {
-    parts.emplace_back(std::move(r.sim_pairs));
-  }
-  return MergeCanonicalSim(std::move(parts));
+  return MineSharded<SimilarityKind>(path, options, work_dir, shard, stats);
 }
 
 }  // namespace shard

@@ -21,16 +21,18 @@
 //     requeued untouched — per-task results are all-or-nothing, so a
 //     task can bounce between workers without double-counting.
 //   * Degradation: when a task exhausts its attempts (or no worker can
-//     be respawned), the coordinator mines the remaining tasks itself,
-//     in-process, over the same bucket files — exactly what
-//     ParallelOptions::degrade_to_serial does for threads. With
+//     be spawned or respawned), the coordinator mines the remaining
+//     tasks itself, in-process, over the same bucket files. This is the
+//     one failure rule both executors of the antecedent-shard plan
+//     share — the caller mines what a worker cannot run; parallel_dmc.h
+//     applies it to shards whose thread cannot start. With
 //     degrade_to_in_process=false the run fails with a clean Status
 //     instead; it never hangs and never returns a partial rule set.
 //   * Merge-order invariant: each rule is owned by exactly one task (its
 //     antecedent's shard — for similarity pairs, the canonical sparser
-//     column's shard), so concatenating the canonical per-task sets in
-//     task order under a k-way merge reproduces the single-process
-//     Canonicalize(union) byte for byte.
+//     column's shard), so merging the canonical per-task sets in task
+//     order (MergeCanonical, rules/rule_set.h, the threads' merge too)
+//     reproduces the single-process Canonicalize(union) byte for byte.
 //
 // Per-task results can be checkpointed (shard_checkpoint.h): a rerun
 // with resume=true skips every task whose checkpoint still matches the

@@ -267,7 +267,8 @@ TEST(KernelParityTest, StreamedPassesMatchTheLegacyBatchReference) {
         imp.policy = base;
         imp.policy.kernel = MergeKernel::kLegacy;
         MiningStats imp_ref_stats;
-        auto imp_ref = MineImplicationsSharded(m, imp, mask, &imp_ref_stats);
+        auto imp_ref =
+            MineMatrix<ImplicationKind>(m, imp, &mask, &imp_ref_stats);
         ASSERT_TRUE(imp_ref.ok());
         EXPECT_EQ(imp_ref_stats.sub_bitmap_triggered, forced_bitmap);
 
@@ -276,7 +277,8 @@ TEST(KernelParityTest, StreamedPassesMatchTheLegacyBatchReference) {
         sim.policy = base;
         sim.policy.kernel = MergeKernel::kLegacy;
         MiningStats sim_ref_stats;
-        auto sim_ref = MineSimilaritiesSharded(m, sim, mask, &sim_ref_stats);
+        auto sim_ref =
+            MineMatrix<SimilarityKind>(m, sim, &mask, &sim_ref_stats);
         ASSERT_TRUE(sim_ref.ok());
 
         for (const MergeKernel k : kAllKernels) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/streaming_pass.h"
 #include "datagen/news_gen.h"
 #include "datagen/quest_gen.h"
 #include "util/random.h"
@@ -167,7 +168,7 @@ TEST(ParallelDmcTest, ShardedSubsetOfSerial) {
   auto serial = MineImplications(m, o);
   ASSERT_TRUE(serial.ok());
   const auto shards = MakeColumnShards(m.column_ones(), 2);
-  auto part = MineImplicationsSharded(m, o, shards[0]);
+  auto part = MineMatrix<ImplicationKind>(m, o, &shards[0], nullptr);
   ASSERT_TRUE(part.ok());
   ImplicationRuleSet expected;
   for (const auto& r : *serial) {

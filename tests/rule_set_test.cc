@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
+
+#include "util/random.h"
 
 namespace dmc {
 namespace {
@@ -47,6 +53,18 @@ TEST(ImplicationRuleSetTest, SortedByConfidence) {
   ASSERT_EQ(sorted.size(), 3u);
   EXPECT_EQ(sorted.rules()[0].misses, 0u);
   EXPECT_EQ(sorted.rules()[2].misses, 5u);
+
+  // (2^32 - 3) / (2^32 - 2) < (2^32 - 2) / (2^32 - 1), but both round to
+  // the same double (0.9999999997671694): the order must be the exact
+  // one, not a tie broken by ids.
+  ImplicationRuleSet close;
+  close.Add({5, 6, 4294967294u, 1});
+  close.Add({7, 8, 4294967295u, 1});
+  ASSERT_EQ(close.rules()[0].confidence(), close.rules()[1].confidence());
+  const auto exact = close.SortedByConfidence();
+  ASSERT_EQ(exact.size(), 2u);
+  EXPECT_EQ(exact.rules()[0].lhs, 7u);
+  EXPECT_EQ(exact.rules()[1].lhs, 5u);
 }
 
 TEST(ImplicationRuleSetTest, PrintRespectsLimit) {
@@ -95,6 +113,91 @@ TEST(SimilarityRuleSetTest, FilterAndSort) {
   const auto sorted = s.SortedBySimilarity();
   EXPECT_EQ(sorted.pairs()[0].intersection, 10u);
   EXPECT_EQ(sorted.pairs()[2].intersection, 5u);
+}
+
+// MergeCanonical vs Canonicalize(union): the merge of the disjoint
+// canonical shard outputs both executors (threads and shard processes)
+// run.
+
+TEST(ShardMergeTest, MergeCanonicalEqualsCanonicalizeOfUnion) {
+  Rng rng(0x3A6D);
+  for (int trial = 0; trial < 20; ++trial) {
+    const int num_shards = 1 + static_cast<int>(rng.Uniform(5));
+    const ColumnId cols = 24;
+    std::vector<ImplicationRule> all;
+    std::vector<ImplicationRuleSet> parts(num_shards);
+    const size_t n = rng.Uniform(200);
+    for (size_t i = 0; i < n; ++i) {
+      ImplicationRule r;
+      r.lhs = static_cast<ColumnId>(rng.Uniform(cols));
+      do {
+        r.rhs = static_cast<ColumnId>(rng.Uniform(cols));
+      } while (r.rhs == r.lhs);
+      // Counts are a pure function of (lhs, rhs): a real mine never
+      // produces the same rule with different counts, and Canonicalize
+      // dedups by key alone — ambiguous duplicates would be testing a
+      // state the pipeline cannot reach.
+      r.lhs_ones = 5 + (r.lhs * 37 + r.rhs * 11) % 90;
+      r.misses = (r.lhs * 7 + r.rhs * 3) % r.lhs_ones;
+      all.push_back(r);
+      // Owner = the antecedent's shard, exactly like both executors.
+      parts[r.lhs % num_shards].Add(r);
+    }
+    for (auto& p : parts) p.Canonicalize();
+    ImplicationRuleSet expect(all);
+    expect.Canonicalize();
+    const ImplicationRuleSet got = MergeCanonical(std::move(parts));
+    EXPECT_EQ(got.rules(), expect.rules()) << "trial " << trial;
+  }
+}
+
+TEST(ShardMergeTest, MergeCanonicalSimEqualsCanonicalizeOfUnion) {
+  Rng rng(0x51AB);
+  for (int trial = 0; trial < 20; ++trial) {
+    const int num_shards = 1 + static_cast<int>(rng.Uniform(4));
+    std::vector<SimilarityPair> all;
+    std::vector<SimilarityRuleSet> parts(num_shards);
+    std::set<std::pair<ColumnId, ColumnId>> seen;
+    const size_t n = rng.Uniform(150);
+    for (size_t i = 0; i < n; ++i) {
+      SimilarityPair p;
+      p.a = static_cast<ColumnId>(rng.Uniform(16));
+      do {
+        p.b = static_cast<ColumnId>(rng.Uniform(16));
+      } while (p.b == p.a);
+      // Each unordered pair appears at most once, with counts that are
+      // pure (symmetric) functions of the ids — shards must stay
+      // pairwise disjoint after canonical reorientation, exactly as the
+      // executors' owner partition guarantees.
+      const ColumnId lo = std::min(p.a, p.b), hi = std::max(p.a, p.b);
+      if (!seen.insert({lo, hi}).second) continue;
+      p.ones_a = 5 + (p.a * 37) % 50;
+      p.ones_b = 5 + (p.b * 37) % 50;
+      p.intersection = 1 + ((lo + hi) * 13) % std::min(p.ones_a, p.ones_b);
+      all.push_back(p);
+      parts[lo % num_shards].Add(p);
+    }
+    for (auto& part : parts) part.Canonicalize();
+    SimilarityRuleSet expect(all);
+    expect.Canonicalize();
+    const SimilarityRuleSet got = MergeCanonical(std::move(parts));
+    EXPECT_EQ(got.pairs(), expect.pairs()) << "trial " << trial;
+  }
+}
+
+TEST(ShardMergeTest, EmptyAndSingletonPartsAreFine) {
+  EXPECT_TRUE(MergeCanonical(std::vector<ImplicationRuleSet>{}).empty());
+  EXPECT_TRUE(MergeCanonical(std::vector<SimilarityRuleSet>{}).empty());
+
+  ImplicationRuleSet one;
+  one.Add({1, 2, 10, 1});
+  one.Canonicalize();
+  std::vector<ImplicationRuleSet> parts;
+  parts.push_back(one);
+  parts.emplace_back();  // empty shard: a worker whose mask matched no rules
+  const ImplicationRuleSet got = MergeCanonical(std::move(parts));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got.rules()[0].lhs, 1u);
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 
 #include "core/engine.h"
 #include "core/external_miner.h"
+#include "core/streaming_pass.h"
 #include "matrix/binary_matrix.h"
 #include "matrix/matrix_io.h"
 #include "observe/metrics.h"
@@ -421,7 +422,8 @@ TEST_F(ShardDifferentialTest, TaskPeakIsTheExactScanPeak) {
     auto imp_task = MineShardTask(plan, imp_.policy, masks[id], id, &input);
     ASSERT_TRUE(imp_task.ok()) << imp_task.status().ToString();
     MiningStats imp_want;
-    auto rules = ::dmc::MineImplicationsSharded(m, imp_, masks[id], &imp_want);
+    auto rules =
+        MineMatrix<ImplicationKind>(m, imp_, &masks[id], &imp_want);
     ASSERT_TRUE(rules.ok());
     EXPECT_EQ(imp_task->imp_rules, rules->rules()) << "task " << id;
     EXPECT_EQ(imp_task->peak_counter_bytes, imp_want.peak_counter_bytes)
@@ -432,7 +434,8 @@ TEST_F(ShardDifferentialTest, TaskPeakIsTheExactScanPeak) {
     auto sim_task = MineShardTask(plan, sim_.policy, masks[id], id, &input);
     ASSERT_TRUE(sim_task.ok()) << sim_task.status().ToString();
     MiningStats sim_want;
-    auto pairs = ::dmc::MineSimilaritiesSharded(m, sim_, masks[id], &sim_want);
+    auto pairs =
+        MineMatrix<SimilarityKind>(m, sim_, &masks[id], &sim_want);
     ASSERT_TRUE(pairs.ok());
     EXPECT_EQ(sim_task->sim_pairs, pairs->pairs()) << "task " << id;
     EXPECT_EQ(sim_task->peak_counter_bytes, sim_want.peak_counter_bytes)

@@ -1,23 +1,19 @@
-// Shard wire protocol, per-task checkpoints and the k-way rule-set
-// merge (src/shard/). Pure library tests: every frame round-trips
-// exactly or decodes to kInvalidArgument, every torn checkpoint reads
-// as kDataLoss, and the merge reproduces Canonicalize(union) byte for
-// byte — the invariants the multi-process differential sweep leans on.
+// Shard wire protocol and per-task checkpoints (src/shard/). Pure
+// library tests: every frame round-trips exactly or decodes to
+// kInvalidArgument, and every torn checkpoint reads as kDataLoss — the
+// invariants the multi-process differential sweep leans on. The merge
+// of the task outputs is tested with the rule sets (rule_set_test.cc).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/checkpoint.h"
-#include "rules/rule_set.h"
-#include "shard/merge.h"
 #include "shard/shard_checkpoint.h"
 #include "shard/shard_protocol.h"
 #include "util/random.h"
@@ -363,90 +359,6 @@ TEST(TaskFingerprintTest, EveryConfigInputChangesTheFingerprint) {
   // And it is a pure function: same inputs, same hash.
   EXPECT_EQ(base, TaskFingerprint(input, Engine::kImplications, 0.9, 4,
                                   mask, 0));
-}
-
-// ---------------------------------------------------------------------
-// K-way merge vs Canonicalize(union).
-
-TEST(ShardMergeTest, MergeCanonicalEqualsCanonicalizeOfUnion) {
-  Rng rng(0x3A6D);
-  for (int trial = 0; trial < 20; ++trial) {
-    const int num_shards = 1 + static_cast<int>(rng.Uniform(5));
-    const ColumnId cols = 24;
-    std::vector<ImplicationRule> all;
-    std::vector<ImplicationRuleSet> parts(num_shards);
-    const size_t n = rng.Uniform(200);
-    for (size_t i = 0; i < n; ++i) {
-      ImplicationRule r;
-      r.lhs = static_cast<ColumnId>(rng.Uniform(cols));
-      do {
-        r.rhs = static_cast<ColumnId>(rng.Uniform(cols));
-      } while (r.rhs == r.lhs);
-      // Counts are a pure function of (lhs, rhs): a real mine never
-      // produces the same rule with different counts, and Canonicalize
-      // dedups by key alone — ambiguous duplicates would be testing a
-      // state the pipeline cannot reach.
-      r.lhs_ones = 5 + (r.lhs * 37 + r.rhs * 11) % 90;
-      r.misses = (r.lhs * 7 + r.rhs * 3) % r.lhs_ones;
-      all.push_back(r);
-      // Owner = the antecedent's shard, exactly like the coordinator.
-      parts[r.lhs % num_shards].Add(r);
-    }
-    for (auto& p : parts) p.Canonicalize();
-    ImplicationRuleSet expect(all);
-    expect.Canonicalize();
-    const ImplicationRuleSet got = MergeCanonical(std::move(parts));
-    EXPECT_EQ(got.rules(), expect.rules()) << "trial " << trial;
-  }
-}
-
-TEST(ShardMergeTest, MergeCanonicalSimEqualsCanonicalizeOfUnion) {
-  Rng rng(0x51AB);
-  for (int trial = 0; trial < 20; ++trial) {
-    const int num_shards = 1 + static_cast<int>(rng.Uniform(4));
-    std::vector<SimilarityPair> all;
-    std::vector<SimilarityRuleSet> parts(num_shards);
-    std::set<std::pair<ColumnId, ColumnId>> seen;
-    const size_t n = rng.Uniform(150);
-    for (size_t i = 0; i < n; ++i) {
-      SimilarityPair p;
-      p.a = static_cast<ColumnId>(rng.Uniform(16));
-      do {
-        p.b = static_cast<ColumnId>(rng.Uniform(16));
-      } while (p.b == p.a);
-      // Each unordered pair appears at most once, with counts that are
-      // pure (symmetric) functions of the ids — shards must stay
-      // pairwise disjoint after canonical reorientation, exactly as the
-      // coordinator's owner partition guarantees.
-      const ColumnId lo = std::min(p.a, p.b), hi = std::max(p.a, p.b);
-      if (!seen.insert({lo, hi}).second) continue;
-      p.ones_a = 5 + (p.a * 37) % 50;
-      p.ones_b = 5 + (p.b * 37) % 50;
-      p.intersection = 1 + ((lo + hi) * 13) % std::min(p.ones_a, p.ones_b);
-      all.push_back(p);
-      parts[lo % num_shards].Add(p);
-    }
-    for (auto& part : parts) part.Canonicalize();
-    SimilarityRuleSet expect(all);
-    expect.Canonicalize();
-    const SimilarityRuleSet got = MergeCanonicalSim(std::move(parts));
-    EXPECT_EQ(got.pairs(), expect.pairs()) << "trial " << trial;
-  }
-}
-
-TEST(ShardMergeTest, EmptyAndSingletonPartsAreFine) {
-  EXPECT_TRUE(MergeCanonical({}).empty());
-  EXPECT_TRUE(MergeCanonicalSim({}).empty());
-
-  ImplicationRuleSet one;
-  one.Add({1, 2, 10, 1});
-  one.Canonicalize();
-  std::vector<ImplicationRuleSet> parts;
-  parts.push_back(one);
-  parts.emplace_back();  // empty shard: a worker whose mask matched no rules
-  const ImplicationRuleSet got = MergeCanonical(std::move(parts));
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got.rules()[0].lhs, 1u);
 }
 
 }  // namespace
