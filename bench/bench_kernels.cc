@@ -95,7 +95,7 @@ BinaryMatrix MakeDenseMatrix(double scale) {
 }
 
 /// Sparse market baskets: 2000 items, about ten per basket — a mean row
-/// far narrower than the 32-word presence sidecar, so kSimd scans run
+/// far narrower than the 32-word decided-set sidecar, so kSimd scans run
 /// the row-mask merge (the mine-sparse regime of perfbench/).
 BinaryMatrix MakeSparseMatrix(double scale) {
   QuestOptions q;

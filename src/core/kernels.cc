@@ -103,6 +103,12 @@ __attribute__((target("avx2"))) void MarkHitsAvx2(const ColumnId* list,
       i += 8;
     }
   }
+  // Every AVX2 kernel clears the upper ymm state before its scalar tail:
+  // the tail is compiled without AVX, and SSE code run with dirty upper
+  // halves pays a transition penalty or a false dependency per
+  // instruction. GCC does not emit vzeroupper before these calls by
+  // itself (tests/avx_upper_state_test.sh).
+  _mm256_zeroupper();
   MarkHitsScalar(list, n, row, m, hit, i, j);
 }
 
@@ -131,30 +137,23 @@ __attribute__((target("avx2"))) size_t IntersectCountAvx2(
     }
     i += 8;
   }
+  _mm256_zeroupper();  // see MarkHitsAvx2
   return count + IntersectCountScalar(a + i, na - i, b + j, nb - j);
 }
 
 #endif  // DMC_KERNELS_X86
 
-inline void SidecarClear(uint64_t* sc, ColumnId c) {
-  sc[c >> 6] &= ~(uint64_t{1} << (c & 63));
-}
-
-// Portable bodies for the vector sweeps: the exact scalar predicates,
-// plus the sidecar/dead-hit maintenance contract. They are both the
-// non-x86 fallback and the tail loop of the AVX2 variants (start at
-// entry j, write head w).
+// Portable bodies for the vector sweeps: the exact scalar predicates.
+// They are both the non-x86 fallback and the tail loop of the AVX2
+// variants (start at entry j, write head w).
 size_t ImpSweepPortable(ColumnId* cand, uint32_t* miss, size_t n,
-                        const uint8_t* mask, uint32_t budget,
-                        uint64_t* sidecar, size_t j, size_t w) {
+                        const uint8_t* mask, uint32_t budget, size_t j,
+                        size_t w) {
   for (; j < n; ++j) {
     const ColumnId ck = cand[j];
     const uint32_t hit = mask[ck] != 0 ? 1u : 0u;
     const uint32_t new_miss = miss[j] + 1u - hit;
-    if (hit == 0 && new_miss > budget) {
-      SidecarClear(sidecar, ck);
-      continue;
-    }
+    if (hit == 0 && new_miss > budget) continue;
     cand[w] = ck;
     miss[w] = new_miss;
     ++w;
@@ -164,7 +163,6 @@ size_t ImpSweepPortable(ColumnId* cand, uint32_t* miss, size_t n,
 
 size_t SimSweepPortable(ColumnId* cand, uint32_t* miss, size_t n,
                         const uint8_t* mask, const kernels::SimSweepParams& p,
-                        uint64_t* sidecar, std::vector<ColumnId>* dead_hits,
                         size_t j, size_t w) {
   for (; j < n; ++j) {
     const ColumnId ck = cand[j];
@@ -176,14 +174,7 @@ size_t SimSweepPortable(ColumnId* cand, uint32_t* miss, size_t n,
     const bool keep =
         p.one_plus_s * static_cast<double>(arg) <=
         static_cast<double>(p.ones_j) - p.s_ones[ck] + p.budget_eps;
-    if (!keep) {
-      if (hit != 0) {
-        dead_hits->push_back(ck);
-      } else {
-        SidecarClear(sidecar, ck);
-      }
-      continue;
-    }
+    if (!keep) continue;
     cand[w] = ck;
     miss[w] = static_cast<uint32_t>(old_miss + 1 - hit);
     ++w;
@@ -237,11 +228,10 @@ __attribute__((target("avx2"))) inline __m256d GatherPd(const double* base,
 
 __attribute__((target("avx2,popcnt"))) size_t ImpSweepAvx2(
     ColumnId* cand, uint32_t* miss, size_t n, const uint8_t* mask,
-    uint32_t budget, uint64_t* sidecar) {
+    uint32_t budget) {
   const __m256i vone = _mm256_set1_epi32(1);
   const __m256i vbyte = _mm256_set1_epi32(0xFF);
   const __m256i vbud = _mm256_set1_epi32(static_cast<int32_t>(budget));
-  alignas(32) uint32_t ids_buf[8];
   size_t j = 0, w = 0;
   for (; j + 8 <= n; j += 8) {
     const __m256i ids =
@@ -273,18 +263,6 @@ __attribute__((target("avx2,popcnt"))) size_t ImpSweepAvx2(
       w += 8;
       continue;
     }
-    unsigned dead = ~keep_mask & 0xFFu;
-    if (dead != 0) {
-      // Grab the ids before the compress-store below may overwrite them
-      // (w can be within 8 of j). Implication deaths are always
-      // miss-deaths, so presence bits are cleared immediately.
-      _mm256_store_si256(reinterpret_cast<__m256i*>(ids_buf), ids);
-      do {
-        const unsigned l = static_cast<unsigned>(__builtin_ctz(dead));
-        dead &= dead - 1;
-        SidecarClear(sidecar, ids_buf[l]);
-      } while (dead != 0);
-    }
     const __m256i perm = _mm256_load_si256(
         reinterpret_cast<const __m256i*>(kCompressLut.perm[keep_mask]));
     // Unconditional 8-lane stores are safe: w <= j, so [w, w+8) stays
@@ -296,13 +274,13 @@ __attribute__((target("avx2,popcnt"))) size_t ImpSweepAvx2(
                         _mm256_permutevar8x32_epi32(newm, perm));
     w += static_cast<size_t>(__builtin_popcount(keep_mask));
   }
-  return ImpSweepPortable(cand, miss, n, mask, budget, sidecar, j, w);
+  _mm256_zeroupper();  // see MarkHitsAvx2
+  return ImpSweepPortable(cand, miss, n, mask, budget, j, w);
 }
 
 __attribute__((target("avx2,popcnt"))) size_t SimSweepAvx2(
     ColumnId* cand, uint32_t* miss, size_t n, const uint8_t* mask,
-    const kernels::SimSweepParams& p, uint64_t* sidecar,
-    std::vector<ColumnId>* dead_hits) {
+    const kernels::SimSweepParams& p) {
   const __m256i vone = _mm256_set1_epi32(1);
   const __m256i vbyte = _mm256_set1_epi32(0xFF);
   const __m256i vrem_j = _mm256_set1_epi32(p.rem_j);
@@ -310,7 +288,6 @@ __attribute__((target("avx2,popcnt"))) size_t SimSweepAvx2(
   const __m256d vops = _mm256_set1_pd(p.one_plus_s);
   const __m256d va = _mm256_set1_pd(static_cast<double>(p.ones_j));
   const __m256d veps = _mm256_set1_pd(p.budget_eps);
-  alignas(32) uint32_t ids_buf[8];
   size_t j = 0, w = 0;
   for (; j + 8 <= n; j += 8) {
     const __m256i ids =
@@ -362,22 +339,6 @@ __attribute__((target("avx2,popcnt"))) size_t SimSweepAvx2(
       w += 8;
       continue;
     }
-    unsigned dead = ~keep_mask & 0xFFu;
-    if (dead != 0) {
-      const unsigned hit_mask = static_cast<unsigned>(
-          _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(hit,
-                                                                    vone))));
-      _mm256_store_si256(reinterpret_cast<__m256i*>(ids_buf), ids);
-      do {
-        const unsigned l = static_cast<unsigned>(__builtin_ctz(dead));
-        dead &= dead - 1;
-        if ((hit_mask >> l) & 1u) {
-          dead_hits->push_back(ids_buf[l]);
-        } else {
-          SidecarClear(sidecar, ids_buf[l]);
-        }
-      } while (dead != 0);
-    }
     const __m256i newm =
         _mm256_sub_epi32(_mm256_add_epi32(oldm, vone), hit);
     const __m256i perm = _mm256_load_si256(
@@ -388,7 +349,8 @@ __attribute__((target("avx2,popcnt"))) size_t SimSweepAvx2(
                         _mm256_permutevar8x32_epi32(newm, perm));
     w += static_cast<size_t>(__builtin_popcount(keep_mask));
   }
-  return SimSweepPortable(cand, miss, n, mask, p, sidecar, dead_hits, j, w);
+  _mm256_zeroupper();  // see MarkHitsAvx2
+  return SimSweepPortable(cand, miss, n, mask, p, j, w);
 }
 
 #endif  // DMC_KERNELS_X86
@@ -450,26 +412,21 @@ bool PreferVectorSweep(ColumnId num_columns, uint64_t rows,
 }
 
 size_t ImpVectorSweep(ColumnId* cand, uint32_t* miss, size_t n,
-                      const uint8_t* row_mask, uint32_t budget,
-                      uint64_t* sidecar) {
+                      const uint8_t* row_mask, uint32_t budget) {
 #ifdef DMC_KERNELS_X86
   if (SimdKernelAvailable()) {
-    return ImpSweepAvx2(cand, miss, n, row_mask, budget, sidecar);
+    return ImpSweepAvx2(cand, miss, n, row_mask, budget);
   }
 #endif
-  return ImpSweepPortable(cand, miss, n, row_mask, budget, sidecar, 0, 0);
+  return ImpSweepPortable(cand, miss, n, row_mask, budget, 0, 0);
 }
 
 size_t SimVectorSweep(ColumnId* cand, uint32_t* miss, size_t n,
-                      const uint8_t* row_mask, const SimSweepParams& p,
-                      uint64_t* sidecar, std::vector<ColumnId>* dead_hits) {
+                      const uint8_t* row_mask, const SimSweepParams& p) {
 #ifdef DMC_KERNELS_X86
-  if (SimdKernelAvailable()) {
-    return SimSweepAvx2(cand, miss, n, row_mask, p, sidecar, dead_hits);
-  }
+  if (SimdKernelAvailable()) return SimSweepAvx2(cand, miss, n, row_mask, p);
 #endif
-  return SimSweepPortable(cand, miss, n, row_mask, p, sidecar, dead_hits, 0,
-                          0);
+  return SimSweepPortable(cand, miss, n, row_mask, p, 0, 0);
 }
 
 void MarkHits(const ColumnId* list, size_t n, const ColumnId* row, size_t m,

@@ -57,7 +57,7 @@ const char* KernelName(MergeKernel k);
 namespace kernels {
 
 /// Limits under which the block-typed vector merge sweeps below are
-/// enabled: the presence sidecar stays one cache-friendly bitset
+/// enabled: the decided-set sidecar stays one cache-friendly bitset
 /// (<= 8 KiB) per live list, and every intermediate of the 8-wide epi32
 /// arithmetic provably fits in int32.
 inline constexpr uint32_t kVectorSweepMaxColumns = 65536;
@@ -72,7 +72,7 @@ bool VectorSweepAvailable();
 /// Whether a kSimd scan of `rows` rows over `num_columns` columns holding
 /// `total_ones` ones runs the vector sweeps below (true) or the row-mask
 /// merges (false). Beyond availability and the limits above, the sweep
-/// needs a mean row at least as wide as a presence sidecar has words —
+/// needs a mean row at least as wide as a decided-set sidecar has words —
 /// total_ones >= rows * ceil(num_columns / 64) — because every vector
 /// add-merge walks the whole sidecar to find joiners, a cost that only
 /// wide rows amortize. Every input is known before the first row, so a
@@ -83,14 +83,13 @@ bool PreferVectorSweep(ColumnId num_columns, uint64_t rows,
 
 /// The implication-pass entry sweep (keep_on_hit = always,
 /// keep_on_miss = new_miss <= budget), 8 entries per step: gather the
-/// row-mask byte per candidate, bump misses, drop over-budget entries
-/// with a permute-compress, and clear the presence-sidecar bit of every
-/// death (implication deaths are always miss-deaths). Returns the new
-/// list size; the caller commits it with SetSize. Byte-identical to
-/// ImplicationKind's scalar predicates (core/streaming_pass.h).
+/// row-mask byte per candidate, bump misses and drop over-budget entries
+/// with a permute-compress. Returns the new list size; the caller
+/// commits it with SetSize. Byte-identical to ImplicationKind's scalar
+/// predicates (core/streaming_pass.h). Neither sweep touches the list's
+/// sidecar: a candidate that dies stays decided (DESIGN §5.4).
 size_t ImpVectorSweep(ColumnId* cand, uint32_t* miss, size_t n,
-                      const uint8_t* row_mask, uint32_t budget,
-                      uint64_t* sidecar);
+                      const uint8_t* row_mask, uint32_t budget);
 
 /// Per-merge constants for the similarity entry sweep. `ones`, `cnt` and
 /// `s_ones` are the scan's dense per-column arrays (gathered per entry);
@@ -115,14 +114,10 @@ struct SimSweepParams {
 /// (equal to ones_j - best_hits of SurvivesMaxHitsOnHit/OnMiss), tested
 /// as one_plus_s * arg <= ones_j - s_ones[ck] + budget_eps with the
 /// exact operand values and operation order of the scalar
-/// WithinPairBudget, so the float decisions are bit-identical. Deaths on
-/// a miss clear their sidecar bit immediately; deaths on a hit are
-/// appended to `dead_hits` so the caller can clear them after the joiner
-/// row-walk (a dying hit was in the list on this row and must not
-/// rejoin). Returns the new list size.
+/// WithinPairBudget, so the float decisions are bit-identical. Returns
+/// the new list size.
 size_t SimVectorSweep(ColumnId* cand, uint32_t* miss, size_t n,
-                      const uint8_t* row_mask, const SimSweepParams& p,
-                      uint64_t* sidecar, std::vector<ColumnId>* dead_hits);
+                      const uint8_t* row_mask, const SimSweepParams& p);
 
 /// Sets hit[j] = 1 iff list[j] is in row, else 0, for j in [0, n). Both
 /// inputs are strictly ascending. `kernel` selects the intersection
@@ -150,33 +145,32 @@ struct MergeScratch {
   /// up to 3 bytes past the last column.
   std::vector<uint8_t> row_mask;
   std::vector<ColumnId> marked;  // columns set in row_mask (for O(|row|) reset)
-  /// Word bitmap of the current row (same membership as row_mask). The
-  /// vector add-merges AND-NOT it against a list's presence sidecar to
-  /// find joiners word-wise instead of testing every row column.
+  /// Word bitmap of the current row (same membership as row_mask), filled
+  /// for the vector side only. The vector add-merge AND-NOTs it against
+  /// a list's decided-set sidecar to find the columns still to test.
   std::vector<uint64_t> row_bits;
-  /// Candidates that died on a hit during a SimVectorSweep; their sidecar
-  /// bits are cleared only after the joiner row-walk.
-  std::vector<ColumnId> dead_hits;
 
   /// Installs `row` as the current row. Scans using MergeKernel::kSimd
-  /// must call this once per row before merging; cost is
-  /// O(|previous row| + |row|), amortized across every column merge of
-  /// the row.
-  void BeginRow(std::span<const ColumnId> row, size_t num_columns) {
+  /// must call this before the row's first merge (a row with no merge
+  /// need not install itself); `with_bits` also fills row_bits. Cost is
+  /// O(|previous installed row| + |row|), amortized across every column
+  /// merge of the row.
+  void BeginRow(std::span<const ColumnId> row, size_t num_columns,
+                bool with_bits) {
     if (row_mask.size() < num_columns + 3) row_mask.assign(num_columns + 3, 0);
-    if (row_bits.size() < (num_columns + 63) / 64) {
+    if (with_bits && row_bits.size() < (num_columns + 63) / 64) {
       row_bits.assign((num_columns + 63) / 64, 0);
     }
     // Word-granular clear: every bit of the previous row lives in a word
     // that held some marked column, so clearing those words clears all.
     for (const ColumnId c : marked) {
       row_mask[c] = 0;
-      row_bits[c >> 6] = 0;
+      if (with_bits) row_bits[c >> 6] = 0;
     }
     marked.assign(row.begin(), row.end());
     for (const ColumnId c : row) {
       row_mask[c] = 1;
-      row_bits[c >> 6] |= uint64_t{1} << (c & 63);
+      if (with_bits) row_bits[c >> 6] |= uint64_t{1} << (c & 63);
     }
   }
 };

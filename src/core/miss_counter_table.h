@@ -205,41 +205,25 @@ class MissCounterTable {
     }
   }
 
-  /// Turns on per-list presence sidecars: one bit per column, bit k set
-  /// iff column k is currently in the list. The vector merge sweeps use
-  /// them for O(1) "already a candidate?" tests without mutating the
-  /// shared row mask. Storage is pool-recycled across Release/Create and
-  /// is physical acceleration state only — never charged to the tracker.
-  /// Must be called before any list is created; callers that enable
-  /// sidecars own bit maintenance through the merge kernels (Assign
-  /// rebuilds them wholesale as a safety net for the legacy path).
+  /// Turns on per-list decided-set sidecars: one bit per column, zeroed
+  /// by Create and otherwise written only by the caller. The vector
+  /// add-merge (StreamingPass) sets bit k once column k has been decided
+  /// for the list, joined or rejected for good, and never clears it, so
+  /// each column is tested once per list. Storage is pool-recycled
+  /// across Release/Create and is physical acceleration state only —
+  /// never charged to the tracker. Must be called before any list is
+  /// created; the rebuilding Assign is for tables without sidecars.
   void EnableSidecars() {
     DMC_CHECK_EQ(live_lists_, size_t{0});
     sidecars_enabled_ = true;
     sidecar_words_ = (static_cast<size_t>(num_columns()) + 63) / 64;
   }
 
-  bool sidecars_enabled() const { return sidecars_enabled_; }
-
-  /// The presence bitmap for `c`'s list; valid only when HasList(c) and
-  /// sidecars are enabled.
+  /// The decided-set bitmap for `c`'s list, ceil(num_columns / 64)
+  /// words; valid only when HasList(c) and sidecars are enabled.
   uint64_t* Sidecar(ColumnId c) {
     DMC_CHECK(created_[c]);
     return lists_[c].sidecar;
-  }
-  const uint64_t* Sidecar(ColumnId c) const {
-    DMC_CHECK(created_[c]);
-    return lists_[c].sidecar;
-  }
-
-  static void SidecarSetBit(uint64_t* sc, ColumnId c) {
-    sc[c >> 6] |= uint64_t{1} << (c & 63);
-  }
-  static void SidecarClearBit(uint64_t* sc, ColumnId c) {
-    sc[c >> 6] &= ~(uint64_t{1} << (c & 63));
-  }
-  static bool SidecarTestBit(const uint64_t* sc, ColumnId c) {
-    return ((sc[c >> 6] >> (c & 63)) & 1) != 0;
   }
 
   /// The list for `c`; valid only when HasList(c).
@@ -284,10 +268,13 @@ class MissCounterTable {
   }
 
   /// Replaces `c`'s list with a copy of the given SoA arrays (`miss` may
-  /// be null only when `n` == 0). One net accounting adjustment.
+  /// be null only when `n` == 0). One net accounting adjustment. Not for
+  /// tables with sidecars: a rebuild cannot know which columns were
+  /// decided.
   void Assign(ColumnId c, const ColumnId* cand, const uint32_t* miss,
               size_t n) {
     DMC_CHECK(created_[c]);
+    DMC_CHECK(!sidecars_enabled_);
     Header& h = lists_[c];
     if (n > h.block.capacity) {
       arena_.Release(h.block);
@@ -296,10 +283,6 @@ class MissCounterTable {
     if (n > 0) {
       std::memcpy(h.block.cand, cand, n * sizeof(ColumnId));
       std::memcpy(h.block.miss, miss, n * sizeof(uint32_t));
-    }
-    if (h.sidecar != nullptr) {
-      std::memset(h.sidecar, 0, sidecar_words_ * sizeof(uint64_t));
-      for (size_t i = 0; i < n; ++i) SidecarSetBit(h.sidecar, cand[i]);
     }
     ApplySizeDelta(&h, n);
   }

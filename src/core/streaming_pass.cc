@@ -38,10 +38,9 @@ ImplicationKind::ImplicationKind(const std::vector<uint32_t>& ones,
 
 size_t ImplicationKind::Sweep(ColumnId cj,
                               const MissCounterTable::MutableList& list,
-                              const uint8_t* row_mask, uint64_t* sidecar,
-                              std::vector<ColumnId>*) const {
+                              const uint8_t* row_mask) const {
   return kernels::ImpVectorSweep(list.cand, list.miss, list.size, row_mask,
-                                 ClampBudget(budget_[cj]), sidecar);
+                                 ClampBudget(budget_[cj]));
 }
 
 SimilarityKind::SimilarityKind(const std::vector<uint32_t>& ones,
@@ -67,8 +66,7 @@ SimilarityKind::SimilarityKind(const std::vector<uint32_t>& ones,
 
 size_t SimilarityKind::Sweep(ColumnId cj,
                              const MissCounterTable::MutableList& list,
-                             const uint8_t* row_mask, uint64_t* sidecar,
-                             std::vector<ColumnId>* dead_hits) const {
+                             const uint8_t* row_mask) const {
   kernels::SimSweepParams p;
   p.rem = rem_.data();
   p.s_ones = s_ones_.data();
@@ -76,9 +74,8 @@ size_t SimilarityKind::Sweep(ColumnId cj,
   p.rem_j = rem_[cj];
   p.one_plus_s = one_plus_s_;
   p.budget_eps = budget_eps_;
-  dead_hits->clear();
   return kernels::SimVectorSweep(list.cand, list.miss, list.size, row_mask,
-                                 p, sidecar, dead_hits);
+                                 p);
 }
 
 template <typename Kind>
@@ -136,15 +133,22 @@ void StreamingPass<Kind>::ProcessRow(std::span<const ColumnId> row) {
     return;
   }
 
-  if (kernel_ == MergeKernel::kSimd) {
-    scratch_.BeginRow(row, config_.num_columns);
-  }
   // Step 3(a): update/extend every candidate list touched by this row.
+  // kSimd installs the row's mask at its first merge, so a row that
+  // merges nothing (most rows of a pass that owns few antecedents) costs
+  // no mask writes.
+  bool row_installed = kernel_ != MergeKernel::kSimd;
   for (ColumnId cj : row) {
     if (!Owns(cj)) continue;  // not this pass's antecedent
-    if (static_cast<int64_t>(cnt_[cj]) <= kind_.ColumnBudget(cj)) {
+    const bool add = static_cast<int64_t>(cnt_[cj]) <= kind_.ColumnBudget(cj);
+    if (!add && !table_.HasList(cj)) continue;
+    if (!row_installed) {
+      scratch_.BeginRow(row, config_.num_columns, use_vector_);
+      row_installed = true;
+    }
+    if (add) {
       MergeWithAdd(cj, row);
-    } else if (table_.HasList(cj)) {
+    } else {
       MergeMissOnly(cj, row);
     }
   }
@@ -200,11 +204,7 @@ void StreamingPass<Kind>::MergeMissOnly(ColumnId cj,
   if (use_vector_) {
     const MissCounterTable::MutableList list = table_.Mutable(cj);
     if (list.size == 0) return;
-    uint64_t* sc = table_.Sidecar(cj);
-    const size_t w = kind_.Sweep(cj, list, scratch_.row_mask.data(), sc,
-                                 &scratch_.dead_hits);
-    // No joiner walk here, so dying hits can be cleared right away.
-    ClearDeadHits(sc);
+    const size_t w = kind_.Sweep(cj, list, scratch_.row_mask.data());
     if (w != list.size) table_.SetSize(cj, w);
     return;
   }
@@ -224,17 +224,22 @@ void StreamingPass<Kind>::MergeMissOnly(ColumnId cj,
 }
 
 // MergeWithAdd on the block-typed vector path: the kind's entry sweep
-// runs the list, and joiners are found with the per-list presence
-// sidecar instead of the row-mask 1 -> 2 flagging (gathers can't scatter
-// the flag back): a row column joins iff its presence bit is clear. A
-// similarity entry can die on a hit; its presence bit must survive the
-// joiner walk — it was in the list on this row and must not rejoin —
-// and is cleared just after.
+// runs the list, and joiners are found word-wise against the list's
+// decided-set sidecar instead of by row-mask 1 -> 2 flagging (gathers
+// can't scatter the flag back). A column's bit is set once it has been
+// decided for cj: it joined, or Qualifies/AcceptNew rejected it. Both
+// are final, so every row column is tested at most once per list, and a
+// candidate that dies keeps its bit: an implication candidate dies only
+// once cnt(cj) > maxmis(cj), after which no add-merge runs, and a dead
+// similarity pair would fail AcceptNew, the §5.2 bound at zero hits,
+// which only tightens as cnt(cj) and cnt(ck) grow (DESIGN §5.4).
 template <typename Kind>
 void StreamingPass<Kind>::VectorAddMerge(ColumnId cj,
                                          std::span<const ColumnId> row,
                                          uint32_t base_miss) {
   const auto pred = kind_.ForList(cj, base_miss, cnt_.data());
+  const uint64_t* rb = scratch_.row_bits.data();
+  const size_t words = scratch_.row_bits.size();
   if (!table_.HasList(cj)) {
     scratch_.fresh.clear();
     for (const ColumnId ck : row) {
@@ -244,56 +249,41 @@ void StreamingPass<Kind>::VectorAddMerge(ColumnId cj,
     }
     if (scratch_.fresh.empty()) return;
     table_.Create(cj);
+    // Every column of this row, cj included, is now decided.
+    std::copy(rb, rb + words, table_.Sidecar(cj));
     const MissCounterTable::MutableList list =
         table_.Reserve(cj, scratch_.fresh.size());
-    uint64_t* sc = table_.Sidecar(cj);
     for (size_t k = 0; k < scratch_.fresh.size(); ++k) {
       list.cand[k] = scratch_.fresh[k];
       list.miss[k] = base_miss;
-      MissCounterTable::SidecarSetBit(sc, scratch_.fresh[k]);
     }
     table_.SetSize(cj, scratch_.fresh.size());
     return;
   }
   const MissCounterTable::MutableList list = table_.Mutable(cj);
-  uint64_t* sc = table_.Sidecar(cj);
-  const size_t w = kind_.Sweep(cj, list, scratch_.row_mask.data(), sc,
-                               &scratch_.dead_hits);
-  // Joiners word-wise: row columns whose presence bit is clear. cj's own
-  // bit is pending too (a column never lists itself) — skipped by the
-  // cr != cj test.
+  const size_t w = kind_.Sweep(cj, list, scratch_.row_mask.data());
   scratch_.fresh.clear();
-  const uint64_t* rb = scratch_.row_bits.data();
-  const size_t words = scratch_.row_bits.size();
+  uint64_t* sc = table_.Sidecar(cj);
   for (size_t wd = 0; wd < words; ++wd) {
     uint64_t pending = rb[wd] & ~sc[wd];
-    while (pending != 0) {
+    if (pending == 0) continue;
+    sc[wd] |= pending;
+    joiner_tests_ += static_cast<uint64_t>(__builtin_popcountll(pending));
+    do {
       const ColumnId cr = static_cast<ColumnId>(
           (wd << 6) + static_cast<unsigned>(__builtin_ctzll(pending)));
       pending &= pending - 1;
-      if (cr != cj && Qualifies(cr, cj) && pred.AcceptNew(cr)) {
+      // cj itself was decided when its list was created.
+      if (Qualifies(cr, cj) && pred.AcceptNew(cr)) {
         scratch_.fresh.push_back(cr);
       }
-    }
+    } while (pending != 0);
   }
-  ClearDeadHits(sc);
   if (scratch_.fresh.empty()) {
     if (w != list.size) table_.SetSize(cj, w);
     return;
   }
-  for (const ColumnId f : scratch_.fresh) {
-    MissCounterTable::SidecarSetBit(sc, f);
-  }
   MergeJoinersFromBack(table_, cj, w, scratch_.fresh, base_miss);
-}
-
-template <typename Kind>
-void StreamingPass<Kind>::ClearDeadHits(uint64_t* sidecar) {
-  if constexpr (Kind::kHitsCanKill) {
-    for (const ColumnId d : scratch_.dead_hits) {
-      MissCounterTable::SidecarClearBit(sidecar, d);
-    }
-  }
 }
 
 // cnt(cj) == ones(cj): every surviving candidate's miss count is final.

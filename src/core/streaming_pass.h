@@ -13,10 +13,11 @@
 //  * the step-3 cutoff test, and the equal-bitmap tail shortcut that
 //    similarity takes at minsim = 1.
 // The antecedent mask, progress and cancellation, the DMC-bitmap switch
-// and tail, history sampling, the sidecar joiner walk, the stream-length
-// check and the cutoff/100%-phase/sub-phase sequence exist once. The
-// predicates stay per kind because they are the per-entry cost of the
-// scan: each instantiation inlines its own, with no branch on the kind.
+// and tail, history sampling, the decided-set joiner walk, the
+// stream-length check and the cutoff/100%-phase/sub-phase sequence exist
+// once. The predicates stay per kind because they are the per-entry
+// cost of the scan: each instantiation inlines its own, with no branch
+// on the kind.
 //
 // Every miner runs this scan: MineImplications / MineSimilarities
 // replay the in-memory matrix through StreamPhases (MineMatrix), the
@@ -70,8 +71,6 @@ class ImplicationKind {
   static constexpr const char* kRowSite = "streaming.imp.row";
   static constexpr double Options::*kThreshold = &Options::min_confidence;
   static constexpr const char* kThresholdName = "min_confidence";
-  /// An entry never dies on a hit, so the sweep reports no dead hits.
-  static constexpr bool kHitsCanKill = false;
   static constexpr bool kEqualBitmapTail = false;
 
   static bool VectorSweepApplies(const DmcPolicy&) { return true; }
@@ -101,8 +100,7 @@ class ImplicationKind {
   }
   /// kernels::ImpVectorSweep over cj's list; returns the new size.
   size_t Sweep(ColumnId cj, const MissCounterTable::MutableList& list,
-               const uint8_t* row_mask, uint64_t* sidecar,
-               std::vector<ColumnId>* dead_hits) const;
+               const uint8_t* row_mask) const;
   /// Called once cnt(c) has grown by one; nothing to track.
   void Counted(ColumnId) {}
 
@@ -132,7 +130,6 @@ class SimilarityKind {
   static constexpr const char* kRowSite = "streaming.sim.row";
   static constexpr double Options::*kThreshold = &Options::min_similarity;
   static constexpr const char* kThresholdName = "min_similarity";
-  static constexpr bool kHitsCanKill = true;
   /// At minsim = 1 the tail finds identical pairs as equal bitmaps.
   static constexpr bool kEqualBitmapTail = true;
 
@@ -191,11 +188,9 @@ class SimilarityKind {
                          const uint32_t* cnt) const {
     return {this, cnt, cj, base_miss};
   }
-  /// kernels::SimVectorSweep over cj's list; deaths on a hit land in
-  /// `dead_hits`. Returns the new size.
+  /// kernels::SimVectorSweep over cj's list; returns the new size.
   size_t Sweep(ColumnId cj, const MissCounterTable::MutableList& list,
-               const uint8_t* row_mask, uint64_t* sidecar,
-               std::vector<ColumnId>* dead_hits) const;
+               const uint8_t* row_mask) const;
   /// Keeps rem_ = ones - cnt current for the sweep.
   void Counted(ColumnId c) {
     if (vector_sweep_) --rem_[c];
@@ -335,6 +330,11 @@ class StreamingPass {
   /// Peak live candidate entries of this pass.
   size_t peak_candidates() const { return table_.peak_entries(); }
 
+  /// Row columns the vector add-merge has tested against a live list's
+  /// decided set so far; each (antecedent, column) pair is tested there
+  /// at most once. 0 on the row-mask side.
+  uint64_t joiner_tests() const { return joiner_tests_; }
+
   /// Completes the pass (runs the bitmap phases if triggered) and
   /// returns all discovered rules. Fails if fewer rows were streamed
   /// than promised, or with Status(kCancelled) once the progress
@@ -353,7 +353,6 @@ class StreamingPass {
   void MergeMissOnly(ColumnId cj, std::span<const ColumnId> row);
   void VectorAddMerge(ColumnId cj, std::span<const ColumnId> row,
                       uint32_t base_miss);
-  void ClearDeadHits(uint64_t* sidecar);
   void FlushColumn(ColumnId cj);
   void RecordHistory();
   void RunBitmapPhases();
@@ -369,6 +368,7 @@ class StreamingPass {
   MissCounterTable table_;
   std::vector<uint32_t> cnt_;
   uint64_t rows_seen_ = 0;
+  uint64_t joiner_tests_ = 0;
   bool bitmap_mode_ = false;
   bool finished_ = false;
   double bitmap_seconds_ = 0.0;

@@ -4,7 +4,10 @@
 // peak_counter_bytes, peak_candidates, or the per-row history curves is a
 // bug, and this harness is the tripwire.
 
+#include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -239,6 +242,162 @@ TEST(KernelParityTest, WideSparseMatrixOnTheMaskSide) {
                          std::string(KernelName(k)) + " " + base.name);
       }
     }
+  }
+}
+
+// Correlated blocks over 160 columns, so a decided-set sidecar spans three
+// words, the last one partly: 16 blocks of 10 columns, block g on in a row
+// with probability 0.15 + 0.02 g, each column of an on block present with
+// probability 0.85, plus 4% noise. A mean row of about 45 ones against 3
+// sidecar words puts kSimd on the vector side.
+BinaryMatrix WideBlockMatrix() {
+  constexpr uint32_t kCols = 160, kBlock = 10;
+  Rng rng(13);
+  MatrixBuilder b(kCols);
+  std::vector<ColumnId> row;
+  for (uint32_t r = 0; r < 400; ++r) {
+    row.clear();
+    for (uint32_t g = 0; g < kCols / kBlock; ++g) {
+      const bool on = rng.Bernoulli(0.15 + 0.02 * g);
+      for (ColumnId c = g * kBlock; c < (g + 1) * kBlock; ++c) {
+        if ((on && rng.Bernoulli(0.85)) || rng.Bernoulli(0.04)) {
+          row.push_back(c);
+        }
+      }
+    }
+    b.AddRow(row);
+  }
+  return b.Build();
+}
+
+// Replays `order` through SimilarityKind's predicates the way one pass
+// over every antecedent does, and counts the candidates that die on a hit
+// and on a miss while cnt(cj) is within cj's column budget, i.e. while
+// cj's list can still grow.
+struct SimDeaths {
+  size_t on_hit = 0;
+  size_t on_miss = 0;
+};
+
+SimDeaths SimDeathsWhileListsGrow(const BinaryMatrix& m,
+                                  const std::vector<RowId>& order,
+                                  double minsim) {
+  const std::vector<uint32_t>& ones = m.column_ones();
+  const SimilarityKind kind(ones, minsim, DmcPolicy{}, /*vector_sweep=*/false);
+  std::vector<uint32_t> cnt(m.num_columns(), 0);
+  std::vector<std::map<ColumnId, uint32_t>> lists(m.num_columns());
+  SimDeaths deaths;
+  for (const RowId r : order) {
+    const auto row = m.Row(r);
+    for (const ColumnId cj : row) {
+      const bool grows = cnt[cj] <= kind.ColumnBudget(cj);
+      const auto pred = kind.ForList(cj, cnt[cj], cnt.data());
+      std::map<ColumnId, uint32_t>& list = lists[cj];
+      for (auto it = list.begin(); it != list.end();) {
+        const bool hit = std::binary_search(row.begin(), row.end(), it->first);
+        const bool keep = hit ? pred.KeepOnHit(it->first, it->second)
+                              : pred.KeepOnMiss(it->first, it->second + 1);
+        if (!keep) {
+          if (grows) ++(hit ? deaths.on_hit : deaths.on_miss);
+          it = list.erase(it);
+          continue;
+        }
+        if (!hit) ++it->second;
+        ++it;
+      }
+      if (!grows) continue;
+      for (const ColumnId ck : row) {
+        const bool qualifies = ones[ck] > ones[cj] ||
+                               (ones[ck] == ones[cj] && ck > cj);
+        if (qualifies && list.count(ck) == 0 && pred.AcceptNew(ck)) {
+          list.emplace(ck, cnt[cj]);
+        }
+      }
+    }
+    for (const ColumnId c : row) ++cnt[c];
+  }
+  return deaths;
+}
+
+// The vector side with a multi-word sidecar: every matrix above is at most
+// 64 columns wide, so a joiner walk that settled the wrong word, or
+// settled a column it did not test, would pass them all.
+TEST(KernelParityTest, MultiWordSidecarOnTheVectorSide) {
+  const BinaryMatrix m = WideBlockMatrix();
+  ASSERT_GE(m.num_columns(), 130u);
+  EXPECT_EQ(kernels::PreferVectorSweep(m.num_columns(), m.num_rows(),
+                                       m.num_ones()),
+            kernels::VectorSweepAvailable());
+  for (const RowOrderPolicy order :
+       {RowOrderPolicy::kIdentity, RowOrderPolicy::kDensityBuckets}) {
+    const SimDeaths deaths =
+        SimDeathsWhileListsGrow(m, MakeRowOrder(m, order), 0.4);
+    EXPECT_GT(deaths.on_hit, 0u);
+    EXPECT_GT(deaths.on_miss, 0u);
+    for (const BasePolicy& base : BasePolicies()) {
+      const DmcPolicy* policy = &base.policy;
+      const ImpRun imp_ref =
+          RunImp(m, MergeKernel::kLegacy, order, 0.7, policy);
+      EXPECT_FALSE(imp_ref.rules.empty());
+      const SimRun sim_ref =
+          RunSim(m, MergeKernel::kLegacy, order, 0.4, policy);
+      EXPECT_FALSE(sim_ref.pairs.empty());
+      for (const MergeKernel k : kAllKernels) {
+        const std::string label =
+            std::string(KernelName(k)) + " policy=" + base.name;
+        const ImpRun imp = RunImp(m, k, order, 0.7, policy);
+        EXPECT_EQ(imp_ref.rules.rules(), imp.rules.rules()) << label;
+        ExpectStatsEqual(imp_ref.stats, imp.stats, label);
+        const SimRun sim = RunSim(m, k, order, 0.4, policy);
+        EXPECT_EQ(sim_ref.pairs.pairs(), sim.pairs.pairs()) << label;
+        ExpectStatsEqual(sim_ref.stats, sim.stats, label);
+      }
+    }
+  }
+}
+
+// One streamed pass over every antecedent of `m`, run to the end.
+template <typename Kind>
+uint64_t JoinerTests(const BinaryMatrix& m, double threshold) {
+  typename StreamingPass<Kind>::Config cfg;
+  cfg.num_columns = m.num_columns();
+  cfg.ones = m.column_ones();
+  cfg.total_rows = m.num_rows();
+  cfg.threshold = threshold;
+  cfg.policy.kernel = MergeKernel::kSimd;
+  StreamingPass<Kind> pass(std::move(cfg));
+  for (RowId r = 0; r < m.num_rows(); ++r) pass.ProcessRow(m.Row(r));
+  EXPECT_TRUE(pass.Finish().ok());
+  return pass.joiner_tests();
+}
+
+// The decided set tests each (antecedent, row column) pair at most once:
+// the joiner walk's work is bounded by the distinct co-occurring pairs,
+// not by rows times row width.
+TEST(KernelParityTest, JoinerWalkTestsEachPairAtMostOnce) {
+  const BinaryMatrix m = WideBlockMatrix();
+  const ColumnId n = m.num_columns();
+  std::vector<uint8_t> co(static_cast<size_t>(n) * n, 0);
+  for (RowId r = 0; r < m.num_rows(); ++r) {
+    const auto row = m.Row(r);
+    for (const ColumnId a : row) {
+      for (const ColumnId b : row) {
+        if (a != b) co[static_cast<size_t>(a) * n + b] = 1;
+      }
+    }
+  }
+  const uint64_t pairs = static_cast<uint64_t>(
+      std::count(co.begin(), co.end(), uint8_t{1}));
+  const uint64_t imp = JoinerTests<ImplicationKind>(m, 0.7);
+  const uint64_t sim = JoinerTests<SimilarityKind>(m, 0.4);
+  EXPECT_LE(imp, pairs);
+  EXPECT_LE(sim, pairs);
+  if (kernels::VectorSweepAvailable()) {
+    EXPECT_GT(imp, 0u);
+    EXPECT_GT(sim, 0u);
+  } else {
+    EXPECT_EQ(imp, 0u);
+    EXPECT_EQ(sim, 0u);
   }
 }
 

@@ -12,6 +12,7 @@
 #include "datagen/quest_gen.h"
 #include "matrix/matrix_io.h"
 #include "matrix/row_order.h"
+#include "util/random.h"
 
 namespace dmc {
 namespace {
@@ -79,6 +80,62 @@ TEST(StreamingSimTest, PruningFlagsMatch) {
           << density << " " << maxhits;
     }
   }
+}
+
+// Why the vector add-merge may decide a similarity joiner once (DESIGN
+// §5.4): once AcceptNew rejects ck for cj's list, it rejects it at every
+// later co-occurrence, where cnt(cj) and cnt(ck) can only have grown; and
+// a candidate that died on a hit or on a miss fails AcceptNew from the
+// next row on, so it can never rejoin.
+TEST(SimilarityKindTest, AcceptNewRejectionIsFinal) {
+  Rng rng(2026);
+  size_t walks_from[3] = {0, 0, 0};  // rejection, hit death, miss death
+  for (int trial = 0; trial < 30000; ++trial) {
+    const std::vector<uint32_t> ones = {
+        static_cast<uint32_t>(rng.UniformInt(1, 60)),
+        static_cast<uint32_t>(rng.UniformInt(1, 60))};
+    const double minsim = static_cast<double>(rng.UniformInt(1, 100)) / 100;
+    const SimilarityKind kind(ones, minsim, DmcPolicy{},
+                              /*vector_sweep=*/false);
+    // Pre-row counts of a row holding both columns.
+    std::vector<uint32_t> cnt = {
+        static_cast<uint32_t>(rng.UniformInt(0, ones[0] - 1)),
+        static_cast<uint32_t>(rng.UniformInt(0, ones[1] - 1))};
+    const auto accepts = [&] {
+      return kind.ForList(0, cnt[0], cnt.data()).AcceptNew(1);
+    };
+    const int start = trial % 3;
+    bool rejected = false;
+    if (start == 0) {
+      rejected = !accepts();
+    } else {
+      // A listed candidate with `miss` misses; its hits so far are at
+      // most cnt(ck).
+      const uint32_t miss = static_cast<uint32_t>(rng.UniformInt(
+          cnt[0] > cnt[1] ? cnt[0] - cnt[1] : 0, cnt[0]));
+      const auto pred = kind.ForList(0, cnt[0], cnt.data());
+      rejected = start == 1 ? !pred.KeepOnHit(1, miss)
+                            : !pred.KeepOnMiss(1, miss + 1);
+      // The death row counts for cj, and for ck only on a hit.
+      ++cnt[0];
+      if (start == 1) ++cnt[1];
+    }
+    if (rejected) ++walks_from[start];
+    while (cnt[0] < ones[0] && cnt[1] < ones[1]) {
+      if (rejected) {
+        ASSERT_FALSE(accepts())
+            << "ones=" << ones[0] << "," << ones[1] << " s=" << minsim
+            << " cnt=" << cnt[0] << "," << cnt[1] << " start=" << start;
+      } else {
+        rejected = !accepts();
+      }
+      const uint32_t dj = static_cast<uint32_t>(rng.UniformInt(0, 2));
+      const uint32_t dk = static_cast<uint32_t>(rng.UniformInt(0, 2));
+      cnt[0] += dj + (dj + dk == 0 ? 1 : 0);
+      cnt[1] += dk;
+    }
+  }
+  for (const size_t walks : walks_from) EXPECT_GT(walks, 1000u);
 }
 
 TEST(StreamingSimTest, RejectsShortStream) {
