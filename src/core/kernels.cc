@@ -161,22 +161,16 @@ size_t ImpSweepPortable(ColumnId* cand, uint32_t* miss, size_t n,
   return w;
 }
 
-size_t SimSweepPortable(ColumnId* cand, uint32_t* miss, size_t n,
+size_t SimSweepPortable(ColumnId* cand, uint32_t* slack, size_t n,
                         const uint8_t* mask, const kernels::SimSweepParams& p,
                         size_t j, size_t w) {
   for (; j < n; ++j) {
     const ColumnId ck = cand[j];
-    const int64_t hit = mask[ck] != 0 ? 1 : 0;
-    const uint32_t old_miss = miss[j];
-    const int64_t rem_k = p.rem[ck];
-    const int64_t arg = static_cast<int64_t>(p.rem_j) + old_miss -
-                        std::min<int64_t>(p.rem_j - 1 + hit, rem_k);
-    const bool keep =
-        p.one_plus_s * static_cast<double>(arg) <=
-        static_cast<double>(p.ones_j) - p.s_ones[ck] + p.budget_eps;
-    if (!keep) continue;
+    const int32_t hit = mask[ck] != 0 ? 1 : 0;
+    const int32_t d = static_cast<int32_t>(slack[j]);
+    if (p.rem_j - std::min(p.rem_j - 1 + hit, p.rem[ck]) > d) continue;
     cand[w] = ck;
-    miss[w] = static_cast<uint32_t>(old_miss + 1 - hit);
+    slack[w] = static_cast<uint32_t>(d - 1 + hit);
     ++w;
   }
   return w;
@@ -217,13 +211,6 @@ __attribute__((target("avx2"))) inline __m256i GatherEpi32(
                                            _mm256_set1_epi32(-1), 1)
              : _mm256_mask_i32gather_epi32(_mm256_setzero_si256(), base, ids,
                                            _mm256_set1_epi32(-1), 4);
-}
-
-__attribute__((target("avx2"))) inline __m256d GatherPd(const double* base,
-                                                        __m128i ids) {
-  return _mm256_mask_i32gather_pd(
-      _mm256_setzero_pd(), base, ids,
-      _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
 }
 
 __attribute__((target("avx2,popcnt"))) size_t ImpSweepAvx2(
@@ -279,15 +266,12 @@ __attribute__((target("avx2,popcnt"))) size_t ImpSweepAvx2(
 }
 
 __attribute__((target("avx2,popcnt"))) size_t SimSweepAvx2(
-    ColumnId* cand, uint32_t* miss, size_t n, const uint8_t* mask,
+    ColumnId* cand, uint32_t* slack, size_t n, const uint8_t* mask,
     const kernels::SimSweepParams& p) {
   const __m256i vone = _mm256_set1_epi32(1);
   const __m256i vbyte = _mm256_set1_epi32(0xFF);
   const __m256i vrem_j = _mm256_set1_epi32(p.rem_j);
   const __m256i vrem_j_m1 = _mm256_set1_epi32(p.rem_j - 1);
-  const __m256d vops = _mm256_set1_pd(p.one_plus_s);
-  const __m256d va = _mm256_set1_pd(static_cast<double>(p.ones_j));
-  const __m256d veps = _mm256_set1_pd(p.budget_eps);
   size_t j = 0, w = 0;
   for (; j + 8 <= n; j += 8) {
     const __m256i ids =
@@ -296,61 +280,40 @@ __attribute__((target("avx2,popcnt"))) size_t SimSweepAvx2(
         GatherEpi32(reinterpret_cast<const int*>(mask), ids, 1), vbyte);
     const __m256i rem_k =
         GatherEpi32(reinterpret_cast<const int*>(p.rem), ids, 4);
-    const __m256i oldm =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(miss + j));
-    // arg = rem_j + old_miss - min(rem_j - 1 + hit, rem_k); every term
+    const __m256i oldd =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(slack + j));
+    // Drop iff rem_j - min(rem_j - 1 + hit, rem_k) > slack; every term
     // fits int32 under kVectorSweepMaxRows.
-    const __m256i arg = _mm256_sub_epi32(
-        _mm256_add_epi32(vrem_j, oldm),
-        _mm256_min_epi32(_mm256_add_epi32(vrem_j_m1, hit), rem_k));
-    // WithinPairBudget with the scalar's exact operand values and
-    // operation order: (1+s)*arg <= (ones_j - s_ones[ck]) + eps. s_ones
-    // is gathered, not recomputed, so no rounding can diverge.
-    const __m128i ids_lo = _mm256_castsi256_si128(ids);
-    const __m128i ids_hi = _mm256_extracti128_si256(ids, 1);
-    const __m256d sones_lo = GatherPd(p.s_ones, ids_lo);
-    const __m256d sones_hi = GatherPd(p.s_ones, ids_hi);
-    const __m256d lhs_lo =
-        _mm256_mul_pd(vops, _mm256_cvtepi32_pd(_mm256_castsi256_si128(arg)));
-    const __m256d lhs_hi = _mm256_mul_pd(
-        vops, _mm256_cvtepi32_pd(_mm256_extracti128_si256(arg, 1)));
-    const __m256d rhs_lo =
-        _mm256_add_pd(_mm256_sub_pd(va, sones_lo), veps);
-    const __m256d rhs_hi =
-        _mm256_add_pd(_mm256_sub_pd(va, sones_hi), veps);
+    const __m256i need = _mm256_sub_epi32(
+        vrem_j, _mm256_min_epi32(_mm256_add_epi32(vrem_j_m1, hit), rem_k));
     const unsigned keep_mask =
-        static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_cmp_pd(lhs_lo, rhs_lo, _CMP_LE_OQ))) |
-        (static_cast<unsigned>(
-             _mm256_movemask_pd(_mm256_cmp_pd(lhs_hi, rhs_hi, _CMP_LE_OQ)))
-         << 4);
+        ~static_cast<unsigned>(_mm256_movemask_ps(
+            _mm256_castsi256_ps(_mm256_cmpgt_epi32(need, oldd)))) &
+        0xFFu;
+    const __m256i newd = _mm256_sub_epi32(_mm256_add_epi32(oldd, hit), vone);
     // Same store-skip as the implication sweep: all-keep with no
     // compaction pending rewrites identical candidate ids, and all-hit
-    // additionally leaves the misses unchanged.
+    // additionally leaves the slacks unchanged.
     if (keep_mask == 0xFFu && w == j) {
       const unsigned hm = static_cast<unsigned>(
           _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(hit,
                                                                     vone))));
       if (hm != 0xFFu) {
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(miss + w),
-            _mm256_sub_epi32(_mm256_add_epi32(oldm, vone), hit));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(slack + w), newd);
       }
       w += 8;
       continue;
     }
-    const __m256i newm =
-        _mm256_sub_epi32(_mm256_add_epi32(oldm, vone), hit);
     const __m256i perm = _mm256_load_si256(
         reinterpret_cast<const __m256i*>(kCompressLut.perm[keep_mask]));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(cand + w),
                         _mm256_permutevar8x32_epi32(ids, perm));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(miss + w),
-                        _mm256_permutevar8x32_epi32(newm, perm));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(slack + w),
+                        _mm256_permutevar8x32_epi32(newd, perm));
     w += static_cast<size_t>(__builtin_popcount(keep_mask));
   }
   _mm256_zeroupper();  // see MarkHitsAvx2
-  return SimSweepPortable(cand, miss, n, mask, p, j, w);
+  return SimSweepPortable(cand, slack, n, mask, p, j, w);
 }
 
 #endif  // DMC_KERNELS_X86
@@ -421,12 +384,12 @@ size_t ImpVectorSweep(ColumnId* cand, uint32_t* miss, size_t n,
   return ImpSweepPortable(cand, miss, n, row_mask, budget, 0, 0);
 }
 
-size_t SimVectorSweep(ColumnId* cand, uint32_t* miss, size_t n,
+size_t SimVectorSweep(ColumnId* cand, uint32_t* slack, size_t n,
                       const uint8_t* row_mask, const SimSweepParams& p) {
 #ifdef DMC_KERNELS_X86
-  if (SimdKernelAvailable()) return SimSweepAvx2(cand, miss, n, row_mask, p);
+  if (SimdKernelAvailable()) return SimSweepAvx2(cand, slack, n, row_mask, p);
 #endif
-  return SimSweepPortable(cand, miss, n, row_mask, p, 0, 0);
+  return SimSweepPortable(cand, slack, n, row_mask, p, 0, 0);
 }
 
 void MarkHits(const ColumnId* list, size_t n, const ColumnId* row, size_t m,

@@ -91,32 +91,25 @@ bool PreferVectorSweep(ColumnId num_columns, uint64_t rows,
 size_t ImpVectorSweep(ColumnId* cand, uint32_t* miss, size_t n,
                       const uint8_t* row_mask, uint32_t budget);
 
-/// Per-merge constants for the similarity entry sweep. `ones`, `cnt` and
-/// `s_ones` are the scan's dense per-column arrays (gathered per entry);
-/// the scalars are the §5.2 maximum-hits bound inputs for the
-/// list-keeping column cj, with rem_j = ones_j - cnt_j.
+/// Per-merge constants for the similarity entry sweep: the §5.2
+/// maximum-hits bound inputs for the list-keeping column cj.
 struct SimSweepParams {
   /// rem[c] = ones[c] - cnt[c], maintained incrementally by the scan
-  /// (cnt is stable during a row's merges), so the sweep gathers one
-  /// array instead of ones and cnt separately.
+  /// (cnt is stable during a row's merges); gathered per entry.
   const int32_t* rem = nullptr;
-  const double* s_ones = nullptr;  // s * ones[c], precomputed by the scan
-  int32_t ones_j = 0;
   int32_t rem_j = 0;
-  double one_plus_s = 0.0;
-  double budget_eps = 0.0;
 };
 
 /// The similarity-pass entry sweep with §5.2 maximum-hits pruning, 8
-/// entries per step. For each candidate ck with old miss count m and row
-/// hit h, the unified survival argument is
-///   arg = rem_j + m - min(rem_j - 1 + h, rem_k)
-/// (equal to ones_j - best_hits of SurvivesMaxHitsOnHit/OnMiss), tested
-/// as one_plus_s * arg <= ones_j - s_ones[ck] + budget_eps with the
-/// exact operand values and operation order of the scalar
-/// WithinPairBudget, so the float decisions are bit-identical. Returns
-/// the new list size.
-size_t SimVectorSweep(ColumnId* cand, uint32_t* miss, size_t n,
+/// int32 lanes per step. Each entry holds its slack d = B - m instead
+/// of its miss count m, where B = SimilarityKind::SlackBudget(cj, ck),
+/// the largest miss count the pair's budget test passes. With row hit h
+/// the survival argument arg = rem_j + m - min(rem_j - 1 + h, rem_k)
+/// (ones_j - best_hits of SurvivesMaxHitsOnHit/OnMiss) is at most B iff
+///   rem_j - min(rem_j - 1 + h, rem_k) <= d,
+/// and a survivor's slack becomes d - 1 + h. Every stored slack is >= 0
+/// and < 2^30 under kVectorSweepMaxRows. Returns the new list size.
+size_t SimVectorSweep(ColumnId* cand, uint32_t* slack, size_t n,
                       const uint8_t* row_mask, const SimSweepParams& p);
 
 /// Sets hit[j] = 1 iff list[j] is in row, else 0, for j in [0, n). Both
@@ -177,13 +170,14 @@ struct MergeScratch {
 
 /// Merges `fresh` (strictly ascending, disjoint from the surviving
 /// entries) into cj's list from the back, after a sweep has compacted
-/// the survivors to [0, w). One Reserve + one SetSize, so every merge
+/// the survivors to [0, w); joiner ck enters with counter
+/// `join_counter(ck)`. One Reserve + one SetSize, so every merge
 /// strategy issues the same net accounting adjustment. dst never
 /// overtakes the surviving source slot, so the merge is safe in place.
-inline void MergeJoinersFromBack(MissCounterTable& table, ColumnId cj,
-                                 size_t w,
-                                 const std::vector<ColumnId>& fresh,
-                                 uint32_t base_miss) {
+template <typename JoinCounter>
+void MergeJoinersFromBack(MissCounterTable& table, ColumnId cj, size_t w,
+                          const std::vector<ColumnId>& fresh,
+                          JoinCounter join_counter) {
   const size_t fn = fresh.size();
   const MissCounterTable::MutableList grown = table.Reserve(cj, w + fn);
   size_t a = w, b = fn, dst = w + fn;
@@ -197,7 +191,7 @@ inline void MergeJoinersFromBack(MissCounterTable& table, ColumnId cj,
       --dst;
       --b;
       grown.cand[dst] = fresh[b];
-      grown.miss[dst] = base_miss;
+      grown.miss[dst] = join_counter(fresh[b]);
     }
   }
   table.SetSize(cj, w + fn);
@@ -400,7 +394,8 @@ void InPlaceAddMerge(MissCounterTable& table, ColumnId cj,
   }
   // Reserve preserves the survivors in [0, w); entries past the last
   // joiner are already in position.
-  MergeJoinersFromBack(table, cj, w, scratch.fresh, base_miss);
+  MergeJoinersFromBack(table, cj, w, scratch.fresh,
+                       [base_miss](ColumnId) { return base_miss; });
 }
 
 /// The pre-arena cnt <= maxmis merge: one linear pass rebuilds the whole

@@ -1,6 +1,8 @@
 #include "core/streaming_pass.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -67,15 +69,20 @@ SimilarityKind::SimilarityKind(const std::vector<uint32_t>& ones,
 size_t SimilarityKind::Sweep(ColumnId cj,
                              const MissCounterTable::MutableList& list,
                              const uint8_t* row_mask) const {
-  kernels::SimSweepParams p;
-  p.rem = rem_.data();
-  p.s_ones = s_ones_.data();
-  p.ones_j = static_cast<int32_t>(ones_[cj]);
-  p.rem_j = rem_[cj];
-  p.one_plus_s = one_plus_s_;
-  p.budget_eps = budget_eps_;
   return kernels::SimVectorSweep(list.cand, list.miss, list.size, row_mask,
-                                 p);
+                                 {rem_.data(), rem_[cj]});
+}
+
+int32_t SimilarityKind::SlackBudget(ColumnId cj, ColumnId ck) const {
+  // The quotient is within one of B; the exact multiply-form test then
+  // settles it.
+  const double q = std::floor(
+      (static_cast<double>(ones_[cj]) - s_ones_[ck] + budget_eps_) /
+      one_plus_s_);
+  int64_t b = static_cast<int64_t>(std::clamp(q, -1.0, double{INT32_MAX}));
+  while (b < INT32_MAX && WithinPairBudget(cj, ck, b + 1)) ++b;
+  while (b >= 0 && !WithinPairBudget(cj, ck, b)) --b;
+  return static_cast<int32_t>(b);
 }
 
 template <typename Kind>
@@ -232,7 +239,8 @@ void StreamingPass<Kind>::MergeMissOnly(ColumnId cj,
 // candidate that dies keeps its bit: an implication candidate dies only
 // once cnt(cj) > maxmis(cj), after which no add-merge runs, and a dead
 // similarity pair would fail AcceptNew, the §5.2 bound at zero hits,
-// which only tightens as cnt(cj) and cnt(ck) grow (DESIGN §5.4).
+// which only tightens as cnt(cj) and cnt(ck) grow (DESIGN §5.4). A
+// joiner enters with the kind's counter for cnt(cj) misses.
 template <typename Kind>
 void StreamingPass<Kind>::VectorAddMerge(ColumnId cj,
                                          std::span<const ColumnId> row,
@@ -255,7 +263,7 @@ void StreamingPass<Kind>::VectorAddMerge(ColumnId cj,
         table_.Reserve(cj, scratch_.fresh.size());
     for (size_t k = 0; k < scratch_.fresh.size(); ++k) {
       list.cand[k] = scratch_.fresh[k];
-      list.miss[k] = base_miss;
+      list.miss[k] = kind_.Counter(cj, scratch_.fresh[k], base_miss);
     }
     table_.SetSize(cj, scratch_.fresh.size());
     return;
@@ -283,7 +291,9 @@ void StreamingPass<Kind>::VectorAddMerge(ColumnId cj,
     if (w != list.size) table_.SetSize(cj, w);
     return;
   }
-  MergeJoinersFromBack(table_, cj, w, scratch_.fresh, base_miss);
+  MergeJoinersFromBack(table_, cj, w, scratch_.fresh, [&](ColumnId ck) {
+    return kind_.Counter(cj, ck, base_miss);
+  });
 }
 
 // cnt(cj) == ones(cj): every surviving candidate's miss count is final.
@@ -293,11 +303,11 @@ template <typename Kind>
 void StreamingPass<Kind>::FlushColumn(ColumnId cj) {
   const auto list = table_.List(cj);
   for (size_t j = 0; j < list.size; ++j) {
-    if (static_cast<int64_t>(list.miss[j]) >
-        kind_.PairBudget(cj, list.cand[j])) {
+    const uint32_t miss = kind_.Misses(cj, list.cand[j], list.miss[j]);
+    if (static_cast<int64_t>(miss) > kind_.PairBudget(cj, list.cand[j])) {
       continue;
     }
-    out_.Add(kind_.MakeRule(cj, list.cand[j], list.miss[j]));
+    out_.Add(kind_.MakeRule(cj, list.cand[j], miss));
   }
   table_.Release(cj);
 }
@@ -352,7 +362,9 @@ void StreamingPass<Kind>::RunBitmapPhases() {
                     ? bj->AndNotCount(bitmaps[bm_index[list.cand[e]]])
                     : bj->cardinality();
       }
-      const int64_t total = static_cast<int64_t>(list.miss[e]) + extra;
+      const int64_t total =
+          static_cast<int64_t>(kind_.Misses(c, list.cand[e], list.miss[e])) +
+          extra;
       if (total <= kind_.PairBudget(c, list.cand[e])) {
         out_.Add(kind_.MakeRule(c, list.cand[e],
                                 static_cast<uint32_t>(total)));
@@ -391,7 +403,8 @@ void StreamingPass<Kind>::RunBitmapPhases() {
       const auto list = table_.List(c);
       for (size_t e = 0; e < list.size; ++e) {
         touch(list.cand[e]);
-        hits[list.cand[e]] = cnt_[c] - list.miss[e];
+        hits[list.cand[e]] =
+            cnt_[c] - kind_.Misses(c, list.cand[e], list.miss[e]);
       }
     }
     if (bm_index[c] >= 0) {

@@ -8,7 +8,8 @@
 //  * the column miss budget (no candidate joins c's list once cnt(c)
 //    exceeds it) and the pair budget (the rule test itself);
 //  * the three merge predicates of core/kernels.h;
-//  * the vector entry sweep, and whether kSimd may run it;
+//  * the vector entry sweep, whether kSimd may run it, and the counter
+//    it keeps per entry (the miss count, or similarity's slack);
 //  * the record emitted, and which records are 100% rules;
 //  * the step-3 cutoff test, and the equal-bitmap tail shortcut that
 //    similarity takes at minsim = 1.
@@ -101,6 +102,11 @@ class ImplicationKind {
   /// kernels::ImpVectorSweep over cj's list; returns the new size.
   size_t Sweep(ColumnId cj, const MissCounterTable::MutableList& list,
                const uint8_t* row_mask) const;
+  /// An entry's counter is its miss count on both sides.
+  uint32_t Counter(ColumnId, ColumnId, uint32_t miss) const { return miss; }
+  uint32_t Misses(ColumnId, ColumnId, uint32_t counter) const {
+    return counter;
+  }
   /// Called once cnt(c) has grown by one; nothing to track.
   void Counted(ColumnId) {}
 
@@ -171,7 +177,7 @@ class SimilarityKind {
         return kind->SurvivesMaxHitsOnHit(cj, ck, base_miss, cnt);
       }
       return !kind->column_density_pruning_ ||
-             kind->WithinPairBudget(kind->ones_[cj], ck, base_miss);
+             kind->WithinPairBudget(cj, ck, base_miss);
     }
     bool KeepOnHit(ColumnId ck, uint32_t miss) const {
       return !kind->max_hits_pruning_ ||
@@ -181,7 +187,7 @@ class SimilarityKind {
       if (kind->max_hits_pruning_) {
         return kind->SurvivesMaxHitsOnMiss(cj, ck, new_miss, cnt);
       }
-      return kind->WithinPairBudget(kind->ones_[cj], ck, new_miss);
+      return kind->WithinPairBudget(cj, ck, new_miss);
     }
   };
   ListPredicates ForList(ColumnId cj, uint32_t base_miss,
@@ -191,10 +197,41 @@ class SimilarityKind {
   /// kernels::SimVectorSweep over cj's list; returns the new size.
   size_t Sweep(ColumnId cj, const MissCounterTable::MutableList& list,
                const uint8_t* row_mask) const;
+  /// The vector side keeps each entry's slack SlackBudget(cj, ck) - miss,
+  /// the mask side its miss count; B - x is its own inverse, so Misses
+  /// reads a counter back the same way.
+  uint32_t Counter(ColumnId cj, ColumnId ck, uint32_t miss) const {
+    return vector_sweep_ ? static_cast<uint32_t>(SlackBudget(cj, ck) -
+                                                 static_cast<int64_t>(miss))
+                         : miss;
+  }
+  uint32_t Misses(ColumnId cj, ColumnId ck, uint32_t counter) const {
+    return Counter(cj, ck, counter);
+  }
   /// Keeps rem_ = ones - cnt current for the sweep.
   void Counted(ColumnId c) {
     if (vector_sweep_) --rem_[c];
   }
+
+  /// mis <= MaxMissesForSimilarity(ones(cj), ones(ck), s) in multiply
+  /// form, with a = ones(cj) and b = ones(ck):
+  ///   mis <= (a - s*b)/(1+s) + eps  <=>  (1+s)*mis <= a - s*b + (1+s)*eps,
+  /// with s*b = s_ones_[ck] precomputed per pass. Hoists the per-entry
+  /// floating divide (and floor) out of the merge predicates; the
+  /// kThresholdEpsilon guard band (thresholds.h) is orders of magnitude
+  /// wider than the rounding difference between the forms, so they
+  /// decide identically
+  /// (SimilarityKindTest.MultiplyFormMatchesDivisionForm).
+  bool WithinPairBudget(ColumnId cj, ColumnId ck, int64_t mis) const {
+    return one_plus_s_ * static_cast<double>(mis) <=
+           static_cast<double>(ones_[cj]) - s_ones_[ck] + budget_eps_;
+  }
+  /// B(cj, ck): the largest miss count WithinPairBudget passes, clamped
+  /// to [-1, INT32_MAX]. The test is monotone in mis, so for every
+  /// mis >= 0, WithinPairBudget(cj, ck, mis) iff mis <= B: the §5.2
+  /// survival argument (>= the miss count, so >= 0) is decided by one
+  /// integer comparison, as the vector sweep does.
+  int32_t SlackBudget(ColumnId cj, ColumnId ck) const;
 
   /// The 100% records: identical pairs.
   static bool IsHundredPercent(const Rule& r) {
@@ -205,18 +242,6 @@ class SimilarityKind {
   }
 
  private:
-  // mis <= MaxMissesForSimilarity(a, ones(ck), s) in multiply form:
-  //   mis <= (a - s*b)/(1+s) + eps  <=>  (1+s)*mis <= a - s*b + (1+s)*eps,
-  // with s*b = s_ones_[ck] precomputed per pass. Hoists the per-entry
-  // floating divide (and floor) out of the merge predicates; the
-  // kThresholdEpsilon guard band (thresholds.h) is orders of magnitude
-  // wider than the rounding difference between the forms, so they
-  // decide identically.
-  bool WithinPairBudget(uint32_t a, ColumnId ck, int64_t mis) const {
-    return one_plus_s_ * static_cast<double>(mis) <=
-           static_cast<double>(a) - s_ones_[ck] + budget_eps_;
-  }
-
   // §5.2 maximum-hits bound, evaluated while processing a row where cj
   // and ck are BOTH present (or ck is being added). Counters are
   // pre-row, so the remaining-1s terms still include the current row —
@@ -231,7 +256,7 @@ class SimilarityKind {
     // within the pair budget. Since best_hits <= a - miss, the floor
     // a - best_hits is >= miss, so this single test also subsumes the
     // plain pair-budget test of the current miss count.
-    return WithinPairBudget(ones_[cj], ck,
+    return WithinPairBudget(cj, ck,
                             static_cast<int64_t>(ones_[cj]) - best_hits);
   }
 
@@ -247,7 +272,7 @@ class SimilarityKind {
     const int64_t best_hits = hits_so_far + std::min(rem_j, rem_k);
     // The floor a - best_hits is >= new_miss here (rem_j excludes the
     // current row), so this subsumes the pair-budget test of new_miss.
-    return WithinPairBudget(ones_[cj], ck,
+    return WithinPairBudget(cj, ck,
                             static_cast<int64_t>(ones_[cj]) - best_hits);
   }
 

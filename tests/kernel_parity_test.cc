@@ -401,6 +401,122 @@ TEST(KernelParityTest, JoinerWalkTestsEachPairAtMostOnce) {
   }
 }
 
+// kernels::SimVectorSweep against the double predicates it encodes: an
+// entry with m misses holds the slack SlackBudget(cj, ck) - m, and the
+// sweep must keep exactly the entries SimilarityKind's KeepOnHit /
+// KeepOnMiss keep, in order, each with the miss count it has after the
+// row. Lists of 0-67 entries run every tail length after the 8-lane
+// body; lanes sit exactly at the budget (arg = B) and one past it, and
+// rem_k often binds in min(rem_j - 1 + hit, rem_k). Every third list
+// keeps every entry, and every sixth hits every entry too, so the
+// sweep's all-keep store skip runs with and without its slack store.
+TEST(KernelParityTest, SimSweepMatchesTheDoublePredicates) {
+  constexpr ColumnId kCols = 128;  // cj = 0; candidates from 1
+  Rng rng(2207);
+  size_t at_budget = 0, past_budget = 0, rem_k_binds = 0, all_keep = 0;
+  std::vector<size_t> lengths(68, 0);
+  for (int trial = 0; trial < 6000; ++trial) {
+    const double s = trial % 2 == 0
+                         ? static_cast<double>(rng.UniformInt(1, 100)) / 100
+                         : 1.0 - rng.UniformDouble();
+    const int mode = trial % 6;  // 2 and 5 keep all; 5 also hits all
+    // ones(ck) in [a, a/s + 2] keeps most pair budgets B >= 0; pre-row
+    // counts leave cj and every row column a remaining 1.
+    std::vector<uint32_t> ones(kCols), cnt(kCols);
+    ones[0] = static_cast<uint32_t>(rng.UniformInt(1, 400));
+    cnt[0] = static_cast<uint32_t>(rng.UniformInt(0, ones[0] - 1));
+    std::vector<uint8_t> mask(kCols + 3, 0);
+    mask[0] = 1;
+    for (ColumnId c = 1; c < kCols; ++c) {
+      ones[c] = static_cast<uint32_t>(rng.UniformInt(
+          ones[0], static_cast<int64_t>(std::min(ones[0] / s, 1e6)) + 2));
+      const bool in_row = mode == 5 || rng.Bernoulli(0.5);
+      // Half the columns have few 1s left, so rem_k binds.
+      const uint32_t left = static_cast<uint32_t>(
+          rng.Bernoulli(0.5) ? rng.UniformInt(in_row ? 1 : 0, 3)
+                             : rng.UniformInt(in_row ? 1 : 0, ones[c]));
+      cnt[c] = ones[c] - std::min(left, ones[c]);
+      if (in_row && cnt[c] < ones[c]) mask[c] = 1;
+    }
+    const SimilarityKind kind(ones, s, DmcPolicy{}, /*vector_sweep=*/true);
+    std::vector<int32_t> rem(kCols);
+    for (ColumnId c = 0; c < kCols; ++c) {
+      rem[c] = static_cast<int32_t>(ones[c] - cnt[c]);
+    }
+    const auto need = [&](ColumnId ck) {
+      return int64_t{rem[0]} - std::min<int64_t>(rem[0] - 1 + mask[ck],
+                                                 rem[ck]);
+    };
+
+    // Candidates: columns whose pair can be listed (B >= 0); a list that
+    // must keep every entry takes only those with need <= B.
+    std::vector<ColumnId> eligible;
+    for (ColumnId ck = 1; ck < kCols; ++ck) {
+      const int64_t b = kind.SlackBudget(0, ck);
+      if (b >= 0 && (mode % 3 != 2 || need(ck) <= b)) eligible.push_back(ck);
+    }
+    std::vector<ColumnId> cand;
+    std::vector<uint32_t> miss;
+    const size_t n = std::min<size_t>(
+        eligible.size(), static_cast<size_t>(rng.UniformInt(0, 67)));
+    for (size_t e = 0; e < eligible.size() && cand.size() < n; ++e) {
+      // Selection sampling: n of the eligible columns, in order.
+      if (rng.Uniform(eligible.size() - e) >= n - cand.size()) continue;
+      const ColumnId ck = eligible[e];
+      const int64_t b = kind.SlackBudget(0, ck);
+      int64_t m = rng.UniformInt(0, b);
+      const int lane = static_cast<int>(rng.UniformInt(0, 2));
+      if (mode % 3 == 2) {
+        m = rng.UniformInt(0, b - need(ck));
+      } else if (lane == 1 && need(ck) <= b) {
+        m = b - need(ck);  // arg == B: kept
+      } else if (lane == 2 && need(ck) >= 1 && need(ck) <= b + 1) {
+        m = b + 1 - need(ck);  // arg == B + 1: dropped
+      }
+      at_budget += need(ck) + m == b;
+      past_budget += need(ck) + m == b + 1;
+      rem_k_binds += rem[ck] < rem[0] - 1 + mask[ck];
+      cand.push_back(ck);
+      miss.push_back(static_cast<uint32_t>(m));
+    }
+    ++lengths[cand.size()];
+
+    // The oracle: today's double predicates, entry by entry.
+    const auto pred = kind.ForList(0, cnt[0], cnt.data());
+    std::vector<std::pair<ColumnId, uint32_t>> want;
+    for (size_t k = 0; k < cand.size(); ++k) {
+      const uint32_t hit = mask[cand[k]];
+      const bool keep = hit != 0 ? pred.KeepOnHit(cand[k], miss[k])
+                                 : pred.KeepOnMiss(cand[k], miss[k] + 1);
+      if (keep) want.emplace_back(cand[k], miss[k] + 1 - hit);
+    }
+    if (mode % 3 == 2) {
+      ASSERT_EQ(want.size(), cand.size());
+      all_keep += cand.size() >= 8;
+    }
+
+    std::vector<uint32_t> slack(cand.size());
+    for (size_t k = 0; k < cand.size(); ++k) {
+      slack[k] = kind.Counter(0, cand[k], miss[k]);
+    }
+    const size_t w = kernels::SimVectorSweep(cand.data(), slack.data(),
+                                             cand.size(), mask.data(),
+                                             {rem.data(), rem[0]});
+    std::vector<std::pair<ColumnId, uint32_t>> got;
+    for (size_t k = 0; k < w; ++k) {
+      got.emplace_back(cand[k], kind.Misses(0, cand[k], slack[k]));
+    }
+    ASSERT_EQ(want, got) << "trial " << trial << " s=" << s;
+  }
+  for (size_t len = 0; len < lengths.size(); ++len) {
+    EXPECT_GT(lengths[len], 0u) << "no list of " << len << " entries";
+  }
+  EXPECT_GT(at_budget, 1000u);
+  EXPECT_GT(past_budget, 1000u);
+  EXPECT_GT(rem_k_binds, 1000u);
+  EXPECT_GT(all_keep, 100u);
+}
+
 // The phase drivers called directly, as the external miner and the shard
 // workers call them: a replay of the matrix in density-bucket order
 // under an antecedent mask, with and without the forced DMC-bitmap

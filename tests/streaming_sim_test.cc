@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <vector>
 
 #include "baselines/bruteforce.h"
 #include "core/dmc_sim.h"
@@ -136,6 +138,90 @@ TEST(SimilarityKindTest, AcceptNewRejectionIsFinal) {
     }
   }
   for (const size_t walks : walks_from) EXPECT_GT(walks, 1000u);
+}
+
+// A 1-count in [1, 2^30 - 1] of random magnitude.
+uint32_t RandomOnes(Rng& rng) {
+  const int64_t bits = rng.UniformInt(1, 30);
+  return static_cast<uint32_t>(rng.UniformInt(1, (int64_t{1} << bits) - 1));
+}
+
+// The vector sweep's integer budget (DESIGN §5.4): B = SlackBudget(cj, ck)
+// is the largest miss count the multiply-form test passes, so for every
+// reachable argument x >= 0 (the §5.2 argument is at least the miss
+// count), x <= B iff WithinPairBudget(cj, ck, x). Covers 1-counts up to
+// 2^30 - 1 in either order, thresholds on the two-decimal grid and
+// random ones in (0, 1], and pairs where ones(cj) - s*ones(ck) < 0, whose
+// budget clamps to -1.
+TEST(SimilarityKindTest, SlackBudgetMatchesTheMultiplyForm) {
+  Rng rng(5202);
+  constexpr size_t kPairs = 2000;
+  size_t clamped = 0, positive = 0;
+  for (int t = 0; t < 200; ++t) {
+    const double s = t % 2 == 0
+                         ? static_cast<double>(rng.UniformInt(1, 100)) / 100
+                         : 1.0 - rng.UniformDouble();
+    std::vector<uint32_t> ones(2 * kPairs);
+    for (size_t i = 0; i < kPairs; ++i) {
+      const uint32_t a = RandomOnes(rng);
+      // Half the partners sit near a/s, where a - s*b crosses 0.
+      const int64_t near = static_cast<int64_t>(std::min(a / s, 0x1p31)) +
+                           rng.UniformInt(-2, 2);
+      const uint32_t b =
+          rng.Bernoulli(0.5)
+              ? static_cast<uint32_t>(
+                    std::clamp<int64_t>(near, 1, (int64_t{1} << 30) - 1))
+              : RandomOnes(rng);
+      ones[2 * i] = a;
+      ones[2 * i + 1] = b;
+    }
+    const SimilarityKind kind(ones, s, DmcPolicy{}, /*vector_sweep=*/true);
+    for (ColumnId c = 0; c < 2 * kPairs; ++c) {
+      const ColumnId cj = c, ck = c ^ 1;
+      const int32_t b = kind.SlackBudget(cj, ck);
+      ASSERT_GE(b, -1);
+      clamped += b == -1;
+      positive += b > 0;
+      for (int64_t x = std::max<int64_t>(0, int64_t{b} - 2);
+           x <= int64_t{b} + 2; ++x) {
+        ASSERT_EQ(x <= b, kind.WithinPairBudget(cj, ck, x))
+            << "ones=" << ones[cj] << "," << ones[ck] << " s=" << s
+            << " B=" << b << " x=" << x;
+      }
+    }
+  }
+  EXPECT_GT(clamped, 10000u);
+  EXPECT_GT(positive, 10000u);
+}
+
+// The multiply form (the merge predicates and the vector sweep's budget)
+// and MaxMissesForSimilarity, the division form (the flush guard, the
+// bitmap tail and BruteForce), decide every miss count alike. Both are
+// monotone in the miss count, so it is enough to check the multiply form
+// on either side of the division form's budget.
+TEST(SimilarityKindTest, MultiplyFormMatchesDivisionForm) {
+  constexpr uint32_t kMaxOnes = 400;
+  std::vector<uint32_t> ones(kMaxOnes);
+  for (uint32_t a = 1; a <= kMaxOnes; ++a) ones[a - 1] = a;
+  std::vector<double> thresholds;
+  for (int pct = 1; pct <= 100; ++pct) thresholds.push_back(pct / 100.0);
+  for (const double s : {1.0 / 3, 2.0 / 3, 0.1 + 0.2, 0.666667, 0.6666667,
+                         0.5000001, 0.999999, 0.123456789}) {
+    thresholds.push_back(s);
+  }
+  for (const double s : thresholds) {
+    const SimilarityKind kind(ones, s, DmcPolicy{}, /*vector_sweep=*/false);
+    for (uint32_t a = 1; a <= kMaxOnes; ++a) {
+      for (uint32_t b = a; b <= kMaxOnes; ++b) {
+        const int64_t m = MaxMissesForSimilarity(a, b, s);
+        const int64_t lo = std::max<int64_t>(0, m);
+        for (int64_t x = lo; x <= std::max<int64_t>(0, m + 1); ++x) {
+          ASSERT_EQ(x <= m, kind.WithinPairBudget(a - 1, b - 1, x))
+              << "a=" << a << " b=" << b << " s=" << s << " mis=" << x;
+        }
+      }
+    }
+  }
 }
 
 TEST(StreamingSimTest, RejectsShortStream) {
