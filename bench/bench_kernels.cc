@@ -1,14 +1,13 @@
-// Micro-benchmarks for the hot-path merge/intersection kernels
-// (core/kernels.h) and the arena-backed counter table:
+// Micro-benchmarks for the hot-path merge kernels (core/kernels.h) and
+// the arena-backed counter table:
 //
-//   * sorted-set intersection: scalar two-pointer vs AVX2 blocked probe,
-//   * MarkHits (the in-place merge primitive), scalar vs SIMD,
 //   * counter-table churn: Assign/Release cycles through the arena,
 //   * full mining scans (imp + sim) under each MergeKernel, reporting
 //     the speedup of the in-place kernels over kLegacy, over two
 //     matrices on either side of kernels::PreferVectorSweep: a dense
 //     correlated-block matrix (kSimd runs the vector sweep) and sparse
-//     Quest baskets (kSimd runs the row-mask merge).
+//     Quest baskets (kSimd runs the row-mask merge). kScalar runs the
+//     row-mask merge on both.
 //
 // `--scale=<float>` sizes both workloads; `--json-out=<path>` writes the
 // measurements as a stable JSON document (see bench_common.h);
@@ -36,24 +35,6 @@
 
 namespace dmc {
 namespace {
-
-std::vector<ColumnId> SortedRandomIds(Rng& rng, size_t n, uint32_t universe) {
-  std::vector<uint8_t> member(universe, 0);
-  size_t placed = 0;
-  while (placed < n) {
-    const uint32_t v = static_cast<uint32_t>(rng.Uniform(universe));
-    if (!member[v]) {
-      member[v] = 1;
-      ++placed;
-    }
-  }
-  std::vector<ColumnId> out;
-  out.reserve(n);
-  for (uint32_t v = 0; v < universe; ++v) {
-    if (member[v]) out.push_back(v);
-  }
-  return out;
-}
 
 /// Dense correlated matrix: the regime where candidate lists stay long
 /// and the per-row merge dominates the scan. Columns come in blocks of
@@ -103,60 +84,6 @@ BinaryMatrix MakeSparseMatrix(double scale) {
   q.num_items = 2000;
   q.seed = 7;
   return GenerateQuest(q);
-}
-
-void BenchIntersect(std::vector<bench::BenchRecord>& records, double scale) {
-  bench::PrintSubHeader("sorted-set intersection (ids/sec)");
-  Rng rng(7);
-  const size_t n = static_cast<size_t>(100000 * scale);
-  const uint32_t universe = static_cast<uint32_t>(4 * n);
-  const auto a = SortedRandomIds(rng, n, universe);
-  const auto b = SortedRandomIds(rng, n, universe);
-  const int reps = 200;
-
-  for (const MergeKernel k : {MergeKernel::kScalar, MergeKernel::kSimd}) {
-    if (k == MergeKernel::kSimd && !SimdKernelAvailable()) continue;
-    Stopwatch sw;
-    size_t sink = 0;
-    for (int i = 0; i < reps; ++i) {
-      sink += kernels::IntersectCount(a.data(), a.size(), b.data(), b.size(), k);
-    }
-    const double secs = sw.ElapsedSeconds();
-    const double ids_per_sec = 2.0 * n * reps / secs;
-    std::printf("  intersect/%-6s  %10.3f ms   %12.0f ids/sec   (count=%zu)\n",
-                KernelName(k), secs * 1e3 / reps, ids_per_sec, sink / reps);
-    records.push_back({std::string("intersect/") + KernelName(k),
-                       "n=" + std::to_string(n), secs / reps, ids_per_sec, 0});
-  }
-}
-
-void BenchMarkHits(std::vector<bench::BenchRecord>& records, double scale) {
-  bench::PrintSubHeader("MarkHits merge primitive (ids/sec)");
-  Rng rng(11);
-  const size_t list_n = static_cast<size_t>(80000 * scale);
-  const size_t row_n = static_cast<size_t>(20000 * scale);
-  const uint32_t universe = static_cast<uint32_t>(4 * list_n);
-  const auto list = SortedRandomIds(rng, list_n, universe);
-  const auto row = SortedRandomIds(rng, row_n, universe);
-  std::vector<uint8_t> hit(list_n);
-  const int reps = 200;
-
-  for (const MergeKernel k : {MergeKernel::kScalar, MergeKernel::kSimd}) {
-    if (k == MergeKernel::kSimd && !SimdKernelAvailable()) continue;
-    Stopwatch sw;
-    for (int i = 0; i < reps; ++i) {
-      kernels::MarkHits(list.data(), list.size(), row.data(), row.size(),
-                        hit.data(), k);
-    }
-    const double secs = sw.ElapsedSeconds();
-    const double ids_per_sec = (list_n + row_n) * double(reps) / secs;
-    std::printf("  mark_hits/%-6s %10.3f ms   %12.0f ids/sec\n",
-                KernelName(k), secs * 1e3 / reps, ids_per_sec);
-    records.push_back({std::string("mark_hits/") + KernelName(k),
-                       "list=" + std::to_string(list_n) +
-                           ",row=" + std::to_string(row_n),
-                       secs / reps, ids_per_sec, 0});
-  }
 }
 
 void BenchTableChurn(std::vector<bench::BenchRecord>& records, double scale) {
@@ -358,8 +285,6 @@ int Main(int argc, char** argv) {
               SimdKernelAvailable() ? "avx2" : "unavailable");
 
   std::vector<bench::BenchRecord> records;
-  BenchIntersect(records, scale);
-  BenchMarkHits(records, scale);
   BenchTableChurn(records, scale);
   BenchScans(records, "dense", MakeDenseMatrix(scale), scale);
   BenchScans(records, "sparse", MakeSparseMatrix(scale), scale);

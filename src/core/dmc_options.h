@@ -19,21 +19,23 @@ enum class RowOrderPolicy {
   kExactSort,
 };
 
-/// Which merge/intersection kernel the hot-path scan uses (core/kernels.h).
-/// All choices produce byte-identical rule sets and accounting; the knob
+/// Which merge kernel the hot-path scan uses (core/kernels.h). All
+/// choices produce byte-identical rule sets and accounting; the knob
 /// exists for hardware portability and for the differential parity tests.
 enum class MergeKernel {
   /// Runtime dispatch: kSimd when the CPU supports AVX2, else kScalar.
   kAuto,
   /// The pre-arena merge that rebuilds each list into scratch on every
-  /// row. Kept as the differential baseline.
+  /// row. Shares no code with the others; kept as the differential
+  /// reference.
   kLegacy,
-  /// In-place merge with scalar two-pointer intersection.
+  /// The in-place row-mask merge and never the vector sweep: what kSimd
+  /// runs on a CPU without AVX2, selectable on any CPU.
   kScalar,
-  /// AVX2 merges (falls back to kScalar on hardware without AVX2): each
-  /// pass runs the block-typed vector sweep on dense input and the
-  /// per-row membership-mask merge on sparse input, chosen from the
-  /// pass's row, one and column counts (kernels::PreferVectorSweep).
+  /// kScalar's row-mask merge on sparse input and the block-typed AVX2
+  /// vector sweep on dense input, chosen once per pass from its row, one
+  /// and column counts (kernels::PreferVectorSweep). Falls back to
+  /// kScalar on hardware without AVX2.
   kSimd,
 };
 
@@ -65,8 +67,8 @@ struct DmcPolicy {
   /// DMC-sim only: §5.2 maximum-hits pruning.
   bool max_hits_pruning = true;
 
-  /// Hot-path merge/intersection kernel; kAuto picks the fastest one the
-  /// CPU supports. Every choice yields identical rules and accounting.
+  /// Hot-path merge kernel; kAuto picks the fastest one the CPU
+  /// supports. Every choice yields identical rules and accounting.
   MergeKernel kernel = MergeKernel::kAuto;
 
   /// Record per-row memory/candidate history into MiningStats (Fig. 3 and

@@ -1,7 +1,6 @@
 #include "core/kernels.h"
 
 #include <algorithm>
-#include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define DMC_KERNELS_X86 1
@@ -19,129 +18,6 @@ bool DetectAvx2() {
   return false;
 #endif
 }
-
-// Scalar reference: linear two-pointer walk — the same comparison
-// sequence the pre-arena merge performed, so kScalar is a faithful
-// baseline for the SIMD variants.
-void MarkHitsScalar(const ColumnId* list, size_t n, const ColumnId* row,
-                    size_t m, uint8_t* hit, size_t i, size_t j) {
-  for (; j < n; ++j) {
-    const ColumnId v = list[j];
-    while (i < m && row[i] < v) ++i;
-    if (i < m && row[i] == v) {
-      hit[j] = 1;
-      ++i;
-    } else if (i >= m) {
-      return;  // hit[] was pre-zeroed; the rest are misses
-    }
-  }
-}
-
-size_t IntersectCountScalar(const ColumnId* a, size_t na, const ColumnId* b,
-                            size_t nb) {
-  size_t count = 0, i = 0, j = 0;
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
-  return count;
-}
-
-#ifdef DMC_KERNELS_X86
-
-// Both AVX2 variants process the longer side eight ids per load and
-// broadcast-compare each id of the shorter side against the block; a
-// block is abandoned as soon as the probe id exceeds its maximum. With
-// strictly ascending inputs at most one lane can match, so the movemask
-// pinpoints the hit directly.
-
-__attribute__((target("avx2"))) void MarkHitsAvx2(const ColumnId* list,
-                                                  size_t n,
-                                                  const ColumnId* row,
-                                                  size_t m, uint8_t* hit) {
-  size_t i = 0, j = 0;
-  if (n >= m) {
-    // Block the list, probe with row ids.
-    while (j + 8 <= n && i < m) {
-      const __m256i block = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(list + j));
-      const ColumnId block_max = list[j + 7];
-      while (i < m && row[i] <= block_max) {
-        const __m256i probe =
-            _mm256_set1_epi32(static_cast<int32_t>(row[i]));
-        const int mask = _mm256_movemask_ps(
-            _mm256_castsi256_ps(_mm256_cmpeq_epi32(block, probe)));
-        if (mask != 0) {
-          hit[j + static_cast<size_t>(__builtin_ctz(
-                      static_cast<unsigned>(mask)))] = 1;
-        }
-        ++i;
-      }
-      j += 8;
-    }
-  } else {
-    // Block the row, probe with list ids.
-    while (i + 8 <= m && j < n) {
-      const __m256i block =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i));
-      const ColumnId block_max = row[i + 7];
-      while (j < n && list[j] <= block_max) {
-        const __m256i probe =
-            _mm256_set1_epi32(static_cast<int32_t>(list[j]));
-        const int mask = _mm256_movemask_ps(
-            _mm256_castsi256_ps(_mm256_cmpeq_epi32(block, probe)));
-        if (mask != 0) hit[j] = 1;
-        ++j;
-      }
-      i += 8;
-    }
-  }
-  // Every AVX2 kernel clears the upper ymm state before its scalar tail:
-  // the tail is compiled without AVX, and SSE code run with dirty upper
-  // halves pays a transition penalty or a false dependency per
-  // instruction. GCC does not emit vzeroupper before these calls by
-  // itself (tests/avx_upper_state_test.sh).
-  _mm256_zeroupper();
-  MarkHitsScalar(list, n, row, m, hit, i, j);
-}
-
-__attribute__((target("avx2"))) size_t IntersectCountAvx2(
-    const ColumnId* a, size_t na, const ColumnId* b, size_t nb) {
-  // Normalize so `a` is the longer (blocked) side.
-  if (na < nb) {
-    const ColumnId* t = a;
-    a = b;
-    b = t;
-    const size_t tn = na;
-    na = nb;
-    nb = tn;
-  }
-  size_t count = 0, i = 0, j = 0;
-  while (i + 8 <= na && j < nb) {
-    const __m256i block =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const ColumnId block_max = a[i + 7];
-    while (j < nb && b[j] <= block_max) {
-      const __m256i probe = _mm256_set1_epi32(static_cast<int32_t>(b[j]));
-      const int mask = _mm256_movemask_ps(
-          _mm256_castsi256_ps(_mm256_cmpeq_epi32(block, probe)));
-      count += mask != 0 ? 1 : 0;
-      ++j;
-    }
-    i += 8;
-  }
-  _mm256_zeroupper();  // see MarkHitsAvx2
-  return count + IntersectCountScalar(a + i, na - i, b + j, nb - j);
-}
-
-#endif  // DMC_KERNELS_X86
 
 // Portable bodies for the vector sweeps: the exact scalar predicates.
 // They are both the non-x86 fallback and the tail loop of the AVX2
@@ -261,7 +137,12 @@ __attribute__((target("avx2,popcnt"))) size_t ImpSweepAvx2(
                         _mm256_permutevar8x32_epi32(newm, perm));
     w += static_cast<size_t>(__builtin_popcount(keep_mask));
   }
-  _mm256_zeroupper();  // see MarkHitsAvx2
+  // Every AVX2 kernel clears the upper ymm state before its scalar tail:
+  // the tail is compiled without AVX, and SSE code run with dirty upper
+  // halves pays a transition penalty or a false dependency per
+  // instruction. GCC does not emit vzeroupper before these calls by
+  // itself (tests/avx_upper_state_test.sh).
+  _mm256_zeroupper();
   return ImpSweepPortable(cand, miss, n, mask, budget, j, w);
 }
 
@@ -312,7 +193,7 @@ __attribute__((target("avx2,popcnt"))) size_t SimSweepAvx2(
                         _mm256_permutevar8x32_epi32(newd, perm));
     w += static_cast<size_t>(__builtin_popcount(keep_mask));
   }
-  _mm256_zeroupper();  // see MarkHitsAvx2
+  _mm256_zeroupper();  // see ImpSweepAvx2
   return SimSweepPortable(cand, slack, n, mask, p, j, w);
 }
 
@@ -390,32 +271,6 @@ size_t SimVectorSweep(ColumnId* cand, uint32_t* slack, size_t n,
   if (SimdKernelAvailable()) return SimSweepAvx2(cand, slack, n, row_mask, p);
 #endif
   return SimSweepPortable(cand, slack, n, row_mask, p, 0, 0);
-}
-
-void MarkHits(const ColumnId* list, size_t n, const ColumnId* row, size_t m,
-              uint8_t* hit, MergeKernel kernel) {
-  std::memset(hit, 0, n);
-#ifdef DMC_KERNELS_X86
-  if (kernel == MergeKernel::kSimd && SimdKernelAvailable()) {
-    MarkHitsAvx2(list, n, row, m, hit);
-    return;
-  }
-#else
-  (void)kernel;
-#endif
-  MarkHitsScalar(list, n, row, m, hit, 0, 0);
-}
-
-size_t IntersectCount(const ColumnId* a, size_t na, const ColumnId* b,
-                      size_t nb, MergeKernel kernel) {
-#ifdef DMC_KERNELS_X86
-  if (kernel == MergeKernel::kSimd && SimdKernelAvailable()) {
-    return IntersectCountAvx2(a, na, b, nb);
-  }
-#else
-  (void)kernel;
-#endif
-  return IntersectCountScalar(a, na, b, nb);
 }
 
 }  // namespace kernels

@@ -1,24 +1,28 @@
-// Hot-path sorted-set kernels for the DMC scan.
+// Hot-path kernels for the DMC scan.
 //
 // The per-row cost of DMC is "merge cand(cj) with the row" for every
 // 1-column cj of every row (§4.4), so this file concentrates everything
 // that loop touches:
 //
-//   * MarkHits / IntersectCount — sorted-set intersection primitives with
-//     a scalar two-pointer reference and an AVX2 block-compare variant
-//     behind runtime dispatch (ResolveKernel),
-//   * InPlaceMissMerge — the cnt > maxmis fast path: mark hits, bump
-//     misses, compact only when entries die; no rebuild, no copy,
-//   * InPlaceAddMerge — the cnt <= maxmis path with an append fast path
-//     for the common "row tail extends the list" case,
+//   * MergeScratch::BeginRow — the row's dense membership mask, built
+//     once per row and shared by every merge of that row,
+//   * InPlaceMissMerge — the cnt > maxmis path: one O(1) mask test per
+//     entry, misses bumped in place, compaction only past the first
+//     death; no rebuild, no copy,
+//   * InPlaceAddMerge — the cnt <= maxmis path: the same sweep, plus one
+//     walk over the row for the joiners, merged in from the back,
+//   * ImpVectorSweep / SimVectorSweep — the block-typed entry sweeps
+//     that kSimd runs on dense input (AVX2 bodies, portable fallbacks),
 //   * LegacyAddMerge / LegacyMissMerge — the pre-arena rebuild-into-
 //     scratch merges, kept selectable (DmcPolicy::kernel = kLegacy) as
-//     the baseline the differential parity tests compare against.
+//     the reference the differential parity tests compare against; they
+//     share no code with the merges above.
 //
-// All kernels and both merge strategies produce byte-identical candidate
-// lists and issue exactly one net MemoryTracker adjustment per merge, so
-// rule sets, peak_counter_bytes and the per-row history samples are
-// invariant under DmcPolicy::kernel.
+// kScalar and kSimd both run the in-place merges; kSimd may run the
+// vector sweeps instead (kernels::PreferVectorSweep). Every choice
+// produces byte-identical candidate lists and posts exactly one net
+// MemoryTracker adjustment per merge, so rule sets, peak_counter_bytes
+// and the per-row history samples are invariant under DmcPolicy::kernel.
 //
 // The rule kind's policy (who qualifies, who survives a hit or a miss)
 // is injected through three predicates so both kinds of the one scan
@@ -43,7 +47,7 @@
 
 namespace dmc {
 
-/// True when the AVX2 intersection kernel can run on this CPU.
+/// True when this CPU supports AVX2, which the vector sweeps' bodies need.
 bool SimdKernelAvailable();
 
 /// Collapses kAuto to the best concrete kernel for this CPU and kSimd to
@@ -112,27 +116,16 @@ struct SimSweepParams {
 size_t SimVectorSweep(ColumnId* cand, uint32_t* slack, size_t n,
                       const uint8_t* row_mask, const SimSweepParams& p);
 
-/// Sets hit[j] = 1 iff list[j] is in row, else 0, for j in [0, n). Both
-/// inputs are strictly ascending. `kernel` selects the intersection
-/// implementation (kLegacy counts as kScalar here).
-void MarkHits(const ColumnId* list, size_t n, const ColumnId* row, size_t m,
-              uint8_t* hit, MergeKernel kernel);
-
-/// |a ∩ b| for two strictly ascending id arrays.
-size_t IntersectCount(const ColumnId* a, size_t na, const ColumnId* b,
-                      size_t nb, MergeKernel kernel);
-
 }  // namespace kernels
 
 /// Reusable merge scratch; one per scan object, so the hot loop never
 /// allocates once the vectors reach steady-state capacity.
 struct MergeScratch {
-  std::vector<uint8_t> hit;     // per-entry hit marks
   std::vector<ColumnId> fresh;  // row columns joining the list
   std::vector<ColumnId> cand;   // rebuild staging (legacy)
   std::vector<uint32_t> miss;
   /// Dense membership mask of the current row, shared by every merge of
-  /// that row (kSimd paths): row_mask[c] == 1 while c is in the row, 2
+  /// that row (all but kLegacy): row_mask[c] == 1 while c is in the row, 2
   /// transiently while a hit is being consumed mid-merge, 0 otherwise.
   /// Sized num_columns + 3 so the vector sweeps' 32-bit gathers may read
   /// up to 3 bytes past the last column.
@@ -143,9 +136,9 @@ struct MergeScratch {
   /// a list's decided-set sidecar to find the columns still to test.
   std::vector<uint64_t> row_bits;
 
-  /// Installs `row` as the current row. Scans using MergeKernel::kSimd
-  /// must call this before the row's first merge (a row with no merge
-  /// need not install itself); `with_bits` also fills row_bits. Cost is
+  /// Installs `row` as the current row. A scan must call this before the
+  /// row's first in-place merge or vector sweep (a row with no merge need
+  /// not install itself); `with_bits` also fills row_bits. Cost is
   /// O(|previous installed row| + |row|), amortized across every column
   /// merge of the row.
   void BeginRow(std::span<const ColumnId> row, size_t num_columns,
@@ -198,99 +191,70 @@ void MergeJoinersFromBack(MissCounterTable& table, ColumnId cj, size_t w,
 }
 
 /// The cnt > maxmis merge: no additions are possible, so the list is
-/// updated strictly in place. The kSimd kernel tests each entry against
-/// the row's dense membership mask (BeginRow — O(1) per entry, no
-/// merge-join); the scalar kernel fuses the search and the apply into
-/// one two-pointer pass. Both bump misses and compact only past the
+/// updated strictly in place. Each entry is tested against the row's
+/// dense membership mask (BeginRow — O(1) per entry, no merge-join);
+/// misses are bumped in place and the list is compacted only past the
 /// first death — no rebuild, no copy. The caller guarantees HasList(cj);
 /// an empty list is a no-op.
 template <typename KeepOnHit, typename KeepOnMiss>
 void InPlaceMissMerge(MissCounterTable& table, ColumnId cj,
-                      std::span<const ColumnId> row, MergeScratch& scratch,
-                      MergeKernel kernel, KeepOnHit keep_on_hit,
+                      MergeScratch& scratch, KeepOnHit keep_on_hit,
                       KeepOnMiss keep_on_miss) {
   const MissCounterTable::MutableList list = table.Mutable(cj);
   if (list.size == 0) return;
-  size_t w = 0;
-  if (kernel == MergeKernel::kSimd) {
-    // Optimistic sweep: entries die at most once in their lifetime, so
-    // the common row drops nothing. Update misses in place (no element
-    // moves) until the first death — that branch predicts near-perfectly
-    // — and only then fall into the compacting loop for the tail.
-    // __restrict: the byte mask would otherwise alias the uint32 miss
-    // stores (unsigned char aliases everything) and force reloads.
-    const uint8_t* __restrict mask = scratch.row_mask.data();
-    size_t j = 0;
-    for (; j < list.size; ++j) {
-      const ColumnId ck = list.cand[j];
-      const uint8_t hit = mask[ck] != 0 ? 1 : 0;
-      const uint32_t old_miss = list.miss[j];
-      const uint32_t new_miss = old_miss + 1u - hit;
-      list.miss[j] = new_miss;
-      const bool keep =
-          hit != 0 ? keep_on_hit(ck, old_miss) : keep_on_miss(ck, new_miss);
-      if (!keep) break;
-    }
-    w = j;
-    for (++j; j < list.size; ++j) {
-      const ColumnId ck = list.cand[j];
-      const uint8_t hit = mask[ck] != 0 ? 1 : 0;
-      const uint32_t old_miss = list.miss[j];
-      const uint32_t new_miss = old_miss + 1u - hit;
-      const bool keep =
-          hit != 0 ? keep_on_hit(ck, old_miss) : keep_on_miss(ck, new_miss);
-      if (!keep) continue;
-      list.cand[w] = ck;
-      list.miss[w] = new_miss;
-      ++w;
-    }
-  } else {
-    size_t i = 0;
-    for (size_t j = 0; j < list.size; ++j) {
-      const ColumnId ck = list.cand[j];
-      while (i < row.size() && row[i] < ck) ++i;
-      if (i < row.size() && row[i] == ck) {
-        ++i;
-        if (!keep_on_hit(ck, list.miss[j])) continue;
-        if (w != j) {
-          list.cand[w] = ck;
-          list.miss[w] = list.miss[j];
-        }
-        ++w;
-      } else {
-        const uint32_t new_miss = list.miss[j] + 1;
-        if (!keep_on_miss(ck, new_miss)) continue;
-        list.cand[w] = ck;
-        list.miss[w] = new_miss;
-        ++w;
-      }
-    }
+  // Optimistic sweep: entries die at most once in their lifetime, so
+  // the common row drops nothing. Update misses in place (no element
+  // moves) until the first death — that branch predicts near-perfectly
+  // — and only then fall into the compacting loop for the tail.
+  // __restrict: the byte mask would otherwise alias the uint32 miss
+  // stores (unsigned char aliases everything) and force reloads.
+  const uint8_t* __restrict mask = scratch.row_mask.data();
+  size_t j = 0;
+  for (; j < list.size; ++j) {
+    const ColumnId ck = list.cand[j];
+    const uint8_t hit = mask[ck] != 0 ? 1 : 0;
+    const uint32_t old_miss = list.miss[j];
+    const uint32_t new_miss = old_miss + 1u - hit;
+    list.miss[j] = new_miss;
+    const bool keep =
+        hit != 0 ? keep_on_hit(ck, old_miss) : keep_on_miss(ck, new_miss);
+    if (!keep) break;
+  }
+  size_t w = j;
+  for (++j; j < list.size; ++j) {
+    const ColumnId ck = list.cand[j];
+    const uint8_t hit = mask[ck] != 0 ? 1 : 0;
+    const uint32_t old_miss = list.miss[j];
+    const uint32_t new_miss = old_miss + 1u - hit;
+    const bool keep =
+        hit != 0 ? keep_on_hit(ck, old_miss) : keep_on_miss(ck, new_miss);
+    if (!keep) continue;
+    list.cand[w] = ck;
+    list.miss[w] = new_miss;
+    ++w;
   }
   if (w != list.size) table.SetSize(cj, w);
 }
 
 /// The cnt <= maxmis merge: existing entries take hits/misses exactly as
 /// in InPlaceMissMerge, and accepted row-only columns join with
-/// miss = base_miss. One fused two-pointer sweep bumps/compacts the
-/// survivors in place (write head w never overtakes read head j) while
-/// collecting the joining columns; joiners are then merged in from the
-/// back after a single Reserve, so the common no-joiner row touches each
-/// entry exactly once and an interleaved join costs one bounded backward
-/// merge instead of a full rebuild. The kSimd kernel replaces the
-/// two-pointer sweep with the row's dense membership mask (BeginRow):
-/// hits are O(1) byte tests, consumed hits are flagged in the mask, and
-/// one walk over the row afterwards yields the joiners and restores the
-/// mask. The list is created lazily: a merge that would leave it empty
-/// does not create it and pays no kPerListOverheadBytes (an
-/// already-created list that empties out stays live, as before).
+/// miss = base_miss. The sweep tests each entry against the row's dense
+/// membership mask (BeginRow) and bumps/compacts the survivors in place,
+/// flagging each consumed hit in the mask; one walk over the row
+/// afterwards yields the joiners and restores the mask. The joiners are
+/// then merged in from the back after a single Reserve, so the common
+/// no-joiner row touches each entry exactly once and an interleaved join
+/// costs one bounded backward merge instead of a full rebuild. The list
+/// is created lazily: a merge that would leave it empty does not create
+/// it and pays no kPerListOverheadBytes (an already-created list that
+/// empties out stays live, as before).
 template <typename AcceptNew, typename KeepOnHit, typename KeepOnMiss>
 void InPlaceAddMerge(MissCounterTable& table, ColumnId cj,
                      std::span<const ColumnId> row, uint32_t base_miss,
-                     MergeScratch& scratch, MergeKernel kernel,
-                     AcceptNew accept_new, KeepOnHit keep_on_hit,
-                     KeepOnMiss keep_on_miss) {
+                     MergeScratch& scratch, AcceptNew accept_new,
+                     KeepOnHit keep_on_hit, KeepOnMiss keep_on_miss) {
+  scratch.fresh.clear();
   if (!table.HasList(cj)) {
-    scratch.fresh.clear();
     for (const ColumnId ck : row) {
       if (ck != cj && accept_new(ck)) scratch.fresh.push_back(ck);
     }
@@ -307,84 +271,47 @@ void InPlaceAddMerge(MissCounterTable& table, ColumnId cj,
   }
 
   const MissCounterTable::MutableList list = table.Mutable(cj);
-  scratch.fresh.clear();
-  size_t w = 0;
-  if (kernel == MergeKernel::kSimd) {
-    // Optimistic mask sweep (see InPlaceMissMerge): each entry is an O(1)
-    // membership test and misses are bumped in place with no element
-    // moves until the first death. A consumed hit is flagged (1 -> 2,
-    // written as mask * 2 since a missed entry's mask is already 0) so
-    // the row walk below can tell joiners (still 1) from already-listed
-    // columns, then restores the flags. A dying hit is flagged too: it
-    // was in the list on this row, so it must not rejoin as fresh.
-    // __restrict as in InPlaceMissMerge: keep the byte mask disjoint
-    // from the uint32 miss stores for the alias analyzer.
-    uint8_t* __restrict mask = scratch.row_mask.data();
-    size_t j = 0;
-    for (; j < list.size; ++j) {
-      const ColumnId ck = list.cand[j];
-      const uint8_t hit = mask[ck];  // 0 or 1: entries are unique
-      mask[ck] = static_cast<uint8_t>(hit * 2);
-      const uint32_t old_miss = list.miss[j];
-      const uint32_t new_miss = old_miss + 1u - hit;
-      list.miss[j] = new_miss;
-      const bool keep =
-          hit != 0 ? keep_on_hit(ck, old_miss) : keep_on_miss(ck, new_miss);
-      if (!keep) break;
-    }
-    w = j;
-    for (++j; j < list.size; ++j) {
-      const ColumnId ck = list.cand[j];
-      const uint8_t hit = mask[ck];
-      mask[ck] = static_cast<uint8_t>(hit * 2);
-      const uint32_t old_miss = list.miss[j];
-      const uint32_t new_miss = old_miss + 1u - hit;
-      const bool keep =
-          hit != 0 ? keep_on_hit(ck, old_miss) : keep_on_miss(ck, new_miss);
-      if (!keep) continue;
-      list.cand[w] = ck;
-      list.miss[w] = new_miss;
-      ++w;
-    }
-    for (const ColumnId cr : row) {
-      if (mask[cr] == 2) {
-        mask[cr] = 1;
-      } else if (cr != cj && accept_new(cr)) {
-        scratch.fresh.push_back(cr);
-      }
-    }
-  } else {
-    // One flat three-way merge loop (row-only / list-only / both). The
-    // flat shape predicts measurably better than a nested row-advance
-    // loop and is what makes this path beat the rebuild baseline.
-    size_t i = 0, j = 0;
-    while (i < row.size() || j < list.size) {
-      if (j >= list.size || (i < row.size() && row[i] < list.cand[j])) {
-        // Row-only column: a join candidate.
-        const ColumnId cr = row[i++];
-        if (cr != cj && accept_new(cr)) scratch.fresh.push_back(cr);
-      } else if (i >= row.size() || list.cand[j] < row[i]) {
-        // List-only entry: a miss.
-        const ColumnId ck = list.cand[j];
-        const uint32_t new_miss = list.miss[j] + 1;
-        ++j;
-        if (!keep_on_miss(ck, new_miss)) continue;
-        list.cand[w] = ck;
-        list.miss[w] = new_miss;
-        ++w;
-      } else {
-        // In both: a hit.
-        const ColumnId ck = list.cand[j];
-        const uint32_t old_miss = list.miss[j];
-        ++i;
-        ++j;
-        if (!keep_on_hit(ck, old_miss)) continue;
-        if (w != j - 1) {
-          list.cand[w] = ck;
-          list.miss[w] = old_miss;
-        }
-        ++w;
-      }
+  // Optimistic mask sweep (see InPlaceMissMerge): each entry is an O(1)
+  // membership test and misses are bumped in place with no element
+  // moves until the first death. A consumed hit is flagged (1 -> 2,
+  // written as mask * 2 since a missed entry's mask is already 0) so
+  // the row walk below can tell joiners (still 1) from already-listed
+  // columns, then restores the flags. A dying hit is flagged too: it
+  // was in the list on this row, so it must not rejoin as fresh.
+  // __restrict as in InPlaceMissMerge: keep the byte mask disjoint
+  // from the uint32 miss stores for the alias analyzer.
+  uint8_t* __restrict mask = scratch.row_mask.data();
+  size_t j = 0;
+  for (; j < list.size; ++j) {
+    const ColumnId ck = list.cand[j];
+    const uint8_t hit = mask[ck];  // 0 or 1: entries are unique
+    mask[ck] = static_cast<uint8_t>(hit * 2);
+    const uint32_t old_miss = list.miss[j];
+    const uint32_t new_miss = old_miss + 1u - hit;
+    list.miss[j] = new_miss;
+    const bool keep =
+        hit != 0 ? keep_on_hit(ck, old_miss) : keep_on_miss(ck, new_miss);
+    if (!keep) break;
+  }
+  size_t w = j;
+  for (++j; j < list.size; ++j) {
+    const ColumnId ck = list.cand[j];
+    const uint8_t hit = mask[ck];
+    mask[ck] = static_cast<uint8_t>(hit * 2);
+    const uint32_t old_miss = list.miss[j];
+    const uint32_t new_miss = old_miss + 1u - hit;
+    const bool keep =
+        hit != 0 ? keep_on_hit(ck, old_miss) : keep_on_miss(ck, new_miss);
+    if (!keep) continue;
+    list.cand[w] = ck;
+    list.miss[w] = new_miss;
+    ++w;
+  }
+  for (const ColumnId cr : row) {
+    if (mask[cr] == 2) {
+      mask[cr] = 1;
+    } else if (cr != cj && accept_new(cr)) {
+      scratch.fresh.push_back(cr);
     }
   }
 

@@ -21,10 +21,10 @@
 // allocation holding `capacity` candidate ids followed by `capacity` miss
 // counters, carved out of large slabs by a bump pointer and recycled
 // through per-size-class free lists on Release. The SoA split keeps the
-// id array dense for the SIMD/galloping intersection kernels
-// (core/kernels.h), and the arena removes the per-list malloc/free churn
-// of the old vector-of-vectors layout. Accounting stays logical-size
-// based (capacity is never charged), so the reported byte curves are
+// id array dense for the vector sweeps' 8-lane loads (core/kernels.h),
+// and the arena removes the per-list malloc/free churn of the old
+// vector-of-vectors layout. Accounting stays logical-size based
+// (capacity is never charged), so the reported byte curves are
 // independent of the physical layout.
 
 #ifndef DMC_CORE_MISS_COUNTER_TABLE_H_

@@ -141,10 +141,10 @@ void StreamingPass<Kind>::ProcessRow(std::span<const ColumnId> row) {
   }
 
   // Step 3(a): update/extend every candidate list touched by this row.
-  // kSimd installs the row's mask at its first merge, so a row that
-  // merges nothing (most rows of a pass that owns few antecedents) costs
-  // no mask writes.
-  bool row_installed = kernel_ != MergeKernel::kSimd;
+  // The row's mask is installed at its first merge, so a row that merges
+  // nothing (most rows of a pass that owns few antecedents) costs no mask
+  // writes. kLegacy merges by two-pointer walks and needs no mask.
+  bool row_installed = kernel_ == MergeKernel::kLegacy;
   for (ColumnId cj : row) {
     if (!Owns(cj)) continue;  // not this pass's antecedent
     const bool add = static_cast<int64_t>(cnt_[cj]) <= kind_.ColumnBudget(cj);
@@ -198,8 +198,8 @@ void StreamingPass<Kind>::MergeWithAdd(ColumnId cj,
     LegacyAddMerge(table_, cj, row, base_miss, scratch_, accept_new,
                    keep_on_hit, keep_on_miss);
   } else {
-    InPlaceAddMerge(table_, cj, row, base_miss, scratch_, kernel_,
-                    accept_new, keep_on_hit, keep_on_miss);
+    InPlaceAddMerge(table_, cj, row, base_miss, scratch_, accept_new,
+                    keep_on_hit, keep_on_miss);
   }
 }
 
@@ -225,8 +225,7 @@ void StreamingPass<Kind>::MergeMissOnly(ColumnId cj,
   if (kernel_ == MergeKernel::kLegacy) {
     LegacyMissMerge(table_, cj, row, scratch_, keep_on_hit, keep_on_miss);
   } else {
-    InPlaceMissMerge(table_, cj, row, scratch_, kernel_, keep_on_hit,
-                     keep_on_miss);
+    InPlaceMissMerge(table_, cj, scratch_, keep_on_hit, keep_on_miss);
   }
 }
 

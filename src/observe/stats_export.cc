@@ -256,20 +256,4 @@ void RecordToRegistry(MetricsRegistry* registry, const std::string& prefix,
   registry->IncrCounter(prefix + ".io_retries", stats.io_retries);
 }
 
-void RecordToRegistry(MetricsRegistry* registry, const std::string& prefix,
-                      const shard::ShardMiningStats& stats) {
-  if (registry == nullptr) return;
-  registry->SetGauge(prefix + ".tasks_total", stats.tasks_total);
-  registry->IncrCounter(prefix + ".workers_spawned", stats.workers_spawned);
-  registry->IncrCounter(prefix + ".workers_died", stats.workers_died);
-  registry->IncrCounter(prefix + ".tasks_reassigned", stats.tasks_reassigned);
-  registry->IncrCounter(prefix + ".heartbeats", stats.heartbeats);
-  registry->IncrCounter(prefix + ".checkpoint_hits", stats.checkpoint_hits);
-  registry->IncrCounter(prefix + ".degraded_tasks", stats.degraded_tasks);
-  registry->RecordTimer(prefix + ".pass1_seconds", stats.pass1_seconds);
-  registry->RecordTimer(prefix + ".mine_seconds", stats.mine_seconds);
-  registry->RecordTimer(prefix + ".total_seconds", stats.total_seconds);
-  registry->SetGauge(prefix + ".resumed", stats.resumed ? 1.0 : 0.0);
-}
-
 }  // namespace dmc

@@ -86,8 +86,6 @@ void RecordToRegistry(MetricsRegistry* registry, const std::string& prefix,
                       const ParallelMiningStats& stats);
 void RecordToRegistry(MetricsRegistry* registry, const std::string& prefix,
                       const ExternalMiningStats& stats);
-void RecordToRegistry(MetricsRegistry* registry, const std::string& prefix,
-                      const shard::ShardMiningStats& stats);
 
 }  // namespace dmc
 

@@ -5,9 +5,7 @@
 // not, on every toolchain) enforce. Rules run over a real C++ token
 // stream (tools/lint_lexer.h) rather than substring scans, so raw
 // string literals, line-spliced comments, encoding prefixes and digit
-// separators can never produce phantom matches. The original v1
-// substring engine is frozen in tools/lint_legacy.h as the reference
-// for the differential parity test.
+// separators can never produce phantom matches.
 //
 //   include-guard     every header has #pragma once or a matching
 //                     #ifndef/#define guard near the top
