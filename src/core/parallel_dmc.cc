@@ -17,7 +17,9 @@
 namespace dmc {
 
 std::vector<std::vector<uint8_t>> MakeColumnShards(
-    const std::vector<uint32_t>& column_ones, uint32_t num_shards) {
+    const std::vector<uint32_t>& column_ones, uint64_t num_shards) {
+  num_shards = std::min<uint64_t>(num_shards,
+                                  std::max<size_t>(1, column_ones.size()));
   std::vector<std::vector<uint8_t>> shards(
       num_shards, std::vector<uint8_t>(column_ones.size(), 0));
   // Greedy balanced partition by 1-count (longest-processing-time rule).
@@ -100,11 +102,12 @@ StatusOr<typename Kind::RuleSet> MineParallel(
   Stopwatch total_sw;
   const ObserveContext& obs = options.policy.observe;
   const auto shards = MakeColumnShards(matrix.column_ones(), num_threads);
-  stats->shards = num_threads;
+  const uint32_t num_shards = static_cast<uint32_t>(shards.size());
+  stats->shards = num_shards;
 
   auto cancel = std::make_shared<std::atomic<bool>>(false);
-  std::vector<StatusOr<RuleSet>> results(num_threads, RuleSet{});
-  std::vector<MiningStats> shard_stats(num_threads);
+  std::vector<StatusOr<RuleSet>> results(num_shards, RuleSet{});
+  std::vector<MiningStats> shard_stats(num_shards);
   const auto mine = [&](uint32_t t) {
     typename Kind::Options shard_options = options;
     shard_options.policy.observe =
@@ -114,13 +117,13 @@ StatusOr<typename Kind::RuleSet> MineParallel(
   };
 
   std::vector<uint32_t> unstarted;
-  unstarted.reserve(num_threads);
+  unstarted.reserve(num_shards);
   {
     // Parent span on lane 0; per-shard engine spans use lanes 1..N.
     ScopedSpan parent(obs.trace, "parallel/mine", 0);
     std::vector<std::thread> workers;
-    workers.reserve(num_threads);
-    for (uint32_t t = 0; t < num_threads; ++t) {
+    workers.reserve(num_shards);
+    for (uint32_t t = 0; t < num_shards; ++t) {
       if (fail::Enabled() &&
           !fail::InjectStatus("parallel.thread.start").ok()) {
         unstarted.push_back(t);
@@ -141,9 +144,9 @@ StatusOr<typename Kind::RuleSet> MineParallel(
   stats->shards_degraded = static_cast<uint32_t>(unstarted.size());
 
   std::vector<RuleSet> parts;
-  parts.reserve(num_threads);
+  parts.reserve(num_shards);
   Status first_error = Status::OK();
-  for (uint32_t t = 0; t < num_threads; ++t) {
+  for (uint32_t t = 0; t < num_shards; ++t) {
     if (!results[t].ok()) {
       ++stats->shards_failed;
       // Prefer a non-Cancelled error; with cooperative cancellation

@@ -50,6 +50,7 @@ struct ParallelMiningStats {
   /// paper's motivation for parallelizing (§7: the News run outgrowing
   /// 256 MB).
   size_t max_peak_counter_bytes = 0;
+  /// Threads run: num_threads, or the column count when that is smaller.
   uint32_t shards = 0;
   /// Shards whose mine returned an error; the run then fails with the
   /// first error that is not kCancelled (or kCancelled if all are).
@@ -77,9 +78,10 @@ struct ParallelMiningStats {
 
 /// The shard assignment used by the miners, exposed for tests: columns
 /// are sorted by descending 1-count and dealt greedily to the currently
-/// lightest shard, balancing expected scan work.
+/// lightest shard, balancing expected scan work. No shard is left
+/// without a column: there are min(num_shards, max(1, columns)) masks.
 std::vector<std::vector<uint8_t>> MakeColumnShards(
-    const std::vector<uint32_t>& column_ones, uint32_t num_shards);
+    const std::vector<uint32_t>& column_ones, uint64_t num_shards);
 
 }  // namespace dmc
 

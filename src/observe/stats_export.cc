@@ -1,6 +1,7 @@
 #include "observe/stats_export.h"
 
 #include <sstream>
+#include <tuple>
 
 #include "core/external_miner.h"
 #include "core/mining_stats.h"
@@ -12,73 +13,161 @@
 
 namespace dmc {
 
+namespace {
+
+/// How RecordToRegistry mirrors one field (stats_export.h).
+enum class Mirror { kNone, kTimer, kCounter, kCounterIfTrue, kGauge,
+                    kMaxGauge };
+
+template <typename Stats, typename T>
+struct Field {
+  const char* name;
+  T Stats::*member;
+  Mirror mirror;
+};
+
+// One row per exported scalar member; the JSON key and the registry
+// suffix are the member's own name.
+#define DMC_FIELD(Stats, member, mirror) \
+  Field<Stats, decltype(Stats::member)>{#member, &Stats::member, Mirror::mirror}
+
+constexpr auto kMiningFields = std::make_tuple(
+    DMC_FIELD(MiningStats, prescan_seconds, kTimer),
+    DMC_FIELD(MiningStats, hundred_base_seconds, kTimer),
+    DMC_FIELD(MiningStats, hundred_bitmap_seconds, kTimer),
+    DMC_FIELD(MiningStats, sub_base_seconds, kTimer),
+    DMC_FIELD(MiningStats, sub_bitmap_seconds, kTimer),
+    DMC_FIELD(MiningStats, total_seconds, kTimer),
+    DMC_FIELD(MiningStats, peak_counter_bytes, kMaxGauge),
+    DMC_FIELD(MiningStats, peak_candidates, kMaxGauge),
+    DMC_FIELD(MiningStats, hundred_bitmap_triggered, kCounterIfTrue),
+    DMC_FIELD(MiningStats, sub_bitmap_triggered, kCounterIfTrue),
+    DMC_FIELD(MiningStats, sub_bitmap_rows, kNone),
+    DMC_FIELD(MiningStats, rules_from_hundred_phase, kCounter),
+    DMC_FIELD(MiningStats, rules_from_sub_phase, kCounter),
+    DMC_FIELD(MiningStats, columns_cut_off, kCounter));
+
+constexpr auto kParallelFields = std::make_tuple(
+    DMC_FIELD(ParallelMiningStats, total_seconds, kTimer),
+    DMC_FIELD(ParallelMiningStats, max_shard_seconds, kTimer),
+    DMC_FIELD(ParallelMiningStats, sum_shard_seconds, kTimer),
+    DMC_FIELD(ParallelMiningStats, sum_peak_counter_bytes, kMaxGauge),
+    DMC_FIELD(ParallelMiningStats, max_peak_counter_bytes, kMaxGauge),
+    DMC_FIELD(ParallelMiningStats, shards, kGauge),
+    DMC_FIELD(ParallelMiningStats, shards_failed, kCounter),
+    DMC_FIELD(ParallelMiningStats, shards_degraded, kCounter));
+
+constexpr auto kExternalFields = std::make_tuple(
+    DMC_FIELD(ExternalMiningStats, pass1_seconds, kTimer),
+    DMC_FIELD(ExternalMiningStats, partition_seconds, kTimer),
+    DMC_FIELD(ExternalMiningStats, mine_seconds, kTimer),
+    DMC_FIELD(ExternalMiningStats, total_seconds, kTimer),
+    DMC_FIELD(ExternalMiningStats, rows, kCounter),
+    DMC_FIELD(ExternalMiningStats, columns, kGauge),
+    DMC_FIELD(ExternalMiningStats, bucket_files, kGauge),
+    DMC_FIELD(ExternalMiningStats, resumed, kGauge),
+    DMC_FIELD(ExternalMiningStats, io_retries, kCounter));
+
+constexpr auto kShardFields = std::make_tuple(
+    DMC_FIELD(shard::ShardMiningStats, tasks_total, kGauge),
+    DMC_FIELD(shard::ShardMiningStats, workers_spawned, kCounter),
+    DMC_FIELD(shard::ShardMiningStats, workers_died, kCounter),
+    DMC_FIELD(shard::ShardMiningStats, tasks_reassigned, kCounter),
+    DMC_FIELD(shard::ShardMiningStats, heartbeats, kCounter),
+    DMC_FIELD(shard::ShardMiningStats, checkpoint_hits, kCounter),
+    DMC_FIELD(shard::ShardMiningStats, degraded_tasks, kCounter),
+    DMC_FIELD(shard::ShardMiningStats, pass1_seconds, kTimer),
+    DMC_FIELD(shard::ShardMiningStats, mine_seconds, kTimer),
+    DMC_FIELD(shard::ShardMiningStats, total_seconds, kTimer),
+    DMC_FIELD(shard::ShardMiningStats, resumed, kNone));
+
+#undef DMC_FIELD
+
+// Each binding lists its struct's members in declaration order: the
+// rows above, and by name the special cases (kernel, the histories and
+// per_shard, which WriteJson writes by hand; mining, which callers
+// export as their "mining" section). A member added to a struct breaks
+// its binding until it has a row or is named here.
+[[maybe_unused]] void EveryMemberHasARowOrIsNamed(
+    const MiningStats& m, const ParallelMiningStats& p,
+    const ExternalMiningStats& e, const shard::ShardMiningStats& s) {
+  [[maybe_unused]] const auto& [m1, m2, m3, m4, m5, m6, m7, m8,
+                                memory_history, candidate_history, m9, m10,
+                                m11, kernel, m12, m13, m14] = m;
+  static_assert(std::tuple_size_v<decltype(kMiningFields)> == 14);
+  [[maybe_unused]] const auto& [p1, p2, p3, p4, p5, p6, p7, p8, per_shard] =
+      p;
+  static_assert(std::tuple_size_v<decltype(kParallelFields)> == 8);
+  [[maybe_unused]] const auto& [e1, e2, e3, e4, e5, e6, e7, e8, e9, mining] =
+      e;
+  static_assert(std::tuple_size_v<decltype(kExternalFields)> == 9);
+  [[maybe_unused]] const auto& [s1, s2, s3, s4, s5, s6, s7, s8, s9, s10,
+                                s11] = s;
+  static_assert(std::tuple_size_v<decltype(kShardFields)> == 11);
+}
+
+template <typename Stats, typename Fields>
+void WriteFields(JsonWriter& w, const Stats& stats, const Fields& fields) {
+  std::apply(
+      [&](const auto&... f) {
+        ((w.Key(f.name), w.Value(stats.*f.member)), ...);
+      },
+      fields);
+}
+
+template <typename T>
+void MirrorField(MetricsRegistry* registry, const std::string& name, T value,
+                 Mirror mirror) {
+  const double v = static_cast<double>(value);
+  switch (mirror) {
+    case Mirror::kNone: break;
+    case Mirror::kTimer: registry->RecordTimer(name, v); break;
+    case Mirror::kCounter: registry->IncrCounter(name, value); break;
+    case Mirror::kCounterIfTrue: if (value) registry->IncrCounter(name); break;
+    case Mirror::kGauge: registry->SetGauge(name, v); break;
+    case Mirror::kMaxGauge: registry->MaxGauge(name, v); break;
+  }
+}
+
+template <typename Stats, typename Fields>
+void MirrorFields(MetricsRegistry* registry, const std::string& prefix,
+                  const Stats& stats, const Fields& fields) {
+  if (registry == nullptr) return;
+  std::apply(
+      [&](const auto&... f) {
+        (MirrorField(registry, prefix + "." + f.name, stats.*f.member,
+                     f.mirror),
+         ...);
+      },
+      fields);
+}
+
+void WriteHistory(JsonWriter& w, const char* key,
+                  const std::vector<size_t>& history) {
+  if (history.empty()) return;
+  w.Key(key);
+  w.BeginArray();
+  for (size_t v : history) w.Value(v);
+  w.EndArray();
+}
+
+}  // namespace
+
 void WriteJson(JsonWriter& w, const MiningStats& stats) {
   w.BeginObject();
-  w.Key("prescan_seconds");
-  w.Value(stats.prescan_seconds);
-  w.Key("hundred_base_seconds");
-  w.Value(stats.hundred_base_seconds);
-  w.Key("hundred_bitmap_seconds");
-  w.Value(stats.hundred_bitmap_seconds);
-  w.Key("sub_base_seconds");
-  w.Value(stats.sub_base_seconds);
-  w.Key("sub_bitmap_seconds");
-  w.Value(stats.sub_bitmap_seconds);
-  w.Key("total_seconds");
-  w.Value(stats.total_seconds);
-  w.Key("peak_counter_bytes");
-  w.Value(stats.peak_counter_bytes);
-  w.Key("peak_candidates");
-  w.Value(stats.peak_candidates);
-  w.Key("hundred_bitmap_triggered");
-  w.Value(stats.hundred_bitmap_triggered);
-  w.Key("sub_bitmap_triggered");
-  w.Value(stats.sub_bitmap_triggered);
-  w.Key("sub_bitmap_rows");
-  w.Value(stats.sub_bitmap_rows);
-  w.Key("rules_from_hundred_phase");
-  w.Value(stats.rules_from_hundred_phase);
-  w.Key("rules_from_sub_phase");
-  w.Value(stats.rules_from_sub_phase);
-  w.Key("columns_cut_off");
-  w.Value(stats.columns_cut_off);
+  WriteFields(w, stats, kMiningFields);
   if (!stats.kernel.empty()) {
     w.Key("kernel");
     w.Value(stats.kernel);
   }
-  if (!stats.memory_history.empty()) {
-    w.Key("memory_history");
-    w.BeginArray();
-    for (size_t v : stats.memory_history) w.Value(v);
-    w.EndArray();
-  }
-  if (!stats.candidate_history.empty()) {
-    w.Key("candidate_history");
-    w.BeginArray();
-    for (size_t v : stats.candidate_history) w.Value(v);
-    w.EndArray();
-  }
+  WriteHistory(w, "memory_history", stats.memory_history);
+  WriteHistory(w, "candidate_history", stats.candidate_history);
   w.EndObject();
 }
 
 void WriteJson(JsonWriter& w, const ParallelMiningStats& stats) {
   w.BeginObject();
-  w.Key("total_seconds");
-  w.Value(stats.total_seconds);
-  w.Key("max_shard_seconds");
-  w.Value(stats.max_shard_seconds);
-  w.Key("sum_shard_seconds");
-  w.Value(stats.sum_shard_seconds);
-  w.Key("sum_peak_counter_bytes");
-  w.Value(stats.sum_peak_counter_bytes);
-  w.Key("max_peak_counter_bytes");
-  w.Value(stats.max_peak_counter_bytes);
-  w.Key("shards");
-  w.Value(stats.shards);
-  w.Key("shards_failed");
-  w.Value(stats.shards_failed);
-  w.Key("shards_degraded");
-  w.Value(stats.shards_degraded);
+  WriteFields(w, stats, kParallelFields);
   if (!stats.per_shard.empty()) {
     w.Key("per_shard");
     w.BeginArray();
@@ -90,51 +179,13 @@ void WriteJson(JsonWriter& w, const ParallelMiningStats& stats) {
 
 void WriteJson(JsonWriter& w, const ExternalMiningStats& stats) {
   w.BeginObject();
-  w.Key("pass1_seconds");
-  w.Value(stats.pass1_seconds);
-  w.Key("partition_seconds");
-  w.Value(stats.partition_seconds);
-  w.Key("mine_seconds");
-  w.Value(stats.mine_seconds);
-  w.Key("total_seconds");
-  w.Value(stats.total_seconds);
-  w.Key("rows");
-  w.Value(stats.rows);
-  w.Key("columns");
-  w.Value(stats.columns);
-  w.Key("bucket_files");
-  w.Value(stats.bucket_files);
-  w.Key("resumed");
-  w.Value(stats.resumed);
-  w.Key("io_retries");
-  w.Value(stats.io_retries);
+  WriteFields(w, stats, kExternalFields);
   w.EndObject();
 }
 
 void WriteJson(JsonWriter& w, const shard::ShardMiningStats& stats) {
   w.BeginObject();
-  w.Key("tasks_total");
-  w.Value(stats.tasks_total);
-  w.Key("workers_spawned");
-  w.Value(stats.workers_spawned);
-  w.Key("workers_died");
-  w.Value(stats.workers_died);
-  w.Key("tasks_reassigned");
-  w.Value(stats.tasks_reassigned);
-  w.Key("heartbeats");
-  w.Value(stats.heartbeats);
-  w.Key("checkpoint_hits");
-  w.Value(stats.checkpoint_hits);
-  w.Key("degraded_tasks");
-  w.Value(stats.degraded_tasks);
-  w.Key("pass1_seconds");
-  w.Value(stats.pass1_seconds);
-  w.Key("mine_seconds");
-  w.Value(stats.mine_seconds);
-  w.Key("total_seconds");
-  w.Value(stats.total_seconds);
-  w.Key("resumed");
-  w.Value(stats.resumed);
+  WriteFields(w, stats, kShardFields);
   w.EndObject();
 }
 
@@ -158,22 +209,15 @@ Status ExportMetricsJson(const MetricsReport& report, std::ostream& os) {
     w.Key("rules_total");
     w.Value(report.rules_total);
   }
-  if (report.mining != nullptr) {
-    w.Key("mining");
-    WriteJson(w, *report.mining);
-  }
-  if (report.parallel != nullptr) {
-    w.Key("parallel");
-    WriteJson(w, *report.parallel);
-  }
-  if (report.external != nullptr) {
-    w.Key("external");
-    WriteJson(w, *report.external);
-  }
-  if (report.shard != nullptr) {
-    w.Key("shard");
-    WriteJson(w, *report.shard);
-  }
+  const auto section = [&w](const char* key, const auto* stats) {
+    if (stats == nullptr) return;
+    w.Key(key);
+    WriteJson(w, *stats);
+  };
+  section("mining", report.mining);
+  section("parallel", report.parallel);
+  section("external", report.external);
+  section("shard", report.shard);
   if (report.metrics != nullptr) {
     w.Key("metrics");
     report.metrics->WriteJson(w);
@@ -196,64 +240,22 @@ Status ExportMetricsJsonFile(const MetricsReport& report,
 
 void RecordToRegistry(MetricsRegistry* registry, const std::string& prefix,
                       const MiningStats& stats) {
-  if (registry == nullptr) return;
-  registry->RecordTimer(prefix + ".prescan_seconds", stats.prescan_seconds);
-  registry->RecordTimer(prefix + ".hundred_base_seconds",
-                        stats.hundred_base_seconds);
-  registry->RecordTimer(prefix + ".hundred_bitmap_seconds",
-                        stats.hundred_bitmap_seconds);
-  registry->RecordTimer(prefix + ".sub_base_seconds", stats.sub_base_seconds);
-  registry->RecordTimer(prefix + ".sub_bitmap_seconds",
-                        stats.sub_bitmap_seconds);
-  registry->RecordTimer(prefix + ".total_seconds", stats.total_seconds);
-  registry->MaxGauge(prefix + ".peak_counter_bytes",
-                     static_cast<double>(stats.peak_counter_bytes));
-  registry->MaxGauge(prefix + ".peak_candidates",
-                     static_cast<double>(stats.peak_candidates));
-  registry->IncrCounter(prefix + ".rules_from_hundred_phase",
-                        stats.rules_from_hundred_phase);
-  registry->IncrCounter(prefix + ".rules_from_sub_phase",
-                        stats.rules_from_sub_phase);
-  registry->IncrCounter(prefix + ".columns_cut_off", stats.columns_cut_off);
-  if (stats.hundred_bitmap_triggered) {
-    registry->IncrCounter(prefix + ".hundred_bitmap_triggered");
-  }
-  if (stats.sub_bitmap_triggered) {
-    registry->IncrCounter(prefix + ".sub_bitmap_triggered");
-  }
+  MirrorFields(registry, prefix, stats, kMiningFields);
 }
 
 void RecordToRegistry(MetricsRegistry* registry, const std::string& prefix,
                       const ParallelMiningStats& stats) {
-  if (registry == nullptr) return;
-  registry->RecordTimer(prefix + ".total_seconds", stats.total_seconds);
-  registry->RecordTimer(prefix + ".max_shard_seconds",
-                        stats.max_shard_seconds);
-  registry->RecordTimer(prefix + ".sum_shard_seconds",
-                        stats.sum_shard_seconds);
-  registry->MaxGauge(prefix + ".sum_peak_counter_bytes",
-                     static_cast<double>(stats.sum_peak_counter_bytes));
-  registry->MaxGauge(prefix + ".max_peak_counter_bytes",
-                     static_cast<double>(stats.max_peak_counter_bytes));
-  registry->SetGauge(prefix + ".shards", stats.shards);
-  registry->IncrCounter(prefix + ".shards_failed", stats.shards_failed);
-  registry->IncrCounter(prefix + ".shards_degraded", stats.shards_degraded);
+  MirrorFields(registry, prefix, stats, kParallelFields);
 }
 
 void RecordToRegistry(MetricsRegistry* registry, const std::string& prefix,
                       const ExternalMiningStats& stats) {
-  if (registry == nullptr) return;
-  registry->RecordTimer(prefix + ".pass1_seconds", stats.pass1_seconds);
-  registry->RecordTimer(prefix + ".partition_seconds",
-                        stats.partition_seconds);
-  registry->RecordTimer(prefix + ".mine_seconds", stats.mine_seconds);
-  registry->RecordTimer(prefix + ".total_seconds", stats.total_seconds);
-  registry->IncrCounter(prefix + ".rows", stats.rows);
-  registry->SetGauge(prefix + ".columns", stats.columns);
-  registry->SetGauge(prefix + ".bucket_files",
-                     static_cast<double>(stats.bucket_files));
-  registry->SetGauge(prefix + ".resumed", stats.resumed ? 1.0 : 0.0);
-  registry->IncrCounter(prefix + ".io_retries", stats.io_retries);
+  MirrorFields(registry, prefix, stats, kExternalFields);
+}
+
+void RecordToRegistry(MetricsRegistry* registry, const std::string& prefix,
+                      const shard::ShardMiningStats& stats) {
+  MirrorFields(registry, prefix, stats, kShardFields);
 }
 
 }  // namespace dmc

@@ -22,6 +22,14 @@
 // external_miner.h / shard/shard_stats.h. Timing fields all end in
 // "seconds"; golden tests mask exactly those.
 //
+// A new scalar member gets one row in its struct's field list in
+// stats_export.cc, at its JSON position. The row names the member (its
+// JSON key and registry suffix) and how RecordToRegistry mirrors it:
+// kTimer records one sample, kCounter adds the value, kCounterIfTrue
+// adds 1 when the flag is set, kGauge sets and kMaxGauge raises a
+// gauge, kNone is JSON only. A member without a row must be named there
+// as a special case (kernel, the histories, per_shard, mining).
+//
 // "parallel" and "shard" report the two executors of one antecedent-
 // shard plan, threads and worker processes. They share one failure
 // rule — the caller mines what a worker cannot run — which each section
@@ -79,13 +87,16 @@ Status ExportMetricsJsonFile(const MetricsReport& report,
 
 /// Mirrors a stats struct into registry gauges/counters under
 /// "<prefix>.<field>" (e.g. "imp.peak_counter_bytes"), so ad-hoc
-/// instrumentation and the engine stats land in one namespace.
+/// instrumentation and the engine stats land in one namespace. Each
+/// executor calls it once, at the end of a successful run.
 void RecordToRegistry(MetricsRegistry* registry, const std::string& prefix,
                       const MiningStats& stats);
 void RecordToRegistry(MetricsRegistry* registry, const std::string& prefix,
                       const ParallelMiningStats& stats);
 void RecordToRegistry(MetricsRegistry* registry, const std::string& prefix,
                       const ExternalMiningStats& stats);
+void RecordToRegistry(MetricsRegistry* registry, const std::string& prefix,
+                      const shard::ShardMiningStats& stats);
 
 }  // namespace dmc
 

@@ -29,10 +29,10 @@ constexpr int kMaxReadsPerEvent = 8;
 }  // namespace
 
 struct RuleServer::Connection {
-  explicit Connection(int fd_in, uint32_t max_payload)
-      : fd(fd_in), in(max_payload) {}
+  explicit Connection(int fd_in) : fd(fd_in) {}
 
   int fd;
+  /// Frames are capped at kMaxFramePayloadBytes, as in the client.
   FrameBuffer in;
   std::string out;
   size_t out_offset = 0;
@@ -458,8 +458,7 @@ void RuleServer::EventLoop() {
           record_io_error("dmc.serve.accept_errors");
           continue;
         }
-        conns.push_back(std::make_unique<Connection>(
-            fd, options_.max_frame_payload_bytes));
+        conns.push_back(std::make_unique<Connection>(fd));
         {
           MutexLock lock(mu_);
           ++counters_.connections_accepted;

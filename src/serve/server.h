@@ -72,8 +72,6 @@ struct ServeOptions {
   int backlog = 128;
   /// Connections beyond this are accepted and immediately closed.
   size_t max_connections = 256;
-  /// Largest request/reply payload honored on the wire.
-  uint32_t max_frame_payload_bytes = serve::kMaxFramePayloadBytes;
   /// Reading from a connection pauses while its pending output exceeds
   /// this (resumes once the client drains).
   size_t max_output_buffer_bytes = 8u << 20;

@@ -18,6 +18,7 @@
 #include "core/parallel_dmc.h"
 #include "core/streaming_pass.h"
 #include "observe/metrics.h"
+#include "observe/stats_export.h"
 #include "observe/trace.h"
 #include "serve/protocol.h"
 #include "shard/process_control.h"
@@ -31,6 +32,9 @@ namespace dmc {
 namespace shard {
 
 namespace {
+
+/// How long workers get to exit after kShutdown before SIGKILL.
+constexpr double kShutdownGraceSeconds = 2.0;
 
 void Incr(const ObserveContext& obs, const char* name, uint64_t delta = 1) {
   if (obs.metrics != nullptr) obs.metrics->IncrCounter(name, delta);
@@ -53,15 +57,7 @@ ShardPlan BuildPlan(Engine engine, double threshold, const DmcPolicy& policy,
   ShardPlan plan;
   plan.engine = engine;
   plan.threshold = threshold;
-  plan.row_order = static_cast<uint8_t>(policy.row_order);
-  plan.hundred_percent_phase = policy.hundred_percent_phase;
-  plan.bitmap_fallback = policy.bitmap_fallback;
-  plan.column_density_pruning = policy.column_density_pruning;
-  plan.max_hits_pruning = policy.max_hits_pruning;
-  plan.kernel = static_cast<uint8_t>(policy.kernel);
-  plan.memory_threshold_bytes = policy.memory_threshold_bytes;
-  plan.bitmap_max_remaining_rows = policy.bitmap_max_remaining_rows;
-  plan.progress_interval_rows = policy.observe.progress_interval_rows;
+  plan.policy = policy;
   plan.input_path = path;
   plan.work_dir = work_dir;
   plan.num_columns = input.first_pass().num_columns;
@@ -119,18 +115,19 @@ class Fleet {
   }
 
   void Run() {
-    slots_.resize(static_cast<size_t>(opts_.num_workers));
-    for (int i = 0; i < opts_.num_workers; ++i) {
-      if (!opts_.worker_metrics_dir.empty()) {
-        slots_[i].metrics_path = opts_.worker_metrics_dir + "/worker_" +
-                                 std::to_string(i) + ".jsonl";
-      }
-    }
     for (size_t i = 0; i < tasks_.size(); ++i) {
       if (!tasks_[i].done) pending_.push_back(static_cast<int>(i));
     }
     if (pending_.empty()) return;
-    for (int i = 0; i < opts_.num_workers; ++i) Spawn(i);
+    // Never more workers than tasks left to mine.
+    slots_.resize(std::min<size_t>(opts_.num_workers, pending_.size()));
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      if (!opts_.worker_metrics_dir.empty()) {
+        slots_[i].metrics_path = opts_.worker_metrics_dir + "/worker_" +
+                                 std::to_string(i) + ".jsonl";
+      }
+      Spawn(static_cast<int>(i));
+    }
 
     while (!Finished()) {
       if (!AnyAlive()) break;  // fleet gone; caller degrades
@@ -194,7 +191,6 @@ class Fleet {
     slot.frames = serve::FrameBuffer(kShardMaxFramePayloadBytes);
     slot.deadline = Now() + opts_.heartbeat_timeout_seconds;
     ++stats_->workers_spawned;
-    Incr(obs_, "dmc.shard.workers_spawned");
     if (opts_.on_worker_spawn) opts_.on_worker_spawn(idx, slot.proc.pid);
   }
 
@@ -208,11 +204,9 @@ class Fleet {
     ReapBlocking(slot.proc.pid);
     slot.proc.pid = -1;
     ++stats_->workers_died;
-    Incr(obs_, "dmc.shard.workers_died");
     if (slot.state == SlotState::kMining && slot.task >= 0) {
       Requeue(slot.task, /*front=*/true);
       ++stats_->tasks_reassigned;
-      Incr(obs_, "dmc.shard.tasks_reassigned");
     }
     slot.task = -1;
     slot.state = SlotState::kDead;
@@ -335,7 +329,6 @@ class Fleet {
       }
       case Op::kHeartbeat: {
         ++stats_->heartbeats;
-        Incr(obs_, "dmc.shard.heartbeats");
         if (slot.state == SlotState::kMining) {
           slot.deadline = Now() + opts_.heartbeat_timeout_seconds;
         }
@@ -457,7 +450,7 @@ class Fleet {
       slot.outbox += EncodeShutdown();
       FlushOutbox(static_cast<int>(i));
     }
-    const double grace_end = Now() + opts_.shutdown_grace_seconds;
+    const double grace_end = Now() + kShutdownGraceSeconds;
     for (size_t i = 0; i < slots_.size(); ++i) {
       Slot& slot = slots_[i];
       if (slot.state == SlotState::kDead) continue;
@@ -557,6 +550,7 @@ StatusOr<std::vector<ShardResult>> RunShardedMine(
   Stopwatch total;
   ShardMiningStats local_stats;
   if (stats == nullptr) stats = &local_stats;
+  *stats = ShardMiningStats{};
 
   // Pass 1 (or checkpoint resume) — exactly once, in this process.
   ExternalMiningStats ext_stats;
@@ -582,9 +576,10 @@ StatusOr<std::vector<ShardResult>> RunShardedMine(
   }
 
   // Balanced antecedent shards; over-partitioned so reassignment moves
-  // 1/(workers*tasks_per_worker) of the work, not 1/workers.
-  const uint32_t num_tasks = static_cast<uint32_t>(opts.num_workers) *
-                             static_cast<uint32_t>(opts.tasks_per_worker);
+  // 1/(workers*tasks_per_worker) of the work, not 1/workers; never
+  // more tasks than columns.
+  const uint64_t num_tasks = static_cast<uint64_t>(opts.num_workers) *
+                             static_cast<uint64_t>(opts.tasks_per_worker);
   std::vector<std::vector<uint8_t>> masks =
       MakeColumnShards(plan.column_ones, num_tasks);
   std::vector<Task> tasks(masks.size());
@@ -610,7 +605,6 @@ StatusOr<std::vector<ShardResult>> RunShardedMine(
       t.result = std::move(loaded->result);
       t.done = true;
       ++stats->checkpoint_hits;
-      Incr(obs, "dmc.shard.checkpoint_hits");
     }
   }
 
@@ -640,7 +634,6 @@ StatusOr<std::vector<ShardResult>> RunShardedMine(
     t.result = std::move(*result);
     t.done = true;
     ++stats->degraded_tasks;
-    Incr(obs, "dmc.shard.degraded_tasks");
     WriteTaskCheckpointStandalone(opts, input_fp, plan, t, obs);
   }
   stats->mine_seconds = mine_clock.ElapsedSeconds();
@@ -648,14 +641,10 @@ StatusOr<std::vector<ShardResult>> RunShardedMine(
   MergeWorkerMetrics(opts, obs);
 
   stats->total_seconds = total.ElapsedSeconds();
+  RecordToRegistry(obs.metrics, "dmc.shard", *stats);
   if (obs.metrics != nullptr) {
-    obs.metrics->RecordTimer("dmc.shard.pass1_seconds", stats->pass1_seconds);
-    obs.metrics->RecordTimer("dmc.shard.mine_seconds", stats->mine_seconds);
-    obs.metrics->RecordTimer("dmc.shard.total_seconds", stats->total_seconds);
     obs.metrics->SetGauge("dmc.shard.num_workers",
                           static_cast<double>(opts.num_workers));
-    obs.metrics->SetGauge("dmc.shard.tasks_total",
-                          static_cast<double>(stats->tasks_total));
   }
 
   std::vector<ShardResult> results;

@@ -3,7 +3,8 @@
 // The coordinator runs pass 1 of the external pipeline once (scan +
 // density-bucket partitioning, or a checkpoint resume), splits the
 // columns into num_workers * tasks_per_worker balanced antecedent
-// shards, fork/execs a fleet of dmc_shard_worker children, and deals
+// shards (at most one per column), fork/execs a fleet of
+// dmc_shard_worker children (at most one per task), and deals
 // tasks to them over the length-prefixed shard protocol. Workers replay
 // the coordinator's bucket files — the input is scanned exactly once no
 // matter how many workers mine it.
@@ -58,7 +59,7 @@ namespace dmc {
 namespace shard {
 
 struct ShardOptions {
-  /// Worker processes to keep alive.
+  /// Worker processes to keep alive, at most one per task to mine.
   int num_workers = 2;
   /// Tasks per worker (over-partitioning): more tasks mean finer
   /// reassignment granularity when a worker dies mid-run.
@@ -69,8 +70,6 @@ struct ShardOptions {
   /// A worker holding a task (or owing its hello after spawn) that stays
   /// silent this long is declared dead.
   double heartbeat_timeout_seconds = 30.0;
-  /// How long workers get to exit after kShutdown before SIGKILL.
-  double shutdown_grace_seconds = 2.0;
   /// Respawn budget per worker slot.
   int max_respawns_per_slot = 2;
   /// Backoff between respawn attempts of one slot; full-jitter so a

@@ -1,6 +1,5 @@
 #include "shard/shard_protocol.h"
 
-#include "core/dmc_options.h"
 #include "matrix/matrix_io.h"
 #include "rules/rule_codec.h"
 #include "serve/protocol.h"
@@ -50,15 +49,16 @@ std::string EncodeInit(const ShardPlan& plan) {
   std::string payload = Payload(Op::kInit);
   AppendLE<uint8_t>(&payload, static_cast<uint8_t>(plan.engine));
   AppendF64(&payload, plan.threshold);
-  AppendLE<uint8_t>(&payload, plan.row_order);
-  AppendLE<uint8_t>(&payload, plan.hundred_percent_phase ? 1 : 0);
-  AppendLE<uint8_t>(&payload, plan.bitmap_fallback ? 1 : 0);
-  AppendLE<uint8_t>(&payload, plan.column_density_pruning ? 1 : 0);
-  AppendLE<uint8_t>(&payload, plan.max_hits_pruning ? 1 : 0);
-  AppendLE<uint8_t>(&payload, plan.kernel);
-  AppendLE<uint64_t>(&payload, plan.memory_threshold_bytes);
-  AppendLE<uint64_t>(&payload, plan.bitmap_max_remaining_rows);
-  AppendLE<uint64_t>(&payload, plan.progress_interval_rows);
+  const DmcPolicy& policy = plan.policy;
+  AppendLE<uint8_t>(&payload, static_cast<uint8_t>(policy.row_order));
+  AppendLE<uint8_t>(&payload, policy.hundred_percent_phase ? 1 : 0);
+  AppendLE<uint8_t>(&payload, policy.bitmap_fallback ? 1 : 0);
+  AppendLE<uint8_t>(&payload, policy.column_density_pruning ? 1 : 0);
+  AppendLE<uint8_t>(&payload, policy.max_hits_pruning ? 1 : 0);
+  AppendLE<uint8_t>(&payload, static_cast<uint8_t>(policy.kernel));
+  AppendLE<uint64_t>(&payload, policy.memory_threshold_bytes);
+  AppendLE<uint64_t>(&payload, policy.bitmap_max_remaining_rows);
+  AppendLE<uint64_t>(&payload, policy.observe.progress_interval_rows);
   AppendString(&payload, plan.input_path);
   AppendString(&payload, plan.work_dir);
   AppendLE<uint32_t>(&payload, plan.num_columns);
@@ -125,35 +125,40 @@ StatusOr<Message> DecodeMessagePayload(std::string_view payload) {
     case Op::kInit: {
       msg.op = Op::kInit;
       ShardPlan& p = msg.plan;
-      uint8_t engine = 0;
+      DmcPolicy& policy = p.policy;
+      uint8_t engine = 0, row_order = 0, kernel = 0;
       uint8_t hundred = 0, bitmap = 0, density = 0, maxhits = 0;
       if (!ReadLE(payload, &offset, &engine) ||
           !ReadF64(payload, &offset, &p.threshold) ||
-          !ReadLE(payload, &offset, &p.row_order) ||
+          !ReadLE(payload, &offset, &row_order) ||
           !ReadLE(payload, &offset, &hundred) ||
           !ReadLE(payload, &offset, &bitmap) ||
           !ReadLE(payload, &offset, &density) ||
           !ReadLE(payload, &offset, &maxhits) ||
-          !ReadLE(payload, &offset, &p.kernel) ||
-          !ReadLE(payload, &offset, &p.memory_threshold_bytes) ||
-          !ReadLE(payload, &offset, &p.bitmap_max_remaining_rows) ||
-          !ReadLE(payload, &offset, &p.progress_interval_rows) ||
+          !ReadLE(payload, &offset, &kernel) ||
+          !ReadLE<uint64_t>(payload, &offset,
+                            &policy.memory_threshold_bytes) ||
+          !ReadLE<uint64_t>(payload, &offset,
+                            &policy.bitmap_max_remaining_rows) ||
+          !ReadLE(payload, &offset, &policy.observe.progress_interval_rows) ||
           !ReadString(payload, &offset, &p.input_path) ||
           !ReadString(payload, &offset, &p.work_dir)) {
         return Malformed("truncated kInit body");
       }
       if (engine > 1) return Malformed("unknown engine");
-      if (p.row_order > static_cast<uint8_t>(RowOrderPolicy::kExactSort)) {
+      if (row_order > static_cast<uint8_t>(RowOrderPolicy::kExactSort)) {
         return Malformed("unknown row_order");
       }
-      if (p.kernel > static_cast<uint8_t>(MergeKernel::kSimd)) {
+      if (kernel > static_cast<uint8_t>(MergeKernel::kSimd)) {
         return Malformed("unknown kernel");
       }
       p.engine = static_cast<Engine>(engine);
-      p.hundred_percent_phase = hundred != 0;
-      p.bitmap_fallback = bitmap != 0;
-      p.column_density_pruning = density != 0;
-      p.max_hits_pruning = maxhits != 0;
+      policy.row_order = static_cast<RowOrderPolicy>(row_order);
+      policy.kernel = static_cast<MergeKernel>(kernel);
+      policy.hundred_percent_phase = hundred != 0;
+      policy.bitmap_fallback = bitmap != 0;
+      policy.column_density_pruning = density != 0;
+      policy.max_hits_pruning = maxhits != 0;
       uint32_t ones_count = 0;
       if (!ReadLE(payload, &offset, &p.num_columns) ||
           !ReadLE(payload, &offset, &p.num_rows) ||

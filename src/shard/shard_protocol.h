@@ -46,6 +46,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/dmc_options.h"
 #include "matrix/binary_matrix.h"
 #include "rules/rule_set.h"
 #include "util/status.h"
@@ -83,17 +84,11 @@ struct ShardPlan {
   Engine engine = Engine::kImplications;
   /// minconf (implications) or minsim (similarities).
   double threshold = 0.9;
-  // DmcPolicy fields that affect mining results or replay order.
-  uint8_t row_order = 0;  // RowOrderPolicy as u8
-  bool hundred_percent_phase = true;
-  bool bitmap_fallback = true;
-  bool column_density_pruning = true;
-  bool max_hits_pruning = true;
-  uint8_t kernel = 0;  // MergeKernel as u8
-  uint64_t memory_threshold_bytes = 0;
-  uint64_t bitmap_max_remaining_rows = 0;
-  /// Heartbeat cadence: the worker's progress_interval_rows.
-  uint64_t progress_interval_rows = 1024;
+  /// The run's policy. kInit carries the fields that affect mining
+  /// results or replay order, plus observe.progress_interval_rows (the
+  /// heartbeat cadence); record_history and the other observe hooks
+  /// stay in the coordinator, and a decoded plan has their defaults.
+  DmcPolicy policy;
   /// Original input; workers replay only the bucket files.
   std::string input_path;
   /// Directory holding the coordinator's bucket files.

@@ -55,17 +55,8 @@ struct TaskContext {
 
 DmcPolicy PolicyFromPlan(const ShardPlan& plan, MetricsRegistry* metrics,
                          TaskContext* ctx) {
-  DmcPolicy policy;
-  policy.row_order = static_cast<RowOrderPolicy>(plan.row_order);
-  policy.hundred_percent_phase = plan.hundred_percent_phase;
-  policy.bitmap_fallback = plan.bitmap_fallback;
-  policy.column_density_pruning = plan.column_density_pruning;
-  policy.max_hits_pruning = plan.max_hits_pruning;
-  policy.kernel = static_cast<MergeKernel>(plan.kernel);
-  policy.memory_threshold_bytes = plan.memory_threshold_bytes;
-  policy.bitmap_max_remaining_rows = plan.bitmap_max_remaining_rows;
+  DmcPolicy policy = plan.policy;
   policy.observe.metrics = metrics;
-  policy.observe.progress_interval_rows = plan.progress_interval_rows;
   // Heartbeats ride the progress callback: liveness and cancellation
   // share one cadence, so a worker that stops mining also stops
   // heartbeating and the coordinator's deadline fires.

@@ -133,15 +133,15 @@ shard::ShardPlan SamplePlan() {
   shard::ShardPlan plan;
   plan.engine = shard::Engine::kSimilarities;
   plan.threshold = 0.625;
-  plan.row_order = 1;
-  plan.hundred_percent_phase = false;
-  plan.bitmap_fallback = true;
-  plan.column_density_pruning = false;
-  plan.max_hits_pruning = true;
-  plan.kernel = 2;
-  plan.memory_threshold_bytes = 7777;
-  plan.bitmap_max_remaining_rows = 96;
-  plan.progress_interval_rows = 512;
+  plan.policy.row_order = RowOrderPolicy::kDensityBuckets;
+  plan.policy.hundred_percent_phase = false;
+  plan.policy.bitmap_fallback = true;
+  plan.policy.column_density_pruning = false;
+  plan.policy.max_hits_pruning = true;
+  plan.policy.kernel = MergeKernel::kScalar;
+  plan.policy.memory_threshold_bytes = 7777;
+  plan.policy.bitmap_max_remaining_rows = 96;
+  plan.policy.observe.progress_interval_rows = 512;
   plan.input_path = "quest.txt";
   plan.work_dir = "work";
   plan.num_columns = 5;
@@ -248,15 +248,20 @@ TEST_F(FormatFixtureTest, ShardInit) {
   const shard::ShardPlan& got = msg->plan;
   EXPECT_EQ(got.engine, want.engine);
   EXPECT_EQ(got.threshold, want.threshold);
-  EXPECT_EQ(got.row_order, want.row_order);
-  EXPECT_EQ(got.hundred_percent_phase, want.hundred_percent_phase);
-  EXPECT_EQ(got.bitmap_fallback, want.bitmap_fallback);
-  EXPECT_EQ(got.column_density_pruning, want.column_density_pruning);
-  EXPECT_EQ(got.max_hits_pruning, want.max_hits_pruning);
-  EXPECT_EQ(got.kernel, want.kernel);
-  EXPECT_EQ(got.memory_threshold_bytes, want.memory_threshold_bytes);
-  EXPECT_EQ(got.bitmap_max_remaining_rows, want.bitmap_max_remaining_rows);
-  EXPECT_EQ(got.progress_interval_rows, want.progress_interval_rows);
+  EXPECT_EQ(got.policy.row_order, want.policy.row_order);
+  EXPECT_EQ(got.policy.hundred_percent_phase,
+            want.policy.hundred_percent_phase);
+  EXPECT_EQ(got.policy.bitmap_fallback, want.policy.bitmap_fallback);
+  EXPECT_EQ(got.policy.column_density_pruning,
+            want.policy.column_density_pruning);
+  EXPECT_EQ(got.policy.max_hits_pruning, want.policy.max_hits_pruning);
+  EXPECT_EQ(got.policy.kernel, want.policy.kernel);
+  EXPECT_EQ(got.policy.memory_threshold_bytes,
+            want.policy.memory_threshold_bytes);
+  EXPECT_EQ(got.policy.bitmap_max_remaining_rows,
+            want.policy.bitmap_max_remaining_rows);
+  EXPECT_EQ(got.policy.observe.progress_interval_rows,
+            want.policy.observe.progress_interval_rows);
   EXPECT_EQ(got.input_path, want.input_path);
   EXPECT_EQ(got.work_dir, want.work_dir);
   EXPECT_EQ(got.num_columns, want.num_columns);

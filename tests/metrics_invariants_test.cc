@@ -181,10 +181,27 @@ TEST(MetricsInvariantsTest, RegistryMirrorsEngineStats) {
   ImplicationMiningOptions o = ImpOptions(0.85);
   o.policy.observe.metrics = &registry;
   o.policy.observe.trace = &sink;
+  o.policy.memory_threshold_bytes = 0;  // the bitmap tail fires
+  o.policy.bitmap_max_remaining_rows = 16;
   MiningStats stats;
   auto rules = MineImplications(m, o, &stats);
   ASSERT_TRUE(rules.ok());
 
+  // Every mirrored MiningStats field, by name and kind: six timers of
+  // one sample each, two peaks, three counters, and two flags counted
+  // once when set. sub_bitmap_rows and kernel are JSON only.
+  const std::pair<const char*, double> timers[] = {
+      {"imp.prescan_seconds", stats.prescan_seconds},
+      {"imp.hundred_base_seconds", stats.hundred_base_seconds},
+      {"imp.hundred_bitmap_seconds", stats.hundred_bitmap_seconds},
+      {"imp.sub_base_seconds", stats.sub_base_seconds},
+      {"imp.sub_bitmap_seconds", stats.sub_bitmap_seconds},
+      {"imp.total_seconds", stats.total_seconds},
+  };
+  for (const auto& [name, seconds] : timers) {
+    EXPECT_EQ(registry.timer(name).count, 1u) << name;
+    EXPECT_DOUBLE_EQ(registry.timer(name).total_seconds, seconds) << name;
+  }
   EXPECT_DOUBLE_EQ(registry.gauge("imp.peak_counter_bytes"),
                    static_cast<double>(stats.peak_counter_bytes));
   EXPECT_DOUBLE_EQ(registry.gauge("imp.peak_candidates"),
@@ -193,8 +210,17 @@ TEST(MetricsInvariantsTest, RegistryMirrorsEngineStats) {
             stats.rules_from_hundred_phase);
   EXPECT_EQ(registry.counter("imp.rules_from_sub_phase"),
             stats.rules_from_sub_phase);
-  EXPECT_DOUBLE_EQ(registry.timer("imp.total_seconds").total_seconds,
-                   stats.total_seconds);
+  EXPECT_EQ(registry.counter("imp.columns_cut_off"), stats.columns_cut_off);
+  ASSERT_TRUE(stats.sub_bitmap_triggered);
+  EXPECT_EQ(registry.counter("imp.sub_bitmap_triggered"), 1u);
+  EXPECT_EQ(registry.counters().count("imp.hundred_bitmap_triggered"),
+            stats.hundred_bitmap_triggered ? 1u : 0u);
+  EXPECT_EQ(registry.counters().count("imp.sub_bitmap_rows"), 0u);
+  EXPECT_EQ(registry.gauges().count("imp.sub_bitmap_rows"), 0u);
+  EXPECT_EQ(registry.counters().size(), stats.hundred_bitmap_triggered ? 5u
+                                                                       : 4u);
+  EXPECT_EQ(registry.gauges().size(), 2u);
+  EXPECT_EQ(registry.timers().size(), 6u);
 
   // The trace must contain the pipeline spans; the 100% phase runs only
   // when the cutoff leaves it a column to mine.
@@ -210,6 +236,40 @@ TEST(MetricsInvariantsTest, RegistryMirrorsEngineStats) {
   EXPECT_EQ(hundred, stats.columns_cut_off > 0 ? 1 : 0);
   EXPECT_EQ(sub, 1);
   EXPECT_EQ(canonicalize, 1);
+}
+
+TEST(MetricsInvariantsTest, RegistryMirrorsParallelStats) {
+  const BinaryMatrix m = PlantedMatrix(300, 20, 31);
+  MetricsRegistry registry;
+  ImplicationMiningOptions o = ImpOptions(0.85);
+  o.policy.observe.metrics = &registry;
+  ParallelOptions popts;
+  popts.num_threads = 3;
+  ParallelMiningStats stats;
+  ASSERT_TRUE(MineImplicationsParallel(m, o, popts, &stats).ok());
+
+  // Three timers of one sample each, two peaks, the shard count and two
+  // failure counters; per_shard reaches the registry only through the
+  // shards' own "imp." mirrors.
+  const std::pair<const char*, double> timers[] = {
+      {"parallel.total_seconds", stats.total_seconds},
+      {"parallel.max_shard_seconds", stats.max_shard_seconds},
+      {"parallel.sum_shard_seconds", stats.sum_shard_seconds},
+  };
+  for (const auto& [name, seconds] : timers) {
+    EXPECT_EQ(registry.timer(name).count, 1u) << name;
+    EXPECT_DOUBLE_EQ(registry.timer(name).total_seconds, seconds) << name;
+  }
+  EXPECT_DOUBLE_EQ(registry.gauge("parallel.sum_peak_counter_bytes"),
+                   static_cast<double>(stats.sum_peak_counter_bytes));
+  EXPECT_DOUBLE_EQ(registry.gauge("parallel.max_peak_counter_bytes"),
+                   static_cast<double>(stats.max_peak_counter_bytes));
+  EXPECT_DOUBLE_EQ(registry.gauge("parallel.shards"), 3.0);
+  EXPECT_EQ(registry.counter("parallel.shards_failed"), 0u);
+  EXPECT_EQ(registry.counter("parallel.shards_degraded"), 0u);
+  EXPECT_EQ(registry.counters().count("parallel.shards_failed"), 1u);
+  EXPECT_EQ(registry.counters().count("parallel.shards_degraded"), 1u);
+  EXPECT_EQ(registry.timer("imp.total_seconds").count, 3u);
 }
 
 // --- progress stream sanity ------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/streaming_pass.h"
 #include "datagen/news_gen.h"
 #include "datagen/quest_gen.h"
@@ -27,6 +29,23 @@ TEST(ColumnShardsTest, PartitionIsDisjointAndComplete) {
     for (const auto& s : shards) owners += s[c];
     EXPECT_EQ(owners, 1) << "column " << c;
   }
+}
+
+TEST(ColumnShardsTest, NoShardWithoutAColumn) {
+  // More shards asked for than there are columns: one shard per column,
+  // each owning exactly one; no columns at all still yields one shard.
+  const std::vector<uint32_t> ones{5, 1, 9};
+  const auto shards = MakeColumnShards(ones, 8);
+  ASSERT_EQ(shards.size(), ones.size());
+  for (const auto& s : shards) {
+    EXPECT_EQ(std::count(s.begin(), s.end(), 1), 1);
+  }
+  for (size_t c = 0; c < ones.size(); ++c) {
+    int owners = 0;
+    for (const auto& s : shards) owners += s[c];
+    EXPECT_EQ(owners, 1) << "column " << c;
+  }
+  EXPECT_EQ(MakeColumnShards({}, 4).size(), 1u);
 }
 
 TEST(ColumnShardsTest, LoadIsBalanced) {
@@ -130,11 +149,16 @@ TEST(ParallelDmcTest, MoreShardsThanColumns) {
   o.min_confidence = 0.5;
   ParallelOptions p;
   p.num_threads = 16;
-  auto parallel = MineImplicationsParallel(m, o, p);
+  ParallelMiningStats stats;
+  auto parallel = MineImplicationsParallel(m, o, p, &stats);
   auto serial = MineImplications(m, o);
   ASSERT_TRUE(parallel.ok());
   ASSERT_TRUE(serial.ok());
   EXPECT_EQ(parallel->Pairs(), serial->Pairs());
+  // One thread per column: a shard without an antecedent would only
+  // stream every row through a pass that merges nothing.
+  EXPECT_EQ(stats.shards, 3u);
+  EXPECT_EQ(stats.per_shard.size(), 3u);
 }
 
 TEST(ParallelDmcTest, InvalidThresholdPropagates) {

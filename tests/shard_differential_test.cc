@@ -336,16 +336,61 @@ TEST_F(ShardDifferentialTest, WorkerMetricsFoldIntoCoordinatorRegistry) {
 
   ShardOptions s = BaseOptions();
   s.worker_metrics_dir = metrics_dir;
-  auto rules = MineImplicationsSharded(input_, imp_, dir_, s);
+  ShardMiningStats stats;
+  auto rules = MineImplicationsSharded(input_, imp_, dir_, s, &stats);
   ASSERT_TRUE(rules.ok()) << rules.status().ToString();
   EXPECT_EQ(rules->rules(), truth_imp_);
 
   // Coordinator-side fleet accounting and worker-side mining counters
-  // both land in the one registry.
-  EXPECT_GE(registry.counter("dmc.shard.workers_spawned"), 2u);
+  // both land in the one registry. The fleet counts are folded once, at
+  // the end of the run, from the stats the caller gets back.
+  EXPECT_GE(stats.workers_spawned, 2);
+  const std::pair<const char*, uint64_t> counters[] = {
+      {"workers_spawned", stats.workers_spawned},
+      {"workers_died", stats.workers_died},
+      {"tasks_reassigned", stats.tasks_reassigned},
+      {"heartbeats", stats.heartbeats},
+      {"checkpoint_hits", stats.checkpoint_hits},
+      {"degraded_tasks", stats.degraded_tasks},
+  };
+  for (const auto& [member, value] : counters) {
+    EXPECT_EQ(registry.counter(std::string("dmc.shard.") + member), value)
+        << member;
+  }
+  EXPECT_EQ(registry.gauge("dmc.shard.tasks_total"), stats.tasks_total);
+  for (const char* timer : {"pass1_seconds", "mine_seconds", "total_seconds"}) {
+    EXPECT_EQ(registry.timer(std::string("dmc.shard.") + timer).count, 1u)
+        << timer;
+  }
+  EXPECT_DOUBLE_EQ(registry.timer("dmc.shard.total_seconds").total_seconds,
+                   stats.total_seconds);
   EXPECT_GE(registry.counter("dmc.shard.worker.tasks_received"),
             registry.counter("dmc.shard.worker.tasks_ok"));
   EXPECT_GE(registry.counter("dmc.shard.worker.tasks_ok"), 1u);
+}
+
+TEST_F(ShardDifferentialTest, NoMoreTasksOrWorkersThanColumns) {
+  // Four workers, one task each, over three columns: every task owns a
+  // column and every worker a task, so three of each.
+  const std::string narrow = dir_ + "/narrow.txt";
+  ASSERT_TRUE(WriteMatrixTextFile(BinaryMatrix::FromRows(
+                                      3, {{0, 1, 2}, {0, 1}, {2}, {0, 2}}),
+                                  narrow)
+                  .ok());
+  ImplicationMiningOptions options;
+  options.min_confidence = 0.5;
+  auto truth = MineImplicationsFromFile(narrow, options, dir_);
+  ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+  ShardOptions s = BaseOptions();
+  s.num_workers = 4;
+  s.tasks_per_worker = 1;
+  ShardMiningStats stats;
+  auto rules = MineImplicationsSharded(narrow, options, dir_, s, &stats);
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+  EXPECT_EQ(rules->rules(), truth->rules());
+  EXPECT_EQ(stats.tasks_total, 3);
+  EXPECT_EQ(stats.workers_spawned, 3);
+  EXPECT_EQ(stats.degraded_tasks, 0);
 }
 
 TEST_F(ShardDifferentialTest, SurvivesLowDescriptorsBeingOccupied) {

@@ -34,15 +34,15 @@ ShardPlan SamplePlan() {
   ShardPlan plan;
   plan.engine = Engine::kSimilarities;
   plan.threshold = 0.625;
-  plan.row_order = 1;
-  plan.hundred_percent_phase = false;
-  plan.bitmap_fallback = true;
-  plan.column_density_pruning = false;
-  plan.max_hits_pruning = true;
-  plan.kernel = 2;
-  plan.memory_threshold_bytes = 7777;
-  plan.bitmap_max_remaining_rows = 96;
-  plan.progress_interval_rows = 512;
+  plan.policy.row_order = RowOrderPolicy::kDensityBuckets;
+  plan.policy.hundred_percent_phase = false;
+  plan.policy.bitmap_fallback = true;
+  plan.policy.column_density_pruning = false;
+  plan.policy.max_hits_pruning = true;
+  plan.policy.kernel = MergeKernel::kScalar;
+  plan.policy.memory_threshold_bytes = 7777;
+  plan.policy.bitmap_max_remaining_rows = 96;
+  plan.policy.observe.progress_interval_rows = 512;
   plan.input_path = "/tmp/quest.txt";
   plan.work_dir = "/tmp/work";
   plan.num_columns = 5;  // the decoder insists column_ones covers it
@@ -90,15 +90,19 @@ TEST(ShardProtocolTest, InitRoundTripPreservesEveryPlanField) {
   const ShardPlan& p = msg->plan;
   EXPECT_EQ(p.engine, plan.engine);
   EXPECT_EQ(p.threshold, plan.threshold);
-  EXPECT_EQ(p.row_order, plan.row_order);
-  EXPECT_EQ(p.hundred_percent_phase, plan.hundred_percent_phase);
-  EXPECT_EQ(p.bitmap_fallback, plan.bitmap_fallback);
-  EXPECT_EQ(p.column_density_pruning, plan.column_density_pruning);
-  EXPECT_EQ(p.max_hits_pruning, plan.max_hits_pruning);
-  EXPECT_EQ(p.kernel, plan.kernel);
-  EXPECT_EQ(p.memory_threshold_bytes, plan.memory_threshold_bytes);
-  EXPECT_EQ(p.bitmap_max_remaining_rows, plan.bitmap_max_remaining_rows);
-  EXPECT_EQ(p.progress_interval_rows, plan.progress_interval_rows);
+  EXPECT_EQ(p.policy.row_order, plan.policy.row_order);
+  EXPECT_EQ(p.policy.hundred_percent_phase, plan.policy.hundred_percent_phase);
+  EXPECT_EQ(p.policy.bitmap_fallback, plan.policy.bitmap_fallback);
+  EXPECT_EQ(p.policy.column_density_pruning,
+            plan.policy.column_density_pruning);
+  EXPECT_EQ(p.policy.max_hits_pruning, plan.policy.max_hits_pruning);
+  EXPECT_EQ(p.policy.kernel, plan.policy.kernel);
+  EXPECT_EQ(p.policy.memory_threshold_bytes,
+            plan.policy.memory_threshold_bytes);
+  EXPECT_EQ(p.policy.bitmap_max_remaining_rows,
+            plan.policy.bitmap_max_remaining_rows);
+  EXPECT_EQ(p.policy.observe.progress_interval_rows,
+            plan.policy.observe.progress_interval_rows);
   EXPECT_EQ(p.input_path, plan.input_path);
   EXPECT_EQ(p.work_dir, plan.work_dir);
   EXPECT_EQ(p.num_columns, plan.num_columns);

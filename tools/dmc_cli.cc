@@ -94,14 +94,24 @@
 // All file outputs (--output, --metrics-out, --trace-out, generate
 // --output) are written atomically: a crash mid-write leaves the old
 // file (or no file), never a torn one.
+//
+// A malformed value of an integer flag (a sign, trailing text, or more
+// than the flag's consumer holds), of an --evict entry, of
+// --shard-heartbeat-timeout (a positive number of seconds) or of --order
+// exits 2 with a message naming the flag, before any work starts.
 
+#include <charconv>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/engine.h"
@@ -126,7 +136,19 @@
 namespace dmc {
 namespace {
 
-// Minimal flag parsing: --name=value and boolean --name.
+// Parses all of `text` as a decimal integer no larger than `max`; a
+// sign, trailing text or overflow fails.
+bool ParseUint(std::string_view text, uint64_t max, uint64_t* out) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max) return false;
+  *out = value;
+  return true;
+}
+
+// Minimal flag parsing: --name=value and boolean --name. CheckFlags
+// validates every value GetInt and the --evict list read.
 class Flags {
  public:
   Flags(int argc, char** argv) {
@@ -153,11 +175,14 @@ class Flags {
     const auto it = values_.find(name);
     return it == values_.end() ? def : std::atof(it->second.c_str());
   }
+  /// `name` must be listed in kIntFlags.
   uint64_t GetInt(const std::string& name, uint64_t def) const {
     const auto it = values_.find(name);
-    return it == values_.end()
-               ? def
-               : static_cast<uint64_t>(std::atoll(it->second.c_str()));
+    uint64_t value = def;
+    if (it != values_.end()) {
+      ParseUint(it->second, std::numeric_limits<uint64_t>::max(), &value);
+    }
+    return value;
   }
   bool GetBool(const std::string& name) const {
     return values_.count(name) > 0;
@@ -166,6 +191,85 @@ class Flags {
  private:
   std::map<std::string, std::string> values_;
 };
+
+// Every integer flag, with the largest value its consumer holds.
+constexpr struct {
+  const char* name;
+  uint64_t max;
+} kIntFlags[] = {
+    {"threads", UINT32_MAX},
+    {"shard-workers", INT_MAX},
+    {"shard-tasks-per-worker", INT_MAX},
+    {"io-retries", INT_MAX},
+    {"top", UINT64_MAX},
+    {"min-support", UINT64_MAX},
+    {"max-support", UINT64_MAX},
+    {"window-rows", UINT64_MAX},
+    {"query-lhs", UINT32_MAX},
+    {"query-rhs", UINT32_MAX},
+    {"progress", UINT64_MAX},
+    {"rows", UINT32_MAX},
+    {"cols", UINT32_MAX},
+    {"seed", UINT64_MAX},
+};
+
+constexpr struct {
+  const char* name;
+  RowOrderPolicy order;
+} kRowOrders[] = {
+    {"identity", RowOrderPolicy::kIdentity},
+    {"buckets", RowOrderPolicy::kDensityBuckets},
+    {"sort", RowOrderPolicy::kExactSort},
+};
+
+std::vector<std::string> SplitCsv(const std::string& list) {
+  std::vector<std::string> out;
+  std::istringstream in(list);
+  std::string item;
+  while (std::getline(in, item, ',')) {
+    if (!item.empty()) out.push_back(item);
+  }
+  return out;
+}
+
+// The first malformed flag value, as a message naming the flag; empty
+// when every value parses.
+std::string CheckFlags(const Flags& flags) {
+  uint64_t unused = 0;
+  for (const auto& f : kIntFlags) {
+    if (flags.GetBool(f.name) &&
+        !ParseUint(flags.Get(f.name), f.max, &unused)) {
+      return "--" + std::string(f.name) + "=" + flags.Get(f.name) +
+             ": expected an integer from 0 to " + std::to_string(f.max);
+    }
+  }
+  for (const std::string& entry : SplitCsv(flags.Get("evict"))) {
+    if (!ParseUint(entry, UINT64_MAX, &unused)) {
+      return "--evict=" + flags.Get("evict") + ": \"" + entry +
+             "\" is not a row count";
+    }
+  }
+  if (flags.GetBool("shard-heartbeat-timeout")) {
+    const std::string text = flags.Get("shard-heartbeat-timeout");
+    double seconds = 0.0;
+    const auto [ptr, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), seconds);
+    if (ec != std::errc() || ptr != text.data() + text.size() ||
+        !(seconds > 0.0) || !std::isfinite(seconds)) {
+      return "--shard-heartbeat-timeout=" + text +
+             ": expected a positive number of seconds";
+    }
+  }
+  if (flags.GetBool("order")) {
+    const std::string order = flags.Get("order");
+    bool known = false;
+    for (const auto& o : kRowOrders) known = known || order == o.name;
+    if (!known) {
+      return "--order=" + order + ": expected identity, buckets or sort";
+    }
+  }
+  return "";
+}
 
 int Usage() {
   std::fprintf(stderr,
@@ -178,12 +282,8 @@ int Usage() {
 DmcPolicy PolicyFromFlags(const Flags& flags) {
   DmcPolicy policy;
   const std::string order = flags.Get("order", "buckets");
-  if (order == "identity") {
-    policy.row_order = RowOrderPolicy::kIdentity;
-  } else if (order == "sort") {
-    policy.row_order = RowOrderPolicy::kExactSort;
-  } else {
-    policy.row_order = RowOrderPolicy::kDensityBuckets;
+  for (const auto& o : kRowOrders) {
+    if (order == o.name) policy.row_order = o.order;
   }
   policy.hundred_percent_phase = !flags.GetBool("no-hundred-phase");
   policy.bitmap_fallback = !flags.GetBool("no-bitmap");
@@ -303,16 +403,6 @@ int EmitRules(const RuleSetT& sorted, const Flags& flags) {
   return 0;
 }
 
-std::vector<std::string> SplitCsv(const std::string& list) {
-  std::vector<std::string> out;
-  std::istringstream in(list);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 // Narrates one EvictBatch (explicit --evict entry or window slide).
 template <typename MinerT>
 int EvictOnce(uint64_t k, MinerT* miner) {
@@ -376,8 +466,8 @@ int AppendBatches(const std::string& append_list,
       }
     }
     if (i < evicts.size()) {
-      const uint64_t k =
-          static_cast<uint64_t>(std::atoll(evicts[i].c_str()));
+      uint64_t k = 0;
+      ParseUint(evicts[i], UINT64_MAX, &k);  // CheckFlags validated it
       const int rc = EvictOnce(k, miner);
       if (rc != 0) return rc;
     }
@@ -435,6 +525,16 @@ int ServeIndex(const ImplicationRuleSet& rules, const Flags& flags) {
   return 0;
 }
 
+// --checkpoint, --resume and --io-retries: pass-1 I/O of the external
+// pipeline, for --external and --shard-workers alike.
+ExternalIoOptions IoFromFlags(const Flags& flags) {
+  ExternalIoOptions io;
+  io.checkpoint_path = flags.Get("checkpoint");
+  io.resume = flags.GetBool("resume");
+  io.retry.max_attempts = static_cast<int>(flags.GetInt("io-retries", 3));
+  return io;
+}
+
 shard::ShardOptions ShardOptionsFromFlags(const Flags& flags) {
   shard::ShardOptions s;
   s.num_workers = static_cast<int>(flags.GetInt("shard-workers", 2));
@@ -448,9 +548,7 @@ shard::ShardOptions ShardOptionsFromFlags(const Flags& flags) {
   // checkpoint (--checkpoint=FILE) and the per-task result checkpoints.
   s.resume = flags.GetBool("resume") && !s.checkpoint_dir.empty();
   s.worker_metrics_dir = flags.Get("shard-worker-metrics-dir");
-  s.io.checkpoint_path = flags.Get("checkpoint");
-  s.io.resume = flags.GetBool("resume");
-  s.io.retry.max_attempts = static_cast<int>(flags.GetInt("io-retries", 3));
+  s.io = IoFromFlags(flags);
   return s;
 }
 
@@ -599,12 +697,8 @@ int MineCommand(const Flags& flags) {
       if (rules.ok()) ReportShardStats(sstats);
       report.shard = &sstats;
     } else {
-      ExternalIoOptions io;
-      io.checkpoint_path = flags.Get("checkpoint");
-      io.resume = flags.GetBool("resume");
-      io.retry.max_attempts =
-          static_cast<int>(flags.GetInt("io-retries", 3));
-      rules = Cmd::External(input, options, work_dir, io, &estats);
+      rules = Cmd::External(input, options, work_dir, IoFromFlags(flags),
+                            &estats);
       if (rules.ok()) {
         std::fprintf(stderr,
                      "external: pass1 %.3fs%s, partition %.3fs (%zu "
@@ -790,6 +884,11 @@ int Run(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   const Flags flags(argc, argv);
+  const std::string malformed = CheckFlags(flags);
+  if (!malformed.empty()) {
+    std::fprintf(stderr, "%s\n", malformed.c_str());
+    return 2;
+  }
   if (flags.GetBool("failpoints")) {
     std::string spec = flags.Get("failpoints");
     if (spec == "1") spec.clear();  // bare --failpoints: record-only mode
