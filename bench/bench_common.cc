@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #if defined(__linux__) && __has_include(<linux/perf_event.h>)
@@ -31,15 +30,6 @@ double ParseScale(int argc, char** argv, double def) {
     }
   }
   return def;
-}
-
-std::string ParseMetricsJsonl(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--metrics-jsonl=", 16) == 0) {
-      return argv[i] + 16;
-    }
-  }
-  return "";
 }
 
 std::string ParseJsonOut(int argc, char** argv) {
@@ -94,23 +84,6 @@ bool WriteBenchJson(const std::vector<BenchRecord>& records,
     return false;
   }
   std::fprintf(stderr, "wrote bench json to %s\n", path.c_str());
-  return true;
-}
-
-bool AppendMetricsJsonl(const MetricsRegistry& registry,
-                        const std::string& path) {
-  if (path.empty()) return true;
-  std::ofstream out(path, std::ios::app);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  registry.WriteJsonl(out);
-  if (!out) {
-    std::fprintf(stderr, "metrics write failed: %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(stderr, "appended metrics to %s\n", path.c_str());
   return true;
 }
 

@@ -14,16 +14,12 @@
 
 #include "datagen/news_gen.h"
 #include "matrix/binary_matrix.h"
-#include "observe/metrics.h"
 
 namespace dmc {
 namespace bench {
 
 /// Parses --scale=<float> from argv; returns `def` if absent.
 double ParseScale(int argc, char** argv, double def = 1.0);
-
-/// Parses --metrics-jsonl=<path> from argv; empty when absent.
-std::string ParseMetricsJsonl(int argc, char** argv);
 
 /// Parses --json-out=<path> (or "--json-out <path>") from argv; empty
 /// when absent.
@@ -80,13 +76,6 @@ class PerfCounters {
   uint64_t instructions_ = 0;
   uint64_t cache_misses_ = 0;
 };
-
-/// Appends the registry's flat JSONL dump (one {"kind","name",...} object
-/// per line, see MetricsRegistry::WriteJsonl) to `path`, so repeated
-/// bench runs accumulate one machine-readable log. No-op when `path` is
-/// empty; returns false on IO failure.
-bool AppendMetricsJsonl(const MetricsRegistry& registry,
-                        const std::string& path);
 
 /// One benchmark data set.
 struct Dataset {

@@ -12,6 +12,7 @@
 
 #include "core/engine.h"
 #include "matrix/matrix_io.h"
+#include "observe/json_writer.h"
 #include "observe/metrics.h"
 #include "rules/verifier.h"
 
@@ -80,7 +81,11 @@ int main(int argc, char** argv) {
               sim_ok.ok() ? "OK" : sim_ok.ToString().c_str());
 
   // --- machine-readable telemetry ----------------------------------
-  std::printf("\nmetrics recorded by the engine (JSONL):\n");
-  registry.WriteJsonl(std::cout);
+  std::printf("\nmetrics recorded by the engine:\n");
+  {
+    JsonWriter w(std::cout, /*indent=*/2);
+    registry.WriteJson(w);
+  }
+  std::printf("\n");
   return imp_ok.ok() && sim_ok.ok() ? 0 : 1;
 }

@@ -239,6 +239,13 @@ StatusOr<typename Kind::RuleSet> MineFromFile(
     const std::string& path, const typename Kind::Options& options,
     const std::string& work_dir, const ExternalIoOptions& io,
     ExternalMiningStats* stats) {
+  // An exact sort needs the whole matrix; pass 1 spills density
+  // buckets, so it cannot replay one.
+  if (options.policy.row_order == RowOrderPolicy::kExactSort) {
+    return InvalidArgumentError(
+        "external mining replays density buckets or input order; "
+        "RowOrderPolicy::kExactSort needs the in-memory matrix");
+  }
   ExternalMiningStats local;
   if (stats == nullptr) stats = &local;
   *stats = ExternalMiningStats{};

@@ -22,7 +22,8 @@
 // matrix/row_order.h's DensityBucket, so the replay order — and with it
 // every rule count and counter peak — equals the in-memory miner's under
 // RowOrderPolicy::kDensityBuckets. RowOrderPolicy::kIdentity spills
-// every row to one bucket, in input order.
+// every row to one bucket, in input order. RowOrderPolicy::kExactSort is
+// rejected: an exact sort needs the whole matrix in memory.
 //
 // Robustness: every file operation sits behind a failpoint site and a
 // bounded retry policy; pass-1 results can be checkpointed
@@ -165,7 +166,8 @@ class ExternalInput {
 /// Mines implication rules from a transaction text file at `path`.
 /// Bucket spills are created under `work_dir` (which must exist) and
 /// removed afterwards unless the io options keep them. RowOrderPolicy::
-/// kIdentity spills one bucket, in input order.
+/// kIdentity spills one bucket, in input order; kExactSort, which needs
+/// the whole matrix, is kInvalidArgument.
 [[nodiscard]] StatusOr<ImplicationRuleSet> MineImplicationsFromFile(
     const std::string& path, const ImplicationMiningOptions& options,
     const std::string& work_dir, ExternalMiningStats* stats = nullptr);

@@ -1,8 +1,6 @@
 #include "observe/metrics.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 
 #include "observe/json_writer.h"
 
@@ -53,15 +51,6 @@ void MetricsRegistry::RecordTimer(const std::string& name, double seconds) {
   if (seconds > t.max_seconds) t.max_seconds = seconds;
 }
 
-void MetricsRegistry::MergeTimer(const std::string& name,
-                                 const TimerStat& stat) {
-  MutexLock lock(mu_);
-  TimerStat& t = timers_[name];
-  t.count += stat.count;
-  t.total_seconds += stat.total_seconds;
-  if (stat.max_seconds > t.max_seconds) t.max_seconds = stat.max_seconds;
-}
-
 void MetricsRegistry::DefineHistogram(const std::string& name,
                                       std::vector<double> upper_bounds) {
   std::sort(upper_bounds.begin(), upper_bounds.end());
@@ -85,23 +74,6 @@ void MetricsRegistry::RecordHistogram(const std::string& name, double value) {
   ++h.counts[static_cast<size_t>(it - h.upper_bounds.begin())];
   ++h.total;
   h.sum += value;
-}
-
-bool MetricsRegistry::MergeHistogram(const std::string& name,
-                                     const HistogramStat& stat) {
-  if (stat.counts.size() != stat.upper_bounds.size() + 1) return false;
-  MutexLock lock(mu_);
-  HistogramStat& h = histograms_[name];
-  if (h.counts.empty()) {
-    h.upper_bounds = stat.upper_bounds;
-    h.counts.assign(h.upper_bounds.size() + 1, 0);
-  } else if (h.upper_bounds != stat.upper_bounds) {
-    return false;
-  }
-  for (size_t i = 0; i < h.counts.size(); ++i) h.counts[i] += stat.counts[i];
-  h.total += stat.total;
-  h.sum += stat.sum;
-  return true;
 }
 
 uint64_t MetricsRegistry::counter(const std::string& name) const {
@@ -209,263 +181,12 @@ void MetricsRegistry::WriteJson(JsonWriter& w) const {
   w.EndObject();
 }
 
-void MetricsRegistry::WriteJsonl(std::ostream& os) const {
-  for (const auto& [name, v] : counters()) {
-    JsonWriter w(os, /*indent=*/0);
-    w.BeginObject();
-    w.Key("kind");
-    w.Value("counter");
-    w.Key("name");
-    w.Value(name);
-    w.Key("value");
-    w.Value(v);
-    w.EndObject();
-    os << '\n';
-  }
-  for (const auto& [name, v] : gauges()) {
-    JsonWriter w(os, /*indent=*/0);
-    w.BeginObject();
-    w.Key("kind");
-    w.Value("gauge");
-    w.Key("name");
-    w.Value(name);
-    w.Key("value");
-    w.Value(v);
-    w.EndObject();
-    os << '\n';
-  }
-  for (const auto& [name, t] : timers()) {
-    JsonWriter w(os, /*indent=*/0);
-    w.BeginObject();
-    w.Key("kind");
-    w.Value("timer");
-    w.Key("name");
-    w.Value(name);
-    w.Key("count");
-    w.Value(t.count);
-    w.Key("total_seconds");
-    w.Value(t.total_seconds);
-    w.Key("max_seconds");
-    w.Value(t.max_seconds);
-    w.EndObject();
-    os << '\n';
-  }
-  for (const auto& [name, h] : histograms()) {
-    JsonWriter w(os, /*indent=*/0);
-    w.BeginObject();
-    w.Key("kind");
-    w.Value("histogram");
-    w.Key("name");
-    w.Value(name);
-    w.Key("upper_bounds");
-    w.BeginArray();
-    for (double b : h.upper_bounds) w.Value(b);
-    w.EndArray();
-    w.Key("counts");
-    w.BeginArray();
-    for (uint64_t c : h.counts) w.Value(c);
-    w.EndArray();
-    w.Key("total");
-    w.Value(h.total);
-    w.Key("sum");
-    w.Value(h.sum);
-    w.EndObject();
-    os << '\n';
-  }
-}
-
 void MetricsRegistry::Clear() {
   MutexLock lock(mu_);
   counters_.clear();
   gauges_.clear();
   timers_.clear();
   histograms_.clear();
-}
-
-namespace {
-
-// Minimal parser for the flat objects WriteJsonl emits: string values
-// without escapes worth preserving (metric names are plain), numbers,
-// and arrays of numbers. Anything else fails the line.
-class JsonlLineParser {
- public:
-  explicit JsonlLineParser(std::string_view line) : s_(line) {}
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ >= s_.size() || s_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool Peek(char c) {
-    SkipSpace();
-    return pos_ < s_.size() && s_[pos_] == c;
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) return false;
-    out->clear();
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-      }
-      out->push_back(s_[pos_++]);
-    }
-    return Consume('"');
-  }
-
-  bool ParseNumber(double* out) {
-    SkipSpace();
-    const size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    const std::string token(s_.substr(start, pos_ - start));
-    char* end = nullptr;
-    *out = std::strtod(token.c_str(), &end);
-    return end != nullptr && *end == '\0';
-  }
-
-  bool ParseNumberArray(std::vector<double>* out) {
-    if (!Consume('[')) return false;
-    out->clear();
-    if (Consume(']')) return true;
-    for (;;) {
-      double v = 0.0;
-      if (!ParseNumber(&v)) return false;
-      out->push_back(v);
-      if (Consume(']')) return true;
-      if (!Consume(',')) return false;
-    }
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= s_.size();
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  std::string_view s_;
-  size_t pos_ = 0;
-};
-
-// One line's decoded fields; only the keys WriteJsonl emits are known.
-struct JsonlLine {
-  std::string kind;
-  std::string name;
-  std::map<std::string, double> numbers;
-  std::map<std::string, std::vector<double>> arrays;
-};
-
-bool ParseJsonlLine(std::string_view line, JsonlLine* out) {
-  JsonlLineParser p(line);
-  if (!p.Consume('{')) return false;
-  bool first = true;
-  while (!p.Peek('}')) {
-    if (!first && !p.Consume(',')) return false;
-    first = false;
-    std::string key;
-    if (!p.ParseString(&key) || !p.Consume(':')) return false;
-    if (p.Peek('"')) {
-      std::string value;
-      if (!p.ParseString(&value)) return false;
-      if (key == "kind") {
-        out->kind = value;
-      } else if (key == "name") {
-        out->name = value;
-      } else {
-        return false;
-      }
-    } else if (p.Peek('[')) {
-      if (!p.ParseNumberArray(&out->arrays[key])) return false;
-    } else {
-      if (!p.ParseNumber(&out->numbers[key])) return false;
-    }
-  }
-  return p.Consume('}') && p.AtEnd();
-}
-
-}  // namespace
-
-Status MergeMetricsJsonl(std::string_view jsonl, MetricsRegistry* registry) {
-  size_t line_no = 0;
-  size_t pos = 0;
-  while (pos <= jsonl.size()) {
-    const size_t eol = jsonl.find('\n', pos);
-    const std::string_view line =
-        jsonl.substr(pos, eol == std::string_view::npos ? std::string_view::npos
-                                                        : eol - pos);
-    pos = eol == std::string_view::npos ? jsonl.size() + 1 : eol + 1;
-    ++line_no;
-    if (line.empty()) continue;
-
-    JsonlLine parsed;
-    if (!ParseJsonlLine(line, &parsed) || parsed.name.empty()) {
-      return InvalidArgumentError("metrics jsonl line " +
-                                  std::to_string(line_no) +
-                                  " is not a metrics object");
-    }
-    if (parsed.kind == "counter") {
-      const auto it = parsed.numbers.find("value");
-      if (it == parsed.numbers.end()) {
-        return InvalidArgumentError("metrics jsonl line " +
-                                    std::to_string(line_no) +
-                                    ": counter without value");
-      }
-      registry->IncrCounter(parsed.name, static_cast<uint64_t>(it->second));
-    } else if (parsed.kind == "gauge") {
-      const auto it = parsed.numbers.find("value");
-      if (it == parsed.numbers.end()) {
-        return InvalidArgumentError("metrics jsonl line " +
-                                    std::to_string(line_no) +
-                                    ": gauge without value");
-      }
-      // Max, not overwrite: worker gauges are peaks, and the merged
-      // document should carry the fleet-wide peak.
-      registry->MaxGauge(parsed.name, it->second);
-    } else if (parsed.kind == "timer") {
-      TimerStat t;
-      t.count = static_cast<uint64_t>(parsed.numbers["count"]);
-      t.total_seconds = parsed.numbers["total_seconds"];
-      t.max_seconds = parsed.numbers["max_seconds"];
-      registry->MergeTimer(parsed.name, t);
-    } else if (parsed.kind == "histogram") {
-      const auto& bounds = parsed.arrays["upper_bounds"];
-      const auto& counts = parsed.arrays["counts"];
-      if (counts.size() != bounds.size() + 1) {
-        return InvalidArgumentError("metrics jsonl line " +
-                                    std::to_string(line_no) +
-                                    ": histogram count/bounds mismatch");
-      }
-      HistogramStat h;
-      h.upper_bounds = bounds;
-      h.counts.reserve(counts.size());
-      for (double c : counts) h.counts.push_back(static_cast<uint64_t>(c));
-      h.total = static_cast<uint64_t>(parsed.numbers["total"]);
-      h.sum = parsed.numbers["sum"];
-      // A bucket-layout mismatch with an existing histogram cannot be
-      // combined meaningfully; MergeHistogram drops it, which we accept.
-      (void)registry->MergeHistogram(parsed.name, h);
-    } else {
-      return InvalidArgumentError("metrics jsonl line " +
-                                  std::to_string(line_no) +
-                                  ": unknown kind \"" + parsed.kind + "\"");
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace dmc

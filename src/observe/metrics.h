@@ -17,12 +17,9 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "util/status.h"
 #include "util/stopwatch.h"
 #include "util/thread_annotations.h"
 
@@ -58,10 +55,6 @@ class MetricsRegistry {
   /// `value`. Used for peaks merged across parallel shards.
   void MaxGauge(const std::string& name, double value);
   void RecordTimer(const std::string& name, double seconds);
-  /// Folds an already-aggregated timer into the named timer: counts and
-  /// totals add, maxima take the max. Used when merging another
-  /// registry's export (e.g. a shard worker's JSONL dump).
-  void MergeTimer(const std::string& name, const TimerStat& stat);
 
   /// Defines histogram buckets ahead of recording. Recording into an
   /// undefined histogram auto-defines default buckets (powers of four
@@ -69,10 +62,6 @@ class MetricsRegistry {
   void DefineHistogram(const std::string& name,
                        std::vector<double> upper_bounds);
   void RecordHistogram(const std::string& name, double value);
-  /// Folds an already-aggregated histogram into the named one. The
-  /// existing histogram must be absent or have identical bucket bounds;
-  /// returns false (and records nothing) on a bucket-layout mismatch.
-  bool MergeHistogram(const std::string& name, const HistogramStat& stat);
 
   // Snapshot accessors (each copies under the lock).
   uint64_t counter(const std::string& name) const;
@@ -88,10 +77,6 @@ class MetricsRegistry {
   /// "timers" and "histograms" sub-objects (names sorted).
   void WriteJson(JsonWriter& w) const;
 
-  /// Writes one JSON object per line ({"kind","name",...fields}) — the
-  /// flat JSONL dump consumed by plotting scripts.
-  void WriteJsonl(std::ostream& os) const;
-
   void Clear();
 
  private:
@@ -101,16 +86,6 @@ class MetricsRegistry {
   std::map<std::string, TimerStat> timers_ DMC_GUARDED_BY(mu_);
   std::map<std::string, HistogramStat> histograms_ DMC_GUARDED_BY(mu_);
 };
-
-/// Folds one MetricsRegistry::WriteJsonl dump into `registry`: counters
-/// add, gauges take the max (worker exports carry peaks), timers fold
-/// via MergeTimer, histograms merge when their bucket bounds match and
-/// are dropped otherwise. Blank lines are skipped; a line that is not a
-/// recognizable metrics object yields kInvalidArgument naming the line.
-/// Used by the shard coordinator to aggregate per-worker metrics files
-/// into one schema-v1 document.
-[[nodiscard]] Status MergeMetricsJsonl(std::string_view jsonl,
-                                       MetricsRegistry* registry);
 
 /// RAII timer recording into `registry` on destruction; a null registry
 /// disables it entirely (no clock read).

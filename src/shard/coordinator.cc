@@ -9,8 +9,6 @@
 #include <algorithm>
 #include <deque>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <type_traits>
 #include <utility>
 
@@ -88,25 +86,39 @@ struct Slot {
   /// task in flight).
   double deadline = 0.0;
   int respawns = 0;
-  std::string metrics_path;
 };
+
+/// Checkpoints a finished task, whether a worker or the degrade path
+/// mined it, so a resumed run skips it.
+void WriteTaskCheckpoint(const ShardOptions& opts,
+                         const FileFingerprint& input_fp,
+                         const ShardPlan& plan, const Task& t,
+                         const ObserveContext& obs) {
+  if (opts.checkpoint_dir.empty()) return;
+  const uint64_t fp = TaskFingerprint(input_fp, plan.engine, plan.threshold,
+                                      plan.num_columns, t.mask, t.id);
+  const Status st = WriteShardCheckpoint(
+      t.result, fp, ShardCheckpointPath(opts.checkpoint_dir, t.id));
+  // A failed checkpoint costs resumability, never the run.
+  if (!st.ok()) Incr(obs, "dmc.shard.checkpoint_write_failures");
+}
 
 /// The coordinator's poll(2) event loop over one fleet of workers.
 /// Leaves unfinished tasks for the caller (degrade path); only
-/// programming errors produce a non-OK status.
+/// programming errors produce a non-OK status. It is the one recorder of
+/// the dmc.shard.worker.* metrics: every number comes from a frame it
+/// deals or decodes, so a worker's death loses none of them.
 class Fleet {
  public:
   Fleet(const ShardPlan& plan, const ShardOptions& opts,
         const ObserveContext& obs, ShardMiningStats* stats,
-        uint64_t input_fingerprint_bytes, uint64_t input_fingerprint_hash,
-        std::vector<Task>* tasks)
+        const FileFingerprint& input_fp, std::vector<Task>* tasks)
       : plan_(plan),
         opts_(opts),
         obs_(obs),
         stats_(stats),
-        tasks_(*tasks) {
-    input_fp_.bytes = input_fingerprint_bytes;
-    input_fp_.hash = input_fingerprint_hash;
+        tasks_(*tasks),
+        input_fp_(input_fp) {
     binary_ = opts.worker_binary.empty() ? DefaultWorkerBinary()
                                          : opts.worker_binary;
     init_frame_ = EncodeInit(plan_);
@@ -121,13 +133,7 @@ class Fleet {
     if (pending_.empty()) return;
     // Never more workers than tasks left to mine.
     slots_.resize(std::min<size_t>(opts_.num_workers, pending_.size()));
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      if (!opts_.worker_metrics_dir.empty()) {
-        slots_[i].metrics_path = opts_.worker_metrics_dir + "/worker_" +
-                                 std::to_string(i) + ".jsonl";
-      }
-      Spawn(static_cast<int>(i));
-    }
+    for (size_t i = 0; i < slots_.size(); ++i) Spawn(static_cast<int>(i));
 
     while (!Finished()) {
       if (!AnyAlive()) break;  // fleet gone; caller degrades
@@ -161,10 +167,6 @@ class Fleet {
 
   void Spawn(int idx) {
     Slot& slot = slots_[idx];
-    std::vector<std::string> args;
-    if (!slot.metrics_path.empty()) {
-      args.push_back("--metrics-out=" + slot.metrics_path);
-    }
     std::vector<std::string> env = opts_.worker_env;
     // Children mine with the same injected faults as the coordinator,
     // whether the spec came from the environment or from Configure().
@@ -175,7 +177,7 @@ class Fleet {
     // Decorrelate per-slot respawn schedules deterministically.
     retry.jitter_seed ^= 0x9e3779b97f4a7c15ULL * (idx + 1);
     const Status st = RetryWithBackoff(retry, [&]() -> Status {
-      auto child = SpawnWorker(binary_, args, env);
+      auto child = SpawnWorker(binary_, env);
       if (!child.ok()) return child.status();
       slot.proc = *child;
       return Status::OK();
@@ -247,6 +249,7 @@ class Fleet {
       slot.state = SlotState::kMining;
       slot.outbox += EncodeTask(t.id, t.mask);
       slot.deadline = Now() + opts_.heartbeat_timeout_seconds;
+      Incr(obs_, "dmc.shard.worker.tasks_received");
       FlushOutbox(static_cast<int>(i));
     }
   }
@@ -344,11 +347,18 @@ class Fleet {
         Task& t = tasks_[slot.task];
         t.result = std::move(msg.result);
         t.done = true;
-        WriteTaskCheckpoint(t);
+        WriteTaskCheckpoint(opts_, input_fp_, plan_, t, obs_);
         slot.task = -1;
         slot.state = SlotState::kIdle;
         slot.deadline = 0.0;
-        Incr(obs_, "dmc.shard.tasks_completed");
+        if (obs_.metrics != nullptr) {
+          obs_.metrics->IncrCounter("dmc.shard.worker.tasks_ok");
+          obs_.metrics->RecordTimer("dmc.shard.worker.mine_seconds",
+                                    t.result.mine_seconds);
+          obs_.metrics->MaxGauge(
+              "dmc.shard.worker.peak_counter_bytes",
+              static_cast<double>(t.result.peak_counter_bytes));
+        }
         break;
       }
       case Op::kTaskError: {
@@ -360,7 +370,7 @@ class Fleet {
         // The worker is healthy, the task failed (e.g. an injected
         // shard.worker fault): requeue at the back so a different
         // worker — or a later attempt — picks it up.
-        Incr(obs_, "dmc.shard.task_errors");
+        Incr(obs_, "dmc.shard.worker.tasks_failed");
         Requeue(slot.task, /*front=*/false);
         slot.task = -1;
         slot.state = SlotState::kIdle;
@@ -371,19 +381,6 @@ class Fleet {
         Incr(obs_, "dmc.shard.protocol_errors");
         DeclareDead(idx);
         return;
-    }
-  }
-
-  void WriteTaskCheckpoint(const Task& t) {
-    if (opts_.checkpoint_dir.empty()) return;
-    const uint64_t fp =
-        TaskFingerprint(input_fp_, plan_.engine, plan_.threshold,
-                        plan_.num_columns, t.mask, t.id);
-    const Status st = WriteShardCheckpoint(
-        t.result, fp, ShardCheckpointPath(opts_.checkpoint_dir, t.id));
-    if (!st.ok()) {
-      // A failed checkpoint costs resumability, never the run.
-      Incr(obs_, "dmc.shard.checkpoint_write_failures");
     }
   }
 
@@ -473,7 +470,7 @@ class Fleet {
   const ObserveContext& obs_;
   ShardMiningStats* stats_;
   std::vector<Task>& tasks_;
-  FileFingerprint input_fp_;
+  const FileFingerprint input_fp_;
   std::string binary_;
   std::string init_frame_;
   int attempt_cap_ = 2;
@@ -481,36 +478,6 @@ class Fleet {
   std::vector<Slot> slots_;
   std::deque<int> pending_;
 };
-
-/// Checkpoints a task mined outside the fleet (the degrade path), so a
-/// resumed run also skips degraded tasks.
-void WriteTaskCheckpointStandalone(const ShardOptions& opts,
-                                   const FileFingerprint& input_fp,
-                                   const ShardPlan& plan, const Task& t,
-                                   const ObserveContext& obs) {
-  if (opts.checkpoint_dir.empty()) return;
-  const uint64_t fp = TaskFingerprint(input_fp, plan.engine, plan.threshold,
-                                      plan.num_columns, t.mask, t.id);
-  const Status st = WriteShardCheckpoint(
-      t.result, fp, ShardCheckpointPath(opts.checkpoint_dir, t.id));
-  if (!st.ok()) Incr(obs, "dmc.shard.checkpoint_write_failures");
-}
-
-void MergeWorkerMetrics(const ShardOptions& opts, const ObserveContext& obs) {
-  if (opts.worker_metrics_dir.empty() || obs.metrics == nullptr) return;
-  for (int i = 0; i < opts.num_workers; ++i) {
-    const std::string path =
-        opts.worker_metrics_dir + "/worker_" + std::to_string(i) + ".jsonl";
-    std::ifstream in(path, std::ios::binary);
-    if (!in) continue;  // worker never exported (e.g. died before a task)
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) continue;
-    if (!MergeMetricsJsonl(buffer.str(), obs.metrics).ok()) {
-      obs.metrics->IncrCounter("dmc.shard.metrics_merge_failures");
-    }
-  }
-}
 
 /// The whole sharded mine, engine-agnostic: pass 1, task construction
 /// (with checkpoint resume), the worker fleet, the in-process degrade
@@ -528,21 +495,26 @@ StatusOr<std::vector<ShardResult>> RunShardedMine(
   if (!(threshold > 0.0) || threshold > 1.0) {
     return InvalidArgumentError("shard: threshold must be in (0, 1]");
   }
+  // Workers replay pass 1's density-bucket spills; an exact sort needs
+  // the whole matrix.
+  if (policy.row_order == RowOrderPolicy::kExactSort) {
+    return InvalidArgumentError(
+        "shard: workers replay density buckets or input order; "
+        "RowOrderPolicy::kExactSort needs the in-memory matrix");
+  }
   if (opts.resume && opts.checkpoint_dir.empty()) {
     return InvalidArgumentError(
         "shard: resume requires a checkpoint_dir to resume from");
   }
-  // Create the artifact directories up front: a misspelled or
-  // first-run path must not silently turn every checkpoint write (and
-  // every worker metrics file) into a counted-but-invisible failure.
-  for (const std::string* dir :
-       {&opts.checkpoint_dir, &opts.worker_metrics_dir}) {
-    if (dir->empty()) continue;
+  // Create the checkpoint directory up front: a misspelled or first-run
+  // path must not silently turn every checkpoint write into a
+  // counted-but-invisible failure.
+  if (!opts.checkpoint_dir.empty()) {
     std::error_code ec;
-    std::filesystem::create_directories(*dir, ec);
+    std::filesystem::create_directories(opts.checkpoint_dir, ec);
     if (ec) {
-      return IOError("shard: cannot create directory " + *dir + ": " +
-                     ec.message());
+      return IOError("shard: cannot create directory " + opts.checkpoint_dir +
+                     ": " + ec.message());
     }
   }
 
@@ -612,8 +584,7 @@ StatusOr<std::vector<ShardResult>> RunShardedMine(
   Stopwatch mine_clock;
   {
     ScopedSpan span(obs.trace, "shard/fleet", obs.trace_lane);
-    Fleet fleet(plan, opts, obs, stats, input_fp.bytes, input_fp.hash,
-                &tasks);
+    Fleet fleet(plan, opts, obs, stats, input_fp, &tasks);
     fleet.Run();
   }
 
@@ -634,12 +605,9 @@ StatusOr<std::vector<ShardResult>> RunShardedMine(
     t.result = std::move(*result);
     t.done = true;
     ++stats->degraded_tasks;
-    WriteTaskCheckpointStandalone(opts, input_fp, plan, t, obs);
+    WriteTaskCheckpoint(opts, input_fp, plan, t, obs);
   }
   stats->mine_seconds = mine_clock.ElapsedSeconds();
-
-  MergeWorkerMetrics(opts, obs);
-
   stats->total_seconds = total.ElapsedSeconds();
   RecordToRegistry(obs.metrics, "dmc.shard", *stats);
   if (obs.metrics != nullptr) {

@@ -39,6 +39,17 @@
 // with resume=true skips every task whose checkpoint still matches the
 // input/config fingerprint, so a killed coordinator resumes instead of
 // re-mining finished shards.
+//
+// Metrics: the coordinator is the one recorder, into
+// policy.observe.metrics, with no option to set. Besides its own
+// dmc.shard.* fleet counts it records the dmc.shard.worker.* metrics
+// from the frames it deals and decodes: tasks_received per kTask dealt;
+// tasks_ok, one mine_seconds timer sample and the peak_counter_bytes
+// max-gauge per accepted kResult (from the decoded ShardResult); and
+// tasks_failed per kTaskError. So each task the fleet mines counts
+// once, however many workers die on the way. Workers mine without a
+// registry: the dmc.faults.* retries inside a worker's own bucket
+// replay are not recorded.
 
 #ifndef DMC_SHARD_COORDINATOR_H_
 #define DMC_SHARD_COORDINATOR_H_
@@ -96,10 +107,6 @@ struct ShardOptions {
   /// Extra "KEY=VALUE" environment entries for workers. DMC_FAILPOINTS
   /// is propagated automatically when set in the coordinator.
   std::vector<std::string> worker_env;
-  /// Directory for per-worker metrics JSONL files (worker_<slot>.jsonl);
-  /// empty disables worker metrics. Merged into the coordinator's
-  /// registry (one schema-v1 document) at the end of the run.
-  std::string worker_metrics_dir;
   /// Test hook: observed after every successful spawn with the slot
   /// index and the child pid (kill targets for the fault sweep).
   std::function<void(int slot, int pid)> on_worker_spawn;
@@ -108,7 +115,8 @@ struct ShardOptions {
 /// Mines implication rules from the transaction text file at `path`
 /// across a fleet of worker processes. Byte-identical to
 /// MineImplicationsFromFile(path, options, work_dir) — the differential
-/// sweep holds this under worker kills, hangs and injected faults.
+/// sweep holds this under worker kills, hangs and injected faults. Like
+/// it, rejects RowOrderPolicy::kExactSort with kInvalidArgument.
 [[nodiscard]] StatusOr<ImplicationRuleSet> MineImplicationsSharded(
     const std::string& path, const ImplicationMiningOptions& options,
     const std::string& work_dir, const ShardOptions& shard,

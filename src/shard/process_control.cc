@@ -30,7 +30,6 @@ void CloseQuietly(int fd) {
 }  // namespace
 
 StatusOr<ChildProcess> SpawnWorker(const std::string& binary,
-                                   const std::vector<std::string>& args,
                                    const std::vector<std::string>& extra_env) {
   // A worker that dies mid-frame leaves the coordinator writing into a
   // readerless pipe; without this, that write raises SIGPIPE and kills
@@ -65,7 +64,6 @@ StatusOr<ChildProcess> SpawnWorker(const std::string& binary,
   argv_storage.push_back(binary);
   argv_storage.push_back("--in-fd=" + std::to_string(kChildInFd));
   argv_storage.push_back("--out-fd=" + std::to_string(kChildOutFd));
-  for (const auto& a : args) argv_storage.push_back(a);
   std::vector<char*> argv;
   argv.reserve(argv_storage.size() + 1);
   for (auto& a : argv_storage) argv.push_back(a.data());

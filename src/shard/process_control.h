@@ -32,13 +32,12 @@ struct ChildProcess {
   int write_fd = -1;
 };
 
-/// fork/execs `binary` with `args` (argv[1..], --in-fd/--out-fd are
-/// prepended) and `extra_env` ("KEY=VALUE" entries appended to the
-/// inherited environment — DMC_FAILPOINTS propagation rides here).
-/// Checks failpoint site "shard.spawn" so spawn failures are injectable.
+/// fork/execs `binary --in-fd=3 --out-fd=4` with `extra_env`
+/// ("KEY=VALUE" entries appended to the inherited environment —
+/// DMC_FAILPOINTS propagation rides here). Checks failpoint site
+/// "shard.spawn" so spawn failures are injectable.
 [[nodiscard]] StatusOr<ChildProcess> SpawnWorker(
-    const std::string& binary, const std::vector<std::string>& args,
-    const std::vector<std::string>& extra_env);
+    const std::string& binary, const std::vector<std::string>& extra_env);
 
 /// Sends `signum` to `pid`. Missing processes are not an error (the
 /// child may have exited and been reaped already).

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cstdlib>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -13,10 +12,8 @@
 #include "core/external_miner.h"
 #include "core/mining_stats.h"
 #include "core/streaming_pass.h"
-#include "observe/metrics.h"
 #include "serve/protocol.h"
 #include "shard/shard_protocol.h"
-#include "util/atomic_io.h"
 #include "util/failpoint.h"
 #include "util/stopwatch.h"
 
@@ -53,10 +50,10 @@ struct TaskContext {
   bool transport_broken = false;
 };
 
-DmcPolicy PolicyFromPlan(const ShardPlan& plan, MetricsRegistry* metrics,
-                         TaskContext* ctx) {
+// The plan's policy carries no registry: the coordinator records every
+// worker metric from the frames it decodes.
+DmcPolicy PolicyFromPlan(const ShardPlan& plan, TaskContext* ctx) {
   DmcPolicy policy = plan.policy;
-  policy.observe.metrics = metrics;
   // Heartbeats ride the progress callback: liveness and cancellation
   // share one cadence, so a worker that stops mining also stops
   // heartbeating and the coordinator's deadline fires.
@@ -85,12 +82,11 @@ DmcPolicy PolicyFromPlan(const ShardPlan& plan, MetricsRegistry* metrics,
 // and a replay of the coordinator's bucket files.
 StatusOr<ShardResult> MineTask(const ShardPlan& plan,
                                const std::vector<uint8_t>& mask,
-                               uint32_t task_id, MetricsRegistry* metrics,
-                               TaskContext* ctx) {
+                               uint32_t task_id, TaskContext* ctx) {
   if (fail::Enabled()) {
     DMC_RETURN_IF_ERROR(fail::InjectStatus("shard.worker"));
   }
-  const DmcPolicy policy = PolicyFromPlan(plan, metrics, ctx);
+  const DmcPolicy policy = PolicyFromPlan(plan, ctx);
   ExternalIoOptions io;  // no checkpointing in workers; artifacts borrowed
   ExternalInput input(plan.input_path, plan.work_dir,
                       policy.row_order != RowOrderPolicy::kIdentity, io,
@@ -125,15 +121,6 @@ Status StreamTask(const ShardPlan& plan, const DmcPolicy& policy,
   if (!rules.ok()) return rules.status();
   *out = std::move(*rules);
   return Status::OK();
-}
-
-void ExportMetrics(const MetricsRegistry& metrics, const std::string& path) {
-  if (path.empty()) return;
-  std::ostringstream os;
-  metrics.WriteJsonl(os);
-  // Atomic whole-file replace: the coordinator either sees the previous
-  // complete snapshot or this one, never a torn line.
-  (void)AtomicWriteFile(path, os.str()).ok();
 }
 
 }  // namespace
@@ -171,7 +158,6 @@ Status RunShardWorker(const WorkerOptions& options) {
 
   DMC_RETURN_IF_ERROR(WriteAllFd(options.out_fd, EncodeHello()));
 
-  MetricsRegistry metrics;
   serve::FrameBuffer frames(kShardMaxFramePayloadBytes);
   ShardPlan plan;
   bool have_plan = false;
@@ -197,27 +183,15 @@ Status RunShardWorker(const WorkerOptions& options) {
           if (!have_plan) {
             return InvalidArgumentError("worker: kTask before kInit");
           }
-          metrics.IncrCounter("dmc.shard.worker.tasks_received");
           TaskContext ctx;
           ctx.out_fd = options.out_fd;
           ctx.task_id = msg->task_id;
           ctx.crash_after_rows = crash_after;
           ctx.hang_after_rows = hang_after;
-          auto result =
-              MineTask(plan, msg->shard_mask, msg->task_id, &metrics, &ctx);
-          std::string reply;
-          if (result.ok()) {
-            metrics.IncrCounter("dmc.shard.worker.tasks_ok");
-            metrics.RecordTimer("dmc.shard.worker.mine_seconds",
-                                result->mine_seconds);
-            metrics.MaxGauge("dmc.shard.worker.peak_counter_bytes",
-                             static_cast<double>(result->peak_counter_bytes));
-            reply = EncodeResult(*result);
-          } else {
-            metrics.IncrCounter("dmc.shard.worker.tasks_failed");
-            reply = EncodeTaskError(msg->task_id, result.status());
-          }
-          ExportMetrics(metrics, options.metrics_out);
+          auto result = MineTask(plan, msg->shard_mask, msg->task_id, &ctx);
+          const std::string reply =
+              result.ok() ? EncodeResult(*result)
+                          : EncodeTaskError(msg->task_id, result.status());
           DMC_RETURN_IF_ERROR(WriteAllFd(options.out_fd, reply));
           break;
         }

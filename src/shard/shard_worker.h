@@ -13,12 +13,16 @@
 // mid-mine after n rows, DMC_SHARD_TEST_HANG_AFTER_ROWS=<n> stops
 // processing (and heartbeating) forever — the coordinator must detect
 // both and reassign.
+//
+// A worker keeps no metrics registry: it mines with
+// policy.observe.metrics == nullptr, and the coordinator records the
+// dmc.shard.worker.* metrics from the frames it sends and receives
+// (coordinator.h).
 
 #ifndef DMC_SHARD_SHARD_WORKER_H_
 #define DMC_SHARD_SHARD_WORKER_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/dmc_options.h"
@@ -35,10 +39,6 @@ struct WorkerOptions {
   int in_fd = -1;
   /// Descriptor carrying worker -> coordinator frames (blocking).
   int out_fd = -1;
-  /// When non-empty, the worker's full metrics registry is atomically
-  /// rewritten as JSONL here after every task, so the coordinator can
-  /// merge worker metrics even when the worker later dies.
-  std::string metrics_out;
 };
 
 /// Mines one task: the rules whose antecedents fall in `mask`, found by

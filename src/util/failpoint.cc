@@ -1,9 +1,11 @@
 #include "util/failpoint.h"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <string_view>
 
 #include "util/checksum.h"
 #include "util/thread_annotations.h"
@@ -84,6 +86,14 @@ bool ParseMode(const std::string& word, Mode* mode) {
   return true;
 }
 
+// All of `digits` as a decimal count: no sign, no other character, no
+// overflow.
+bool ParseCount(std::string_view digits, uint64_t* out) {
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
 bool ParseTrigger(const std::string& word, Arm* arm) {
   if (word.empty()) return false;
   if (word[0] == 'p') {
@@ -97,14 +107,9 @@ bool ParseTrigger(const std::string& word, Arm* arm) {
     return true;
   }
   const bool from = word.back() == '+';
-  const std::string digits = from ? word.substr(0, word.size() - 1) : word;
-  if (digits.empty()) return false;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return false;
-  }
+  const std::string_view digits(word.data(), word.size() - (from ? 1 : 0));
   arm->trigger = from ? TriggerKind::kFromNth : TriggerKind::kNth;
-  arm->n = std::strtoull(digits.c_str(), nullptr, 10);
-  return arm->n >= 1;
+  return ParseCount(digits, &arm->n) && arm->n >= 1;
 }
 
 Status ConfigureLocked(Registry& reg, const std::string& spec)
@@ -129,7 +134,10 @@ Status ConfigureLocked(Registry& reg, const std::string& spec)
     const std::string site = entry.substr(0, eq);
     const std::string rhs = entry.substr(eq + 1);
     if (site == "seed") {
-      seed = std::strtoull(rhs.c_str(), nullptr, 10);
+      if (!ParseCount(rhs, &seed)) {
+        return InvalidArgumentError("failpoint seed in '" + entry +
+                                    "' is not a decimal count");
+      }
       continue;
     }
     Arm arm;

@@ -19,6 +19,8 @@
 //            | N+     fire on every hit from the Nth onward
 //            | pX     fire with probability X in [0,1] per hit
 //   (no trigger = '1+', i.e. fire on every hit)
+// Every N is a decimal count that fits in 64 bits: Configure rejects a
+// sign, any other character and overflow.
 //
 // An empty spec ("") enables *recording only*: every site that is hit
 // registers itself (see SitesSeen) but nothing fires. The differential

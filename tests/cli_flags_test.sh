@@ -1,42 +1,60 @@
 #!/usr/bin/env bash
-# Flag-value test for dmc_cli: a malformed integer flag (a sign, trailing
-# text, overflow of the flag's type), a malformed --evict entry, a
-# --shard-heartbeat-timeout that is not a positive number and an unknown
-# --order must exit 2, before any mining, with a message naming the
-# flag. Well-formed values of the same flags must still mine.
+# Flag test for dmc_cli and dmc_serve. An argument the command does not
+# read (an unknown flag, a stray word, a value on a switch), a malformed
+# integer (a sign, trailing text, overflow of the flag's type), a
+# --minconf or --minsim outside (0, 1] or with trailing text, a bad
+# --evict entry, a --shard-heartbeat-timeout that is not a positive
+# number, an unknown --order, a malformed failpoint seed and --order=sort
+# with a file pipeline must exit 2, before any mining, with a message
+# naming the flag. Well-formed values of the same flags must still mine.
 #
 # Every rejected value is refused before a thread or worker process is
-# started, so the huge and negative counts below start nothing.
+# started, so the huge and negative counts below start nothing; every
+# dmc_serve rejection comes before its input is read or a socket opens.
 #
 # Usage: cli_flags_test.sh <path-to-dmc_cli> <testdata-metrics-dir>
+#                          <path-to-dmc_serve>
 set -u
 
 CLI="$1"
 FIXTURE="$2/fixture_matrix.txt"
+SERVE="$3"
 
 TMP="$(mktemp -d)"
-trap 'rm -rf "$TMP"' EXIT
+serve_pid=""
+cleanup() {
+  [ -n "$serve_pid" ] && kill -KILL "$serve_pid" 2>/dev/null
+  rm -rf "$TMP"
+}
+trap cleanup EXIT
 
 fail=0
 
-# rejects <flag name> <args...>: exit 2, the flag named on stderr, and
-# nothing printed on stdout.
+# refused <text> <command...>: exit 2, <text> named on stderr, and
+# nothing printed on stdout. A command that is not refused is cut off
+# after 10 s (a daemon that started serving).
+refused() {
+  local text="$1"
+  shift
+  timeout 10 "$@" >"$TMP/out.txt" 2>"$TMP/err.txt"
+  local rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "FAIL: ${*:2} exited $rc, want 2" >&2
+    fail=1
+  elif ! grep -q -- "$text" "$TMP/err.txt"; then
+    echo "FAIL: ${*:2} did not name $text: $(cat "$TMP/err.txt")" >&2
+    fail=1
+  elif [ -s "$TMP/out.txt" ]; then
+    echo "FAIL: ${*:2} printed output before refusing" >&2
+    fail=1
+  fi
+}
+
+# rejects <flag name> <args...>: mine-imp on the fixture refuses --name.
 rejects() {
   local name="$1"
   shift
-  "$CLI" mine-imp --input="$FIXTURE" --minconf=0.8 "$@" \
-      >"$TMP/out.txt" 2>"$TMP/err.txt"
-  local rc=$?
-  if [ "$rc" -ne 2 ]; then
-    echo "FAIL: $* exited $rc, want 2" >&2
-    fail=1
-  elif ! grep -q -- "--$name" "$TMP/err.txt"; then
-    echo "FAIL: $* did not name --$name: $(cat "$TMP/err.txt")" >&2
-    fail=1
-  elif [ -s "$TMP/out.txt" ]; then
-    echo "FAIL: $* printed rules before rejecting the flag" >&2
-    fail=1
-  fi
+  refused "--$name" "$CLI" mine-imp --input="$FIXTURE" --minconf=0.8 "$@"
 }
 
 # accepts <args...>: exit 0 with rules on stdout.
@@ -71,15 +89,43 @@ for value in abc 0 -1 inf nan 5s; do
 done
 rejects order --order=bukets
 rejects order --order=
+rejects order --order
 
-if ! "$CLI" generate --kind=quest --rows=-10 --output="$TMP/g.txt" \
-    >/dev/null 2>"$TMP/err.txt"; then
-  grep -q -- "--rows" "$TMP/err.txt" ||
-    { echo "FAIL: generate --rows=-10 did not name --rows" >&2; fail=1; }
-else
-  echo "FAIL: generate --rows=-10 exited 0" >&2
-  fail=1
-fi
+# Arguments no table of the command lists.
+rejects thread --thread=2
+rejects shard-worker-metrics-dir --shard-worker-metrics-dir="$TMP" \
+  --shard-workers=1 --workdir="$TMP"
+rejects external --external=1 --workdir="$TMP"
+refused "'extra'" "$CLI" mine-imp --input="$FIXTURE" --minconf=0.8 extra
+refused --serve-index "$CLI" mine-sim --input="$FIXTURE" --minsim=0.5 \
+  --serve-index="$TMP/index.bin"
+refused --minconf "$CLI" mine-sim --input="$FIXTURE" --minconf=0.5
+refused --dataset "$CLI" generate --dataset=quest --output="$TMP/g.txt"
+refused --threads "$CLI" stats --input="$FIXTURE" --threads=2
+
+# Thresholds: a whole number in (0, 1].
+for value in 0.5x abc 0 -0.5 1.5 nan inf "" 0x1; do
+  rejects minconf --minconf="$value"
+done
+refused --minsim "$CLI" mine-sim --input="$FIXTURE" --minsim=0.5x
+
+# Failpoint seeds and triggers: whole decimal counts, in the flag and in
+# the spec alike.
+for value in abc -1 18446744073709551616; do
+  rejects failpoint-seed --failpoints --failpoint-seed="$value"
+done
+rejects failpoints --failpoints="seed=abc"
+rejects failpoints --failpoints="seed=18446744073709551616"
+rejects failpoints --failpoints="io.read=error@99999999999999999999"
+
+# An exact row sort needs the in-memory matrix.
+rejects order --order=sort --external --workdir="$TMP"
+rejects order --order=sort --shard-workers=1 --workdir="$TMP"
+refused --order "$CLI" mine-sim --input="$FIXTURE" --minsim=0.5 \
+  --order=sort --external --workdir="$TMP"
+
+refused --rows "$CLI" generate --kind=quest --rows=-10 \
+  --output="$TMP/g.txt"
 
 accepts --threads=2 --top=3 --order=sort
 accepts --order=identity --min-support=1 --io-retries=0 --external \
@@ -87,6 +133,65 @@ accepts --order=identity --min-support=1 --io-retries=0 --external \
 accepts --order=buckets --evict=1,2
 accepts --shard-workers=1 --shard-tasks-per-worker=1 \
   --shard-heartbeat-timeout=7.5 --workdir="$TMP"
+accepts --minconf=1 --failpoints --failpoint-seed=7 --progress \
+  --no-bitmap --no-hundred-phase
+accepts --minconf=0.75 --progress=16 --metrics-out="$TMP/m.json" \
+  --trace-out="$TMP/t.json" --output="$TMP/rules.txt"
+
+# dmc_serve: each command reads its own flags, with its own bounds.
+refused --port "$SERVE" serve --input="$FIXTURE" --port=70000
+refused --minconf "$SERVE" serve --input="$FIXTURE" --port=0 --minconf=0.9x
+refused --drain-timeout "$SERVE" serve --input="$FIXTURE" --port=0 \
+  --drain-timeout=0
+refused --drain-timeout "$SERVE" serve --input="$FIXTURE" --port=0 \
+  --drain-timeout=inf
+refused --window-rows "$SERVE" serve --input="$FIXTURE" --port=0 \
+  --window-rows=-1
+refused --host "$SERVE" serve --input="$FIXTURE" --port=0 --host=localhost
+refused --failpoints "$SERVE" serve --input="$FIXTURE" --port=0 \
+  --failpoints="seed=abc"
+refused --port "$SERVE" query --port=70000 --top=1
+refused --lhs "$SERVE" query --port=1 --lhs=4294967296
+refused --top "$SERVE" query --port=1 --top=-1
+refused --timeout "$SERVE" query --port=1 --top=1 --timeout=0
+refused --timeout "$SERVE" stats --port=1 --timeout=abc
+refused --rows "$SERVE" evict --port=1 --rows=abc
+refused --rows "$SERVE" append --port=1 --input="$FIXTURE" --rows=1
+refused --top "$SERVE" stats --port=1 --top=1
+refused "'now'" "$SERVE" stats --port=1 now
+
+# Every flag of every dmc_serve command, accepted: a daemon on an
+# ephemeral port, then each client command against it.
+"$SERVE" serve --input="$FIXTURE" --port=0 --bind=127.0.0.1 --minconf=0.5 \
+  --drain-timeout=2 --window-rows=1000 --metrics-out="$TMP/serve.json" \
+  >"$TMP/serve.log" 2>&1 &
+serve_pid=$!
+port=""
+for _ in $(seq 1 100); do
+  port="$(sed -n 's/^listening on .*:\([0-9][0-9]*\)$/\1/p' "$TMP/serve.log")"
+  [ -n "$port" ] && break
+  sleep 0.05
+done
+if [ -z "$port" ]; then
+  echo "FAIL: dmc_serve serve never announced its port" >&2
+  fail=1
+else
+  client=(--port="$port" --host=127.0.0.1 --timeout=5)
+  for args in "stats" "query --top=3" "query --lhs=0" "query --rhs=1" \
+      "append --input=$FIXTURE" "evict --rows=1"; do
+    # shellcheck disable=SC2086  # split the command from its flags
+    if ! "$SERVE" $args "${client[@]}" >/dev/null 2>"$TMP/err.txt"; then
+      echo "FAIL: dmc_serve $args exited non-zero: $(cat "$TMP/err.txt")" >&2
+      fail=1
+    fi
+  done
+  kill -TERM "$serve_pid"
+  if ! wait "$serve_pid"; then
+    echo "FAIL: dmc_serve serve did not drain cleanly" >&2
+    fail=1
+  fi
+  serve_pid=""
+fi
 
 if [ "$fail" -ne 0 ]; then
   exit 1

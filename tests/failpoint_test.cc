@@ -110,7 +110,18 @@ TEST_F(FailpointTest, MalformedSpecIsRejectedAndDisables) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(fail::Configure("io.read=error@p2").code(),
             StatusCode::kInvalidArgument);
+  // Counts are whole decimal values that fit in 64 bits.
+  for (const char* spec :
+       {"seed=abc", "seed=", "seed=-1", "seed=7x", "seed=18446744073709551616",
+        "io.read=error@18446744073709551616",
+        "io.read=error@99999999999999999999+"}) {
+    EXPECT_EQ(fail::Configure(spec).code(), StatusCode::kInvalidArgument)
+        << spec;
+  }
   EXPECT_FALSE(fail::Enabled());
+  EXPECT_TRUE(fail::Configure("io.read=error@18446744073709551615;"
+                              "seed=18446744073709551615")
+                  .ok());
 }
 
 TEST_F(FailpointTest, ReconfigureResetsCounters) {

@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -297,73 +296,6 @@ TEST(MetricsInvariantsTest, ProgressRowsMonotonicPerPhaseAndComplete) {
       EXPECT_LE(u.rows_processed, u.total_rows);
     }
   }
-}
-
-// WriteJsonl -> MergeMetricsJsonl must be lossless into an empty
-// registry and additive into a non-empty one — the contract the shard
-// coordinator relies on when folding per-worker dumps into its own
-// registry (counters add, gauges keep the max, timers fold).
-TEST(MetricsInvariantsTest, MergeMetricsJsonlRoundTripsARegistry) {
-  MetricsRegistry worker;
-  worker.IncrCounter("dmc.shard.worker.tasks_ok", 3);
-  worker.SetGauge("dmc.shard.worker.peak_counter_bytes", 4096);
-  worker.RecordTimer("dmc.shard.worker.mine_seconds", 0.25);
-  worker.RecordTimer("dmc.shard.worker.mine_seconds", 0.75);
-  worker.DefineHistogram("dmc.rows.density", {1, 4, 16});
-  worker.RecordHistogram("dmc.rows.density", 3);
-  worker.RecordHistogram("dmc.rows.density", 100);
-
-  std::ostringstream os;
-  worker.WriteJsonl(os);
-  const std::string jsonl = os.str();
-
-  MetricsRegistry merged;
-  ASSERT_TRUE(MergeMetricsJsonl(jsonl, &merged).ok());
-  EXPECT_EQ(merged.counters(), worker.counters());
-  EXPECT_EQ(merged.gauges(), worker.gauges());
-  const TimerStat t = merged.timer("dmc.shard.worker.mine_seconds");
-  EXPECT_EQ(t.count, 2u);
-  EXPECT_DOUBLE_EQ(t.total_seconds, 1.0);
-  EXPECT_DOUBLE_EQ(t.max_seconds, 0.75);
-  const HistogramStat h = merged.histogram("dmc.rows.density");
-  EXPECT_EQ(h.total, 2u);
-  EXPECT_EQ(h.counts.back(), 1u);  // the overflow bucket caught 100
-
-  // Merging the same dump again is additive, not idempotent: two
-  // workers reporting 3 tasks each really did 6 tasks. Gauges are
-  // peaks, so they stay put.
-  ASSERT_TRUE(MergeMetricsJsonl(jsonl, &merged).ok());
-  EXPECT_EQ(merged.counter("dmc.shard.worker.tasks_ok"), 6u);
-  EXPECT_EQ(merged.gauge("dmc.shard.worker.peak_counter_bytes"), 4096);
-  EXPECT_EQ(merged.timer("dmc.shard.worker.mine_seconds").count, 4u);
-}
-
-TEST(MetricsInvariantsTest, MergeMetricsJsonlRejectsGarbageLines) {
-  MetricsRegistry merged;
-  // Blank lines are tolerated; an unparseable line is a clean error.
-  EXPECT_TRUE(MergeMetricsJsonl("\n\n", &merged).ok());
-  const Status bad = MergeMetricsJsonl("{\"kind\":\"counter\"}\nwat\n",
-                                       &merged);
-  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
-}
-
-TEST(MetricsInvariantsTest, MergeMetricsJsonlDropsBucketMismatches) {
-  MetricsRegistry a;
-  a.DefineHistogram("dmc.rows.density", {1, 2, 4});
-  a.RecordHistogram("dmc.rows.density", 2);
-  std::ostringstream os;
-  a.WriteJsonl(os);
-
-  MetricsRegistry merged;
-  merged.DefineHistogram("dmc.rows.density", {10, 20});
-  merged.RecordHistogram("dmc.rows.density", 15);
-  // Mismatched bucket layouts: the incoming histogram is dropped, the
-  // resident one is untouched, and the merge itself still succeeds so
-  // one worker's odd histogram cannot sink the whole aggregation.
-  ASSERT_TRUE(MergeMetricsJsonl(os.str(), &merged).ok());
-  const HistogramStat h = merged.histogram("dmc.rows.density");
-  EXPECT_EQ(h.total, 1u);
-  EXPECT_EQ(h.upper_bounds, (std::vector<double>{10, 20}));
 }
 
 }  // namespace

@@ -149,24 +149,6 @@ TEST(MetricsRegistryTest, WriteJsonHasAllFourSections) {
   EXPECT_NE(json.find("\"upper_bounds\""), std::string::npos);
 }
 
-TEST(MetricsRegistryTest, WriteJsonlEmitsOneObjectPerMetric) {
-  MetricsRegistry r;
-  r.IncrCounter("c1");
-  r.IncrCounter("c2");
-  r.SetGauge("g", 3.0);
-  r.RecordTimer("t", 0.1);
-  r.RecordHistogram("h", 2.0);
-  std::ostringstream os;
-  r.WriteJsonl(os);
-  const std::string out = os.str();
-  EXPECT_EQ(CountOccurrences(out, "\n"), 5u);
-  EXPECT_EQ(CountOccurrences(out, "{\"kind\":"), 5u);
-  EXPECT_EQ(CountOccurrences(out, "\"kind\":\"counter\""), 2u);
-  EXPECT_EQ(CountOccurrences(out, "\"kind\":\"gauge\""), 1u);
-  EXPECT_EQ(CountOccurrences(out, "\"kind\":\"timer\""), 1u);
-  EXPECT_EQ(CountOccurrences(out, "\"kind\":\"histogram\""), 1u);
-}
-
 // --- TraceSink / ScopedSpan ------------------------------------------
 
 TEST(TraceSinkTest, NestedSpansRecordInCompletionOrder) {

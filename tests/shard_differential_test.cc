@@ -98,6 +98,21 @@ class ShardDifferentialTest : public ::testing::Test {
     return s;
   }
 
+  // The coordinator records the dmc.shard.worker.* metrics from the
+  // frames it decodes, so every task the fleet mined (neither resumed
+  // from a checkpoint nor degraded) counts exactly once, however many
+  // workers died on the way.
+  static void ExpectFleetTasksCountedOnce(const MetricsRegistry& registry,
+                                          const ShardMiningStats& stats) {
+    const uint64_t fleet_tasks =
+        stats.tasks_total - stats.checkpoint_hits - stats.degraded_tasks;
+    EXPECT_EQ(registry.counter("dmc.shard.worker.tasks_ok"), fleet_tasks);
+    EXPECT_EQ(registry.timer("dmc.shard.worker.mine_seconds").count,
+              fleet_tasks);
+    EXPECT_GE(registry.counter("dmc.shard.worker.tasks_received"),
+              registry.counter("dmc.shard.worker.tasks_ok"));
+  }
+
   std::string dir_;
   std::string input_;
   ImplicationMiningOptions imp_;
@@ -149,6 +164,8 @@ TEST_F(ShardDifferentialTest, SigkilledWorkerIsReplacedAndResultExact) {
       kill(pid, SIGKILL);
     }
   };
+  MetricsRegistry registry;
+  imp_.policy.observe.metrics = &registry;
   ShardMiningStats stats;
   auto rules = MineImplicationsSharded(input_, imp_, dir_, s, &stats);
   ASSERT_TRUE(rules.ok()) << rules.status().ToString();
@@ -156,6 +173,7 @@ TEST_F(ShardDifferentialTest, SigkilledWorkerIsReplacedAndResultExact) {
   EXPECT_EQ(kills, 1);
   EXPECT_GE(stats.workers_died, 1);
   EXPECT_GE(stats.workers_spawned, 3);  // 2 slots + 1 respawn
+  ExpectFleetTasksCountedOnce(registry, stats);
 }
 
 TEST_F(ShardDifferentialTest, EveryWorkerCrashingDegradesToExactResult) {
@@ -166,16 +184,22 @@ TEST_F(ShardDifferentialTest, EveryWorkerCrashingDegradesToExactResult) {
   // fire within this small matrix.
   imp_.policy.observe.progress_interval_rows = 8;
   sim_.policy.observe.progress_interval_rows = 8;
+  MetricsRegistry imp_registry;
+  imp_.policy.observe.metrics = &imp_registry;
   ShardMiningStats stats;
   auto rules = MineImplicationsSharded(input_, imp_, dir_, s, &stats);
   ASSERT_TRUE(rules.ok()) << rules.status().ToString();
   EXPECT_EQ(rules->rules(), truth_imp_);
   EXPECT_GE(stats.workers_died, 2);
   EXPECT_GE(stats.degraded_tasks, 1);
+  ExpectFleetTasksCountedOnce(imp_registry, stats);
 
+  MetricsRegistry sim_registry;
+  sim_.policy.observe.metrics = &sim_registry;
   auto pairs = MineSimilaritiesSharded(input_, sim_, dir_, s, &stats);
   ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
   EXPECT_EQ(pairs->pairs(), truth_sim_);
+  ExpectFleetTasksCountedOnce(sim_registry, stats);
 }
 
 TEST_F(ShardDifferentialTest, HungWorkerTripsHeartbeatDeadline) {
@@ -186,12 +210,15 @@ TEST_F(ShardDifferentialTest, HungWorkerTripsHeartbeatDeadline) {
   // Tight heartbeat cadence so a live worker would never miss the
   // 0.3 s deadline — only the hang hook does.
   imp_.policy.observe.progress_interval_rows = 8;
+  MetricsRegistry registry;
+  imp_.policy.observe.metrics = &registry;
   ShardMiningStats stats;
   auto rules = MineImplicationsSharded(input_, imp_, dir_, s, &stats);
   ASSERT_TRUE(rules.ok()) << rules.status().ToString();
   EXPECT_EQ(rules->rules(), truth_imp_);
   EXPECT_GE(stats.workers_died, 2);
   EXPECT_GE(stats.degraded_tasks, 1);
+  ExpectFleetTasksCountedOnce(registry, stats);
 }
 
 TEST_F(ShardDifferentialTest, UnexecutableWorkerBinaryDegradesOrFails) {
@@ -329,21 +356,20 @@ TEST_F(ShardDifferentialTest, ConfigDriftInvalidatesTaskCheckpoints) {
 }
 
 TEST_F(ShardDifferentialTest, WorkerMetricsFoldIntoCoordinatorRegistry) {
-  const std::string metrics_dir = dir_ + "/worker_metrics";
-  std::filesystem::create_directories(metrics_dir);
+  // No metrics option: the registry alone turns the worker metrics on.
   MetricsRegistry registry;
   imp_.policy.observe.metrics = &registry;
 
   ShardOptions s = BaseOptions();
-  s.worker_metrics_dir = metrics_dir;
   ShardMiningStats stats;
   auto rules = MineImplicationsSharded(input_, imp_, dir_, s, &stats);
   ASSERT_TRUE(rules.ok()) << rules.status().ToString();
   EXPECT_EQ(rules->rules(), truth_imp_);
 
-  // Coordinator-side fleet accounting and worker-side mining counters
-  // both land in the one registry. The fleet counts are folded once, at
-  // the end of the run, from the stats the caller gets back.
+  // Fleet accounting and the per-task worker metrics land in the one
+  // registry. The fleet counts are folded once, at the end of the run,
+  // from the stats the caller gets back; the worker metrics are
+  // recorded as the coordinator deals and decodes task frames.
   EXPECT_GE(stats.workers_spawned, 2);
   const std::pair<const char*, uint64_t> counters[] = {
       {"workers_spawned", stats.workers_spawned},
@@ -364,8 +390,7 @@ TEST_F(ShardDifferentialTest, WorkerMetricsFoldIntoCoordinatorRegistry) {
   }
   EXPECT_DOUBLE_EQ(registry.timer("dmc.shard.total_seconds").total_seconds,
                    stats.total_seconds);
-  EXPECT_GE(registry.counter("dmc.shard.worker.tasks_received"),
-            registry.counter("dmc.shard.worker.tasks_ok"));
+  ExpectFleetTasksCountedOnce(registry, stats);
   EXPECT_GE(registry.counter("dmc.shard.worker.tasks_ok"), 1u);
 }
 
@@ -444,6 +469,14 @@ TEST_F(ShardDifferentialTest, InvalidOptionsAreRejectedUpFront) {
   EXPECT_EQ(
       MineImplicationsSharded(input_, bad, dir_, BaseOptions()).status().code(),
       StatusCode::kInvalidArgument);
+
+  // Workers replay density buckets; an exact sort is refused, not
+  // silently mined in bucket order.
+  bad = imp_;
+  bad.policy.row_order = RowOrderPolicy::kExactSort;
+  EXPECT_EQ(
+      MineImplicationsSharded(input_, bad, dir_, BaseOptions()).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 // A task reports the exact counter peak of its scan: the peak the
@@ -488,14 +521,12 @@ TEST_F(ShardDifferentialTest, TaskPeakIsTheExactScanPeak) {
   }
 
   // Through a real worker: one task over every column, its peak read
-  // back from the worker's metrics.
-  const std::string metrics_dir = dir_ + "/worker_metrics";
+  // back from the worker metrics the coordinator records.
   MetricsRegistry registry;
   imp_.policy.observe.metrics = &registry;
   ShardOptions s = BaseOptions();
   s.num_workers = 1;
   s.tasks_per_worker = 1;
-  s.worker_metrics_dir = metrics_dir;
   ShardMiningStats stats;
   auto sharded = MineImplicationsSharded(input_, imp_, dir_, s, &stats);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();

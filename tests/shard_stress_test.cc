@@ -88,7 +88,6 @@ TEST_F(ShardStressTest, ConcurrentCoordinatorsShareOneRegistry) {
       s.worker_binary = DMC_SHARD_WORKER_BIN;
       s.num_workers = 2;
       s.tasks_per_worker = 1;
-      s.worker_metrics_dir = work_dir;
       auto rules =
           MineImplicationsSharded(input_, options, work_dir, s);
       if (!rules.ok()) {

@@ -136,6 +136,16 @@ TEST(ExternalMinerTest, IdentityOrderSkipsPartitioning) {
   auto in_memory = MineImplications(m, o);
   ASSERT_TRUE(in_memory.ok());
   EXPECT_EQ(external->Pairs(), in_memory->Pairs());
+
+  // An exact sort needs the whole matrix: refused up front rather than
+  // mined in density-bucket order, for both rule kinds.
+  o.policy.row_order = RowOrderPolicy::kExactSort;
+  EXPECT_EQ(MineImplicationsFromFile(path, o, dir).status().code(),
+            StatusCode::kInvalidArgument);
+  SimilarityMiningOptions sim;
+  sim.policy.row_order = RowOrderPolicy::kExactSort;
+  EXPECT_EQ(MineSimilaritiesFromFile(path, sim, dir).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // Pass 1 is the only read of the text under identity order too: once

@@ -10,7 +10,9 @@
 #   cannot drop it from its stage.
 #   (d) dmc_lint over src/ + tools/
 #   (e) metrics-schema smoke check (dmc_cli --metrics-out, in-memory and
-#       --external, whose peak_counter_bytes must agree), then a resume
+#       --external, whose peak_counter_bytes must agree), then a sharded
+#       metrics smoke (--shard-workers=2 with no worker-metrics option:
+#       dmc.shard.worker.tasks_ok must equal shard.tasks_total), then a resume
 #       smoke per row order (default and identity): a checkpointed
 #       --external run whose bucket spill is damaged in place must not
 #       resume, and must print the same rules; then a line-ending smoke:
@@ -112,6 +114,24 @@ if [[ "$(first_peak "${metrics_tmp}/metrics.json")" != \
   exit 1
 fi
 echo "metrics schema OK (in-memory and external)"
+# Sharded arm: the coordinator records the worker metrics from the task
+# frames it decodes, with no option to set, so a clean two-worker run's
+# document counts every task once: dmc.shard.worker.tasks_ok equals the
+# "shard" block's tasks_total.
+"${repo_root}/build/tools/dmc_cli" mine-imp \
+  --input="${repo_root}/tests/testdata/metrics/fixture_matrix.txt" \
+  --minconf=0.8 --shard-workers=2 --workdir="${metrics_tmp}" \
+  --metrics-out="${metrics_tmp}/shard.json" >/dev/null 2>&1
+json_count() { sed -n "s/^ *\"$1\": \([0-9][0-9]*\),\{0,1\}\$/\1/p" "$2"; }
+tasks_total="$(json_count tasks_total "${metrics_tmp}/shard.json")"
+tasks_ok="$(json_count 'dmc\.shard\.worker\.tasks_ok' \
+  "${metrics_tmp}/shard.json")"
+if [[ -z "${tasks_total}" || "${tasks_ok}" != "${tasks_total}" ]]; then
+  echo "sharded metrics smoke failed: dmc.shard.worker.tasks_ok" \
+       "'${tasks_ok}', shard.tasks_total '${tasks_total}'" >&2
+  exit 1
+fi
+echo "sharded metrics OK (${tasks_ok} of ${tasks_total} tasks counted once)"
 # Resume arm, once per row order: the default density buckets, and
 # identity, which spills one bucket in input order. Checkpoint an
 # external run, overwrite one byte in the middle of a bucket spill

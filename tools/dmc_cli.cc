@@ -62,8 +62,6 @@
 //   --shard-checkpoint-dir=DIR      write per-task result checkpoints;
 //                                   with --resume, finished tasks are
 //                                   loaded instead of re-mined
-//   --shard-worker-metrics-dir=DIR  per-worker metrics JSONL, merged into
-//                                   the --metrics-out document
 //   --shard-no-degrade              fail cleanly instead of mining
 //                                   leftover tasks in-process when the
 //                                   worker fleet gives out
@@ -73,14 +71,17 @@
 // Observability options (mine-imp / mine-sim):
 //   --metrics-out=FILE              write the run's metrics document
 //                                   (schema_version 1 JSON; see
-//                                   src/observe/stats_export.h)
+//                                   src/observe/stats_export.h); with
+//                                   --shard-workers it also holds the
+//                                   dmc.shard.worker.* metrics, which the
+//                                   coordinator records
 //   --trace-out=FILE                write a Chrome-tracing JSON of the
 //                                   input parse (in memory only) and the
 //                                   mining phases (load in ui.perfetto.dev)
 //   --progress[=ROWS]               print progress to stderr every ROWS
 //                                   rows (default 65536)
 //
-// Robustness options:
+// Robustness options (--failpoints and --failpoint-seed: every command):
 //   --checkpoint=FILE               external mining: write a pass-1
 //                                   checkpoint and keep bucket files
 //   --resume                        external mining: skip pass 1 when the
@@ -95,23 +96,21 @@
 // --output) are written atomically: a crash mid-write leaves the old
 // file (or no file), never a torn one.
 //
-// A malformed value of an integer flag (a sign, trailing text, or more
-// than the flag's consumer holds), of an --evict entry, of
-// --shard-heartbeat-timeout (a positive number of seconds) or of --order
-// exits 2 with a message naming the flag, before any work starts.
+// Each command reads the flags of its rows in the tables below. Any
+// other argument, a malformed value (an integer with a sign, trailing
+// text or more than the flag's consumer holds; a --minconf or --minsim
+// outside (0, 1]; a --shard-heartbeat-timeout that is not a positive
+// number of seconds; an unknown --order; a bad --evict entry) and flags
+// that cannot be combined (--order=sort with --external or
+// --shard-workers) exit 2 with a message naming the argument, before any
+// work starts. tools/cli_flags.h holds the parser dmc_serve shares.
 
-#include <charconv>
 #include <climits>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/engine.h"
@@ -132,85 +131,67 @@
 #include "datagen/weblog_gen.h"
 #include "matrix/column_stats.h"
 #include "matrix/matrix_io.h"
+#include "tools/cli_flags.h"
 
 namespace dmc {
 namespace {
 
-// Parses all of `text` as a decimal integer no larger than `max`; a
-// sign, trailing text or overflow fails.
-bool ParseUint(std::string_view text, uint64_t max, uint64_t* out) {
-  uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || value > max) return false;
-  *out = value;
-  return true;
-}
+using cli::FlagKind;
+using cli::FlagSpec;
+using cli::Flags;
+using cli::ParseUint;
 
-// Minimal flag parsing: --name=value and boolean --name. CheckFlags
-// validates every value GetInt and the --evict list read.
-class Flags {
- public:
-  Flags(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) continue;
-      // Build key/value as named locals: assigning substr() temporaries
-      // straight into the map trips a GCC 12 -Wrestrict false positive
-      // (inlined basic_string::operator= self-overlap check).
-      const size_t eq = arg.find('=');
-      std::string key = arg.substr(2, eq == std::string::npos
-                                          ? std::string::npos
-                                          : eq - 2);
-      std::string value = eq == std::string::npos ? "1" : arg.substr(eq + 1);
-      values_[std::move(key)] = std::move(value);
-    }
-  }
-
-  std::string Get(const std::string& name, const std::string& def = "") const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? def : it->second;
-  }
-  double GetDouble(const std::string& name, double def) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? def : std::atof(it->second.c_str());
-  }
-  /// `name` must be listed in kIntFlags.
-  uint64_t GetInt(const std::string& name, uint64_t def) const {
-    const auto it = values_.find(name);
-    uint64_t value = def;
-    if (it != values_.end()) {
-      ParseUint(it->second, std::numeric_limits<uint64_t>::max(), &value);
-    }
-    return value;
-  }
-  bool GetBool(const std::string& name) const {
-    return values_.count(name) > 0;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
+// The flags each command reads, one table per group of commands that
+// share them; Flags::Check refuses every other argument.
+constexpr FlagSpec kFailpointFlags[] = {  // every command
+    {"failpoints", FlagKind::kText, 0, /*bare_ok=*/true},
+    {"failpoint-seed", FlagKind::kUint, UINT64_MAX},
 };
-
-// Every integer flag, with the largest value its consumer holds.
-constexpr struct {
-  const char* name;
-  uint64_t max;
-} kIntFlags[] = {
-    {"threads", UINT32_MAX},
-    {"shard-workers", INT_MAX},
-    {"shard-tasks-per-worker", INT_MAX},
-    {"io-retries", INT_MAX},
-    {"top", UINT64_MAX},
-    {"min-support", UINT64_MAX},
-    {"max-support", UINT64_MAX},
-    {"window-rows", UINT64_MAX},
-    {"query-lhs", UINT32_MAX},
-    {"query-rhs", UINT32_MAX},
-    {"progress", UINT64_MAX},
-    {"rows", UINT32_MAX},
-    {"cols", UINT32_MAX},
-    {"seed", UINT64_MAX},
+constexpr FlagSpec kInputFlags[] = {  // mine-imp, mine-sim, stats
+    {"input", FlagKind::kText},
+    {"min-support", FlagKind::kUint, UINT64_MAX},
+    {"max-support", FlagKind::kUint, UINT64_MAX},
+};
+constexpr FlagSpec kMineFlags[] = {  // mine-imp, mine-sim
+    {"order", FlagKind::kText},
+    {"no-hundred-phase", FlagKind::kSwitch},
+    {"no-bitmap", FlagKind::kSwitch},
+    {"threads", FlagKind::kUint, UINT32_MAX},
+    {"external", FlagKind::kSwitch},
+    {"workdir", FlagKind::kText},
+    {"top", FlagKind::kUint, UINT64_MAX},
+    {"output", FlagKind::kText},
+    {"append", FlagKind::kText},
+    {"evict", FlagKind::kText},
+    {"window-rows", FlagKind::kUint, UINT64_MAX},
+    {"shard-workers", FlagKind::kUint, INT_MAX},
+    {"shard-tasks-per-worker", FlagKind::kUint, INT_MAX},
+    {"shard-checkpoint-dir", FlagKind::kText},
+    {"shard-no-degrade", FlagKind::kSwitch},
+    {"shard-heartbeat-timeout", FlagKind::kSeconds},
+    {"metrics-out", FlagKind::kText},
+    {"trace-out", FlagKind::kText},
+    {"progress", FlagKind::kUint, UINT64_MAX, /*bare_ok=*/true},
+    {"checkpoint", FlagKind::kText},
+    {"resume", FlagKind::kSwitch},
+    {"io-retries", FlagKind::kUint, INT_MAX},
+};
+constexpr FlagSpec kImpFlags[] = {  // mine-imp
+    {"minconf", FlagKind::kFraction},
+    {"serve-index", FlagKind::kText},
+    {"query-lhs", FlagKind::kUint, UINT32_MAX},
+    {"query-rhs", FlagKind::kUint, UINT32_MAX},
+};
+constexpr FlagSpec kSimFlags[] = {  // mine-sim
+    {"minsim", FlagKind::kFraction},
+};
+constexpr FlagSpec kGenerateFlags[] = {  // generate
+    {"kind", FlagKind::kText},
+    {"output", FlagKind::kText},
+    {"rows", FlagKind::kUint, UINT32_MAX},
+    {"cols", FlagKind::kUint, UINT32_MAX},
+    {"seed", FlagKind::kUint, UINT64_MAX},
+    {"stream", FlagKind::kSwitch},
 };
 
 constexpr struct {
@@ -232,35 +213,32 @@ std::vector<std::string> SplitCsv(const std::string& list) {
   return out;
 }
 
-// The first malformed flag value, as a message naming the flag; empty
-// when every value parses.
-std::string CheckFlags(const Flags& flags) {
-  uint64_t unused = 0;
-  for (const auto& f : kIntFlags) {
-    if (flags.GetBool(f.name) &&
-        !ParseUint(flags.Get(f.name), f.max, &unused)) {
-      return "--" + std::string(f.name) + "=" + flags.Get(f.name) +
-             ": expected an integer from 0 to " + std::to_string(f.max);
-    }
+// The first argument `command` does not admit, as a message naming it;
+// empty when every argument is admitted. Unknown commands pass here and
+// fail in Run.
+std::string CheckFlags(const std::string& command, const Flags& flags) {
+  std::string malformed;
+  if (command == "mine-imp") {
+    malformed =
+        flags.Check({kFailpointFlags, kInputFlags, kMineFlags, kImpFlags});
+  } else if (command == "mine-sim") {
+    malformed =
+        flags.Check({kFailpointFlags, kInputFlags, kMineFlags, kSimFlags});
+  } else if (command == "stats") {
+    malformed = flags.Check({kFailpointFlags, kInputFlags});
+  } else if (command == "generate") {
+    malformed = flags.Check({kFailpointFlags, kGenerateFlags});
   }
+  if (!malformed.empty()) return malformed;
+  // The two text flags with a grammar of their own.
+  uint64_t unused = 0;
   for (const std::string& entry : SplitCsv(flags.Get("evict"))) {
     if (!ParseUint(entry, UINT64_MAX, &unused)) {
       return "--evict=" + flags.Get("evict") + ": \"" + entry +
              "\" is not a row count";
     }
   }
-  if (flags.GetBool("shard-heartbeat-timeout")) {
-    const std::string text = flags.Get("shard-heartbeat-timeout");
-    double seconds = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), seconds);
-    if (ec != std::errc() || ptr != text.data() + text.size() ||
-        !(seconds > 0.0) || !std::isfinite(seconds)) {
-      return "--shard-heartbeat-timeout=" + text +
-             ": expected a positive number of seconds";
-    }
-  }
-  if (flags.GetBool("order")) {
+  if (flags.Has("order")) {
     const std::string order = flags.Get("order");
     bool known = false;
     for (const auto& o : kRowOrders) known = known || order == o.name;
@@ -285,8 +263,8 @@ DmcPolicy PolicyFromFlags(const Flags& flags) {
   for (const auto& o : kRowOrders) {
     if (order == o.name) policy.row_order = o.order;
   }
-  policy.hundred_percent_phase = !flags.GetBool("no-hundred-phase");
-  policy.bitmap_fallback = !flags.GetBool("no-bitmap");
+  policy.hundred_percent_phase = !flags.Has("no-hundred-phase");
+  policy.bitmap_fallback = !flags.Has("no-bitmap");
   return policy;
 }
 
@@ -299,8 +277,8 @@ class Observability {
     trace_out_ = flags.Get("trace-out");
     if (!metrics_out_.empty()) policy->observe.metrics = &registry_;
     if (!trace_out_.empty()) policy->observe.trace = &trace_;
-    if (flags.GetBool("progress")) {
-      const uint64_t interval = flags.GetInt("progress", 1);
+    if (flags.Has("progress")) {
+      const uint64_t interval = flags.GetUint("progress", 1);
       policy->observe.progress_interval_rows =
           interval > 1 ? interval : 65536;
       policy->observe.progress = [](const ProgressUpdate& u) {
@@ -355,9 +333,9 @@ StatusOr<BinaryMatrix> LoadInput(const Flags& flags) {
     return InvalidArgumentError("--input=FILE is required");
   }
   DMC_ASSIGN_OR_RETURN(BinaryMatrix m, ReadMatrixTextFile(input));
-  const uint64_t min_support = flags.GetInt("min-support", 0);
+  const uint64_t min_support = flags.GetUint("min-support", 0);
   const uint64_t max_support =
-      flags.GetInt("max-support", std::numeric_limits<uint64_t>::max());
+      flags.GetUint("max-support", std::numeric_limits<uint64_t>::max());
   if (min_support > 0 ||
       max_support != std::numeric_limits<uint64_t>::max()) {
     PrunedMatrix pruned = SupportPruneColumns(m, min_support, max_support);
@@ -386,7 +364,7 @@ void ReportStats(const MiningStats& stats) {
 
 template <typename RuleSetT>
 int EmitRules(const RuleSetT& sorted, const Flags& flags) {
-  const uint64_t top = flags.GetInt("top", 20);
+  const uint64_t top = flags.GetUint("top", 20);
   sorted.Print(std::cout, top);
   const std::string output = flags.Get("output");
   if (!output.empty()) {
@@ -502,7 +480,7 @@ int ServeIndex(const ImplicationRuleSet& rules, const Flags& flags) {
                index.snapshot()->size(),
                (unsigned long long)index.snapshot()->generation(),
                path.c_str());
-  if (!flags.GetBool("query-lhs") && !flags.GetBool("query-rhs")) return 0;
+  if (!flags.Has("query-lhs") && !flags.Has("query-rhs")) return 0;
   RuleIndex served;
   st = served.Load(path);
   if (!st.ok()) {
@@ -510,14 +488,14 @@ int ServeIndex(const ImplicationRuleSet& rules, const Flags& flags) {
     return 1;
   }
   const auto snapshot = served.snapshot();
-  if (flags.GetBool("query-lhs")) {
-    const ColumnId lhs = static_cast<ColumnId>(flags.GetInt("query-lhs", 0));
+  if (flags.Has("query-lhs")) {
+    const ColumnId lhs = static_cast<ColumnId>(flags.GetUint("query-lhs", 0));
     for (const ImplicationRule& r : snapshot->QueryByAntecedent(lhs)) {
       std::printf("%s\n", r.ToString().c_str());
     }
   }
-  if (flags.GetBool("query-rhs")) {
-    const ColumnId rhs = static_cast<ColumnId>(flags.GetInt("query-rhs", 0));
+  if (flags.Has("query-rhs")) {
+    const ColumnId rhs = static_cast<ColumnId>(flags.GetUint("query-rhs", 0));
     for (const ImplicationRule& r : snapshot->QueryByConsequent(rhs)) {
       std::printf("%s\n", r.ToString().c_str());
     }
@@ -530,24 +508,23 @@ int ServeIndex(const ImplicationRuleSet& rules, const Flags& flags) {
 ExternalIoOptions IoFromFlags(const Flags& flags) {
   ExternalIoOptions io;
   io.checkpoint_path = flags.Get("checkpoint");
-  io.resume = flags.GetBool("resume");
-  io.retry.max_attempts = static_cast<int>(flags.GetInt("io-retries", 3));
+  io.resume = flags.Has("resume");
+  io.retry.max_attempts = static_cast<int>(flags.GetUint("io-retries", 3));
   return io;
 }
 
 shard::ShardOptions ShardOptionsFromFlags(const Flags& flags) {
   shard::ShardOptions s;
-  s.num_workers = static_cast<int>(flags.GetInt("shard-workers", 2));
+  s.num_workers = static_cast<int>(flags.GetUint("shard-workers", 2));
   s.tasks_per_worker =
-      static_cast<int>(flags.GetInt("shard-tasks-per-worker", 2));
+      static_cast<int>(flags.GetUint("shard-tasks-per-worker", 2));
   s.heartbeat_timeout_seconds =
       flags.GetDouble("shard-heartbeat-timeout", 30.0);
-  s.degrade_to_in_process = !flags.GetBool("shard-no-degrade");
+  s.degrade_to_in_process = !flags.Has("shard-no-degrade");
   s.checkpoint_dir = flags.Get("shard-checkpoint-dir");
   // --resume covers both checkpoint layers: the external miner's pass-1
   // checkpoint (--checkpoint=FILE) and the per-task result checkpoints.
-  s.resume = flags.GetBool("resume") && !s.checkpoint_dir.empty();
-  s.worker_metrics_dir = flags.Get("shard-worker-metrics-dir");
+  s.resume = flags.Has("resume") && !s.checkpoint_dir.empty();
   s.io = IoFromFlags(flags);
   return s;
 }
@@ -657,41 +634,40 @@ int MineCommand(const Flags& flags) {
   report.dataset = flags.Get("input");
   report.labels["command"] = Cmd::kName;
 
-  if ((flags.GetBool("append") || flags.GetBool("evict") ||
-       flags.GetBool("window-rows")) &&
-      (flags.GetBool("external") || flags.GetBool("shard-workers") ||
-       flags.GetInt("threads", 1) > 1)) {
+  if ((flags.Has("append") || flags.Has("evict") ||
+       flags.Has("window-rows")) &&
+      (flags.Has("external") || flags.Has("shard-workers") ||
+       flags.GetUint("threads", 1) > 1)) {
     std::fprintf(stderr,
                  "--append/--evict/--window-rows use the in-memory "
                  "incremental engine; they are incompatible with "
                  "--external, --shard-workers and --threads\n");
     return 2;
   }
-  if (!Cmd::kServesIndex &&
-      (flags.GetBool("serve-index") || flags.GetBool("query-lhs") ||
-       flags.GetBool("query-rhs"))) {
+  if (flags.Has("shard-workers") && flags.GetUint("threads", 1) > 1) {
     std::fprintf(stderr,
-                 "--serve-index/--query-lhs/--query-rhs serve implication "
-                 "rules; %s has none to serve\n",
-                 Cmd::kName);
+                 "--shard-workers and --threads are incompatible; the "
+                 "sharded pipeline parallelizes across processes\n");
+    return 2;
+  }
+  if (options.policy.row_order == RowOrderPolicy::kExactSort &&
+      (flags.Has("external") || flags.Has("shard-workers"))) {
+    std::fprintf(stderr,
+                 "--order=sort needs the in-memory matrix; --external and "
+                 "--shard-workers replay density buckets (--order=buckets) "
+                 "or input order (--order=identity)\n");
     return 2;
   }
 
   // The file pipelines: sharded across worker processes, or the
   // disk-based two-pass miner. Neither loads the matrix.
-  if (flags.GetBool("shard-workers") || flags.GetBool("external")) {
+  if (flags.Has("shard-workers") || flags.Has("external")) {
     const std::string input = flags.Get("input");
     const std::string work_dir = flags.Get("workdir", "/tmp");
     shard::ShardMiningStats sstats;
     ExternalMiningStats estats;
     StatusOr<typename Kind::RuleSet> rules = typename Kind::RuleSet{};
-    if (flags.GetBool("shard-workers")) {
-      if (flags.GetInt("threads", 1) > 1) {
-        std::fprintf(stderr,
-                     "--shard-workers and --threads are incompatible; the "
-                     "sharded pipeline parallelizes across processes\n");
-        return 2;
-      }
+    if (flags.Has("shard-workers")) {
       rules = Cmd::Sharded(input, options, work_dir,
                            ShardOptionsFromFlags(flags), &sstats);
       if (rules.ok()) ReportShardStats(sstats);
@@ -730,13 +706,13 @@ int MineCommand(const Flags& flags) {
     return 1;
   }
   const uint32_t threads =
-      static_cast<uint32_t>(flags.GetInt("threads", 1));
+      static_cast<uint32_t>(flags.GetUint("threads", 1));
   MiningStats stats;
   ParallelMiningStats pstats;
   StatusOr<typename Kind::RuleSet> rules = typename Kind::RuleSet{};
   const std::string append = flags.Get("append");
   const std::string evict = flags.Get("evict");
-  const uint64_t window_rows = flags.GetInt("window-rows", 0);
+  const uint64_t window_rows = flags.GetUint("window-rows", 0);
   if (!append.empty() || !evict.empty() || window_rows > 0) {
     auto miner = WindowedMiner<Kind>::FromBatchMine(*matrix, options,
                                                     window_rows, &stats);
@@ -776,7 +752,7 @@ int MineCommand(const Flags& flags) {
   report.rules_total = static_cast<int64_t>(rules->size());
   int rc = emit(*rules);
   if constexpr (Cmd::kServesIndex) {
-    if (rc == 0 && flags.GetBool("serve-index")) {
+    if (rc == 0 && flags.Has("serve-index")) {
       rc = ServeIndex(*rules, flags);
     }
   }
@@ -812,11 +788,11 @@ int Generate(const Flags& flags) {
     std::fprintf(stderr, "--output=FILE is required\n");
     return 2;
   }
-  const uint64_t rows = flags.GetInt("rows", 10000);
-  const uint64_t cols = flags.GetInt("cols", 2000);
-  const uint64_t seed = flags.GetInt("seed", 42);
+  const uint64_t rows = flags.GetUint("rows", 10000);
+  const uint64_t cols = flags.GetUint("cols", 2000);
+  const uint64_t seed = flags.GetUint("seed", 42);
 
-  if (flags.GetBool("stream")) {
+  if (flags.Has("stream")) {
     if (kind != "quest") {
       std::fprintf(stderr, "--stream supports --kind=quest only\n");
       return 2;
@@ -884,15 +860,16 @@ int Run(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   const Flags flags(argc, argv);
-  const std::string malformed = CheckFlags(flags);
+  const std::string malformed = CheckFlags(command, flags);
   if (!malformed.empty()) {
-    std::fprintf(stderr, "%s\n", malformed.c_str());
+    std::fprintf(stderr, "dmc_cli %s: %s\n", command.c_str(),
+                 malformed.c_str());
     return 2;
   }
-  if (flags.GetBool("failpoints")) {
+  if (flags.Has("failpoints")) {
+    // Bare --failpoints reads as an empty spec: record-only mode.
     std::string spec = flags.Get("failpoints");
-    if (spec == "1") spec.clear();  // bare --failpoints: record-only mode
-    if (flags.GetBool("failpoint-seed")) {
+    if (flags.Has("failpoint-seed")) {
       if (!spec.empty()) spec += ';';
       spec += "seed=" + flags.Get("failpoint-seed");
     }

@@ -28,13 +28,23 @@
 //
 //   dmc_serve stats  --port=N [--host=127.0.0.1]
 //       Prints the server's counters, one "name value" line each.
+//
+// The client commands also take --timeout=SECS (default 10). Each
+// command reads only the flags listed for it above (tables below, parsed
+// by tools/cli_flags.h as dmc_cli's are). Any other argument, a --port
+// above 65535, a --lhs, --rhs or --top above 2^32-1, a --rows or
+// --window-rows that is not a row count, a --minconf outside (0, 1], a
+// --drain-timeout or --timeout that is not a positive number of seconds
+// or a --failpoints spec fail::Configure refuses exits 2 with a message
+// naming the argument, before any socket opens.
 
 #include <signal.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,46 +53,43 @@
 #include "observe/stats_export.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "tools/cli_flags.h"
 #include "util/failpoint.h"
 
 namespace dmc {
 namespace {
 
-// Minimal flag parsing: --name=value and boolean --name (same contract
-// as dmc_cli's).
-class Flags {
- public:
-  Flags(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) continue;
-      const size_t eq = arg.find('=');
-      std::string key = arg.substr(2, eq == std::string::npos
-                                          ? std::string::npos
-                                          : eq - 2);
-      std::string value = eq == std::string::npos ? "1" : arg.substr(eq + 1);
-      values_[std::move(key)] = std::move(value);
-    }
-  }
+using cli::FlagKind;
+using cli::FlagSpec;
+using cli::Flags;
 
-  std::string Get(const std::string& name, const std::string& def = "") const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? def : it->second;
-  }
-  double GetDouble(const std::string& name, double def) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? def : std::atof(it->second.c_str());
-  }
-  uint64_t GetInt(const std::string& name, uint64_t def) const {
-    const auto it = values_.find(name);
-    return it == values_.end()
-               ? def
-               : static_cast<uint64_t>(std::atoll(it->second.c_str()));
-  }
-  bool Has(const std::string& name) const { return values_.count(name) > 0; }
-
- private:
-  std::map<std::string, std::string> values_;
+// The flags each command reads; Flags::Check refuses every other
+// argument.
+constexpr FlagSpec kServeFlags[] = {
+    {"input", FlagKind::kText},
+    {"port", FlagKind::kUint, UINT16_MAX},
+    {"bind", FlagKind::kText},
+    {"minconf", FlagKind::kFraction},
+    {"drain-timeout", FlagKind::kSeconds},
+    {"window-rows", FlagKind::kUint, UINT64_MAX},
+    {"failpoints", FlagKind::kText},
+    {"metrics-out", FlagKind::kText},
+};
+constexpr FlagSpec kClientFlags[] = {  // query, append, evict, stats
+    {"port", FlagKind::kUint, UINT16_MAX},
+    {"host", FlagKind::kText},
+    {"timeout", FlagKind::kSeconds},
+};
+constexpr FlagSpec kQueryFlags[] = {
+    {"lhs", FlagKind::kUint, UINT32_MAX},
+    {"rhs", FlagKind::kUint, UINT32_MAX},
+    {"top", FlagKind::kUint, UINT32_MAX},
+};
+constexpr FlagSpec kAppendFlags[] = {
+    {"input", FlagKind::kText},
+};
+constexpr FlagSpec kEvictFlags[] = {
+    {"rows", FlagKind::kUint, UINT64_MAX},
 };
 
 int Usage() {
@@ -116,7 +123,11 @@ int RunServe(const Flags& flags) {
   const std::string failpoints = flags.Get("failpoints");
   if (!failpoints.empty()) {
     const Status st = fail::Configure(failpoints);
-    if (!st.ok()) return Fail(st);
+    if (!st.ok()) {
+      std::fprintf(stderr, "dmc_serve serve: --failpoints: %s\n",
+                   st.ToString().c_str());
+      return 2;
+    }
   }
 
   auto matrix = ReadMatrixTextFile(input);
@@ -124,11 +135,11 @@ int RunServe(const Flags& flags) {
 
   MetricsRegistry metrics;
   ServeOptions options;
-  options.port = static_cast<uint16_t>(flags.GetInt("port", 0));
+  options.port = static_cast<uint16_t>(flags.GetUint("port", 0));
   options.bind_address = flags.Get("bind", "127.0.0.1");
   options.drain_timeout_seconds = flags.GetDouble("drain-timeout", 5.0);
   options.mining.min_confidence = flags.GetDouble("minconf", 0.9);
-  options.window_rows = flags.GetInt("window-rows", 0);
+  options.window_rows = flags.GetUint("window-rows", 0);
   options.metrics = &metrics;
 
   RuleServer server(std::move(options));
@@ -173,7 +184,7 @@ int RunServe(const Flags& flags) {
 }
 
 StatusOr<serve::RuleClient> Connect(const Flags& flags) {
-  const uint16_t port = static_cast<uint16_t>(flags.GetInt("port", 0));
+  const uint16_t port = static_cast<uint16_t>(flags.GetUint("port", 0));
   if (port == 0) {
     return InvalidArgumentError("--port=N is required for client commands");
   }
@@ -200,12 +211,12 @@ int RunQuery(const Flags& flags) {
       InvalidArgumentError("one of --lhs / --rhs / --top is required");
   if (flags.Has("lhs")) {
     reply = client->QueryByAntecedent(
-        static_cast<ColumnId>(flags.GetInt("lhs", 0)));
+        static_cast<ColumnId>(flags.GetUint("lhs", 0)));
   } else if (flags.Has("rhs")) {
     reply = client->QueryByConsequent(
-        static_cast<ColumnId>(flags.GetInt("rhs", 0)));
+        static_cast<ColumnId>(flags.GetUint("rhs", 0)));
   } else if (flags.Has("top")) {
-    reply = client->TopK(static_cast<uint32_t>(flags.GetInt("top", 10)));
+    reply = client->TopK(static_cast<uint32_t>(flags.GetUint("top", 10)));
   }
   if (!reply.ok()) return Fail(reply.status());
   PrintRules(*reply);
@@ -243,7 +254,7 @@ int RunEvict(const Flags& flags) {
   }
   auto client = Connect(flags);
   if (!client.ok()) return Fail(client.status());
-  const uint64_t rows = flags.GetInt("rows", 0);
+  const uint64_t rows = flags.GetUint("rows", 0);
   const StatusOr<uint64_t> depth = client->EvictRows(rows);
   if (!depth.ok()) return Fail(depth.status());
   std::printf("evicting %llu rows, ingest queue depth %llu\n",
@@ -284,15 +295,40 @@ int RunStats(const Flags& flags) {
   return 0;
 }
 
+// Checks the arguments against `tables`, then runs `command`; exit 2,
+// before any socket opens, on the first argument the tables refuse.
+int RunChecked(const std::string& command, const Flags& flags,
+               std::initializer_list<std::span<const FlagSpec>> tables,
+               int (*run)(const Flags&)) {
+  const std::string malformed = flags.Check(tables);
+  if (!malformed.empty()) {
+    std::fprintf(stderr, "dmc_serve %s: %s\n", command.c_str(),
+                 malformed.c_str());
+    return 2;
+  }
+  return run(flags);
+}
+
 int Run(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   const Flags flags(argc, argv);
-  if (command == "serve") return RunServe(flags);
-  if (command == "query") return RunQuery(flags);
-  if (command == "append") return RunAppend(flags);
-  if (command == "evict") return RunEvict(flags);
-  if (command == "stats") return RunStats(flags);
+  if (command == "serve") {
+    return RunChecked(command, flags, {kServeFlags}, RunServe);
+  }
+  if (command == "query") {
+    return RunChecked(command, flags, {kClientFlags, kQueryFlags}, RunQuery);
+  }
+  if (command == "append") {
+    return RunChecked(command, flags, {kClientFlags, kAppendFlags},
+                      RunAppend);
+  }
+  if (command == "evict") {
+    return RunChecked(command, flags, {kClientFlags, kEvictFlags}, RunEvict);
+  }
+  if (command == "stats") {
+    return RunChecked(command, flags, {kClientFlags}, RunStats);
+  }
   return Usage();
 }
 

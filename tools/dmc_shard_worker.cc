@@ -2,16 +2,16 @@
 // (src/shard/). Not meant to be run by hand — the coordinator fork/execs
 // it with two pipe descriptors and speaks the shard protocol over them:
 //
-//   dmc_shard_worker --in-fd=3 --out-fd=4 [--metrics-out=PATH]
+//   dmc_shard_worker --in-fd=3 --out-fd=4
 //
 // Exit code 0 on an orderly shutdown (kShutdown or coordinator EOF),
-// 1 on a transport/protocol failure. Everything interesting happens in
-// shard/shard_worker.cc.
+// 1 on a transport/protocol failure or an unknown flag. The worker keeps
+// no metrics; the coordinator records them from the frames it decodes.
+// Everything interesting happens in shard/shard_worker.cc.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "shard/shard_worker.h"
 
@@ -24,13 +24,6 @@ bool ParseIntFlag(const char* arg, const char* name, int* out) {
   return true;
 }
 
-bool ParseStringFlag(const char* arg, const char* name, std::string* out) {
-  const size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *out = arg + n + 1;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -38,9 +31,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (ParseIntFlag(argv[i], "--in-fd", &options.in_fd)) continue;
     if (ParseIntFlag(argv[i], "--out-fd", &options.out_fd)) continue;
-    if (ParseStringFlag(argv[i], "--metrics-out", &options.metrics_out)) {
-      continue;
-    }
     std::fprintf(stderr, "dmc_shard_worker: unknown flag %s\n", argv[i]);
     return 1;
   }
