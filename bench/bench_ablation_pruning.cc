@@ -12,7 +12,8 @@
 
 int main(int argc, char** argv) {
   using namespace dmc;
-  const double scale = bench::ParseScale(argc, argv);
+  const double scale =
+      bench::CheckFlags(argc, argv, {bench::kScaleFlag}).GetDouble("scale", 1.0);
 
   bench::PrintHeader("Ablation: 100%-rule phase + cutoff (§4.3), DMC-imp"
                      " @ 90% (scale=" + std::to_string(scale) + ")");

@@ -28,7 +28,8 @@ const char* OrderName(RowOrderPolicy p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double scale = bench::ParseScale(argc, argv);
+  const double scale =
+      bench::CheckFlags(argc, argv, {bench::kScaleFlag}).GetDouble("scale", 1.0);
   bench::PrintHeader("Ablation: row re-ordering (§4.1), minconf/minsim=1.0"
                      " (scale=" + std::to_string(scale) + ")");
   std::printf("%-8s %-12s %14s %12s %10s\n", "Data", "order",

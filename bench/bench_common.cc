@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 
 #if defined(__linux__) && __has_include(<linux/perf_event.h>)
@@ -23,25 +24,16 @@
 namespace dmc {
 namespace bench {
 
-double ParseScale(int argc, char** argv, double def) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-      return std::atof(argv[i] + 8);
-    }
+cli::Flags CheckFlags(int argc, char** argv,
+                      std::initializer_list<std::span<const cli::FlagSpec>>
+                          tables) {
+  cli::Flags flags(argc, argv, /*first=*/1);
+  const std::string malformed = flags.Check(tables);
+  if (!malformed.empty()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], malformed.c_str());
+    std::exit(2);
   }
-  return def;
-}
-
-std::string ParseJsonOut(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      return argv[i] + 11;
-    }
-    if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc) {
-      return argv[i + 1];
-    }
-  }
-  return "";
+  return flags;
 }
 
 bool WriteBenchJson(const std::vector<BenchRecord>& records,
@@ -84,6 +76,66 @@ bool WriteBenchJson(const std::vector<BenchRecord>& records,
     return false;
   }
   std::fprintf(stderr, "wrote bench json to %s\n", path.c_str());
+  return true;
+}
+
+namespace {
+
+/// rows_per_sec recorded for `bench` in the baseline JSON text, or -1
+/// when absent. A targeted string scan is enough here: the file is
+/// WriteBenchJson output, whose key order is fixed.
+double BaselineRowsPerSec(const std::string& json, const std::string& bench) {
+  const std::string name = "\"bench\": \"" + bench + "\"";
+  const size_t at = json.find(name);
+  if (at == std::string::npos) return -1.0;
+  const std::string key = "\"rows_per_sec\": ";
+  const size_t val = json.find(key, at);
+  if (val == std::string::npos) return -1.0;
+  return std::atof(json.c_str() + val + key.size());
+}
+
+}  // namespace
+
+bool MeetsBaseline(const std::vector<BenchRecord>& records,
+                   const std::string& baseline_path,
+                   const std::function<bool(const BenchRecord&)>& gated) {
+  std::ifstream in(baseline_path);
+  if (!in) {
+    std::fprintf(stderr, "baseline: cannot open %s\n", baseline_path.c_str());
+    return false;
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string json = buffer.str();
+
+  PrintSubHeader("regression gate vs " + baseline_path);
+  int compared = 0;
+  int failures = 0;
+  for (const BenchRecord& r : records) {
+    if (!gated(r)) continue;
+    const double base = BaselineRowsPerSec(json, r.bench);
+    if (base <= 0.0) {
+      std::printf("  %-32s  no baseline record; skipped\n", r.bench.c_str());
+      continue;
+    }
+    ++compared;
+    const double ratio = r.rows_per_sec / base;
+    const bool ok = ratio >= 0.9;
+    std::printf("  %-32s  %10.0f vs %10.0f rows/sec  (%.2fx)  %s\n",
+                r.bench.c_str(), r.rows_per_sec, base, ratio,
+                ok ? "ok" : "REGRESSED");
+    if (!ok) ++failures;
+  }
+  if (compared == 0) {
+    std::fprintf(stderr, "baseline: no comparable records in %s\n",
+                 baseline_path.c_str());
+    return false;
+  }
+  if (failures > 0) {
+    std::fprintf(stderr, "throughput regressed >10%% vs %s\n",
+                 baseline_path.c_str());
+    return false;
+  }
   return true;
 }
 

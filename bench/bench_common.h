@@ -1,29 +1,39 @@
 // Shared helpers for the reproduction benches: the six Table-1 data-set
-// analogues at a configurable scale, plus small table-printing utilities.
+// analogues at a configurable scale, the flag check, the baseline gate,
+// plus small table-printing utilities.
 //
-// Every bench accepts `--scale=<float>` (default 1.0). Scale 1 keeps the
-// whole suite in the minutes range on a laptop; larger scales approach
-// the paper's sizes.
+// Every bench but bench_micro accepts `--scale=<positive number>`
+// (default 1.0). Scale 1 keeps the whole suite in the minutes range on a
+// laptop; larger scales approach the paper's sizes. A bench names its
+// flags in FlagSpec tables and exits 2 on any other argument, before it
+// generates data.
 
 #ifndef DMC_BENCH_BENCH_COMMON_H_
 #define DMC_BENCH_BENCH_COMMON_H_
 
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "datagen/news_gen.h"
 #include "matrix/binary_matrix.h"
+#include "tools/cli_flags.h"
 
 namespace dmc {
 namespace bench {
 
-/// Parses --scale=<float> from argv; returns `def` if absent.
-double ParseScale(int argc, char** argv, double def = 1.0);
+/// --scale, which every bench but bench_micro reads.
+inline constexpr cli::FlagSpec kScaleFlag[] = {
+    {"scale", cli::FlagKind::kPositive}};
 
-/// Parses --json-out=<path> (or "--json-out <path>") from argv; empty
-/// when absent.
-std::string ParseJsonOut(int argc, char** argv);
+/// The flags of argv[1..], checked against `tables`. On an argument they
+/// do not admit, prints it to stderr and exits 2.
+cli::Flags CheckFlags(int argc, char** argv,
+                      std::initializer_list<std::span<const cli::FlagSpec>>
+                          tables);
 
 /// One machine-readable benchmark measurement for --json-out files.
 struct BenchRecord {
@@ -45,6 +55,16 @@ struct BenchRecord {
 /// No-op (returning true) when `path` is empty; false on IO failure.
 bool WriteBenchJson(const std::vector<BenchRecord>& records,
                     const std::string& path);
+
+/// The regression gate of tools/check.sh stages (i2) and (i3): every
+/// record `gated` selects that has a positive rows_per_sec in the
+/// WriteBenchJson document at `baseline_path` must reach 0.90x of it; a
+/// record with no baseline entry is skipped. Prints one line per record.
+/// False on a drop below the floor, when no record was comparable, or
+/// when the file cannot be read.
+bool MeetsBaseline(const std::vector<BenchRecord>& records,
+                   const std::string& baseline_path,
+                   const std::function<bool(const BenchRecord&)>& gated);
 
 /// Hardware instruction / last-level-cache-miss counters over an
 /// interval, via perf_event_open. Degrades gracefully: when the kernel

@@ -16,7 +16,8 @@
 
 int main(int argc, char** argv) {
   using namespace dmc;
-  const double scale = bench::ParseScale(argc, argv);
+  const double scale =
+      bench::CheckFlags(argc, argv, {bench::kScaleFlag}).GetDouble("scale", 1.0);
 
   bench::PrintHeader("Extension: parallel divide-and-conquer DMC (scale=" +
                      std::to_string(scale) + ")");

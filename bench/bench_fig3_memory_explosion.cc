@@ -68,7 +68,8 @@ void RunCase(const bench::Dataset& d, RowOrderPolicy order,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double scale = bench::ParseScale(argc, argv);
+  const double scale =
+      bench::CheckFlags(argc, argv, {bench::kScaleFlag}).GetDouble("scale", 1.0);
   bench::PrintHeader(
       "Fig. 3: counter-array memory vs scan progress, 100% rules (scale=" +
       std::to_string(scale) + ")");

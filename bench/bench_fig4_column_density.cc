@@ -32,7 +32,8 @@ std::vector<uint64_t> LogBuckets(const dmc::ColumnDensityHistogram& hist,
 
 int main(int argc, char** argv) {
   using namespace dmc;
-  const double scale = bench::ParseScale(argc, argv);
+  const double scale =
+      bench::CheckFlags(argc, argv, {bench::kScaleFlag}).GetDouble("scale", 1.0);
   bench::PrintHeader("Fig. 4: column density distribution (scale=" +
                      std::to_string(scale) + ")");
 

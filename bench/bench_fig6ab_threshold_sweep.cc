@@ -25,7 +25,8 @@ DmcPolicy BenchPolicy() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double scale = bench::ParseScale(argc, argv);
+  const double scale =
+      bench::CheckFlags(argc, argv, {bench::kScaleFlag}).GetDouble("scale", 1.0);
   auto datasets = bench::MakeAllDatasets(scale);
 
   bench::PrintHeader("Fig. 6(a): DMC-imp execution time [s] vs minconf"

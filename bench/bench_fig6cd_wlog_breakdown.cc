@@ -12,7 +12,8 @@
 
 int main(int argc, char** argv) {
   using namespace dmc;
-  const double scale = bench::ParseScale(argc, argv);
+  const double scale =
+      bench::CheckFlags(argc, argv, {bench::kScaleFlag}).GetDouble("scale", 1.0);
   const bench::Dataset wlog = bench::MakeWlog(scale);
 
   constexpr double kThresholds[] = {0.70, 0.75, 0.80, 0.85, 0.90, 0.95};

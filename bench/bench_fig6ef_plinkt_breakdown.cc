@@ -17,7 +17,8 @@
 
 int main(int argc, char** argv) {
   using namespace dmc;
-  const double scale = bench::ParseScale(argc, argv);
+  const double scale =
+      bench::CheckFlags(argc, argv, {bench::kScaleFlag}).GetDouble("scale", 1.0);
   const bench::Dataset plink_t = bench::MakePlinkT(scale);
 
   {

@@ -42,7 +42,8 @@ size_t MatchedPairs(const std::vector<std::pair<ColumnId, ColumnId>>& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double scale = bench::ParseScale(argc, argv);
+  const double scale =
+      bench::CheckFlags(argc, argv, {bench::kScaleFlag}).GetDouble("scale", 1.0);
   const bench::Dataset newsp = bench::MakeNewsP(scale);
   std::printf("NewsP analogue: %u rows x %u columns, %zu ones\n",
               newsp.matrix.num_rows(), newsp.matrix.num_columns(),

@@ -15,7 +15,8 @@
 
 int main(int argc, char** argv) {
   using namespace dmc;
-  const double scale = bench::ParseScale(argc, argv);
+  const double scale =
+      bench::CheckFlags(argc, argv, {bench::kScaleFlag}).GetDouble("scale", 1.0);
 
   NewsOptions gen;
   gen.num_docs = static_cast<uint32_t>(8000 * scale);

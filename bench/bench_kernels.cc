@@ -17,10 +17,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -217,69 +213,14 @@ void BenchScans(std::vector<bench::BenchRecord>& records, const char* label,
   }
 }
 
-std::string ParseBaselinePath(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--baseline=", 11) == 0) return argv[i] + 11;
-  }
-  return "";
-}
-
-/// rows_per_sec recorded for `bench` in the baseline JSON text, or -1
-/// when absent. A targeted string scan is enough here: the file is our
-/// own WriteBenchJson output, whose key order is fixed.
-double BaselineRowsPerSec(const std::string& json, const std::string& bench) {
-  const std::string name = "\"bench\": \"" + bench + "\"";
-  const size_t at = json.find(name);
-  if (at == std::string::npos) return -1.0;
-  const std::string key = "\"rows_per_sec\": ";
-  const size_t val = json.find(key, at);
-  if (val == std::string::npos) return -1.0;
-  return std::atof(json.c_str() + val + key.size());
-}
-
-/// Compares the scan records against `path`; returns the number of
-/// variants whose throughput dropped below 90% of the baseline.
-int CheckAgainstBaseline(const std::vector<bench::BenchRecord>& records,
-                         const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "baseline: cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string json = buffer.str();
-
-  bench::PrintSubHeader("scan regression gate vs " + path);
-  int compared = 0;
-  int failures = 0;
-  for (const bench::BenchRecord& r : records) {
-    if (r.bench.rfind("scan_", 0) != 0) continue;
-    const double base = BaselineRowsPerSec(json, r.bench);
-    if (base <= 0.0) {
-      std::printf("  %-24s  no baseline record; skipped\n", r.bench.c_str());
-      continue;
-    }
-    ++compared;
-    const double ratio = r.rows_per_sec / base;
-    const bool ok = ratio >= 0.9;
-    std::printf("  %-24s  %10.0f vs %10.0f rows/sec  (%.2fx)  %s\n",
-                r.bench.c_str(), r.rows_per_sec, base, ratio,
-                ok ? "ok" : "REGRESSED");
-    if (!ok) ++failures;
-  }
-  if (compared == 0) {
-    std::fprintf(stderr, "baseline: no comparable scan_* records in %s\n",
-                 path.c_str());
-    return 1;
-  }
-  return failures;
-}
-
 int Main(int argc, char** argv) {
-  const double scale = bench::ParseScale(argc, argv);
-  const std::string json_out = bench::ParseJsonOut(argc, argv);
-  const std::string baseline = ParseBaselinePath(argc, argv);
+  constexpr cli::FlagSpec kKernelFlags[] = {
+      {"json-out", cli::FlagKind::kText}, {"baseline", cli::FlagKind::kText}};
+  const cli::Flags flags =
+      bench::CheckFlags(argc, argv, {bench::kScaleFlag, kKernelFlags});
+  const double scale = flags.GetDouble("scale", 1.0);
+  const std::string json_out = flags.Get("json-out");
+  const std::string baseline = flags.Get("baseline");
   bench::PrintHeader("Hot-path kernel micro-benchmarks");
   std::printf("scale=%.2f  simd=%s\n", scale,
               SimdKernelAvailable() ? "avx2" : "unavailable");
@@ -290,9 +231,10 @@ int Main(int argc, char** argv) {
   BenchScans(records, "sparse", MakeSparseMatrix(scale), scale);
 
   if (!bench::WriteBenchJson(records, json_out)) return 1;
-  if (!baseline.empty() && CheckAgainstBaseline(records, baseline) != 0) {
-    std::fprintf(stderr, "scan throughput regressed >10%% vs %s\n",
-                 baseline.c_str());
+  const auto is_scan = [](const bench::BenchRecord& r) {
+    return r.bench.rfind("scan_", 0) == 0;
+  };
+  if (!baseline.empty() && !bench::MeetsBaseline(records, baseline, is_scan)) {
     return 1;
   }
   return 0;

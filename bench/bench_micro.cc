@@ -5,15 +5,15 @@
 // full re-mine on the correlated block workload.
 //
 // `--json-out=<path>` additionally writes every measurement in the
-// shared BENCH_*.json schema (see bench_common.h).
+// shared BENCH_*.json schema (see bench_common.h); `--baseline=<path>`
+// compares the scenario throughput against a committed bench JSON and
+// exits nonzero on a >10% drop. Any other argument that google-benchmark
+// does not take exits 2.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "bench_common.h"
 
@@ -292,63 +292,6 @@ void BenchWindowSlide(std::vector<bench::BenchRecord>& records) {
                      step / slide_secs, 0});
 }
 
-std::string ParseBaselinePath(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--baseline=", 11) == 0) return argv[i] + 11;
-  }
-  return "";
-}
-
-/// rows_per_sec recorded for `bench` in the baseline JSON text, or -1
-/// when absent (same targeted scan as bench_kernels: the file is our own
-/// WriteBenchJson output, whose key order is fixed).
-double BaselineRowsPerSec(const std::string& json, const std::string& bench) {
-  const std::string name = "\"bench\": \"" + bench + "\"";
-  const size_t at = json.find(name);
-  if (at == std::string::npos) return -1.0;
-  const std::string key = "\"rows_per_sec\": ";
-  const size_t val = json.find(key, at);
-  if (val == std::string::npos) return -1.0;
-  return std::atof(json.c_str() + val + key.size());
-}
-
-/// Compares the scenario records (incr_append_*, window_slide/*) against
-/// `path`; returns the number of records whose throughput dropped below
-/// 90% of the baseline.
-int CheckAgainstBaseline(const std::vector<bench::BenchRecord>& records,
-                         const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "baseline: cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string json = buffer.str();
-
-  std::printf("scenario regression gate vs %s\n", path.c_str());
-  int compared = 0;
-  int failures = 0;
-  for (const bench::BenchRecord& r : records) {
-    if (r.rows_per_sec <= 0.0) continue;
-    const double base = BaselineRowsPerSec(json, r.bench);
-    if (base <= 0.0) continue;  // not a gated scenario record
-    ++compared;
-    const double ratio = r.rows_per_sec / base;
-    const bool ok = ratio >= 0.9;
-    std::printf("  %-32s  %10.0f vs %10.0f rows/sec  (%.2fx)  %s\n",
-                r.bench.c_str(), r.rows_per_sec, base, ratio,
-                ok ? "ok" : "REGRESSED");
-    if (!ok) ++failures;
-  }
-  if (compared == 0) {
-    std::fprintf(stderr, "baseline: no comparable records in %s\n",
-                 path.c_str());
-    return 1;
-  }
-  return failures;
-}
-
 // Console reporter that also captures each run as a BenchRecord so the
 // google-benchmark binary can emit the shared --json-out schema.
 class JsonCaptureReporter : public benchmark::ConsoleReporter {
@@ -381,8 +324,15 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
 }  // namespace dmc
 
 int main(int argc, char** argv) {
-  const std::string json_out = dmc::bench::ParseJsonOut(argc, argv);
+  using dmc::cli::FlagKind;
+  // google-benchmark takes its --benchmark_* flags out of argv first.
   benchmark::Initialize(&argc, argv);
+  constexpr dmc::cli::FlagSpec kMicroFlags[] = {
+      {"json-out", FlagKind::kText}, {"baseline", FlagKind::kText}};
+  const dmc::cli::Flags flags =
+      dmc::bench::CheckFlags(argc, argv, {kMicroFlags});
+  const std::string json_out = flags.Get("json-out");
+  const std::string baseline = flags.Get("baseline");
   std::vector<dmc::bench::BenchRecord> records;
   dmc::JsonCaptureReporter reporter(&records);
   benchmark::RunSpecifiedBenchmarks(&reporter);
@@ -390,10 +340,13 @@ int main(int argc, char** argv) {
   dmc::BenchAppendBatch(records);
   dmc::BenchWindowSlide(records);
   if (!dmc::bench::WriteBenchJson(records, json_out)) return 1;
-  const std::string baseline = dmc::ParseBaselinePath(argc, argv);
-  if (!baseline.empty() && dmc::CheckAgainstBaseline(records, baseline) != 0) {
-    std::fprintf(stderr, "scenario throughput regressed >10%% vs %s\n",
-                 baseline.c_str());
+  // The scenario records: google-benchmark runs without an items
+  // counter report no throughput.
+  const auto has_throughput = [](const dmc::bench::BenchRecord& r) {
+    return r.rows_per_sec > 0.0;
+  };
+  if (!baseline.empty() &&
+      !dmc::bench::MeetsBaseline(records, baseline, has_throughput)) {
     return 1;
   }
   return 0;

@@ -15,6 +15,7 @@
 //        --json-out=PATH   (BENCH_serve.json schema; see bench_common.h)
 //        --smoke           (tiny deterministic run, hard-fails on any
 //                           error reply — the check.sh serve stage)
+// Any other argument, or a malformed value, exits 2.
 //
 // Reported: total mixed QPS, query p50/p99, snapshots published during
 // the run.
@@ -22,8 +23,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,24 +38,6 @@ namespace dmc {
 namespace {
 
 using bench::BenchRecord;
-
-uint64_t ParseIntFlag(int argc, char** argv, const char* name, uint64_t def) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return static_cast<uint64_t>(std::atoll(argv[i] + prefix.size()));
-    }
-  }
-  return def;
-}
-
-bool HasFlag(int argc, char** argv, const char* name) {
-  const std::string flag = std::string("--") + name;
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
-  }
-  return false;
-}
 
 /// Rows for one append batch: a few hundred correlated rows so each
 /// AppendBatch both confirms existing rules and perturbs confidences.
@@ -182,15 +163,22 @@ double Percentile(std::vector<double>& sorted, double p) {
 }
 
 int Run(int argc, char** argv) {
-  const bool smoke = HasFlag(argc, argv, "smoke");
-  const double scale = bench::ParseScale(argc, argv, smoke ? 0.05 : 0.25);
-  const size_t threads =
-      static_cast<size_t>(ParseIntFlag(argc, argv, "threads", smoke ? 1 : 4));
+  constexpr cli::FlagSpec kServeFlags[] = {
+      {"threads", cli::FlagKind::kUint, UINT32_MAX},
+      {"seconds", cli::FlagKind::kUint, UINT32_MAX},
+      {"pipeline", cli::FlagKind::kUint, UINT32_MAX},
+      {"json-out", cli::FlagKind::kText},
+      {"smoke", cli::FlagKind::kSwitch},
+  };
+  const cli::Flags flags =
+      bench::CheckFlags(argc, argv, {bench::kScaleFlag, kServeFlags});
+  const bool smoke = flags.Has("smoke");
+  const double scale = flags.GetDouble("scale", smoke ? 0.05 : 0.25);
+  const size_t threads = flags.GetUint("threads", smoke ? 1 : 4);
   const double seconds =
-      smoke ? 1.0 : static_cast<double>(ParseIntFlag(argc, argv, "seconds", 5));
-  const size_t pipeline =
-      static_cast<size_t>(ParseIntFlag(argc, argv, "pipeline", 128));
-  const std::string json_out = bench::ParseJsonOut(argc, argv);
+      smoke ? 1.0 : static_cast<double>(flags.GetUint("seconds", 5));
+  const size_t pipeline = flags.GetUint("pipeline", 128);
+  const std::string json_out = flags.Get("json-out");
 
   bench::PrintHeader("bench_serve: mixed query/append load");
 

@@ -35,8 +35,11 @@ std::string WorkerBinaryPath() {
 
 int main(int argc, char** argv) {
   using namespace dmc;
-  const double scale = bench::ParseScale(argc, argv);
-  const std::string json_out = bench::ParseJsonOut(argc, argv);
+  constexpr cli::FlagSpec kShardFlags[] = {{"json-out", cli::FlagKind::kText}};
+  const cli::Flags flags =
+      bench::CheckFlags(argc, argv, {bench::kScaleFlag, kShardFlags});
+  const double scale = flags.GetDouble("scale", 1.0);
+  const std::string json_out = flags.Get("json-out");
 
   const auto tmp = std::filesystem::temp_directory_path();
   const std::string input = (tmp / "bench_shard_quest.txt").string();

@@ -8,7 +8,8 @@
 
 int main(int argc, char** argv) {
   using namespace dmc;
-  const double scale = bench::ParseScale(argc, argv);
+  const double scale =
+      bench::CheckFlags(argc, argv, {bench::kScaleFlag}).GetDouble("scale", 1.0);
 
   bench::PrintHeader("Table 1: data sets (synthetic analogues, scale=" +
                      std::to_string(scale) + ")");

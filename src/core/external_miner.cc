@@ -230,6 +230,31 @@ bool ExternalInput::TryResume() {
   return true;
 }
 
+template <typename Kind>
+StatusOr<typename Kind::RuleSet> StreamExternalInput(
+    ExternalInput* input, const typename Kind::Options& options,
+    const std::vector<uint8_t>* lhs_shard, MiningStats* stats) {
+  Status replay_status = Status::OK();
+  const auto replay = [&](auto&& sink) {
+    if (!replay_status.ok()) return;
+    replay_status = input->Replay(sink, Kind::kRowSite);
+  };
+  const FirstPassStats& fp = input->first_pass();
+  auto rules = StreamPhases<Kind>(fp.num_columns, fp.column_ones,
+                                  fp.num_rows, options, replay, lhs_shard,
+                                  stats);
+  // A failed replay also starves the pass; report the cause.
+  DMC_RETURN_IF_ERROR(replay_status);
+  return rules;
+}
+
+template StatusOr<ImplicationRuleSet> StreamExternalInput<ImplicationKind>(
+    ExternalInput*, const ImplicationMiningOptions&,
+    const std::vector<uint8_t>*, MiningStats*);
+template StatusOr<SimilarityRuleSet> StreamExternalInput<SimilarityKind>(
+    ExternalInput*, const SimilarityMiningOptions&,
+    const std::vector<uint8_t>*, MiningStats*);
+
 namespace {
 
 // The two-pass disk pipeline for either rule kind: pass 1 (or a
@@ -267,21 +292,12 @@ StatusOr<typename Kind::RuleSet> MineFromFile(
       stats->pass1_seconds + stats->partition_seconds;
 
   Stopwatch mine_sw;
-  Status replay_status = Status::OK();
-  const auto replay = [&](auto&& sink) {
-    if (!replay_status.ok()) return;
-    replay_status = run.Replay(sink, Kind::kRowSite);
-  };
-  const FirstPassStats& fp = run.first_pass();
-  auto rules = StreamPhases<Kind>(fp.num_columns, fp.column_ones,
-                                  fp.num_rows, options, replay, nullptr,
-                                  &stats->mining);
+  auto rules =
+      StreamExternalInput<Kind>(&run, options, nullptr, &stats->mining);
   stats->mine_seconds = mine_sw.ElapsedSeconds();
-  // A failed replay also starves the pass; report the cause.
-  const Status failed = !replay_status.ok() ? replay_status : rules.status();
-  if (!failed.ok()) {
-    CountInjected(obs, failed);
-    return failed;
+  if (!rules.ok()) {
+    CountInjected(obs, rules.status());
+    return rules.status();
   }
   stats->total_seconds = total_sw.ElapsedSeconds();
   stats->mining.total_seconds = stats->total_seconds;

@@ -163,6 +163,17 @@ class ExternalInput {
   bool borrowed_ = false;
 };
 
+/// One mine over `input`: the phase driver (StreamPhases) with
+/// input->Replay as its row source, restricted to the antecedents
+/// `lhs_shard` marks (every column when null). A failed replay also
+/// starves the pass, so the replay's error is the one returned. The
+/// file miners and the shard tasks run it; defined for ImplicationKind
+/// and SimilarityKind (core/streaming_pass.h).
+template <typename Kind>
+[[nodiscard]] StatusOr<typename Kind::RuleSet> StreamExternalInput(
+    ExternalInput* input, const typename Kind::Options& options,
+    const std::vector<uint8_t>* lhs_shard, MiningStats* stats);
+
 /// Mines implication rules from a transaction text file at `path`.
 /// Bucket spills are created under `work_dir` (which must exist) and
 /// removed afterwards unless the io options keep them. RowOrderPolicy::

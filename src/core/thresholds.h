@@ -55,13 +55,6 @@ inline int64_t MinHitsForSimilarity(uint32_t ones_a, uint32_t ones_b,
          MaxMissesForSimilarity(ones_a, ones_b, min_similarity);
 }
 
-/// Minimum |S_i intersect S_j| for c_i => c_j to reach the confidence
-/// threshold.
-inline int64_t MinHitsForConfidence(uint32_t ones, double min_confidence) {
-  return static_cast<int64_t>(ones) -
-         MaxMissesForConfidence(ones, min_confidence);
-}
-
 /// DMC-imp step 3 (sound form; see DESIGN.md): a column is useful below
 /// the 100% phase iff it tolerates at least one miss.
 inline bool ColumnSurvivesConfidenceCutoff(uint32_t ones,

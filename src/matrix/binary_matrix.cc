@@ -34,25 +34,6 @@ BinaryMatrix BinaryMatrix::Transposed() const {
   return FromRows(static_cast<ColumnId>(n), std::move(cols));
 }
 
-BitVector BinaryMatrix::ColumnBitmap(ColumnId c) const {
-  DMC_CHECK_LT(c, num_columns_);
-  BitVector bv(num_rows());
-  const RowId n = num_rows();
-  for (RowId r = 0; r < n; ++r) {
-    if (Get(r, c)) bv.Set(r);
-  }
-  return bv;
-}
-
-std::vector<BitVector> BinaryMatrix::AllColumnBitmaps() const {
-  std::vector<BitVector> bitmaps(num_columns_, BitVector(num_rows()));
-  const RowId n = num_rows();
-  for (RowId r = 0; r < n; ++r) {
-    for (ColumnId c : Row(r)) bitmaps[c].Set(r);
-  }
-  return bitmaps;
-}
-
 PostingContainer BinaryMatrix::ColumnPosting(ColumnId c) const {
   DMC_CHECK_LT(c, num_columns_);
   PostingContainer p;

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "postings/posting_container.h"
-#include "util/bitvector.h"
 
 namespace dmc {
 
@@ -66,13 +65,6 @@ class BinaryMatrix {
   /// Transposed copy (rows <-> columns). Used to produce plinkT from
   /// plinkF, exactly as the paper does with the link graph.
   BinaryMatrix Transposed() const;
-
-  /// Dense bitmap of column `c` over all rows. O(num_ones) per call if
-  /// used for every column — prefer AllColumnBitmaps for bulk use.
-  BitVector ColumnBitmap(ColumnId c) const;
-
-  /// Bitmaps for every column, built in one row sweep.
-  std::vector<BitVector> AllColumnBitmaps() const;
 
   /// Hybrid posting container of column `c` over all rows (sealed).
   /// O(num_ones) per call if used for every column — prefer

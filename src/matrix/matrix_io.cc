@@ -8,9 +8,7 @@
 #include <vector>
 
 #include "util/atomic_io.h"
-#include "util/byte_codec.h"
 #include "util/failpoint.h"
-#include "util/sealed_file.h"
 
 namespace dmc {
 
@@ -58,32 +56,25 @@ std::string LineContext(size_t line_no, uint64_t byte_offset) {
          std::to_string(byte_offset) + ")";
 }
 
-// Range check, then the strictness check (or sort/dedup when
-// normalizing), reporting the first out-of-range id ahead of any order
-// error. `line_start` is the stream offset of the line. A strictly
-// increasing row in range — the common case — costs one pass.
-Status ValidateOrNormalizeRow(std::span<ColumnId>* row,
-                              const TextReadOptions& options, size_t line_no,
-                              uint64_t line_start) {
-  const auto cols = *row;
+// Range check, then the strictness check, reporting the first
+// out-of-range id ahead of any order error. `line_start` is the stream
+// offset of the line. A strictly increasing row in range — the common
+// case — costs one pass.
+Status ValidateRow(std::span<const ColumnId> cols, size_t line_no,
+                   uint64_t line_start) {
+  constexpr ColumnId kMaxId = kMaxMatrixColumns - 1;
   if (std::adjacent_find(cols.begin(), cols.end(), std::greater_equal<>()) ==
           cols.end() &&
-      (cols.empty() || cols.back() <= options.max_column_id)) {
+      (cols.empty() || cols.back() <= kMaxId)) {
     return Status::OK();
   }
   for (ColumnId c : cols) {
-    if (c > options.max_column_id) {
+    if (c > kMaxId) {
       return InvalidArgumentError(
           LineContext(line_no, line_start) + ": column id " +
           std::to_string(c) + " exceeds the configured maximum " +
-          std::to_string(options.max_column_id));
+          std::to_string(kMaxId));
     }
-  }
-  if (options.normalize) {
-    std::sort(cols.begin(), cols.end());
-    *row = cols.first(static_cast<size_t>(
-        std::unique(cols.begin(), cols.end()) - cols.begin()));
-    return Status::OK();
   }
   for (size_t i = 1; i < cols.size(); ++i) {
     const ColumnId prev = cols[i - 1];
@@ -110,8 +101,7 @@ Status ValidateOrNormalizeRow(std::span<ColumnId>* row,
 // (a last line without one is still a row), a blank line is an empty row
 // and '#' in column 0 starts a comment; ' ', '\t' and '\r' separate ids.
 template <typename PerRow>
-Status ForEachValidatedRow(std::istream& is, const TextReadOptions& options,
-                           PerRow&& per_row) {
+Status ForEachValidatedRow(std::istream& is, PerRow&& per_row) {
   std::vector<char> block(kTextBlockBytes);
   std::vector<ColumnId> ids;
   size_t line_no = 0;
@@ -135,10 +125,10 @@ Status ForEachValidatedRow(std::istream& is, const TextReadOptions& options,
                                   ": malformed column id '" +
                                   std::string(bad) + "'");
     }
-    std::span<ColumnId> row(ids.data(), static_cast<size_t>(count));
-    DMC_RETURN_IF_ERROR(
-        ValidateOrNormalizeRow(&row, options, line_no, line_start));
-    return per_row(std::span<const ColumnId>(row));
+    const std::span<const ColumnId> row(ids.data(),
+                                        static_cast<size_t>(count));
+    DMC_RETURN_IF_ERROR(ValidateRow(row, line_no, line_start));
+    return per_row(row);
   };
   size_t carry = 0;  // block[0, carry) is a line the last block cut
   while (true) {
@@ -164,13 +154,6 @@ Status ForEachValidatedRow(std::istream& is, const TextReadOptions& options,
     }
     std::memmove(block.data(), line, carry);
   }
-}
-
-constexpr std::string_view kBinaryMagic = "DMCBIN1\n";
-constexpr std::string_view kBinaryWhat = "binary matrix";
-
-std::string ByteContext(size_t offset) {
-  return "byte " + std::to_string(offset);
 }
 
 }  // namespace
@@ -217,25 +200,23 @@ Status WriteMatrixTextFile(const BinaryMatrix& m, const std::string& path) {
   return AtomicWriteFile(path, text);
 }
 
-StatusOr<BinaryMatrix> ReadMatrixText(std::istream& is,
-                                      const TextReadOptions& options) {
+StatusOr<BinaryMatrix> ReadMatrixText(std::istream& is) {
   MatrixBuilder builder;
   DMC_RETURN_IF_ERROR(
-      ForEachValidatedRow(is, options, [&](std::span<const ColumnId> row) {
+      ForEachValidatedRow(is, [&](std::span<const ColumnId> row) {
         builder.AddSortedRow(row);
         return Status::OK();
       }));
   return builder.Build();
 }
 
-StatusOr<BinaryMatrix> ReadMatrixTextFile(const std::string& path,
-                                          const TextReadOptions& options) {
+StatusOr<BinaryMatrix> ReadMatrixTextFile(const std::string& path) {
   if (fail::Enabled()) {
     DMC_RETURN_IF_ERROR(fail::InjectStatus("matrix.text.open"));
   }
   std::ifstream in(path);
   if (!in) return IOError("cannot open for read: " + path);
-  auto matrix = ReadMatrixText(in, options);
+  auto matrix = ReadMatrixText(in);
   // Only the stream itself sets badbit; name the file it failed on.
   if (!matrix.ok() && in.bad()) {
     return IOError(path + ": " + matrix.status().message());
@@ -245,9 +226,8 @@ StatusOr<BinaryMatrix> ReadMatrixTextFile(const std::string& path,
 
 Status ForEachRowText(
     std::istream& is,
-    const std::function<Status(std::span<const ColumnId>)>& callback,
-    const TextReadOptions& options) {
-  return ForEachValidatedRow(is, options, callback);
+    const std::function<Status(std::span<const ColumnId>)>& callback) {
+  return ForEachValidatedRow(is, callback);
 }
 
 void FirstPassStats::AddRow(std::span<const ColumnId> row) {
@@ -259,118 +239,14 @@ void FirstPassStats::AddRow(std::span<const ColumnId> row) {
   ++num_rows;
 }
 
-StatusOr<FirstPassStats> ScanMatrixText(std::istream& is,
-                                        const TextReadOptions& options) {
+StatusOr<FirstPassStats> ScanMatrixText(std::istream& is) {
   FirstPassStats stats;
   DMC_RETURN_IF_ERROR(
-      ForEachValidatedRow(is, options, [&](std::span<const ColumnId> row) {
+      ForEachValidatedRow(is, [&](std::span<const ColumnId> row) {
         stats.AddRow(row);
         return Status::OK();
       }));
   return stats;
-}
-
-std::string SerializeMatrixBinary(const BinaryMatrix& m) {
-  std::string out;
-  out.reserve(kBinaryMagic.size() + 12 + m.num_ones() * sizeof(ColumnId) +
-              m.num_rows() * sizeof(uint32_t) + kSealBytes);
-  out.append(kBinaryMagic);
-  AppendLE<uint32_t>(&out, m.num_columns());
-  AppendLE<uint64_t>(&out, m.num_rows());
-  for (RowId r = 0; r < m.num_rows(); ++r) {
-    const auto row = m.Row(r);
-    AppendLE<uint32_t>(&out, static_cast<uint32_t>(row.size()));
-    for (ColumnId c : row) AppendLE<uint32_t>(&out, c);
-  }
-  AppendSeal(&out);
-  return out;
-}
-
-Status WriteMatrixBinaryFile(const BinaryMatrix& m, const std::string& path) {
-  if (fail::Enabled()) {
-    DMC_RETURN_IF_ERROR(fail::InjectStatus("matrix.binary.write"));
-  }
-  return AtomicWriteFile(path, SerializeMatrixBinary(m));
-}
-
-StatusOr<BinaryMatrix> ReadMatrixBinary(std::string_view data) {
-  DMC_RETURN_IF_ERROR(CheckSealedHeader(data, kBinaryMagic, 12, kBinaryWhat));
-  size_t offset = kBinaryMagic.size();
-  uint32_t num_columns = 0;
-  uint64_t num_rows = 0;
-  (void)ReadLE(data, &offset, &num_columns);  // length pre-checked above
-  (void)ReadLE(data, &offset, &num_rows);
-  if (num_columns > kMaxMatrixColumns) {
-    return DataLossError("binary matrix header claims " +
-                         std::to_string(num_columns) + " columns, above the " +
-                         std::to_string(kMaxMatrixColumns) +
-                         "-column cap (byte " +
-                         std::to_string(kBinaryMagic.size()) + ")");
-  }
-  if (num_rows > static_cast<uint64_t>(UINT32_MAX)) {
-    return DataLossError("binary matrix header claims " +
-                         std::to_string(num_rows) +
-                         " rows, beyond the 32-bit row-id space (byte " +
-                         std::to_string(kBinaryMagic.size() + 4) + ")");
-  }
-  MatrixBuilder builder(num_columns);
-  std::vector<ColumnId> cols;
-  const bool inject = fail::Enabled();
-  for (uint64_t r = 0; r < num_rows; ++r) {
-    const size_t row_start = offset;
-    if (inject) {
-      DMC_RETURN_IF_ERROR(fail::InjectStatus("matrix.binary.row"));
-    }
-    uint32_t count = 0;
-    if (!ReadLE(data, &offset, &count)) {
-      return DataLossError("binary matrix truncated in row " +
-                           std::to_string(r) + " at " +
-                           ByteContext(row_start));
-    }
-    if (count > num_columns) {
-      return DataLossError("binary matrix row " + std::to_string(r) + " at " +
-                           ByteContext(row_start) + " claims " +
-                           std::to_string(count) + " ids but there are only " +
-                           std::to_string(num_columns) + " columns");
-    }
-    if (!CountFits(data, offset, count, sizeof(uint32_t))) {
-      return DataLossError("binary matrix truncated in row " +
-                           std::to_string(r) + " at " + ByteContext(offset));
-    }
-    cols.clear();
-    cols.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      uint32_t id = 0;
-      (void)ReadLE(data, &offset, &id);  // CountFits checked above
-      if (id >= num_columns) {
-        return DataLossError("binary matrix row " + std::to_string(r) +
-                             " at " + ByteContext(offset - sizeof(uint32_t)) +
-                             ": column id " + std::to_string(id) +
-                             " out of range (columns=" +
-                             std::to_string(num_columns) + ")");
-      }
-      if (!cols.empty() && id <= cols.back()) {
-        return DataLossError("binary matrix row " + std::to_string(r) +
-                             " at " + ByteContext(offset - sizeof(uint32_t)) +
-                             ": column id " + std::to_string(id) +
-                             " not strictly increasing after " +
-                             std::to_string(cols.back()));
-      }
-      cols.push_back(id);
-    }
-    builder.AddSortedRow(cols);
-  }
-  DMC_RETURN_IF_ERROR(CheckSeal(data, offset, kBinaryWhat));
-  return builder.Build();
-}
-
-StatusOr<BinaryMatrix> ReadMatrixBinaryFile(const std::string& path) {
-  if (fail::Enabled()) {
-    DMC_RETURN_IF_ERROR(fail::InjectStatus("matrix.binary.open"));
-  }
-  DMC_ASSIGN_OR_RETURN(const std::string data,
-                       ReadWholeFile(path, kBinaryWhat));
-  return ReadMatrixBinary(data);
 }
 
 }  // namespace dmc

@@ -9,25 +9,11 @@
 // 64 KiB at a time (more only for a longer line), so streaming a file
 // never loads it.
 //
-// Binary format: the same data as a sealed file (util/sealed_file.h) —
+// The readers are strict: a row whose column ids are unsorted,
+// duplicated or above kMaxMatrixColumns - 1 is rejected with a Status
+// that names the line and byte offset.
 //
-//   offset 0   8 bytes   magic "DMCBIN1\n"
-//          8   u32       num_columns (at most kMaxMatrixColumns)
-//         12   u64       num_rows
-//         20   per row:  u32 count, then count u32 column ids
-//                        (strictly increasing, all < num_columns)
-//        ...   12 bytes  seal: u64 FNV-1a of every byte above, "DMCE"
-//
-// All integers are little-endian. Readers validate structure, ranges,
-// sortedness and the checksum, and report failures as kDataLoss with the
-// row index and byte offset; they never crash on corrupt input.
-//
-// Both readers are *strict by default*: a row whose column ids are
-// unsorted, duplicated or out of range is rejected with a Status that
-// names the line/row and byte offset. Legacy tolerant behaviour
-// (sort + dedup on the fly) is available via TextReadOptions::normalize.
-//
-// File writers are crash-safe: they go through AtomicFileWriter
+// The file writer is crash-safe: it goes through AtomicFileWriter
 // (temp + fsync + rename), so a crash mid-write leaves the previous file
 // (or no file) — never a torn one.
 
@@ -39,7 +25,6 @@
 #include <ostream>
 #include <span>
 #include <string>
-#include <string_view>
 
 #include "matrix/binary_matrix.h"
 #include "util/status.h"
@@ -48,19 +33,8 @@
 namespace dmc {
 
 /// Widest matrix a reader accepts: 2^26 (~64M) columns, so a corrupt id
-/// or header cannot size per-column state into an OOM.
+/// cannot size per-column state into an OOM.
 inline constexpr ColumnId kMaxMatrixColumns = ColumnId{1} << 26;
-
-/// Controls how the text readers treat imperfect rows.
-struct TextReadOptions {
-  /// When true, rows are sorted and deduplicated on the fly (the historic
-  /// tolerant behaviour). When false (default), a row with unsorted or
-  /// duplicate column ids is rejected with kInvalidArgument.
-  bool normalize = false;
-  /// Largest acceptable column id; anything above it is rejected. The
-  /// default caps implied matrix width at kMaxMatrixColumns.
-  ColumnId max_column_id = kMaxMatrixColumns - 1;
-};
 
 /// The first line of transaction text: "# dmc matrix: rows=R columns=C".
 [[nodiscard]] std::string TextHeader(uint64_t num_rows, ColumnId num_columns);
@@ -73,14 +47,13 @@ void AppendTextRow(std::span<const ColumnId> row, std::string* out);
 /// Atomically replaces `path` with `m` in transaction text format.
 [[nodiscard]] Status WriteMatrixTextFile(const BinaryMatrix& m, const std::string& path);
 
-/// Parses transaction text format. Fails on malformed tokens and (unless
-/// `options.normalize`) on unsorted/duplicate ids; errors carry the line
-/// number and byte offset. Validated rows go straight into the matrix's
-/// CSR arrays.
-[[nodiscard]] StatusOr<BinaryMatrix> ReadMatrixText(
-    std::istream& is, const TextReadOptions& options = {});
+/// Parses transaction text format. Fails on malformed tokens and on
+/// unsorted, duplicate or out-of-range ids; errors carry the line number
+/// and byte offset. Validated rows go straight into the matrix's CSR
+/// arrays.
+[[nodiscard]] StatusOr<BinaryMatrix> ReadMatrixText(std::istream& is);
 [[nodiscard]] StatusOr<BinaryMatrix> ReadMatrixTextFile(
-    const std::string& path, const TextReadOptions& options = {});
+    const std::string& path);
 
 /// First-pass statistics obtainable from a single stream scan without
 /// materializing the matrix: the row count and ones(c) per column, the
@@ -95,8 +68,7 @@ struct FirstPassStats {
   void AddRow(std::span<const ColumnId> row);
 };
 
-[[nodiscard]] StatusOr<FirstPassStats> ScanMatrixText(
-    std::istream& is, const TextReadOptions& options = {});
+[[nodiscard]] StatusOr<FirstPassStats> ScanMatrixText(std::istream& is);
 
 /// Streams rows from transaction text without materializing the matrix:
 /// `callback(row)` is invoked once per row with sorted, deduplicated
@@ -104,22 +76,7 @@ struct FirstPassStats {
 /// external (disk-based) miner is built on.
 [[nodiscard]] Status ForEachRowText(
     std::istream& is,
-    const std::function<Status(std::span<const ColumnId>)>& callback,
-    const TextReadOptions& options = {});
-
-/// Serializes `m` in the checksummed binary format (see header comment).
-[[nodiscard]] std::string SerializeMatrixBinary(const BinaryMatrix& m);
-
-/// Atomically replaces `path` with `m` in the binary format.
-[[nodiscard]] Status WriteMatrixBinaryFile(const BinaryMatrix& m,
-                                           const std::string& path);
-
-/// Parses the binary format from an in-memory buffer. Corruption
-/// (bad magic, truncation, unsorted/out-of-range ids, checksum mismatch)
-/// is reported as kDataLoss with the row index and byte offset.
-[[nodiscard]] StatusOr<BinaryMatrix> ReadMatrixBinary(std::string_view data);
-[[nodiscard]] StatusOr<BinaryMatrix> ReadMatrixBinaryFile(
-    const std::string& path);
+    const std::function<Status(std::span<const ColumnId>)>& callback);
 
 }  // namespace dmc
 

@@ -147,7 +147,7 @@ uint64_t IntersectSortedU16(const std::vector<uint16_t>& small,
 
 PostingContainer PostingContainer::FromSorted(std::span<const uint32_t> ids) {
   PostingContainer p;
-  p.AppendSorted(ids);
+  for (const uint32_t id : ids) p.Append(id);
   p.Optimize();
   return p;
 }
@@ -193,17 +193,8 @@ void PostingContainer::Append(uint32_t id) {
   ++cardinality_;
 }
 
-void PostingContainer::AppendSorted(std::span<const uint32_t> ids) {
-  for (const uint32_t id : ids) Append(id);
-}
-
 void PostingContainer::Optimize() {
   for (Chunk& c : chunks_) SealChunk(&c);
-}
-
-void PostingContainer::Clear() {
-  chunks_.clear();
-  cardinality_ = 0;
 }
 
 void PostingContainer::ArrayToBitmap(Chunk* c) {
@@ -375,15 +366,6 @@ uint64_t PostingContainer::Rank(uint32_t bound) const {
     break;
   }
   return n;
-}
-
-bool PostingContainer::Contains(uint32_t id) const {
-  const uint32_t key = id >> kChunkShift;
-  const auto it = std::partition_point(
-      chunks_.begin(), chunks_.end(),
-      [key](const Chunk& c) { return c.key < key; });
-  if (it == chunks_.end() || it->key != key) return false;
-  return ChunkContains(*it, static_cast<uint16_t>(id & kLowMask));
 }
 
 uint32_t PostingContainer::Select(uint64_t k) const {
@@ -683,38 +665,6 @@ PostingContainer PostingContainer::Intersect(const PostingContainer& b) const {
   return out;
 }
 
-PostingContainer PostingContainer::Union(const PostingContainer& b) const {
-  PostingContainer out;
-  std::vector<uint64_t> wa(kWords);
-  std::vector<uint64_t> wb(kWords);
-  size_t i = 0;
-  size_t j = 0;
-  while (i < chunks_.size() || j < b.chunks_.size()) {
-    const bool take_a =
-        j >= b.chunks_.size() ||
-        (i < chunks_.size() && chunks_[i].key <= b.chunks_[j].key);
-    const bool take_b =
-        i >= chunks_.size() ||
-        (j < b.chunks_.size() && b.chunks_[j].key <= chunks_[i].key);
-    std::fill(wa.begin(), wa.end(), 0);
-    uint32_t key = 0;
-    if (take_a) {
-      key = chunks_[i].key;
-      ChunkWords(chunks_[i], wa.data());
-      ++i;
-    }
-    if (take_b) {
-      key = b.chunks_[j].key;
-      std::fill(wb.begin(), wb.end(), 0);
-      ChunkWords(b.chunks_[j], wb.data());
-      for (uint32_t w = 0; w < kWords; ++w) wa[w] |= wb[w];
-      ++j;
-    }
-    out.AppendChunkFromWords(key, wa.data());
-  }
-  return out;
-}
-
 uint64_t PostingContainer::Hash() const {
   uint64_t h = 0xcbf29ce484222325ULL ^ (cardinality_ * 0x9e3779b97f4a7c15ULL);
   ForEach([&h](uint32_t id) {
@@ -743,24 +693,6 @@ size_t PostingContainer::MemoryBytes() const {
     bytes += c.slots.capacity() * sizeof(uint16_t) +
              c.words.capacity() * sizeof(uint64_t);
   }
-  return bytes;
-}
-
-size_t PostingContainer::ChunkDataBytes(const Chunk& c) {
-  switch (c.format) {
-    case PostingChunkFormat::kArray:
-      return 2u * c.card;
-    case PostingChunkFormat::kBitmap:
-      return kWords * sizeof(uint64_t);
-    case PostingChunkFormat::kRun:
-      return c.slots.size() * sizeof(uint16_t);
-  }
-  return 0;
-}
-
-size_t PostingContainer::LogicalBytes() const {
-  size_t bytes = 0;
-  for (const Chunk& c : chunks_) bytes += kChunkHeaderBytes + ChunkDataBytes(c);
   return bytes;
 }
 

@@ -20,14 +20,12 @@
 // bitmaps, sparse regions stay arrays, and constant regions collapse to
 // runs, with no global mode flag and no cliff.
 //
-// Logical vs physical bytes: MemoryBytes() reports real heap usage
-// (vector capacities included); LogicalBytes() reports the cost model
-// Σ_chunks (header + bytes of the chosen format), which is what the
-// mining engines charge to MemoryTracker. BitmapCostBytes(universe) is
-// the model's bound for holding `universe` ids as packed bitmap chunks —
-// the miss-counter table uses it to cap each candidate list's charge
-// (a list can never cost more than its bitmap form, which is exactly
-// the §4.3 switch bound made per-list).
+// Bytes: MemoryBytes() reports real heap usage (vector capacities
+// included). BitmapCostBytes(universe) is the cost model's bound for
+// holding `universe` ids as packed bitmap chunks (a chunk header plus a
+// bit per id) — the miss-counter table uses it to cap each candidate
+// list's charge (a list can never cost more than its bitmap form, which
+// is exactly the §4.3 switch bound made per-list).
 //
 // Ids must be appended strictly ascending; every query treats the
 // container as an immutable sorted set.
@@ -68,11 +66,8 @@ class PostingContainer {
 
   /// Appends one id; must be strictly greater than every id present.
   void Append(uint32_t id);
-  /// Appends a strictly-ascending batch (all greater than existing ids).
-  void AppendSorted(std::span<const uint32_t> ids);
   /// Re-seals every chunk into its cheapest format. Idempotent.
   void Optimize();
-  void Clear();
 
   /// Drops every id < bound and renumbers the survivors down by `bound`
   /// (id -> id - bound) — the sliding window's prefix trim. The
@@ -84,7 +79,6 @@ class PostingContainer {
 
   uint64_t cardinality() const { return cardinality_; }
   bool empty() const { return cardinality_ == 0; }
-  bool Contains(uint32_t id) const;
   /// k-th smallest id, 0-based. Precondition: k < cardinality().
   uint32_t Select(uint64_t k) const;
   /// |{x ∈ this : x < bound}| — the index the sliding window's evicted
@@ -116,9 +110,8 @@ class PostingContainer {
   uint64_t SuffixIntersectCount(uint64_t skip_a, const PostingContainer& b,
                                 uint64_t skip_b) const;
 
-  /// Materialized set operations (sealed results).
+  /// Materialized intersection (sealed result).
   PostingContainer Intersect(const PostingContainer& b) const;
-  PostingContainer Union(const PostingContainer& b) const;
 
   /// Content hash: equal sets hash equal regardless of chunk formats.
   uint64_t Hash() const;
@@ -128,9 +121,6 @@ class PostingContainer {
 
   /// Physical heap bytes (vector capacities + chunk headers).
   size_t MemoryBytes() const;
-  /// Cost-model bytes: Σ chunks (kChunkHeaderBytes + data bytes of the
-  /// chosen format). This is what mining engines charge to trackers.
-  size_t LogicalBytes() const;
 
   struct FormatCounts {
     size_t array = 0;
@@ -156,7 +146,6 @@ class PostingContainer {
   static uint64_t ChunkIntersectFrom(const Chunk& a, const Chunk& b,
                                      uint16_t lo);
   static void ChunkWords(const Chunk& c, uint64_t* words);  // decode to bitmap
-  static size_t ChunkDataBytes(const Chunk& c);
 
   template <typename Fn>
   static void ForEachInChunk(const Chunk& c, Fn&& fn) {

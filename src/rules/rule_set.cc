@@ -61,15 +61,6 @@ std::vector<std::pair<ColumnId, ColumnId>> ImplicationRuleSet::Pairs() const {
   return out;
 }
 
-ImplicationRuleSet ImplicationRuleSet::FilterByConfidence(
-    double min_confidence) const {
-  ImplicationRuleSet out;
-  for (const auto& r : rules_) {
-    if (r.confidence() >= min_confidence) out.Add(r);
-  }
-  return out;
-}
-
 ImplicationRuleSet ImplicationRuleSet::SortedByConfidence() const {
   ImplicationRuleSet out = *this;
   std::sort(out.rules_.begin(), out.rules_.end(),
@@ -113,15 +104,6 @@ std::vector<std::pair<ColumnId, ColumnId>> SimilarityRuleSet::Pairs() const {
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-SimilarityRuleSet SimilarityRuleSet::FilterBySimilarity(
-    double min_similarity) const {
-  SimilarityRuleSet out;
-  for (const auto& p : pairs_) {
-    if (p.similarity() >= min_similarity) out.Add(p);
-  }
   return out;
 }
 

@@ -1,6 +1,6 @@
 // Containers for mined rules with the operations tests and benches need:
-// canonical sorting, equality as sets, filtering, the exact confidence
-// order, the merge of disjoint shard outputs, and text output.
+// canonical sorting, equality as sets, the exact confidence order, the
+// merge of disjoint shard outputs, and text output.
 
 #ifndef DMC_RULES_RULE_SET_H_
 #define DMC_RULES_RULE_SET_H_
@@ -44,9 +44,6 @@ class ImplicationRuleSet {
   /// exactness tests (counts are checked separately by the verifier).
   std::vector<std::pair<ColumnId, ColumnId>> Pairs() const;
 
-  /// Rules with confidence >= min_confidence.
-  ImplicationRuleSet FilterByConfidence(double min_confidence) const;
-
   /// Sorted copy in HigherConfidence order: highest exact confidence
   /// first, ties by (lhs, rhs).
   ImplicationRuleSet SortedByConfidence() const;
@@ -82,8 +79,6 @@ class SimilarityRuleSet {
 
   /// (a, b) pairs in canonical order.
   std::vector<std::pair<ColumnId, ColumnId>> Pairs() const;
-
-  SimilarityRuleSet FilterBySimilarity(double min_similarity) const;
 
   SimilarityRuleSet SortedBySimilarity() const;
 

@@ -100,27 +100,14 @@ StatusOr<ShardResult> MineTask(const ShardPlan& plan,
   return MineShardTask(plan, policy, mask, task_id, &input);
 }
 
-// Streams the task's phases for one rule kind into `out`; a failed
-// replay also starves the pass, so it is the error reported.
+// The scan options of a task of the plan's rule kind.
 template <typename Kind>
-Status StreamTask(const ShardPlan& plan, const DmcPolicy& policy,
-                  const std::vector<uint8_t>& mask, ExternalInput* input,
-                  MiningStats* stats, typename Kind::RuleSet* out) {
+typename Kind::Options TaskOptions(const ShardPlan& plan,
+                                   const DmcPolicy& policy) {
   typename Kind::Options options;
   options.*Kind::kThreshold = plan.threshold;
   options.policy = policy;
-  Status replay_status = Status::OK();
-  const auto replay = [&](auto&& sink) {
-    if (!replay_status.ok()) return;
-    replay_status = input->Replay(sink, Kind::kRowSite);
-  };
-  auto rules = StreamPhases<Kind>(plan.num_columns, plan.column_ones,
-                                  plan.num_rows, options, replay, &mask,
-                                  stats);
-  DMC_RETURN_IF_ERROR(replay_status);
-  if (!rules.ok()) return rules.status();
-  *out = std::move(*rules);
-  return Status::OK();
+  return options;
 }
 
 }  // namespace
@@ -137,16 +124,19 @@ StatusOr<ShardResult> MineShardTask(const ShardPlan& plan,
   result.engine = plan.engine;
   MiningStats stats;
   Stopwatch sw;
-  ImplicationRuleSet rules;
-  SimilarityRuleSet pairs;
-  DMC_RETURN_IF_ERROR(
-      plan.engine == Engine::kSimilarities
-          ? StreamTask<SimilarityKind>(plan, policy, mask, input, &stats,
-                                       &pairs)
-          : StreamTask<ImplicationKind>(plan, policy, mask, input, &stats,
-                                        &rules));
-  result.imp_rules = rules.TakeRules();
-  result.sim_pairs = pairs.TakePairs();
+  if (plan.engine == Engine::kSimilarities) {
+    DMC_ASSIGN_OR_RETURN(
+        SimilarityRuleSet pairs,
+        StreamExternalInput<SimilarityKind>(
+            input, TaskOptions<SimilarityKind>(plan, policy), &mask, &stats));
+    result.sim_pairs = pairs.TakePairs();
+  } else {
+    DMC_ASSIGN_OR_RETURN(
+        ImplicationRuleSet rules,
+        StreamExternalInput<ImplicationKind>(
+            input, TaskOptions<ImplicationKind>(plan, policy), &mask, &stats));
+    result.imp_rules = rules.TakeRules();
+  }
   result.mine_seconds = sw.ElapsedSeconds();
   result.peak_counter_bytes = stats.peak_counter_bytes;
   return result;

@@ -1,5 +1,7 @@
-// Fixed-size bit vector with the kernels DMC-bitmap needs:
-// popcount, AND, AND-NOT popcount, and equality hashing.
+// Fixed-size bit vector with an AND-NOT popcount. Its one user is the
+// incremental miner's SuffixBitmapCache (incr/incr_miner.cc): per-column
+// bitmaps of the rows past a boundary, so each pair's exact miss count
+// is a word-parallel AndNotCount instead of a posting merge.
 
 #ifndef DMC_UTIL_BITVECTOR_H_
 #define DMC_UTIL_BITVECTOR_H_
@@ -21,7 +23,8 @@ class BitVector {
   BitVector() = default;
 
   /// All bits start cleared.
-  explicit BitVector(size_t num_bits);
+  explicit BitVector(size_t num_bits)
+      : num_bits_(num_bits), words_((num_bits + 63) / 64, 0) {}
 
   BitVector(const BitVector&) = default;
   BitVector& operator=(const BitVector&) = default;
@@ -31,44 +34,17 @@ class BitVector {
   size_t size() const { return num_bits_; }
   bool empty() const { return num_bits_ == 0; }
 
-  // The single-bit accessors and the word-parallel counting kernels are
-  // defined inline: they sit in the innermost loops of both the batch
-  // bitmap kernel and the incremental update/regen passes, where the
+  // Set and the counting kernels are defined inline: they sit in the
+  // innermost loops of the incremental update/regen passes, where the
   // per-call overhead of an out-of-line body rivals the body itself
   // (a window's column fits in a handful of words).
   void Set(size_t i) {
     DMC_CHECK_LT(i, num_bits_);
     words_[i >> 6] |= uint64_t{1} << (i & 63);
   }
-  void Clear(size_t i) {
-    DMC_CHECK_LT(i, num_bits_);
-    words_[i >> 6] &= ~(uint64_t{1} << (i & 63));
-  }
-  bool Test(size_t i) const {
-    DMC_CHECK_LT(i, num_bits_);
-    return (words_[i >> 6] >> (i & 63)) & 1;
-  }
 
-  /// Number of set bits.
-  size_t Count() const {
-    size_t total = 0;
-    for (uint64_t w : words_) total += static_cast<size_t>(std::popcount(w));
-    return total;
-  }
-
-  /// popcount(*this & other). Sizes must match.
-  size_t AndCount(const BitVector& other) const {
-    DMC_CHECK_EQ(num_bits_, other.num_bits_);
-    size_t total = 0;
-    for (size_t i = 0; i < words_.size(); ++i) {
-      total +=
-          static_cast<size_t>(std::popcount(words_[i] & other.words_[i]));
-    }
-    return total;
-  }
-
-  /// popcount(*this & ~other) — the DMC-bitmap "miss count" kernel
-  /// (rows where this column is 1 and the other is 0). Sizes must match.
+  /// popcount(*this & ~other) — the "miss count" kernel (rows where this
+  /// column is 1 and the other is 0). Sizes must match.
   size_t AndNotCount(const BitVector& other) const {
     DMC_CHECK_EQ(num_bits_, other.num_bits_);
     size_t total = 0;
@@ -100,28 +76,8 @@ class BitVector {
     return total;
   }
 
-  /// In-place OR. Sizes must match.
-  void OrWith(const BitVector& other) {
-    DMC_CHECK_EQ(num_bits_, other.num_bits_);
-    for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-  }
-
-  /// Resets all bits to 0.
-  void Reset();
-
   /// Heap bytes used by the word storage.
   size_t MemoryBytes() const { return words_.size() * sizeof(uint64_t); }
-
-  /// 64-bit content hash (used to bucket identical columns in DMC-sim's
-  /// 100%-similarity phase).
-  uint64_t Hash() const;
-
-  friend bool operator==(const BitVector& a, const BitVector& b) {
-    return a.num_bits_ == b.num_bits_ && a.words_ == b.words_;
-  }
-
-  /// Indices of all set bits, ascending.
-  std::vector<uint32_t> ToIndices() const;
 
  private:
   size_t num_bits_ = 0;

@@ -3,20 +3,19 @@
 // The paper's evaluation (Fig. 3, Fig. 6(g,h)) reports the size of the
 // "counter array that keeps candidate IDs and their miss-counters"; this
 // tracker is the instrument behind those figures, and also drives the
-// DMC-base -> DMC-bitmap switch (the 50 MB rule in §4.4).
+// DMC-base -> DMC-bitmap switch (the 50 MB rule in §4.4). The Fig. 3
+// memory-vs-progress curves are its per-row TakeIntervalPeak() values,
+// which the scan stores in MiningStats::memory_history.
 
 #ifndef DMC_UTIL_MEMORY_TRACKER_H_
 #define DMC_UTIL_MEMORY_TRACKER_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 namespace dmc {
 
-/// Tracks current and peak byte usage of an instrumented structure, with an
-/// optional sampled history (bytes after each row) for memory-vs-progress
-/// plots like the paper's Fig. 3.
+/// Tracks current and peak byte usage of an instrumented structure, and
+/// the peak of each interval between two TakeIntervalPeak() calls.
 class MemoryTracker {
  public:
   MemoryTracker() = default;
@@ -30,9 +29,6 @@ class MemoryTracker {
   void Sub(size_t bytes) {
     current_ = bytes > current_ ? 0 : current_ - bytes;
   }
-
-  /// Resets current usage to zero but keeps the peak and history.
-  void ReleaseAll() { current_ = 0; }
 
   size_t current_bytes() const { return current_; }
   size_t peak_bytes() const { return peak_; }
@@ -48,24 +44,16 @@ class MemoryTracker {
     return p;
   }
 
-  /// Appends the current usage to the history (one sample per processed
-  /// row when history recording is enabled by the caller).
-  void RecordSample() { history_.push_back(current_); }
-
-  const std::vector<size_t>& history() const { return history_; }
-
   void Reset() {
     current_ = 0;
     peak_ = 0;
     interval_peak_ = 0;
-    history_.clear();
   }
 
  private:
   size_t current_ = 0;
   size_t peak_ = 0;
   size_t interval_peak_ = 0;
-  std::vector<size_t> history_;
 };
 
 }  // namespace dmc

@@ -10,34 +10,8 @@ namespace {
 TEST(BitVectorTest, StartsCleared) {
   BitVector bv(100);
   EXPECT_EQ(bv.size(), 100u);
-  EXPECT_EQ(bv.Count(), 0u);
-  for (size_t i = 0; i < 100; ++i) EXPECT_FALSE(bv.Test(i));
-}
-
-TEST(BitVectorTest, SetClearTest) {
-  BitVector bv(130);
-  bv.Set(0);
-  bv.Set(63);
-  bv.Set(64);
-  bv.Set(129);
-  EXPECT_TRUE(bv.Test(0));
-  EXPECT_TRUE(bv.Test(63));
-  EXPECT_TRUE(bv.Test(64));
-  EXPECT_TRUE(bv.Test(129));
-  EXPECT_FALSE(bv.Test(1));
-  EXPECT_EQ(bv.Count(), 4u);
-  bv.Clear(63);
-  EXPECT_FALSE(bv.Test(63));
-  EXPECT_EQ(bv.Count(), 3u);
-}
-
-TEST(BitVectorTest, AndCount) {
-  BitVector a(200), b(200);
-  for (size_t i = 0; i < 200; i += 2) a.Set(i);
-  for (size_t i = 0; i < 200; i += 3) b.Set(i);
-  // Multiples of 6 in [0, 200): 0, 6, ..., 198 -> 34.
-  EXPECT_EQ(a.AndCount(b), 34u);
-  EXPECT_EQ(b.AndCount(a), 34u);
+  // Against an empty vector, AndNotCount is the popcount.
+  EXPECT_EQ(bv.AndNotCount(BitVector(100)), 0u);
 }
 
 TEST(BitVectorTest, AndNotCountIsMissKernel) {
@@ -61,53 +35,12 @@ TEST(BitVectorTest, AndNotCountAgainstEmpty) {
   EXPECT_EQ(empty.AndNotCount(a), 0u);
 }
 
-TEST(BitVectorTest, OrWith) {
-  BitVector a(66), b(66);
-  a.Set(0);
-  b.Set(65);
-  a.OrWith(b);
-  EXPECT_TRUE(a.Test(0));
-  EXPECT_TRUE(a.Test(65));
-  EXPECT_EQ(a.Count(), 2u);
-}
-
-TEST(BitVectorTest, EqualityAndHash) {
-  BitVector a(80), b(80), c(81);
-  a.Set(17);
-  b.Set(17);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.Hash(), b.Hash());
-  EXPECT_FALSE(a == c);
-  b.Set(18);
-  EXPECT_FALSE(a == b);
-  EXPECT_NE(a.Hash(), b.Hash());  // overwhelmingly likely
-}
-
-TEST(BitVectorTest, ToIndices) {
-  BitVector a(150);
-  a.Set(3);
-  a.Set(64);
-  a.Set(149);
-  const std::vector<uint32_t> idx = a.ToIndices();
-  ASSERT_EQ(idx.size(), 3u);
-  EXPECT_EQ(idx[0], 3u);
-  EXPECT_EQ(idx[1], 64u);
-  EXPECT_EQ(idx[2], 149u);
-}
-
-TEST(BitVectorTest, ResetClearsAll) {
-  BitVector a(90);
-  for (size_t i = 0; i < 90; i += 7) a.Set(i);
-  a.Reset();
-  EXPECT_EQ(a.Count(), 0u);
-}
-
 TEST(BitVectorTest, RandomizedCountMatchesReference) {
   Rng rng(123);
   for (int trial = 0; trial < 20; ++trial) {
     const size_t n = 1 + rng.Uniform(500);
     BitVector a(n), b(n);
-    size_t count_a = 0, count_and = 0, count_andnot = 0;
+    size_t count_andnot = 0;
     std::vector<bool> ra(n, false), rb(n, false);
     for (size_t i = 0; i < n; ++i) {
       if (rng.Bernoulli(0.3)) {
@@ -119,13 +52,7 @@ TEST(BitVectorTest, RandomizedCountMatchesReference) {
         rb[i] = true;
       }
     }
-    for (size_t i = 0; i < n; ++i) {
-      count_a += ra[i];
-      count_and += ra[i] && rb[i];
-      count_andnot += ra[i] && !rb[i];
-    }
-    EXPECT_EQ(a.Count(), count_a);
-    EXPECT_EQ(a.AndCount(b), count_and);
+    for (size_t i = 0; i < n; ++i) count_andnot += ra[i] && !rb[i];
     EXPECT_EQ(a.AndNotCount(b), count_andnot);
   }
 }

@@ -1,24 +1,29 @@
 #!/usr/bin/env bash
-# Flag test for dmc_cli and dmc_serve. An argument the command does not
-# read (an unknown flag, a stray word, a value on a switch), a malformed
-# integer (a sign, trailing text, overflow of the flag's type), a
-# --minconf or --minsim outside (0, 1] or with trailing text, a bad
-# --evict entry, a --shard-heartbeat-timeout that is not a positive
-# number, an unknown --order, a malformed failpoint seed and --order=sort
-# with a file pipeline must exit 2, before any mining, with a message
-# naming the flag. Well-formed values of the same flags must still mine.
+# Flag test for dmc_cli, dmc_serve and the benches. An argument the
+# command does not read (an unknown flag, a stray word, a value on a
+# switch), a malformed integer (a sign, trailing text, overflow of the
+# flag's type), a --minconf or --minsim outside (0, 1] or with trailing
+# text, a bad --evict entry, a --shard-heartbeat-timeout that is not a
+# positive number, an unknown --order, a malformed failpoint seed and
+# --order=sort with a file pipeline must exit 2, before any mining, with
+# a message naming the flag. Well-formed values of the same flags must
+# still mine.
+# A --failpoint-seed without --failpoints reseeds the DMC_FAILPOINTS spec
+# and exits 2 when none is armed. A bench refuses the same way before it
+# generates data.
 #
 # Every rejected value is refused before a thread or worker process is
 # started, so the huge and negative counts below start nothing; every
 # dmc_serve rejection comes before its input is read or a socket opens.
 #
 # Usage: cli_flags_test.sh <path-to-dmc_cli> <testdata-metrics-dir>
-#                          <path-to-dmc_serve>
+#                          <path-to-dmc_serve> <bench-binary-dir>
 set -u
 
 CLI="$1"
 FIXTURE="$2/fixture_matrix.txt"
 SERVE="$3"
+BENCH="$4"
 
 TMP="$(mktemp -d)"
 serve_pid=""
@@ -126,6 +131,50 @@ refused --order "$CLI" mine-sim --input="$FIXTURE" --minsim=0.5 \
 
 refused --rows "$CLI" generate --kind=quest --rows=-10 \
   --output="$TMP/g.txt"
+
+# A seed without --failpoints seeds the spec DMC_FAILPOINTS armed, so it
+# must behave as --failpoints='SPEC;seed=N' does: the same exit code and
+# the same rules. Under SPEC, seed 1 fails the input's open and seed 3
+# does not. With no spec armed, there is nothing to seed.
+SPEC="matrix.text.open=error@p0.5"
+declare -A seeded_rc
+for seed in 1 3; do
+  DMC_FAILPOINTS="$SPEC" "$CLI" mine-imp --input="$FIXTURE" --minconf=0.8 \
+    --failpoint-seed="$seed" >"$TMP/env_seed.txt" 2>/dev/null
+  seeded_rc[$seed]=$?
+  env -u DMC_FAILPOINTS "$CLI" mine-imp --input="$FIXTURE" --minconf=0.8 \
+    --failpoints="$SPEC;seed=$seed" >"$TMP/flag_seed.txt" 2>/dev/null
+  flag_rc=$?
+  if [ "${seeded_rc[$seed]}" -ne "$flag_rc" ] ||
+      ! cmp -s "$TMP/env_seed.txt" "$TMP/flag_seed.txt"; then
+    echo "FAIL: --failpoint-seed=$seed under DMC_FAILPOINTS=$SPEC exited" \
+      "${seeded_rc[$seed]}, --failpoints='$SPEC;seed=$seed' exited" \
+      "$flag_rc, or their rules differ" >&2
+    fail=1
+  fi
+done
+if [ "${seeded_rc[1]}" -ne 1 ] || [ "${seeded_rc[3]}" -ne 0 ]; then
+  echo "FAIL: seeds 1 and 3 under $SPEC exited ${seeded_rc[1]} and" \
+    "${seeded_rc[3]}, want 1 and 0" >&2
+  fail=1
+fi
+refused --failpoint-seed env -u DMC_FAILPOINTS "$CLI" mine-imp \
+  --input="$FIXTURE" --minconf=0.8 --failpoint-seed=3
+
+# Benches: --scale is a positive number, and every other argument is
+# one the bench's table lists.
+refused --scale "$BENCH/bench_table1" --scale=abc
+refused --scale "$BENCH/bench_table1" --scale=0
+refused --scael "$BENCH/bench_table1" --scael=0.01
+refused "'tiny'" "$BENCH/bench_table1" tiny
+refused --baseline "$BENCH/bench_kernels" --baseline
+refused --threads "$BENCH/bench_serve" --threads=-1
+if ! timeout 60 "$BENCH/bench_table1" --scale=0.01 >"$TMP/out.txt" \
+    2>"$TMP/err.txt"; then
+  echo "FAIL: bench_table1 --scale=0.01 exited non-zero:" \
+    "$(cat "$TMP/err.txt")" >&2
+  fail=1
+fi
 
 accepts --threads=2 --top=3 --order=sort
 accepts --order=identity --min-support=1 --io-retries=0 --external \

@@ -1,7 +1,6 @@
 // Checked-in corrupt inputs (tests/testdata/corrupt/) must be rejected
 // with a structured Status — never a crash, never a silently wrong
-// matrix. The fixtures cover the text strictness rules and the binary
-// container's magic / truncation / checksum defenses.
+// matrix. The fixtures cover the text reader's strictness rules.
 
 #include <gtest/gtest.h>
 
@@ -49,45 +48,6 @@ TEST(CorruptFixtureTest, MalformedTokenRejected) {
   EXPECT_NE(parsed.status().message().find("malformed column id"),
             std::string::npos)
       << parsed.status();
-}
-
-TEST(CorruptFixtureTest, NormalizeModeStillRejectsMalformedToken) {
-  TextReadOptions options;
-  options.normalize = true;
-  auto parsed = ReadMatrixTextFile(CorruptPath("malformed_token.txt"), options);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(CorruptFixtureTest, NormalizeModeAcceptsUnsortedFixture) {
-  TextReadOptions options;
-  options.normalize = true;
-  auto parsed = ReadMatrixTextFile(CorruptPath("unsorted.txt"), options);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->num_rows(), 2u);
-  EXPECT_TRUE(parsed->Get(1, 3));
-  EXPECT_TRUE(parsed->Get(1, 5));
-}
-
-TEST(CorruptFixtureTest, BinaryBadMagicRejected) {
-  auto parsed = ReadMatrixBinaryFile(CorruptPath("bad_magic.bin"));
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(parsed.status().message().find("bad magic"), std::string::npos);
-}
-
-TEST(CorruptFixtureTest, BinaryTruncationRejected) {
-  auto parsed = ReadMatrixBinaryFile(CorruptPath("truncated.bin"));
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(parsed.status().message().find("truncated"), std::string::npos)
-      << parsed.status();
-}
-
-TEST(CorruptFixtureTest, BinaryBitFlipCaught) {
-  auto parsed = ReadMatrixBinaryFile(CorruptPath("bit_flip.bin"));
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

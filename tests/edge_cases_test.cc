@@ -45,12 +45,10 @@ TEST(EdgeDeathTest, TableReleaseWithoutCreateAborts) {
 TEST(EdgeDeathTest, BitVectorOutOfRangeAborts) {
   BitVector bv(8);
   EXPECT_DEATH(bv.Set(8), "Check failed");
-  EXPECT_DEATH(bv.Test(100), "Check failed");
 }
 
 TEST(EdgeDeathTest, BitVectorSizeMismatchAborts) {
   BitVector a(8), b(9);
-  EXPECT_DEATH((void)a.AndCount(b), "Check failed");
   EXPECT_DEATH((void)a.AndNotCount(b), "Check failed");
 }
 

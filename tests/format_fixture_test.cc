@@ -4,10 +4,10 @@
 //
 // Round-trip tests alone still pass when a writer and its reader drift
 // together; these pin the layouts themselves, so a file or frame written
-// by an older build keeps loading. The fixtures cover the four sealed
+// by an older build keeps loading. The fixtures cover the three sealed
 // files (external checkpoint, shard checkpoint per rule kind, rule-index
-// snapshot, binary matrix) and the frames that carry rule records (a
-// serve rules reply, a shard kInit, a shard kResult per rule kind).
+// snapshot) and the frames that carry rule records (a serve rules reply,
+// a shard kInit, a shard kResult per rule kind).
 //
 // To regenerate them after an intentional format change (which also
 // bumps that format's version), run this binary with UPDATE_GOLDENS=1.
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/checkpoint.h"
-#include "matrix/matrix_io.h"
 #include "rules/rule_index.h"
 #include "serve/protocol.h"
 #include "shard/shard_checkpoint.h"
@@ -211,16 +210,6 @@ TEST_F(FormatFixtureTest, RuleIndexSnapshot) {
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ((*read)->generation(), 42u);
   EXPECT_EQ((*read)->TopK(0), snap->TopK(0));
-}
-
-TEST_F(FormatFixtureTest, BinaryMatrix) {
-  const BinaryMatrix m =
-      BinaryMatrix::FromRows(6, {{0, 2, 5}, {}, {1}, {0, 1, 2, 3, 4, 5}});
-  ExpectFixture("binary_matrix.bin", SerializeMatrixBinary(m));
-
-  auto read = ReadMatrixBinaryFile(FixturePath("binary_matrix.bin"));
-  ASSERT_TRUE(read.ok()) << read.status();
-  EXPECT_EQ(*read, m);
 }
 
 TEST_F(FormatFixtureTest, ServeRulesReply) {

@@ -339,32 +339,6 @@ TEST(FuzzSweepTest, TextReaderSurvivesRandomMutations) {
   }
 }
 
-// Binary reader fuzz: the checksummed container must reject every
-// mutation that changes the bytes, with kDataLoss and row/byte context.
-TEST(FuzzSweepTest, BinaryReaderSurvivesRandomMutations) {
-  Rng rng(0xF188);
-  for (int trial = 0; trial < 300; ++trial) {
-    const BinaryMatrix m = RandomMatrix(rng);
-    const std::string whole = SerializeMatrixBinary(m);
-    const std::string mutated = Mutate(rng, whole);
-    const auto parsed = ReadMatrixBinary(mutated);
-    if (mutated == whole) {
-      ASSERT_TRUE(parsed.ok()) << "trial " << trial;
-      EXPECT_EQ(parsed->num_rows(), m.num_rows());
-      EXPECT_EQ(parsed->num_columns(), m.num_columns());
-      continue;
-    }
-    ASSERT_FALSE(parsed.ok())
-        << "trial " << trial << ": corrupt input accepted";
-    EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss)
-        << "trial " << trial;
-    const std::string& msg = parsed.status().message();
-    EXPECT_TRUE(msg.find("row ") != std::string::npos ||
-                msg.find("byte") != std::string::npos)
-        << "trial " << trial << ": " << msg;
-  }
-}
-
 // Spill reader fuzz: the external miner's bucket format must turn every
 // mutation that changes a byte into kDataLoss naming the file and byte
 // offset, and the sink may only ever see intact rows in their original

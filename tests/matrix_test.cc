@@ -69,25 +69,6 @@ TEST(BinaryMatrixTest, TransposedRoundTrip) {
   EXPECT_EQ(t.Transposed(), m);
 }
 
-TEST(BinaryMatrixTest, ColumnBitmap) {
-  const BinaryMatrix m = SmallMatrix();
-  const BitVector b2 = m.ColumnBitmap(2);
-  EXPECT_EQ(b2.Count(), 3u);
-  EXPECT_TRUE(b2.Test(0));
-  EXPECT_TRUE(b2.Test(1));
-  EXPECT_FALSE(b2.Test(2));
-  EXPECT_TRUE(b2.Test(3));
-}
-
-TEST(BinaryMatrixTest, AllColumnBitmapsMatchPerColumn) {
-  const BinaryMatrix m = SmallMatrix();
-  const auto bitmaps = m.AllColumnBitmaps();
-  ASSERT_EQ(bitmaps.size(), m.num_columns());
-  for (ColumnId c = 0; c < m.num_columns(); ++c) {
-    EXPECT_EQ(bitmaps[c], m.ColumnBitmap(c)) << "column " << c;
-  }
-}
-
 TEST(BinaryMatrixTest, EmptyMatrix) {
   const BinaryMatrix m;
   EXPECT_EQ(m.num_rows(), 0u);

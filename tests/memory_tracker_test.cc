@@ -29,36 +29,12 @@ TEST(MemoryTrackerTest, SubClampsAtZero) {
   EXPECT_EQ(t.current_bytes(), 0u);
 }
 
-TEST(MemoryTrackerTest, History) {
-  MemoryTracker t;
-  t.Add(5);
-  t.RecordSample();
-  t.Add(5);
-  t.RecordSample();
-  t.Sub(8);
-  t.RecordSample();
-  ASSERT_EQ(t.history().size(), 3u);
-  EXPECT_EQ(t.history()[0], 5u);
-  EXPECT_EQ(t.history()[1], 10u);
-  EXPECT_EQ(t.history()[2], 2u);
-}
-
 TEST(MemoryTrackerTest, ResetClearsEverything) {
   MemoryTracker t;
   t.Add(10);
-  t.RecordSample();
   t.Reset();
   EXPECT_EQ(t.current_bytes(), 0u);
   EXPECT_EQ(t.peak_bytes(), 0u);
-  EXPECT_TRUE(t.history().empty());
-}
-
-TEST(MemoryTrackerTest, ReleaseAllKeepsPeak) {
-  MemoryTracker t;
-  t.Add(77);
-  t.ReleaseAll();
-  EXPECT_EQ(t.current_bytes(), 0u);
-  EXPECT_EQ(t.peak_bytes(), 77u);
 }
 
 }  // namespace

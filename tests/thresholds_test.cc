@@ -82,7 +82,6 @@ TEST(ThresholdsTest, ColumnMaxMissesIsAtEqualOnes) {
 }
 
 TEST(ThresholdsTest, MinHitsComplementsBudgets) {
-  EXPECT_EQ(MinHitsForConfidence(100, 0.85), 85);
   EXPECT_EQ(MinHitsForSimilarity(4, 5, 0.75), 4);  // Example 5.1
 }
 

@@ -1,13 +1,14 @@
-// Flag parsing shared by dmc_cli and dmc_serve.
+// Flag parsing shared by dmc_cli, dmc_serve and the benches.
 //
-// A command line is `<tool> <command> --name=value ... --switch ...`.
-// Each command names the flags it reads in a table of FlagSpec rows, and
-// Flags::Check refuses, with a message naming the argument:
+// A command line is `<tool> <command> --name=value ... --switch ...`; a
+// bench has no command word. Each command (or bench) names the flags it
+// reads in a table of FlagSpec rows, and Flags::Check refuses, with a
+// message naming the argument:
 //   * an argument that is not --name or --name=value;
 //   * a name no table of the command lists;
 //   * a value on a switch, or a bare --name on a flag that needs a value;
 //   * a value its row's kind does not parse.
-// Both tools exit 2 on that message before any work starts, so a typo
+// Every binary exits 2 on that message before any work starts, so a typo
 // never runs with the option silently dropped. Numbers parse with
 // std::from_chars over the whole value: no sign, no trailing text, no
 // overflow.
@@ -56,6 +57,7 @@ enum class FlagKind {
   kUint,      ///< an integer from 0 to FlagSpec::max
   kFraction,  ///< a number in (0, 1]: a confidence or similarity
   kSeconds,   ///< a positive, finite number of seconds
+  kPositive,  ///< a positive, finite number: a bench's --scale
 };
 
 struct FlagSpec {
@@ -69,9 +71,10 @@ struct FlagSpec {
 
 class Flags {
  public:
-  /// Reads argv[2..]; argv[1] is the command.
-  Flags(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) {
+  /// Reads argv[first..]: argv[1] is a tool's command; a bench's flags
+  /// start at argv[1].
+  Flags(int argc, char** argv, int first = 2) {
+    for (int i = first; i < argc; ++i) {
       const std::string_view arg = argv[i];
       if (arg.substr(0, 2) != "--") {
         strays_.emplace_back(arg);
@@ -144,8 +147,10 @@ class Flags {
           }
           break;
         case FlagKind::kSeconds:
+        case FlagKind::kPositive:
           if (!ParseDouble(*value, &x) || !(x > 0.0)) {
-            return arg + ": expected a positive number of seconds";
+            return arg + ": expected a positive number" +
+                   (spec->kind == FlagKind::kSeconds ? " of seconds" : "");
           }
           break;
         case FlagKind::kSwitch:

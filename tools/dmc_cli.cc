@@ -90,7 +90,9 @@
 //                                   to N times (default 3)
 //   --failpoints=SPEC               arm fault-injection sites, e.g.
 //                                   "matrix.text.row=error@2" (testing)
-//   --failpoint-seed=N              seed for probabilistic failpoints
+//   --failpoint-seed=N              seed for probabilistic failpoints;
+//                                   alone, reseeds the DMC_FAILPOINTS
+//                                   spec (exit 2 when none is armed)
 //
 // All file outputs (--output, --metrics-out, --trace-out, generate
 // --output) are written atomically: a crash mid-write leaves the old
@@ -866,9 +868,18 @@ int Run(int argc, char** argv) {
                  malformed.c_str());
     return 2;
   }
-  if (flags.Has("failpoints")) {
-    // Bare --failpoints reads as an empty spec: record-only mode.
-    std::string spec = flags.Get("failpoints");
+  if (flags.Has("failpoints") || flags.Has("failpoint-seed")) {
+    // Bare --failpoints reads as an empty spec: record-only mode. A
+    // --failpoint-seed without --failpoints reseeds the spec that
+    // DMC_FAILPOINTS armed.
+    std::string spec = flags.Has("failpoints") ? flags.Get("failpoints")
+                                               : fail::CurrentSpec();
+    if (!flags.Has("failpoints") && spec.empty()) {
+      std::fprintf(stderr,
+                   "--failpoint-seed: no failpoint spec to seed (give "
+                   "--failpoints or set DMC_FAILPOINTS)\n");
+      return 2;
+    }
     if (flags.Has("failpoint-seed")) {
       if (!spec.empty()) spec += ';';
       spec += "seed=" + flags.Get("failpoint-seed");
