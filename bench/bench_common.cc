@@ -1,5 +1,6 @@
 #include "bench/bench_common.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -202,11 +203,15 @@ void PerfCounters::Start() {
 void PerfCounters::Stop() {}
 #endif  // DMC_BENCH_HAVE_PERF_EVENT
 
+uint32_t Scaled(double base, double scale, uint32_t min) {
+  return std::max(min, static_cast<uint32_t>(base * scale));
+}
+
 Dataset MakeWlog(double scale) {
   WebLogOptions o;
-  o.num_clients = static_cast<uint32_t>(40000 * scale);
-  o.num_urls = static_cast<uint32_t>(8000 * scale);
+  o.num_clients = Scaled(40000, scale);
   o.num_sections = 40;
+  o.num_urls = Scaled(8000, scale, o.num_sections);
   o.num_crawlers = 5;
   o.max_pages_per_client = 300;
   return Dataset{"Wlog", GenerateWebLog(o), 218518, 74957};
@@ -223,7 +228,7 @@ Dataset MakeWlogP(double scale) {
 
 Dataset MakePlinkF(double scale) {
   LinkGraphOptions o;
-  o.num_pages = static_cast<uint32_t>(40000 * scale);
+  o.num_pages = Scaled(40000, scale, /*min=*/4);
   return Dataset{"plinkF", GenerateLinkGraph(o), 173338, 697824};
 }
 
@@ -238,17 +243,17 @@ Dataset MakePlinkT(double scale) {
 
 Dataset MakeNewsSet(double scale) {
   NewsOptions o;
-  o.num_docs = static_cast<uint32_t>(40000 * scale);
+  o.num_docs = Scaled(40000, scale);
   o.num_topics = 60;
-  o.background_vocab = static_cast<uint32_t>(15000 * scale);
+  o.background_vocab = Scaled(15000, scale);
   return Dataset{"News", GenerateNews(o).matrix, 84672, 170372};
 }
 
 Dataset MakeDicD(double scale) {
   DictionaryOptions o;
-  o.num_head_words = static_cast<uint32_t>(18000 * scale);
-  o.num_definition_words = static_cast<uint32_t>(8000 * scale);
-  o.num_synonym_groups = static_cast<uint32_t>(500 * scale);
+  o.num_head_words = Scaled(18000, scale);
+  o.num_definition_words = Scaled(8000, scale);
+  o.num_synonym_groups = Scaled(500, scale, /*min=*/0);
   return Dataset{"dicD", GenerateDictionary(o).matrix, 45418, 96540};
 }
 
@@ -268,9 +273,9 @@ Dataset MakeNewsP(double scale, NewsData* news_out) {
   // where a-priori's quadratic counter array becomes the bottleneck, as
   // in the paper's 9518-column NewsP.
   NewsOptions o;
-  o.num_docs = static_cast<uint32_t>(16000 * scale);
+  o.num_docs = Scaled(16000, scale);
   o.num_topics = 30;
-  o.background_vocab = static_cast<uint32_t>(12000 * scale);
+  o.background_vocab = Scaled(12000, scale);
   o.background_zipf_theta = 0.65;
   o.background_words_min = 20;
   o.background_words_max = 300;

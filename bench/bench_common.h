@@ -107,6 +107,11 @@ struct Dataset {
   uint64_t paper_columns = 0;
 };
 
+/// `base` * `scale`, but at least `min`: each builder clamps a size to
+/// the smallest its generator accepts, so no positive --scale trips a
+/// generator's checks (a tiny scale gives tiny, not empty, data).
+uint32_t Scaled(double base, double scale, uint32_t min = 1);
+
 // The six evaluation sets of §6.2 (synthetic analogues; see DESIGN.md).
 Dataset MakeWlog(double scale);
 Dataset MakeWlogP(double scale);   // Wlog with columns of <= 10 ones removed

@@ -19,9 +19,9 @@ int main(int argc, char** argv) {
       bench::CheckFlags(argc, argv, {bench::kScaleFlag}).GetDouble("scale", 1.0);
 
   NewsOptions gen;
-  gen.num_docs = static_cast<uint32_t>(8000 * scale);
+  gen.num_docs = bench::Scaled(8000, scale);
   gen.num_topics = 25;
-  gen.background_vocab = static_cast<uint32_t>(3000 * scale);
+  gen.background_vocab = bench::Scaled(3000, scale);
   const NewsData news = GenerateNews(gen);
 
   // "support pruning less than 5": drop columns with fewer than 5 ones.

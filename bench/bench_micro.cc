@@ -24,7 +24,6 @@
 #include "datagen/quest_gen.h"
 #include "datagen/weblog_gen.h"
 #include "incr/incr_miner.h"
-#include "incr/window_miner.h"
 #include "util/bitvector.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
@@ -260,7 +259,7 @@ void BenchWindowSlide(std::vector<bench::BenchRecord>& records) {
   }
 
   auto seeded =
-      WindowedImplicationMiner::FromBatchMine(base, options, window);
+      IncrementalImplicationMiner::FromBatchMine(base, options, window);
   if (!seeded.ok()) {
     std::fprintf(stderr, "window scenario seed failed: %s\n",
                  seeded.status().ToString().c_str());
@@ -269,7 +268,7 @@ void BenchWindowSlide(std::vector<bench::BenchRecord>& records) {
   double slide_secs = 1e300;
   size_t slid_rules = 0;
   for (int i = 0; i < reps; ++i) {
-    WindowedImplicationMiner miner = *seeded;  // fresh state per rep
+    IncrementalImplicationMiner miner = *seeded;  // fresh state per rep
     Stopwatch sw;
     if (!miner.AppendBatch(delta).ok()) return;
     slide_secs = std::min(slide_secs, sw.ElapsedSeconds());

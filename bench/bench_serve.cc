@@ -183,7 +183,11 @@ int Run(int argc, char** argv) {
   bench::PrintHeader("bench_serve: mixed query/append load");
 
   bench::Dataset dataset = bench::MakeWlogP(scale);
-  const ColumnId num_columns = dataset.matrix.num_columns();
+  // The load's column space. An append row spans 4 columns
+  // (MakeBatchRows), and appends widen a seed that a tiny --scale left
+  // narrower than that.
+  const ColumnId num_columns =
+      std::max<ColumnId>(dataset.matrix.num_columns(), 4);
 
   ServeOptions options;
   options.mining.min_confidence = 0.5;
@@ -194,7 +198,8 @@ int Run(int argc, char** argv) {
   }
   const serve::ServeStats before = server.StatsSnapshot();
   std::printf("seeded %s: %u x %u, generation %llu, %llu rules\n",
-              dataset.name.c_str(), dataset.matrix.num_rows(), num_columns,
+              dataset.name.c_str(), dataset.matrix.num_rows(),
+              dataset.matrix.num_columns(),
               (unsigned long long)before.generation,
               (unsigned long long)before.num_rules);
 

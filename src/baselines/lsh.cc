@@ -1,7 +1,6 @@
 #include "baselines/lsh.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <unordered_set>
 #include <vector>
@@ -14,11 +13,6 @@
 #include "util/stopwatch.h"
 
 namespace dmc {
-
-double LshCandidateProbability(double s, uint32_t bands,
-                               uint32_t rows_per_band) {
-  return 1.0 - std::pow(1.0 - std::pow(s, rows_per_band), bands);
-}
 
 SimilarityRuleSet LshSimilarities(const BinaryMatrix& m,
                                   const LshOptions& options,

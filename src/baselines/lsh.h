@@ -56,11 +56,6 @@ SimilarityRuleSet LshSimilarities(const BinaryMatrix& m,
                                   double min_similarity,
                                   LshStats* stats = nullptr);
 
-/// P(candidate) for a pair of true similarity `s` under (bands, rows) —
-/// the design curve, exposed for tests and parameter selection.
-double LshCandidateProbability(double s, uint32_t bands,
-                               uint32_t rows_per_band);
-
 }  // namespace dmc
 
 #endif  // DMC_BASELINES_LSH_H_

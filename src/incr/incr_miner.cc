@@ -337,24 +337,53 @@ Status ValidateThreshold(const typename Kind::Options& options) {
 
 template <typename Kind>
 IncrementalMiner<Kind>::IncrementalMiner(Options options,
+                                         uint64_t window_rows,
                                          ColumnId num_columns)
-    : options_(std::move(options)), postings_(num_columns) {}
+    : options_(std::move(options)),
+      window_rows_(window_rows),
+      postings_(num_columns) {}
 
 template <typename Kind>
 StatusOr<IncrementalMiner<Kind>> IncrementalMiner<Kind>::FromBatchMine(
-    const BinaryMatrix& initial, const Options& options, MiningStats* stats) {
+    const BinaryMatrix& initial, const Options& options, uint64_t window_rows,
+    MiningStats* stats) {
   DMC_ASSIGN_OR_RETURN(RuleSet rules,
                        MineMatrix<Kind>(initial, options, nullptr, stats));
-  IncrementalMiner miner(options, initial.num_columns());
+  IncrementalMiner miner(options, window_rows, initial.num_columns());
   miner.postings_.Append(initial);
   miner.rules_ = std::move(rules);
   miner.cumulative_.rows_total = initial.num_rows();
+  DMC_RETURN_IF_ERROR(miner.SlideToWindow(nullptr));
   return miner;
 }
 
 template <typename Kind>
+Status IncrementalMiner<Kind>::SlideToWindow(IncrEvictStats* stats) {
+  IncrEvictStats local;
+  if (window_rows_ > 0 && num_rows() > window_rows_) {
+    const uint64_t overflow = num_rows() - window_rows_;
+    DMC_RETURN_IF_ERROR(EvictBatch(overflow, &local));
+    MetricsRegistry* metrics = options_.policy.observe.metrics;
+    if (metrics != nullptr) {
+      metrics->IncrCounter("dmc.window.slides");
+      metrics->IncrCounter("dmc.window.rows_evicted", overflow);
+    }
+  }
+  if (stats != nullptr) *stats = local;
+  return Status::OK();
+}
+
+template <typename Kind>
 Status IncrementalMiner<Kind>::AppendBatch(const BinaryMatrix& delta,
-                                           IncrAppendStats* stats) {
+                                           IncrAppendStats* stats,
+                                           IncrEvictStats* slide) {
+  DMC_RETURN_IF_ERROR(Absorb(delta, stats));
+  return SlideToWindow(slide);
+}
+
+template <typename Kind>
+Status IncrementalMiner<Kind>::Absorb(const BinaryMatrix& delta,
+                                      IncrAppendStats* stats) {
   DMC_RETURN_IF_ERROR(ValidateThreshold<Kind>(options_));
   if (fail::Enabled()) {
     DMC_RETURN_IF_ERROR(fail::InjectStatus("incr.append"));

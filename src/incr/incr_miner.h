@@ -57,6 +57,16 @@
 // — rules and memory accounting — to a fresh mine of the window contents
 // (tests/window_differential_test.cc proves this property).
 //
+// Sliding window (DESIGN §5.10): a miner built with window_rows > 0
+// holds at most that many rows. Every AppendBatch that pushes the row
+// count past the budget evicts the overflow from the front, and
+// FromBatchMine trims the seed the same way, so rules() always reflects
+// exactly the newest window_rows rows of the feed — the "last N rows"
+// monitoring scenario. Each such slide is one EvictBatch, so it is exact
+// too, and it also records dmc.window.slides and dmc.window.rows_evicted.
+// With window_rows == 0 nothing slides; EvictBatch stays available for
+// explicit trims either way.
+//
 // Determinism: all state lives in sorted vectors (postings, canonical
 // rule sets, sorted/uniqued pair keys) — no hash containers — so equal
 // inputs give byte-identical outputs, run to run.
@@ -139,28 +149,34 @@ class IncrementalMiner {
   using Options = typename Kind::Options;
   using RuleSet = typename Kind::RuleSet;
 
-  /// Empty state: zero rows, no rules. `num_columns` may be 0 — the
-  /// column count grows to fit the widest appended batch.
-  explicit IncrementalMiner(Options options, ColumnId num_columns = 0);
+  /// Empty state: zero rows, no rules. `window_rows` is the row budget
+  /// (0: unbounded). `num_columns` may be 0 — the column count grows to
+  /// fit the widest appended batch.
+  explicit IncrementalMiner(Options options, uint64_t window_rows = 0,
+                            ColumnId num_columns = 0);
 
   /// Seeds from a batch mine of `initial` (the snapshot-after-batch-mine
   /// entry point): runs the batch miner with `options`, keeps its rule
   /// set as the live candidate state and builds the postings in one row
-  /// sweep. `stats`, when non-null, receives the batch engine's
-  /// breakdown.
+  /// sweep, then slides the seed into the `window_rows` budget.
+  /// `stats`, when non-null, receives the batch engine's breakdown.
   static StatusOr<IncrementalMiner> FromBatchMine(const BinaryMatrix& initial,
                                                   const Options& options,
+                                                  uint64_t window_rows = 0,
                                                   MiningStats* stats = nullptr);
 
   /// Absorbs `delta` (its rows become rows [num_rows(),
-  /// num_rows() + delta rows)). On error (invalid options, injected
-  /// fault at site "incr.append") the state is untouched. Observability:
-  /// spans incr/append_batch, incr/update, incr/regen and counters
-  /// dmc.incr.batches / dmc.incr.rows_appended /
+  /// num_rows() + delta rows)), then evicts any overflow past the row
+  /// budget. On error (invalid options, injected fault at site
+  /// "incr.append") the state is untouched. `slide`, when non-null,
+  /// receives the slide's breakdown (zeroed when nothing slid).
+  /// Observability: spans incr/append_batch, incr/update, incr/regen and
+  /// counters dmc.incr.batches / dmc.incr.rows_appended /
   /// dmc.incr.candidates_killed / dmc.incr.candidates_revived flow
   /// through options.policy.observe.
   [[nodiscard]] Status AppendBatch(const BinaryMatrix& delta,
-                                   IncrAppendStats* stats = nullptr);
+                                   IncrAppendStats* stats = nullptr,
+                                   IncrEvictStats* slide = nullptr);
 
   /// Evicts the oldest `k` rows (the window's prefix) and renumbers the
   /// survivors, leaving rules() exactly the batch mine of the surviving
@@ -177,13 +193,18 @@ class IncrementalMiner {
 
   uint64_t num_rows() const { return postings_.num_rows(); }
   ColumnId num_columns() const { return postings_.num_columns(); }
-  const Options& options() const { return options_; }
   const IncrCumulativeStats& cumulative() const { return cumulative_; }
   /// Heap bytes of the persistent counting state.
   size_t MemoryBytes() const { return postings_.MemoryBytes(); }
 
  private:
+  /// AppendBatch without the slide.
+  Status Absorb(const BinaryMatrix& delta, IncrAppendStats* stats);
+  /// Evicts the overflow past the row budget from the front.
+  Status SlideToWindow(IncrEvictStats* stats);
+
   Options options_;
+  uint64_t window_rows_ = 0;
   ColumnPostings postings_;
   RuleSet rules_;
   IncrCumulativeStats cumulative_;

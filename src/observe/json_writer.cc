@@ -137,9 +137,4 @@ void JsonWriter::Null() {
   os_ << "null";
 }
 
-void JsonWriter::Raw(std::string_view json) {
-  Prefix();
-  os_ << json;
-}
-
 }  // namespace dmc

@@ -59,10 +59,6 @@ class JsonWriter {
   void Value(uint64_t v);  // also covers size_t on LP64
   void Null();
 
-  /// Splices pre-rendered JSON in as one value (caller guarantees it is
-  /// well-formed). Used for trace-event args objects.
-  void Raw(std::string_view json);
-
  private:
   void Prefix();  // comma/newline/indent bookkeeping before an element
   void NewlineIndent();

@@ -39,7 +39,7 @@ void TraceSink::WriteChromeJson(std::ostream& os) const {
   w.Key("traceEvents");
   w.BeginArray();
   for (const TraceEvent& e : events) {
-    // Chrome's trace viewer needs ph/pid/tid/ts/dur; args is optional.
+    // Chrome's trace viewer needs ph/pid/tid/ts/dur.
     w.BeginObject();
     w.Key("name");
     w.Value(e.name);
@@ -53,10 +53,6 @@ void TraceSink::WriteChromeJson(std::ostream& os) const {
     w.Value(e.ts_micros);
     w.Key("dur");
     w.Value(e.dur_micros);
-    if (!e.args_json.empty()) {
-      w.Key("args");
-      w.Raw(e.args_json);
-    }
     w.EndObject();
   }
   w.EndArray();

@@ -30,9 +30,6 @@ struct TraceEvent {
   int64_t ts_micros = 0;   // start, relative to sink creation
   int64_t dur_micros = 0;  // duration
   int tid = 0;             // display lane (0 = main, 1.. = shards)
-  /// Optional pre-rendered JSON object for the "args" field ("{...}");
-  /// empty means no args.
-  std::string args_json;
 };
 
 class TraceSink {
@@ -78,23 +75,16 @@ class ScopedSpan {
     e.ts_micros = start_micros_;
     e.dur_micros = sink_->NowMicros() - start_micros_;
     e.tid = tid_;
-    e.args_json = std::move(args_json_);
     sink_->AddCompleteEvent(std::move(e));
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  /// Attaches a pre-rendered JSON object ("{...}") as the event's args.
-  void SetArgsJson(std::string args_json) {
-    if (sink_ != nullptr) args_json_ = std::move(args_json);
-  }
-
  private:
   TraceSink* sink_;
   int tid_;
   std::string name_;
-  std::string args_json_;
   int64_t start_micros_ = 0;
 };
 

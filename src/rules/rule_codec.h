@@ -1,6 +1,5 @@
-// The one byte image of each rule record, shared by the rule-index
-// snapshot, the shard task checkpoint, the serve rules reply and the
-// shard kResult frame:
+// The one byte image of each rule record, shared by the shard task
+// checkpoint, the serve rules reply and the shard kResult frame:
 //
 //   ImplicationRule  u32 lhs, rhs, lhs_ones, misses                 16 B
 //   SimilarityPair   u32 a, b, ones_a, ones_b, intersection         20 B

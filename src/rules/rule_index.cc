@@ -3,19 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "rules/rule_codec.h"
-#include "util/atomic_io.h"
-#include "util/failpoint.h"
-#include "util/sealed_file.h"
-
 namespace dmc {
-
-namespace {
-
-constexpr std::string_view kMagic = "DMCRIDX\n";
-constexpr uint32_t kVersion = 1;
-
-}  // namespace
 
 std::shared_ptr<const RuleIndexSnapshot> RuleIndexSnapshot::Build(
     const ImplicationRuleSet& rules, uint64_t generation) {
@@ -84,41 +72,6 @@ std::vector<ImplicationRule> RuleIndexSnapshot::TopK(size_t k) const {
   return out;
 }
 
-std::string RuleIndexSnapshot::Serialize() const {
-  std::string out(kMagic);
-  AppendLE<uint32_t>(&out, kVersion);
-  AppendLE<uint64_t>(&out, generation_);
-  AppendLE<uint64_t>(&out, static_cast<uint64_t>(by_lhs_.size()));
-  for (const ImplicationRule& r : by_lhs_) AppendRecord(&out, r);
-  AppendSeal(&out);
-  return out;
-}
-
-StatusOr<std::shared_ptr<const RuleIndexSnapshot>> RuleIndexSnapshot::Deserialize(
-    const std::string& data, const std::string& context) {
-  const std::string what = "rule index " + context;
-  // The fixed fields: version, generation, rule count.
-  DMC_RETURN_IF_ERROR(CheckSealedHeader(data, kMagic, 4 + 8 + 8, what));
-  size_t offset = kMagic.size();
-  uint32_t version = 0;
-  (void)ReadLE(data, &offset, &version);
-  if (version != kVersion) {
-    return DataLossError(what + ": unsupported version " +
-                         std::to_string(version));
-  }
-  uint64_t generation = 0;
-  uint64_t count = 0;
-  (void)ReadLE(data, &offset, &generation);  // length pre-checked above
-  (void)ReadLE(data, &offset, &count);
-  std::vector<ImplicationRule> rules;
-  if (!ReadRecords(data, &offset, count, &rules)) {
-    return DataLossError(what + ": rule count " + std::to_string(count) +
-                         " exceeds file size");
-  }
-  DMC_RETURN_IF_ERROR(CheckSeal(data, offset, what));
-  return Build(ImplicationRuleSet(std::move(rules)), generation);
-}
-
 RuleIndex::RuleIndex()
     : snapshot_(RuleIndexSnapshot::Build(ImplicationRuleSet(), 0)) {}
 
@@ -141,27 +94,6 @@ void RuleIndex::Publish(const ImplicationRuleSet& rules) {
       RuleIndexSnapshot::Build(rules, next_generation);
   MutexLock lock(mu_);
   snapshot_ = std::move(built);
-}
-
-Status RuleIndex::Save(const std::string& path) const {
-  if (fail::Enabled()) {
-    DMC_RETURN_IF_ERROR(fail::InjectStatus("rule_index.save"));
-  }
-  return AtomicWriteFile(path, snapshot()->Serialize());
-}
-
-Status RuleIndex::Load(const std::string& path) {
-  if (fail::Enabled()) {
-    DMC_RETURN_IF_ERROR(fail::InjectStatus("rule_index.load"));
-  }
-  DMC_ASSIGN_OR_RETURN(const std::string data,
-                       ReadWholeFile(path, "rule index"));
-  DMC_ASSIGN_OR_RETURN(std::shared_ptr<const RuleIndexSnapshot> snapshot,
-                       RuleIndexSnapshot::Deserialize(data, path));
-  MutexLock publish_lock(publish_mu_);
-  MutexLock lock(mu_);
-  snapshot_ = std::move(snapshot);
-  return Status::OK();
 }
 
 }  // namespace dmc

@@ -14,22 +14,18 @@
 // and swaps it in under a mutex. Readers holding the old snapshot keep
 // a consistent view for as long as they need it — the swap never blocks
 // or mutates what they see (the TSan stage exercises queries racing
-// Publish). Save/Load persist a snapshot as a sealed file
-// (util/sealed_file.h, the checkpoints' envelope): AtomicFileWriter on
-// the way out, FNV-1a checksum + end magic verified on the way in,
-// failpoint sites rule_index.save / rule_index.load for fault drills.
+// Publish). The index lives in memory only: dmc_serve re-seeds from its
+// input, and dmc_cli's --query-lhs / --query-rhs answer from a snapshot
+// of the rules just mined.
 
 #ifndef DMC_RULES_RULE_INDEX_H_
 #define DMC_RULES_RULE_INDEX_H_
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "rules/rule_set.h"
-#include "util/status.h"
-#include "util/statusor.h"
 #include "util/thread_annotations.h"
 
 namespace dmc {
@@ -57,16 +53,6 @@ class RuleIndexSnapshot {
   size_t size() const { return by_lhs_.size(); }
   bool empty() const { return by_lhs_.empty(); }
 
-  /// Sealed binary image (util/sealed_file.h): magic DMCRIDX, u32 version,
-  /// u64 generation, u64 rule count, rule records (rules/rule_codec.h).
-  std::string Serialize() const;
-
-  /// Rebuilds a snapshot from Serialize() output. Truncation, bad magic,
-  /// version skew, a rule count the bytes cannot hold, or a bad seal
-  /// yield kDataLoss mentioning `context` (typically the file path).
-  static StatusOr<std::shared_ptr<const RuleIndexSnapshot>> Deserialize(
-      const std::string& data, const std::string& context);
-
  private:
   RuleIndexSnapshot() = default;
 
@@ -92,7 +78,7 @@ class RuleIndex {
   RuleIndex& operator=(const RuleIndex&) = delete;
 
   /// The current snapshot. The returned pointer stays valid and
-  /// immutable regardless of later Publish/Load calls.
+  /// immutable regardless of later Publish calls.
   std::shared_ptr<const RuleIndexSnapshot> snapshot() const;
 
   /// Builds a snapshot of `rules` with the next generation number and
@@ -101,17 +87,8 @@ class RuleIndex {
   /// waits longer than a pointer swap.
   void Publish(const ImplicationRuleSet& rules);
 
-  /// Persists the current snapshot (AtomicFileWriter: old-or-new, never
-  /// torn). Failpoint site: rule_index.save.
-  [[nodiscard]] Status Save(const std::string& path) const;
-
-  /// Replaces the current snapshot with the one stored at `path`.
-  /// Corruption is reported as kDataLoss and leaves the served snapshot
-  /// untouched. Failpoint site: rule_index.load.
-  [[nodiscard]] Status Load(const std::string& path);
-
  private:
-  /// Serializes writers (Publish, Load) so concurrent publishes cannot
+  /// Serializes writers (Publish) so concurrent publishes cannot
   /// both read generation g and race to install g+1 twice. Always
   /// acquired before mu_; never held by readers.
   Mutex publish_mu_ DMC_ACQUIRED_BEFORE(mu_);

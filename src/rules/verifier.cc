@@ -67,15 +67,6 @@ Status RuleVerifier::VerifySimilarities(const SimilarityRuleSet& pairs,
   return Status::OK();
 }
 
-ImplicationRule RuleVerifier::MakeImplication(ColumnId i, ColumnId j) const {
-  ImplicationRule r;
-  r.lhs = i;
-  r.rhs = j;
-  r.lhs_ones = ones_[i];
-  r.misses = ones_[i] - Intersection(i, j);
-  return r;
-}
-
 SimilarityPair RuleVerifier::MakeSimilarity(ColumnId i, ColumnId j) const {
   SimilarityPair p;
   p.a = i;

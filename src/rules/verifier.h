@@ -43,9 +43,6 @@ class RuleVerifier {
   [[nodiscard]] Status VerifySimilarities(const SimilarityRuleSet& pairs,
                             double min_similarity) const;
 
-  /// Builds an ImplicationRule with exact counts for (i, j).
-  ImplicationRule MakeImplication(ColumnId i, ColumnId j) const;
-
   /// Builds a SimilarityPair with exact counts for (i, j), in canonical
   /// orientation.
   SimilarityPair MakeSimilarity(ColumnId i, ColumnId j) const;

@@ -68,7 +68,7 @@ Status RuleServer::SeedFromMatrix(const BinaryMatrix& initial) {
         "the miner afterwards");
   }
   DMC_ASSIGN_OR_RETURN(
-      miner_, WindowedImplicationMiner::FromBatchMine(
+      miner_, IncrementalImplicationMiner::FromBatchMine(
                   initial, options_.mining, options_.window_rows));
   index_.Publish(miner_.rules());
   MutexLock lock(mu_);

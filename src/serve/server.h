@@ -14,7 +14,7 @@
 //     Queries resolve against the current immutable RuleIndexSnapshot
 //     via one shared_ptr acquire — the event thread never waits on the
 //     miner, so readers are wait-free with respect to publishes.
-//   * The *ingest thread* owns the WindowedImplicationMiner. Append and
+//   * The *ingest thread* owns the IncrementalImplicationMiner. Append and
 //     evict requests are acknowledged as soon as the op is parked on
 //     the ingest queue; the ingest thread pops one op at a time, runs
 //     AppendBatch / EvictBatch, and atomically Publishes a fresh
@@ -25,8 +25,9 @@
 //     server's logical row tally (rows after every queued op applies)
 //     at request time: an over-eviction gets an error reply and the
 //     connection closes, and the op is never queued. With
-//     ServeOptions::window_rows set, every append auto-evicts its
-//     overflow, so the server mines a count-bounded sliding window.
+//     ServeOptions::window_rows set, the miner holds that row budget and
+//     every append auto-evicts its overflow, so the server mines a
+//     count-bounded sliding window.
 //
 // Shutdown (RequestShutdown — async-signal-safe — or Shutdown): the
 // listener closes first, pending replies flush (bounded by
@@ -53,7 +54,6 @@
 
 #include "core/dmc_options.h"
 #include "incr/incr_miner.h"
-#include "incr/window_miner.h"
 #include "matrix/binary_matrix.h"
 #include "rules/rule_index.h"
 #include "serve/protocol.h"
@@ -164,7 +164,7 @@ class RuleServer {
 
   RuleIndex index_;
   /// Owned by the caller before Start, by the ingest thread after.
-  WindowedImplicationMiner miner_;
+  IncrementalImplicationMiner miner_;
 
   /// One queued ingest op: an append batch or a prefix eviction.
   struct PendingOp {

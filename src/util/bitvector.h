@@ -32,7 +32,6 @@ class BitVector {
   BitVector& operator=(BitVector&&) = default;
 
   size_t size() const { return num_bits_; }
-  bool empty() const { return num_bits_ == 0; }
 
   // Set and the counting kernels are defined inline: they sit in the
   // innermost loops of the incremental update/regen passes, where the

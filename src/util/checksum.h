@@ -1,6 +1,6 @@
 // FNV-1a, the checksum every checksummed file in this repo is sealed
-// with: binary matrices, external and shard checkpoints, rule-index
-// snapshots and the external miner's row spill; the failpoint registry
+// with: the external and shard checkpoints and the external miner's row
+// spill; the failpoint registry
 // also hashes site names with it for its deterministic coin flips.
 //
 // The offset basis is one digit short of the published 64-bit FNV basis

@@ -1,6 +1,5 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -10,7 +9,8 @@
 namespace dmc {
 
 namespace {
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kInfo)};
+// The lowest level DMC_LOG writes.
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 
 // Serializes stderr emission so log lines from parallel shards can
 // never interleave. Constant-initialized (std::mutex ctor is constexpr),
@@ -38,14 +38,6 @@ double SecondsSinceStart() {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
-
 namespace internal_logging {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
@@ -54,10 +46,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 }
 
 LogMessage::~LogMessage() {
-  if (static_cast<int>(level_) <
-      g_min_level.load(std::memory_order_relaxed)) {
-    return;
-  }
+  if (level_ < kMinLevel) return;
   const double elapsed = SecondsSinceStart();
   MutexLock lock(g_stderr_mu);
   std::fprintf(stderr, "%9.3f %s\n", elapsed, stream_.str().c_str());

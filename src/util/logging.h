@@ -2,7 +2,8 @@
 //
 // DMC_CHECK(cond) aborts with a message when `cond` is false — used for
 // programming-error invariants (never for data-dependent failures, which
-// return Status). DMC_LOG(level) writes a timestamped line to stderr.
+// return Status). DMC_LOG(level) writes a timestamped line to stderr;
+// kDebug lines are dropped.
 
 #ifndef DMC_UTIL_LOGGING_H_
 #define DMC_UTIL_LOGGING_H_
@@ -14,10 +15,6 @@
 namespace dmc {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Sets the minimum level emitted by DMC_LOG. Default: kInfo.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 namespace internal_logging {
 

@@ -44,12 +44,6 @@ class MemoryTracker {
     return p;
   }
 
-  void Reset() {
-    current_ = 0;
-    peak_ = 0;
-    interval_peak_ = 0;
-  }
-
  private:
   size_t current_ = 0;
   size_t peak_ = 0;

@@ -1,5 +1,5 @@
-// The envelope of every sealed file: external and shard checkpoints,
-// rule-index snapshots and binary matrices (DESIGN §5.3 lists them).
+// The envelope of every sealed file: the external and shard checkpoints
+// (DESIGN §5.3 lists them).
 //
 //   magic  body  u64 FNV-1a of magic and body  "DMCE"
 //

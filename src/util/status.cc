@@ -54,9 +54,6 @@ Status FailedPreconditionError(std::string message) {
 Status InternalError(std::string message) {
   return Status(StatusCode::kInternal, std::move(message));
 }
-Status UnimplementedError(std::string message) {
-  return Status(StatusCode::kUnimplemented, std::move(message));
-}
 Status CancelledError(std::string message) {
   return Status(StatusCode::kCancelled, std::move(message));
 }

@@ -79,7 +79,6 @@ Status IOError(std::string message);
 Status ResourceExhaustedError(std::string message);
 Status FailedPreconditionError(std::string message);
 Status InternalError(std::string message);
-Status UnimplementedError(std::string message);
 Status CancelledError(std::string message);
 Status DataLossError(std::string message);
 

@@ -26,12 +26,6 @@ uint64_t ZipfSampler::Sample(Rng& rng) const {
   return static_cast<uint64_t>(it - cdf_.begin());
 }
 
-double ZipfSampler::Pmf(uint64_t rank) const {
-  DMC_CHECK_LT(rank, n_);
-  const double lo = rank == 0 ? 0.0 : cdf_[rank - 1];
-  return cdf_[rank] - lo;
-}
-
 PowerLawSampler::PowerLawSampler(uint64_t k_min, uint64_t k_max, double alpha)
     : k_min_(k_min), k_max_(k_max) {
   DMC_CHECK_GE(k_min, 1u);

@@ -29,9 +29,6 @@ class ZipfSampler {
   uint64_t n() const { return n_; }
   double theta() const { return theta_; }
 
-  /// Probability mass of `rank`.
-  double Pmf(uint64_t rank) const;
-
  private:
   uint64_t n_;
   double theta_;

@@ -8,9 +8,15 @@
 # --order=sort with a file pipeline must exit 2, before any mining, with
 # a message naming the flag. Well-formed values of the same flags must
 # still mine.
+# The flags given pick one mining path (in memory, --threads,
+# incremental, --external, --shard-workers); a flag that path does not
+# read exits 2 naming the flag and the path, and each path accepts all
+# of its own flags. Rules mined inside a support window name the input's
+# columns, and --query-lhs/--query-rhs print from the mined rules.
 # A --failpoint-seed without --failpoints reseeds the DMC_FAILPOINTS spec
 # and exits 2 when none is armed. A bench refuses the same way before it
-# generates data.
+# generates data, and runs at any positive --scale. dmc_shard_worker
+# refuses a malformed descriptor flag the same way.
 #
 # Every rejected value is refused before a thread or worker process is
 # started, so the huge and negative counts below start nothing; every
@@ -24,6 +30,7 @@ CLI="$1"
 FIXTURE="$2/fixture_matrix.txt"
 SERVE="$3"
 BENCH="$4"
+WORKER="$(dirname "$CLI")/dmc_shard_worker"
 
 TMP="$(mktemp -d)"
 serve_pid=""
@@ -102,8 +109,9 @@ rejects shard-worker-metrics-dir --shard-worker-metrics-dir="$TMP" \
   --shard-workers=1 --workdir="$TMP"
 rejects external --external=1 --workdir="$TMP"
 refused "'extra'" "$CLI" mine-imp --input="$FIXTURE" --minconf=0.8 extra
-refused --serve-index "$CLI" mine-sim --input="$FIXTURE" --minsim=0.5 \
-  --serve-index="$TMP/index.bin"
+rejects serve-index --serve-index="$TMP/index.bin"
+refused --query-lhs "$CLI" mine-sim --input="$FIXTURE" --minsim=0.5 \
+  --query-lhs=0
 refused --minconf "$CLI" mine-sim --input="$FIXTURE" --minconf=0.5
 refused --dataset "$CLI" generate --dataset=quest --output="$TMP/g.txt"
 refused --threads "$CLI" stats --input="$FIXTURE" --threads=2
@@ -123,6 +131,33 @@ rejects failpoints --failpoints="seed=abc"
 rejects failpoints --failpoints="seed=18446744073709551616"
 rejects failpoints --failpoints="io.read=error@99999999999999999999"
 
+# Flags read only by another mining path name the flag and the path.
+refused "--min-support=1000: not read by the --external path" "$CLI" \
+  mine-imp --input="$FIXTURE" --minconf=0.8 --min-support=1000 --external \
+  --workdir="$TMP"
+refused "--max-support=9: not read by the --shard-workers path" "$CLI" \
+  mine-sim --input="$FIXTURE" --minsim=0.5 --max-support=9 \
+  --shard-workers=1 --workdir="$TMP"
+rejects min-support --min-support=6 --append="$FIXTURE"
+rejects threads --external --threads=4 --workdir="$TMP"
+rejects threads --shard-workers=1 --threads=2 --workdir="$TMP"
+rejects threads --evict=1 --threads=1
+rejects external --shard-workers=1 --external --workdir="$TMP"
+rejects append --external --append="$FIXTURE" --workdir="$TMP"
+rejects window-rows --shard-workers=1 --window-rows=5 --workdir="$TMP"
+for flag in --checkpoint="$TMP/ckpt.bin" --resume --io-retries=2 \
+    --workdir="$TMP" --shard-tasks-per-worker=2 \
+    --shard-checkpoint-dir="$TMP" --shard-no-degrade \
+    --shard-heartbeat-timeout=5; do
+  refused "${flag}: not read by the in-memory path" "$CLI" mine-imp \
+    --input="$FIXTURE" --minconf=0.8 "$flag"
+done
+for flag in --checkpoint="$TMP/ckpt.bin" --resume --io-retries=2 \
+    --workdir="$TMP"; do
+  refused "${flag}: not read by the --threads path" "$CLI" mine-imp \
+    --input="$FIXTURE" --minconf=0.8 --threads=2 "$flag"
+done
+
 # An exact row sort needs the in-memory matrix.
 rejects order --order=sort --external --workdir="$TMP"
 rejects order --order=sort --shard-workers=1 --workdir="$TMP"
@@ -131,6 +166,12 @@ refused --order "$CLI" mine-sim --input="$FIXTURE" --minsim=0.5 \
 
 refused --rows "$CLI" generate --kind=quest --rows=-10 \
   --output="$TMP/g.txt"
+
+# The shard worker's descriptors are whole numbers, both required.
+refused --in-fd "$WORKER" --in-fd=abc --out-fd=1
+refused --out-fd "$WORKER" --in-fd=0 --out-fd=-1
+refused --out-fd "$WORKER" --in-fd=0
+refused "'3'" "$WORKER" --in-fd=0 --out-fd=1 3
 
 # A seed without --failpoints seeds the spec DMC_FAILPOINTS armed, so it
 # must behave as --failpoints='SPEC;seed=N' does: the same exit code and
@@ -175,17 +216,100 @@ if ! timeout 60 "$BENCH/bench_table1" --scale=0.01 >"$TMP/out.txt" \
     "$(cat "$TMP/err.txt")" >&2
   fail=1
 fi
+# A scale too small for a generator's minimum sizes (bench_table1's
+# weblog needs 40 URL sections, that is 8000 * scale >= 40) runs at
+# those minimums.
+for bench in "$BENCH"/bench_*; do
+  name="$(basename "$bench")"
+  [ "$name" = bench_micro ] && continue  # reads no --scale
+  extra=()
+  [ "$name" = bench_serve ] && extra=(--smoke)
+  timeout 60 "$bench" --scale=0.00001 "${extra[@]}" >"$TMP/out.txt" \
+    2>"$TMP/err.txt"
+  rc=$?
+  if [ "$rc" -ne 0 ]; then
+    echo "FAIL: $name --scale=0.00001 exited $rc:" \
+      "$(tail -n 3 "$TMP/err.txt")" >&2
+    fail=1
+  fi
+done
 
-accepts --threads=2 --top=3 --order=sort
-accepts --order=identity --min-support=1 --io-retries=0 --external \
-  --workdir="$TMP"
-accepts --order=buckets --evict=1,2
+# One accepted set per mining path, holding every flag of its table.
+accepts --min-support=1 --max-support=100 --query-lhs=0 --query-rhs=2
+accepts --threads=2 --top=3 --order=sort --min-support=1 --max-support=100
+accepts --order=buckets --append="$FIXTURE" --evict=1,2 --window-rows=20
+accepts --order=identity --external --workdir="$TMP" \
+  --checkpoint="$TMP/ext.ckpt" --resume --io-retries=0
 accepts --shard-workers=1 --shard-tasks-per-worker=1 \
-  --shard-heartbeat-timeout=7.5 --workdir="$TMP"
+  --shard-checkpoint-dir="$TMP" --shard-no-degrade \
+  --shard-heartbeat-timeout=7.5 --workdir="$TMP" \
+  --checkpoint="$TMP/shard.ckpt" --resume --io-retries=1
 accepts --minconf=1 --failpoints --failpoint-seed=7 --progress \
   --no-bitmap --no-hundred-phase
 accepts --minconf=0.75 --progress=16 --metrics-out="$TMP/m.json" \
   --trace-out="$TMP/t.json" --output="$TMP/rules.txt"
+
+# prints <want-file> <command...>: exit 0 with stdout ending in exactly
+# the lines of <want-file>.
+prints() {
+  local want="$1"
+  shift
+  if ! "$@" >"$TMP/out.txt" 2>"$TMP/err.txt"; then
+    echo "FAIL: ${*:2} exited non-zero: $(cat "$TMP/err.txt")" >&2
+    fail=1
+  elif ! tail -n "$(wc -l <"$want")" "$TMP/out.txt" | cmp -s "$want" -; then
+    echo "FAIL: ${*:2} printed other lines:" >&2
+    diff "$want" "$TMP/out.txt" >&2
+    fail=1
+  fi
+}
+
+# --query-lhs answers from the mined rules, on every mine-imp path: the
+# top rules, then the rules with antecedent c0 (what --serve-index=FILE
+# --query-lhs=0 printed when the index went through a file).
+cat >"$TMP/query.txt" <<'EOF'
+c0 => c2 (conf=1.0000, ones=7, miss=0)
+c1 => c2 (conf=1.0000, ones=7, miss=0)
+c3 => c2 (conf=0.8000, ones=5, miss=1)
+c0 => c2 (conf=1.0000, ones=7, miss=0)
+EOF
+for path in "" --threads=2 --evict=0 "--external --workdir=$TMP" \
+    "--shard-workers=1 --workdir=$TMP"; do
+  # shellcheck disable=SC2086  # split the path's flags
+  prints "$TMP/query.txt" "$CLI" mine-imp --input="$FIXTURE" --minconf=0.8 \
+    --query-lhs=0 $path
+  if [ "$(wc -l <"$TMP/out.txt")" -ne 4 ]; then
+    echo "FAIL: mine-imp --query-lhs=0 $path printed" \
+      "$(wc -l <"$TMP/out.txt") lines, want 4" >&2
+    fail=1
+  fi
+done
+
+# Inside a support window the rules, and the --query-* columns, are the
+# input's: every rule the window mines is a rule of the whole input,
+# with the same counts.
+for command in "mine-imp --minconf=0.5" "mine-sim --minsim=0.3"; do
+  for path in "" --threads=2; do
+    # shellcheck disable=SC2086  # split the command and path flags
+    "$CLI" $command --input="$FIXTURE" --top=0 $path \
+      >"$TMP/whole.txt" 2>/dev/null
+    # shellcheck disable=SC2086
+    "$CLI" $command --input="$FIXTURE" --top=0 $path --min-support=6 \
+      >"$TMP/window.txt" 2>/dev/null
+    if [ ! -s "$TMP/window.txt" ] ||
+        grep -vxF -f "$TMP/whole.txt" "$TMP/window.txt" >"$TMP/extra.txt"; then
+      echo "FAIL: $command $path --min-support=6 printed rules the whole" \
+        "input does not hold: $(cat "$TMP/extra.txt")" >&2
+      fail=1
+    fi
+  done
+done
+cat >"$TMP/window_query.txt" <<'EOF'
+c4 => c0 (conf=0.6667, ones=6, miss=2)
+c4 => c2 (conf=0.6667, ones=6, miss=2)
+EOF
+prints "$TMP/window_query.txt" "$CLI" mine-imp --input="$FIXTURE" \
+  --minconf=0.5 --min-support=6 --query-lhs=4
 
 # dmc_serve: each command reads its own flags, with its own bounds.
 refused --port "$SERVE" serve --input="$FIXTURE" --port=70000

@@ -18,7 +18,7 @@
 #include "core/engine.h"
 #include "core/external_miner.h"
 #include "core/parallel_dmc.h"
-#include "incr/window_miner.h"
+#include "incr/incr_miner.h"
 #include "matrix/binary_matrix.h"
 #include "matrix/matrix_io.h"
 #include "matrix/row_order.h"
@@ -447,7 +447,7 @@ void WindowFaultLeavesExactWindow(double threshold, const char* arm) {
       };
 
   ASSERT_TRUE(fail::Configure(arm).ok());
-  WindowedMiner<Kind> miner(o, 30);
+  IncrementalMiner<Kind> miner(o, 30);
   // Rows successfully appended, in feed order; a batch whose append
   // faulted before absorbing anything is dropped.
   std::vector<std::vector<ColumnId>> absorbed;

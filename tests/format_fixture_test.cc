@@ -4,10 +4,10 @@
 //
 // Round-trip tests alone still pass when a writer and its reader drift
 // together; these pin the layouts themselves, so a file or frame written
-// by an older build keeps loading. The fixtures cover the three sealed
-// files (external checkpoint, shard checkpoint per rule kind, rule-index
-// snapshot) and the frames that carry rule records (a serve rules reply,
-// a shard kInit, a shard kResult per rule kind).
+// by an older build keeps loading. The fixtures cover the two sealed
+// files (external checkpoint, shard checkpoint per rule kind) and the
+// frames that carry rule records (a serve rules reply, a shard kInit, a
+// shard kResult per rule kind).
 //
 // To regenerate them after an intentional format change (which also
 // bumps that format's version), run this binary with UPDATE_GOLDENS=1.
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/checkpoint.h"
-#include "rules/rule_index.h"
 #include "serve/protocol.h"
 #include "shard/shard_checkpoint.h"
 #include "shard/shard_protocol.h"
@@ -198,18 +197,6 @@ TEST_F(FormatFixtureTest, ShardCheckpointBothRuleKinds) {
     EXPECT_EQ(read->result.imp_rules, want.imp_rules);
     EXPECT_EQ(read->result.sim_pairs, want.sim_pairs);
   }
-}
-
-TEST_F(FormatFixtureTest, RuleIndexSnapshot) {
-  const auto snap =
-      RuleIndexSnapshot::Build(ImplicationRuleSet(SampleRules()), 42);
-  ExpectFixture("rule_index.bin", snap->Serialize());
-
-  auto read = RuleIndexSnapshot::Deserialize(
-      ReadFile(FixturePath("rule_index.bin")), "fixture");
-  ASSERT_TRUE(read.ok()) << read.status();
-  EXPECT_EQ((*read)->generation(), 42u);
-  EXPECT_EQ((*read)->TopK(0), snap->TopK(0));
 }
 
 TEST_F(FormatFixtureTest, ServeRulesReply) {

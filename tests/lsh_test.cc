@@ -9,18 +9,6 @@
 namespace dmc {
 namespace {
 
-TEST(LshTest, CandidateProbabilityCurve) {
-  // The (b=12, r=4) sigmoid: near-certain above 0.85, moderate at 0.5.
-  EXPECT_GT(LshCandidateProbability(0.9, 12, 4), 0.999);
-  EXPECT_GT(LshCandidateProbability(0.85, 12, 4), 0.99);
-  EXPECT_LT(LshCandidateProbability(0.3, 12, 4), 0.1);
-  // Monotone in s.
-  for (double s = 0.1; s < 0.95; s += 0.1) {
-    EXPECT_LT(LshCandidateProbability(s, 12, 4),
-              LshCandidateProbability(s + 0.05, 12, 4));
-  }
-}
-
 TEST(LshTest, NoFalsePositives) {
   PlantedOptions p;
   p.seed = 91;

@@ -29,13 +29,5 @@ TEST(MemoryTrackerTest, SubClampsAtZero) {
   EXPECT_EQ(t.current_bytes(), 0u);
 }
 
-TEST(MemoryTrackerTest, ResetClearsEverything) {
-  MemoryTracker t;
-  t.Add(10);
-  t.Reset();
-  EXPECT_EQ(t.current_bytes(), 0u);
-  EXPECT_EQ(t.peak_bytes(), 0u);
-}
-
 }  // namespace
 }  // namespace dmc

@@ -173,16 +173,12 @@ TEST(TraceSinkTest, NestedSpansRecordInCompletionOrder) {
 
 TEST(TraceSinkTest, NullSinkSpanIsNoop) {
   ScopedSpan span(nullptr, "never");
-  span.SetArgsJson("{\"x\":1}");
   // Destructor must not crash; nothing to assert beyond surviving.
 }
 
 TEST(TraceSinkTest, ChromeJsonShape) {
   TraceSink sink;
-  {
-    ScopedSpan span(&sink, "phase \"one\"", /*tid=*/2);
-    span.SetArgsJson("{\"rows\":4}");
-  }
+  { ScopedSpan span(&sink, "phase \"one\"", /*tid=*/2); }
   std::ostringstream os;
   sink.WriteChromeJson(os);
   const std::string json = os.str();
@@ -190,7 +186,6 @@ TEST(TraceSinkTest, ChromeJsonShape) {
   EXPECT_NE(json.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"tid\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"args\": {\"rows\":4}"), std::string::npos);
   // The quote inside the span name must be escaped.
   EXPECT_NE(json.find("phase \\\"one\\\""), std::string::npos);
 }

@@ -18,6 +18,7 @@
 #include "incr/incr_miner.h"
 #include "matrix/binary_matrix.h"
 #include "matrix/matrix_io.h"
+#include "rules/rule_codec.h"
 #include "rules/rule_index.h"
 #include "util/random.h"
 
@@ -194,8 +195,12 @@ TEST(SeedStabilityTest, IncrementalMinerIsRunToRunIdentical) {
       ASSERT_TRUE(imp.AppendBatch(delta).ok());
       ASSERT_TRUE(sim.AppendBatch(delta).ok());
     }
-    const std::string image =
-        RuleIndexSnapshot::Build(imp.rules(), 1)->Serialize();
+    // The served order, as rule records (rules/rule_codec.h).
+    std::string image;
+    for (const ImplicationRule& r :
+         RuleIndexSnapshot::Build(imp.rules(), 1)->TopK(0)) {
+      AppendRecord(&image, r);
+    }
     if (run == 0) {
       imp_text = PrintImp(imp.rules());
       sim_text = PrintSim(sim.rules());

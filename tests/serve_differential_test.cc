@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "incr/incr_miner.h"
-#include "incr/window_miner.h"
 #include "matrix/binary_matrix.h"
 #include "rules/rule_index.h"
 #include "serve/client.h"
@@ -274,8 +273,8 @@ TEST_F(ServeDifferentialTest, EvictOverWireMatchesDirectEvictBatch) {
 
 TEST_F(ServeDifferentialTest, WindowedServerSlidesLikeWindowedMiner) {
   // --window-rows end to end: a server with a row budget must serve, at
-  // every generation, exactly what a WindowedImplicationMiner fed the
-  // same batches holds — the auto-slide happens inside the ingest
+  // every generation, exactly what an IncrementalImplicationMiner with
+  // the same row budget, fed the same batches, holds — the auto-slide happens inside the ingest
   // thread's publish cycle.
   constexpr uint64_t kWindow = 250;
   constexpr size_t kBatches = 6;
@@ -289,7 +288,7 @@ TEST_F(ServeDifferentialTest, WindowedServerSlidesLikeWindowedMiner) {
   }
 
   auto mirror =
-      WindowedImplicationMiner::FromBatchMine(seed, Options(), kWindow);
+      IncrementalImplicationMiner::FromBatchMine(seed, Options(), kWindow);
   ASSERT_TRUE(mirror.ok());
 
   ServeOptions options;

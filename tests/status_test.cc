@@ -30,7 +30,6 @@ TEST(StatusTest, FactoryCodes) {
   EXPECT_EQ(FailedPreconditionError("x").code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(InternalError("x").code(), StatusCode::kInternal);
-  EXPECT_EQ(UnimplementedError("x").code(), StatusCode::kUnimplemented);
   EXPECT_EQ(CancelledError("x").code(), StatusCode::kCancelled);
   EXPECT_EQ(DataLossError("x").code(), StatusCode::kDataLoss);
 }

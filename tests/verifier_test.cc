@@ -10,6 +10,9 @@ BinaryMatrix Sample() {
   return BinaryMatrix::FromRows(3, {{0, 1, 2}, {0, 1}, {0}, {1}, {2}});
 }
 
+// c2 => c0 on Sample(): ones(c2) = 2, and row 4 is its one miss.
+constexpr ImplicationRule kC2ImpliesC0{2, 0, 2, 1};
+
 TEST(RuleVerifierTest, IntersectionAndMetrics) {
   const RuleVerifier v(Sample());
   EXPECT_EQ(v.Intersection(0, 1), 2u);
@@ -18,15 +21,6 @@ TEST(RuleVerifierTest, IntersectionAndMetrics) {
   EXPECT_DOUBLE_EQ(v.Confidence(2, 0), 0.5);
   EXPECT_DOUBLE_EQ(v.Similarity(0, 1), 2.0 / 4.0);
   EXPECT_DOUBLE_EQ(v.Similarity(1, 2), 1.0 / 4.0);
-}
-
-TEST(RuleVerifierTest, MakeImplication) {
-  const RuleVerifier v(Sample());
-  const ImplicationRule r = v.MakeImplication(2, 0);
-  EXPECT_EQ(r.lhs, 2u);
-  EXPECT_EQ(r.rhs, 0u);
-  EXPECT_EQ(r.lhs_ones, 2u);
-  EXPECT_EQ(r.misses, 1u);
 }
 
 TEST(RuleVerifierTest, MakeSimilarityCanonical) {
@@ -40,14 +34,14 @@ TEST(RuleVerifierTest, MakeSimilarityCanonical) {
 TEST(RuleVerifierTest, VerifyAcceptsCorrectRules) {
   const RuleVerifier v(Sample());
   ImplicationRuleSet rules;
-  rules.Add(v.MakeImplication(2, 0));  // conf 0.5
+  rules.Add(kC2ImpliesC0);  // conf 0.5
   EXPECT_TRUE(v.VerifyImplications(rules, 0.5).ok());
 }
 
 TEST(RuleVerifierTest, VerifyRejectsWrongCounts) {
   const RuleVerifier v(Sample());
   ImplicationRuleSet rules;
-  ImplicationRule r = v.MakeImplication(2, 0);
+  ImplicationRule r = kC2ImpliesC0;
   r.misses = 0;  // corrupt
   rules.Add(r);
   EXPECT_FALSE(v.VerifyImplications(rules, 0.1).ok());
@@ -56,7 +50,7 @@ TEST(RuleVerifierTest, VerifyRejectsWrongCounts) {
 TEST(RuleVerifierTest, VerifyRejectsBelowThreshold) {
   const RuleVerifier v(Sample());
   ImplicationRuleSet rules;
-  rules.Add(v.MakeImplication(2, 0));  // conf 0.5
+  rules.Add(kC2ImpliesC0);  // conf 0.5
   EXPECT_FALSE(v.VerifyImplications(rules, 0.9).ok());
 }
 

@@ -20,7 +20,6 @@
 #include "core/engine.h"
 #include "core/kernels.h"
 #include "incr/incr_miner.h"
-#include "incr/window_miner.h"
 #include "matrix/binary_matrix.h"
 #include "observe/metrics.h"
 #include "util/random.h"
@@ -335,8 +334,9 @@ TEST(WindowWideningTest, WidenThenEvictMatchesFreshMine) {
   EXPECT_EQ(miner.MemoryBytes(), fresh.MemoryBytes());
 }
 
-// Count-bounded sliding mode: the wrapper keeps exactly the newest
-// window_rows rows and its rules always equal a fresh mine of them.
+// Count-bounded sliding mode: a miner with a row budget keeps exactly
+// the newest window_rows rows and its rules always equal a fresh mine of
+// them.
 TEST(WindowedMinerTest, SlidingModeTracksNewestRows) {
   const ColumnId cols = 10;
   const uint64_t window = 25;
@@ -354,10 +354,10 @@ TEST(WindowedMinerTest, SlidingModeTracksNewestRows) {
   ImplicationMiningOptions io;
   io.min_confidence = 0.8;
   io.policy.observe.metrics = &metrics;
-  WindowedImplicationMiner imp(io, window);
+  IncrementalImplicationMiner imp(io, window);
   SimilarityMiningOptions so;
   so.min_similarity = 0.6;
-  WindowedSimilarityMiner sim(so, window);
+  IncrementalSimilarityMiner sim(so, window);
 
   size_t pos = 0;
   Rng batch_rng(58);
@@ -405,7 +405,7 @@ void FromBatchMineTrims(double threshold) {
   const BinaryMatrix seed = BinaryMatrix::FromRows(8, rows);
   typename Kind::Options o;
   o.*Kind::kThreshold = threshold;
-  auto miner = WindowedMiner<Kind>::FromBatchMine(seed, o, 15);
+  auto miner = IncrementalMiner<Kind>::FromBatchMine(seed, o, 15);
   ASSERT_TRUE(miner.ok()) << miner.status();
   EXPECT_EQ(miner->num_rows(), 15u);
   const std::vector<std::vector<ColumnId>> live(rows.end() - 15, rows.end());

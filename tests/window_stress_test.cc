@@ -49,40 +49,61 @@ std::vector<std::vector<ColumnId>> MatrixRows(const BinaryMatrix& m) {
   return rows;
 }
 
+// What the reader threads share with the test body.
+struct ReaderState {
+  std::atomic<bool> stop{false};
+  /// Readers that have had a query answered.
+  std::atomic<uint64_t> ready{0};
+  std::atomic<uint64_t> queries{0};
+  std::atomic<uint64_t> errors{0};
+};
+
 // Launches `count` reader threads that hammer point queries until
-// `stop`, counting successes and flagging any error or generation
+// `state.stop`, counting successes and flagging any error or generation
 // regression (generations are monotone per connection: one publish per
-// op, replies in request order).
+// op, replies in request order). Each reader counts itself ready after
+// its first answered query.
 std::vector<std::thread> StartReaders(RuleServer& server, size_t count,
-                                      std::atomic<bool>& stop,
-                                      std::atomic<uint64_t>& queries,
-                                      std::atomic<uint64_t>& errors) {
+                                      ReaderState& state) {
   std::vector<std::thread> readers;
   readers.reserve(count);
   for (size_t t = 0; t < count; ++t) {
-    readers.emplace_back([&server, &stop, &queries, &errors, t] {
+    readers.emplace_back([&server, &state, t] {
       RuleClient client;
       if (!client.Connect("127.0.0.1", server.port()).ok()) {
-        errors.fetch_add(1);
+        state.errors.fetch_add(1);
         return;
       }
       Rng rng(static_cast<uint32_t>(700 + t));
       uint64_t last_generation = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
+      bool ready = false;
+      while (!state.stop.load(std::memory_order_relaxed)) {
         const ColumnId c = static_cast<ColumnId>(rng.Uniform(kColumns));
         const StatusOr<Reply> reply = rng.Uniform(2) == 0
                                           ? client.QueryByAntecedent(c)
                                           : client.QueryByConsequent(c);
         if (!reply.ok() || reply->generation < last_generation) {
-          errors.fetch_add(1);
+          state.errors.fetch_add(1);
           return;
         }
         last_generation = reply->generation;
-        queries.fetch_add(1, std::memory_order_relaxed);
+        state.queries.fetch_add(1, std::memory_order_relaxed);
+        if (!ready) {
+          ready = true;
+          state.ready.fetch_add(1);
+        }
       }
     });
   }
   return readers;
+}
+
+// Blocks until every reader has had a query answered, or one has
+// failed, so that the publishes race live readers.
+void AwaitReaders(const ReaderState& state, size_t count) {
+  while (state.ready.load() < count && state.errors.load() == 0) {
+    std::this_thread::yield();
+  }
 }
 
 TEST(WindowStressTest, ReadersRaceInterleavedAppendEvictPublishes) {
@@ -95,17 +116,15 @@ TEST(WindowStressTest, ReadersRaceInterleavedAppendEvictPublishes) {
   ASSERT_TRUE(server.SeedFromMatrix(MakeMatrix(31, 400)).ok());
   ASSERT_TRUE(server.Start().ok());
 
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> queries{0};
-  std::atomic<uint64_t> reader_errors{0};
-  std::vector<std::thread> readers =
-      StartReaders(server, kReaders, stop, queries, reader_errors);
+  ReaderState state;
+  std::vector<std::thread> readers = StartReaders(server, kReaders, state);
 
   // Publisher: interleaved appends and evicts over the wire, no pacing.
   // Evicting less than each append's row count keeps the request-time
   // window validation satisfiable at every step.
   RuleClient publisher;
   ASSERT_TRUE(publisher.Connect("127.0.0.1", server.port()).ok());
+  AwaitReaders(state, kReaders);
   for (size_t round = 0; round < kRounds; ++round) {
     const auto rows =
         MatrixRows(MakeMatrix(static_cast<uint32_t>(800 + round), 100));
@@ -123,11 +142,11 @@ TEST(WindowStressTest, ReadersRaceInterleavedAppendEvictPublishes) {
     ASSERT_TRUE(stats.ok());
   }
 
-  stop.store(true);
+  state.stop.store(true);
   for (std::thread& r : readers) r.join();
 
-  EXPECT_EQ(reader_errors.load(), 0u);
-  EXPECT_GT(queries.load(), 0u);
+  EXPECT_EQ(state.errors.load(), 0u);
+  EXPECT_GE(state.queries.load(), kReaders);
   EXPECT_EQ(stats->batches_ingested, kRounds);
   EXPECT_EQ(stats->batches_evicted, kRounds);
   EXPECT_EQ(stats->rows_evicted, 60 * kRounds);
@@ -153,17 +172,15 @@ TEST(WindowStressTest, ReadersRaceAutoSlidingWindowPublishes) {
   ASSERT_TRUE(server.SeedFromMatrix(MakeMatrix(41, 200)).ok());
   ASSERT_TRUE(server.Start().ok());
 
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> queries{0};
-  std::atomic<uint64_t> reader_errors{0};
-  std::vector<std::thread> readers =
-      StartReaders(server, kReaders, stop, queries, reader_errors);
+  ReaderState state;
+  std::vector<std::thread> readers = StartReaders(server, kReaders, state);
 
   // Every append past the first overfills the window, so each publish
   // is preceded by an internal slide (EvictPrefix + regeneration) that
   // races the readers' snapshot loads.
   RuleClient publisher;
   ASSERT_TRUE(publisher.Connect("127.0.0.1", server.port()).ok());
+  AwaitReaders(state, kReaders);
   for (size_t b = 0; b < kBatches; ++b) {
     const auto rows =
         MatrixRows(MakeMatrix(static_cast<uint32_t>(1300 + b), 100));
@@ -177,11 +194,11 @@ TEST(WindowStressTest, ReadersRaceAutoSlidingWindowPublishes) {
     ASSERT_TRUE(stats.ok());
   }
 
-  stop.store(true);
+  state.stop.store(true);
   for (std::thread& r : readers) r.join();
 
-  EXPECT_EQ(reader_errors.load(), 0u);
-  EXPECT_GT(queries.load(), 0u);
+  EXPECT_EQ(state.errors.load(), 0u);
+  EXPECT_GE(state.queries.load(), kReaders);
   EXPECT_EQ(stats->batches_ingested, kBatches);
   EXPECT_EQ(stats->rows_mined, kWindow);
   // 200 seed + 2000 appended, window holds 250: 1950 rows slid out.

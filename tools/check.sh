@@ -68,7 +68,7 @@ if [[ "${fast}" -eq 0 ]]; then
   step "(c) tsan build + parallel/observe/cancellation/fault/rule-index/serve/shard/window"
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j "${jobs}"
-  # RuleIndexConcurrency races queries against Publish/Load snapshot swaps;
+  # RuleIndexConcurrency races queries against Publish snapshot swaps;
   # ServeStressTest races wire readers against the ingest thread's publishes;
   # ShardStressTest races concurrent shard coordinators (fork/exec fleets)
   # over one shared MetricsRegistry; WindowStressTest races wire readers

@@ -108,9 +108,10 @@ class Flags {
   }
 
   /// The first argument the command's `tables` do not admit, as a
-  /// message naming it; empty when every argument is admitted.
-  std::string Check(
-      std::initializer_list<std::span<const FlagSpec>> tables) const {
+  /// message naming it; empty when every argument is admitted. A flag
+  /// no table lists is named with `unlisted`.
+  std::string Check(std::initializer_list<std::span<const FlagSpec>> tables,
+                    const std::string& unlisted = "unknown flag") const {
     if (!strays_.empty()) {
       return "unexpected argument '" + strays_.front() +
              "' (flags are --name or --name=value)";
@@ -123,7 +124,7 @@ class Flags {
         }
       }
       const std::string arg = "--" + name + (value ? "=" + *value : "");
-      if (spec == nullptr) return arg + ": unknown flag";
+      if (spec == nullptr) return arg + ": " + unlisted;
       if (spec->kind == FlagKind::kSwitch) {
         if (value) return arg + ": takes no value";
         continue;

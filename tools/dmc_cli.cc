@@ -10,24 +10,44 @@
 //                     100M+-row matrices; output is byte-identical to
 //                     the in-memory path)
 //
-// Common mining options:
+// Common mining options (every mining path):
 //   --order=buckets|identity|sort   row order for the second pass
+//                                   (sort needs the in-memory matrix:
+//                                   --external and --shard-workers exit 2
+//                                   on it)
 //   --no-hundred-phase              disable the 100%-rule pre-phase
 //   --no-bitmap                     disable the DMC-bitmap fallback
-//   --min-support=N --max-support=N support window (column pruning)
-//   --threads=N                     parallel divide-and-conquer shards
-//   --external --workdir=DIR        disk-based two-pass
 //   --top=N                         print only the N strongest rules
 //   --output=FILE                   write all rules to FILE
+//   --query-lhs=COL                 mine-imp: then print the rules
+//                                   COL => *, strongest first
+//   --query-rhs=COL                 mine-imp: then print the rules
+//                                   * => COL, strongest first (both
+//                                   answer from an in-memory RuleIndex
+//                                   snapshot of the mined rules; mine-sim
+//                                   exits 2 on them)
 //
-// Incremental mining & serving options (mine-imp / mine-sim):
+// Mining paths. The flags given pick one path, the first of these that
+// applies: --shard-workers, --external, incremental (--append, --evict
+// or --window-rows), --threads, in memory. A path reads the common
+// options plus its own below; any other flag exits 2, naming the flag
+// and the path.
+//
+// In memory (no path flag):
+//   --min-support=N --max-support=N support window: mine only the columns
+//                                   whose 1-count lies in [N, M]; rules
+//                                   keep the input's column ids
+// --threads:
+//   --threads=N                     parallel divide-and-conquer shards
+//                                   (N <= 1 mines serially)
+//   --min-support, --max-support    as in memory
+// Incremental (in memory, single-threaded):
 //   --append=FILE[,FILE...]         mine --input as the initial batch,
 //                                   then absorb each FILE as an append
 //                                   batch with the incremental engine
 //                                   (src/incr/; exact — the final rule
 //                                   set equals a fresh mine of the
-//                                   concatenation). Single-threaded,
-//                                   in-memory path only.
+//                                   concatenation)
 //   --evict=N[,N...]                interleave explicit evictions with
 //                                   the appends: after append batch i,
 //                                   evict the oldest N_i rows; leftover
@@ -38,22 +58,18 @@
 //   --window-rows=N                 cap the mined window at the newest
 //                                   N rows: the initial mine is trimmed
 //                                   to N and every append auto-evicts
-//                                   its overflow (the sliding-window
-//                                   mode of src/incr/window_miner.h)
-//   --serve-index=FILE              mine-imp: publish the mined rules
-//                                   into a RuleIndex and save its
-//                                   checksummed snapshot to FILE
-//                                   (mine-sim exits 2 on it and on the
-//                                   --query-* flags: a RuleIndex holds
-//                                   implications only)
-//   --query-lhs=COL                 with --serve-index: reload the saved
-//                                   index and print rules COL => *
-//   --query-rhs=COL                 with --serve-index: reload the saved
-//                                   index and print rules * => COL
-//
-// Sharded (multi-process) mining options (mine-imp / mine-sim):
-//   --shard-workers=N               mine across N worker processes over
-//                                   the disk-based two-pass pipeline
+//                                   its overflow (the row budget of
+//                                   src/incr/incr_miner.h)
+// --external (disk-based two-pass; the matrix is never loaded):
+//   --external --workdir=DIR        bucket spills go under DIR (/tmp)
+//   --checkpoint=FILE               write a pass-1 checkpoint and keep
+//                                   the bucket files
+//   --resume                        skip pass 1 when the checkpoint
+//                                   validates against the input
+//   --io-retries=N                  retry transient file-open failures up
+//                                   to N times (default 3)
+// --shard-workers (multi-process, over the disk-based pipeline):
+//   --shard-workers=N               mine across N worker processes
 //                                   (src/shard/); byte-identical to a
 //                                   single-process mine
 //   --shard-tasks-per-worker=N      over-partitioning factor (default 2):
@@ -67,8 +83,9 @@
 //                                   worker fleet gives out
 //   --shard-heartbeat-timeout=SECS  declare a silent worker dead after
 //                                   this long (default 30)
+//   --workdir, --checkpoint, --resume, --io-retries  as with --external
 //
-// Observability options (mine-imp / mine-sim):
+// Observability options (every mining path):
 //   --metrics-out=FILE              write the run's metrics document
 //                                   (schema_version 1 JSON; see
 //                                   src/observe/stats_export.h); with
@@ -81,13 +98,7 @@
 //   --progress[=ROWS]               print progress to stderr every ROWS
 //                                   rows (default 65536)
 //
-// Robustness options (--failpoints and --failpoint-seed: every command):
-//   --checkpoint=FILE               external mining: write a pass-1
-//                                   checkpoint and keep bucket files
-//   --resume                        external mining: skip pass 1 when the
-//                                   checkpoint validates against the input
-//   --io-retries=N                  retry transient file-open failures up
-//                                   to N times (default 3)
+// Fault injection (every command):
 //   --failpoints=SPEC               arm fault-injection sites, e.g.
 //                                   "matrix.text.row=error@2" (testing)
 //   --failpoint-seed=N              seed for probabilistic failpoints;
@@ -102,24 +113,25 @@
 // other argument, a malformed value (an integer with a sign, trailing
 // text or more than the flag's consumer holds; a --minconf or --minsim
 // outside (0, 1]; a --shard-heartbeat-timeout that is not a positive
-// number of seconds; an unknown --order; a bad --evict entry) and flags
-// that cannot be combined (--order=sort with --external or
-// --shard-workers) exit 2 with a message naming the argument, before any
-// work starts. tools/cli_flags.h holds the parser dmc_serve shares.
+// number of seconds; an unknown --order; a bad --evict entry) and
+// --order=sort on a file pipeline exit 2 with a message naming the
+// argument, before any work starts. tools/cli_flags.h holds the parser
+// dmc_serve shares.
 
 #include <climits>
 #include <cstdio>
 #include <iostream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/external_miner.h"
 #include "shard/coordinator.h"
 #include "incr/incr_miner.h"
-#include "incr/window_miner.h"
 #include "rules/rule_index.h"
 #include "observe/metrics.h"
 #include "observe/stats_export.h"
@@ -144,48 +156,64 @@ using cli::Flags;
 using cli::ParseUint;
 
 // The flags each command reads, one table per group of commands that
-// share them; Flags::Check refuses every other argument.
+// share them; Flags::Check refuses every other argument. A mine command
+// reads the common tables plus the table of the one path it runs.
 constexpr FlagSpec kFailpointFlags[] = {  // every command
     {"failpoints", FlagKind::kText, 0, /*bare_ok=*/true},
     {"failpoint-seed", FlagKind::kUint, UINT64_MAX},
 };
 constexpr FlagSpec kInputFlags[] = {  // mine-imp, mine-sim, stats
     {"input", FlagKind::kText},
-    {"min-support", FlagKind::kUint, UINT64_MAX},
-    {"max-support", FlagKind::kUint, UINT64_MAX},
 };
-constexpr FlagSpec kMineFlags[] = {  // mine-imp, mine-sim
+constexpr FlagSpec kMineFlags[] = {  // mine-imp, mine-sim: every path
     {"order", FlagKind::kText},
     {"no-hundred-phase", FlagKind::kSwitch},
     {"no-bitmap", FlagKind::kSwitch},
-    {"threads", FlagKind::kUint, UINT32_MAX},
-    {"external", FlagKind::kSwitch},
-    {"workdir", FlagKind::kText},
     {"top", FlagKind::kUint, UINT64_MAX},
     {"output", FlagKind::kText},
-    {"append", FlagKind::kText},
-    {"evict", FlagKind::kText},
-    {"window-rows", FlagKind::kUint, UINT64_MAX},
-    {"shard-workers", FlagKind::kUint, INT_MAX},
-    {"shard-tasks-per-worker", FlagKind::kUint, INT_MAX},
-    {"shard-checkpoint-dir", FlagKind::kText},
-    {"shard-no-degrade", FlagKind::kSwitch},
-    {"shard-heartbeat-timeout", FlagKind::kSeconds},
     {"metrics-out", FlagKind::kText},
     {"trace-out", FlagKind::kText},
     {"progress", FlagKind::kUint, UINT64_MAX, /*bare_ok=*/true},
-    {"checkpoint", FlagKind::kText},
-    {"resume", FlagKind::kSwitch},
-    {"io-retries", FlagKind::kUint, INT_MAX},
 };
 constexpr FlagSpec kImpFlags[] = {  // mine-imp
     {"minconf", FlagKind::kFraction},
-    {"serve-index", FlagKind::kText},
     {"query-lhs", FlagKind::kUint, UINT32_MAX},
     {"query-rhs", FlagKind::kUint, UINT32_MAX},
 };
 constexpr FlagSpec kSimFlags[] = {  // mine-sim
     {"minsim", FlagKind::kFraction},
+};
+constexpr FlagSpec kSupportFlags[] = {  // stats; the in-memory mine
+    {"min-support", FlagKind::kUint, UINT64_MAX},
+    {"max-support", FlagKind::kUint, UINT64_MAX},
+};
+constexpr FlagSpec kThreadsFlags[] = {
+    {"threads", FlagKind::kUint, UINT32_MAX},
+    {"min-support", FlagKind::kUint, UINT64_MAX},
+    {"max-support", FlagKind::kUint, UINT64_MAX},
+};
+constexpr FlagSpec kIncrementalFlags[] = {
+    {"append", FlagKind::kText},
+    {"evict", FlagKind::kText},
+    {"window-rows", FlagKind::kUint, UINT64_MAX},
+};
+constexpr FlagSpec kExternalFlags[] = {
+    {"external", FlagKind::kSwitch},
+    {"workdir", FlagKind::kText},
+    {"checkpoint", FlagKind::kText},
+    {"resume", FlagKind::kSwitch},
+    {"io-retries", FlagKind::kUint, INT_MAX},
+};
+constexpr FlagSpec kShardFlags[] = {
+    {"shard-workers", FlagKind::kUint, INT_MAX},
+    {"shard-tasks-per-worker", FlagKind::kUint, INT_MAX},
+    {"shard-checkpoint-dir", FlagKind::kText},
+    {"shard-no-degrade", FlagKind::kSwitch},
+    {"shard-heartbeat-timeout", FlagKind::kSeconds},
+    {"workdir", FlagKind::kText},
+    {"checkpoint", FlagKind::kText},
+    {"resume", FlagKind::kSwitch},
+    {"io-retries", FlagKind::kUint, INT_MAX},
 };
 constexpr FlagSpec kGenerateFlags[] = {  // generate
     {"kind", FlagKind::kText},
@@ -195,6 +223,31 @@ constexpr FlagSpec kGenerateFlags[] = {  // generate
     {"seed", FlagKind::kUint, UINT64_MAX},
     {"stream", FlagKind::kSwitch},
 };
+
+// The mining paths, indexed by Path: the name messages give each and
+// the table of the flags it reads beyond the common ones.
+enum class Path { kMemory, kThreads, kIncremental, kExternal, kShard };
+constexpr struct {
+  const char* name;
+  std::span<const FlagSpec> flags;
+} kPaths[] = {
+    {"in-memory", kSupportFlags},
+    {"--threads", kThreadsFlags},
+    {"incremental", kIncrementalFlags},
+    {"--external", kExternalFlags},
+    {"--shard-workers", kShardFlags},
+};
+
+// The path a mine command runs: the first whose flag is given.
+Path PickPath(const Flags& flags) {
+  if (flags.Has("shard-workers")) return Path::kShard;
+  if (flags.Has("external")) return Path::kExternal;
+  if (flags.Has("append") || flags.Has("evict") || flags.Has("window-rows")) {
+    return Path::kIncremental;
+  }
+  if (flags.Has("threads")) return Path::kThreads;
+  return Path::kMemory;
+}
 
 constexpr struct {
   const char* name;
@@ -219,15 +272,18 @@ std::vector<std::string> SplitCsv(const std::string& list) {
 // empty when every argument is admitted. Unknown commands pass here and
 // fail in Run.
 std::string CheckFlags(const std::string& command, const Flags& flags) {
+  const Path path = PickPath(flags);
   std::string malformed;
-  if (command == "mine-imp") {
-    malformed =
-        flags.Check({kFailpointFlags, kInputFlags, kMineFlags, kImpFlags});
-  } else if (command == "mine-sim") {
-    malformed =
-        flags.Check({kFailpointFlags, kInputFlags, kMineFlags, kSimFlags});
+  if (command == "mine-imp" || command == "mine-sim") {
+    const auto& [path_name, path_flags] = kPaths[static_cast<int>(path)];
+    const std::span<const FlagSpec> kind_flags =
+        command == "mine-imp" ? std::span<const FlagSpec>(kImpFlags)
+                              : std::span<const FlagSpec>(kSimFlags);
+    malformed = flags.Check(
+        {kFailpointFlags, kInputFlags, kMineFlags, kind_flags, path_flags},
+        std::string("not read by the ") + path_name + " path");
   } else if (command == "stats") {
-    malformed = flags.Check({kFailpointFlags, kInputFlags});
+    malformed = flags.Check({kFailpointFlags, kInputFlags, kSupportFlags});
   } else if (command == "generate") {
     malformed = flags.Check({kFailpointFlags, kGenerateFlags});
   }
@@ -246,6 +302,11 @@ std::string CheckFlags(const std::string& command, const Flags& flags) {
     for (const auto& o : kRowOrders) known = known || order == o.name;
     if (!known) {
       return "--order=" + order + ": expected identity, buckets or sort";
+    }
+    if (order == "sort" && (path == Path::kExternal || path == Path::kShard)) {
+      return "--order=sort needs the in-memory matrix; --external and "
+             "--shard-workers replay density buckets (--order=buckets) or "
+             "input order (--order=identity)";
     }
   }
   return "";
@@ -329,7 +390,10 @@ class Observability {
   std::string trace_out_;
 };
 
-StatusOr<BinaryMatrix> LoadInput(const Flags& flags) {
+// The --input matrix, narrowed to the --min-support/--max-support window
+// when one is given. original_column then maps the kept columns back to
+// the input's ids; it is empty when no window is given.
+StatusOr<PrunedMatrix> LoadInput(const Flags& flags) {
   const std::string input = flags.Get("input");
   if (input.empty()) {
     return InvalidArgumentError("--input=FILE is required");
@@ -338,16 +402,16 @@ StatusOr<BinaryMatrix> LoadInput(const Flags& flags) {
   const uint64_t min_support = flags.GetUint("min-support", 0);
   const uint64_t max_support =
       flags.GetUint("max-support", std::numeric_limits<uint64_t>::max());
-  if (min_support > 0 ||
-      max_support != std::numeric_limits<uint64_t>::max()) {
-    PrunedMatrix pruned = SupportPruneColumns(m, min_support, max_support);
-    std::fprintf(stderr, "support window [%llu, %llu]: %u of %u columns\n",
-                 (unsigned long long)min_support,
-                 (unsigned long long)max_support,
-                 pruned.matrix.num_columns(), m.num_columns());
-    m = std::move(pruned.matrix);
+  if (min_support == 0 &&
+      max_support == std::numeric_limits<uint64_t>::max()) {
+    return PrunedMatrix{std::move(m), {}};
   }
-  return m;
+  PrunedMatrix pruned = SupportPruneColumns(m, min_support, max_support);
+  std::fprintf(stderr, "support window [%llu, %llu]: %u of %u columns\n",
+               (unsigned long long)min_support,
+               (unsigned long long)max_support, pruned.matrix.num_columns(),
+               m.num_columns());
+  return pruned;
 }
 
 void ReportStats(const MiningStats& stats) {
@@ -466,30 +530,11 @@ int AppendBatches(const std::string& append_list,
   return 0;
 }
 
-// --serve-index=FILE: publish `rules` into a RuleIndex, persist its
-// snapshot, then answer any --query-lhs / --query-rhs probes from a
-// fresh Load of the saved file — the full save/load/query round trip.
-int ServeIndex(const ImplicationRuleSet& rules, const Flags& flags) {
-  const std::string path = flags.Get("serve-index");
-  RuleIndex index;
-  index.Publish(rules);
-  Status st = index.Save(path);
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "wrote rule index (%zu rules, generation %llu) to %s\n",
-               index.snapshot()->size(),
-               (unsigned long long)index.snapshot()->generation(),
-               path.c_str());
-  if (!flags.Has("query-lhs") && !flags.Has("query-rhs")) return 0;
-  RuleIndex served;
-  st = served.Load(path);
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
-  }
-  const auto snapshot = served.snapshot();
+// --query-lhs / --query-rhs: the rules with that antecedent or
+// consequent, strongest first, from an index snapshot of `rules`.
+void PrintQueries(const ImplicationRuleSet& rules, const Flags& flags) {
+  if (!flags.Has("query-lhs") && !flags.Has("query-rhs")) return;
+  const auto snapshot = RuleIndexSnapshot::Build(rules, 1);
   if (flags.Has("query-lhs")) {
     const ColumnId lhs = static_cast<ColumnId>(flags.GetUint("query-lhs", 0));
     for (const ImplicationRule& r : snapshot->QueryByAntecedent(lhs)) {
@@ -502,7 +547,6 @@ int ServeIndex(const ImplicationRuleSet& rules, const Flags& flags) {
       std::printf("%s\n", r.ToString().c_str());
     }
   }
-  return 0;
 }
 
 // --checkpoint, --resume and --io-retries: pass-1 I/O of the external
@@ -547,8 +591,8 @@ void ReportShardStats(const shard::ShardMiningStats& s) {
 
 // What mine-imp and mine-sim differ in: the threshold flag, the words
 // the narration uses, the library entry point of each mining path and
-// whether the rules can be served (RuleIndex holds implications only).
-// Every flag check and every path is MineCommand<Kind>, once.
+// the column ids a rule names. Every flag check and every path is
+// MineCommand<Kind>, once.
 template <typename Kind>
 struct Command;
 
@@ -559,11 +603,21 @@ struct Command<ImplicationKind> {
   static constexpr double kDefaultThreshold = 0.9;
   static constexpr const char* kNoun = "rules";
   static constexpr const char* kMeasure = "confidence";
-  static constexpr bool kServesIndex = true;
   using Options = ImplicationMiningOptions;
 
   static auto Sorted(const ImplicationRuleSet& r) {
     return r.SortedByConfidence();
+  }
+  // Renames the columns of rules mined on a support-pruned matrix to the
+  // input's ids. The map is increasing, so every order is kept.
+  static ImplicationRuleSet ToInputColumns(
+      ImplicationRuleSet rules, const std::vector<ColumnId>& input_id) {
+    std::vector<ImplicationRule> renamed = rules.TakeRules();
+    for (ImplicationRule& r : renamed) {
+      r.lhs = input_id[r.lhs];
+      r.rhs = input_id[r.rhs];
+    }
+    return ImplicationRuleSet(std::move(renamed));
   }
   static auto Mine(const BinaryMatrix& m, const Options& o, MiningStats* s) {
     return MineImplications(m, o, s);
@@ -591,11 +645,19 @@ struct Command<SimilarityKind> {
   static constexpr double kDefaultThreshold = 0.8;
   static constexpr const char* kNoun = "pairs";
   static constexpr const char* kMeasure = "similarity";
-  static constexpr bool kServesIndex = false;
   using Options = SimilarityMiningOptions;
 
   static auto Sorted(const SimilarityRuleSet& r) {
     return r.SortedBySimilarity();
+  }
+  static SimilarityRuleSet ToInputColumns(
+      SimilarityRuleSet pairs, const std::vector<ColumnId>& input_id) {
+    std::vector<SimilarityPair> renamed = pairs.TakePairs();
+    for (SimilarityPair& p : renamed) {
+      p.a = input_id[p.a];
+      p.b = input_id[p.b];
+    }
+    return SimilarityRuleSet(std::move(renamed));
   }
   static auto Mine(const BinaryMatrix& m, const Options& o, MiningStats* s) {
     return MineSimilarities(m, o, s);
@@ -625,51 +687,24 @@ int MineCommand(const Flags& flags) {
   options.policy = PolicyFromFlags(flags);
   Observability observe;
   observe.Configure(flags, &options.policy);
-  // Sorts, prints and writes the rules under one span.
-  const auto emit = [&](const typename Kind::RuleSet& rules) {
-    ScopedSpan span(options.policy.observe.trace, "rules/emit");
-    return EmitRules(Cmd::Sorted(rules), flags);
-  };
 
   MetricsReport report;
   report.tool = "dmc_cli";
   report.dataset = flags.Get("input");
   report.labels["command"] = Cmd::kName;
 
-  if ((flags.Has("append") || flags.Has("evict") ||
-       flags.Has("window-rows")) &&
-      (flags.Has("external") || flags.Has("shard-workers") ||
-       flags.GetUint("threads", 1) > 1)) {
-    std::fprintf(stderr,
-                 "--append/--evict/--window-rows use the in-memory "
-                 "incremental engine; they are incompatible with "
-                 "--external, --shard-workers and --threads\n");
-    return 2;
-  }
-  if (flags.Has("shard-workers") && flags.GetUint("threads", 1) > 1) {
-    std::fprintf(stderr,
-                 "--shard-workers and --threads are incompatible; the "
-                 "sharded pipeline parallelizes across processes\n");
-    return 2;
-  }
-  if (options.policy.row_order == RowOrderPolicy::kExactSort &&
-      (flags.Has("external") || flags.Has("shard-workers"))) {
-    std::fprintf(stderr,
-                 "--order=sort needs the in-memory matrix; --external and "
-                 "--shard-workers replay density buckets (--order=buckets) "
-                 "or input order (--order=identity)\n");
-    return 2;
-  }
-
-  // The file pipelines: sharded across worker processes, or the
-  // disk-based two-pass miner. Neither loads the matrix.
-  if (flags.Has("shard-workers") || flags.Has("external")) {
+  const Path path = PickPath(flags);
+  MiningStats stats;
+  ParallelMiningStats pstats;
+  ExternalMiningStats estats;
+  shard::ShardMiningStats sstats;
+  StatusOr<typename Kind::RuleSet> rules = typename Kind::RuleSet{};
+  if (path == Path::kShard || path == Path::kExternal) {
+    // The file pipelines: sharded across worker processes, or the
+    // disk-based two-pass miner. Neither loads the matrix.
     const std::string input = flags.Get("input");
     const std::string work_dir = flags.Get("workdir", "/tmp");
-    shard::ShardMiningStats sstats;
-    ExternalMiningStats estats;
-    StatusOr<typename Kind::RuleSet> rules = typename Kind::RuleSet{};
-    if (flags.Has("shard-workers")) {
+    if (path == Path::kShard) {
       rules = Cmd::Sharded(input, options, work_dir,
                            ShardOptionsFromFlags(flags), &sstats);
       if (rules.ok()) ReportShardStats(sstats);
@@ -688,94 +723,92 @@ int MineCommand(const Flags& flags) {
       report.external = &estats;
       report.mining = &estats.mining;
     }
-    if (!rules.ok()) {
-      std::fprintf(stderr, "%s\n", rules.status().ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "%zu %s\n", rules->size(), Cmd::kNoun);
-    report.rules_total = static_cast<int64_t>(rules->size());
-    const int rc = emit(*rules);
-    const int observe_rc = observe.Finish(report);
-    return rc != 0 ? rc : observe_rc;
-  }
-
-  auto matrix = [&] {
-    ScopedSpan span(options.policy.observe.trace, "matrix/parse");
-    return LoadInput(flags);
-  }();
-  if (!matrix.ok()) {
-    std::fprintf(stderr, "%s\n", matrix.status().ToString().c_str());
-    return 1;
-  }
-  const uint32_t threads =
-      static_cast<uint32_t>(flags.GetUint("threads", 1));
-  MiningStats stats;
-  ParallelMiningStats pstats;
-  StatusOr<typename Kind::RuleSet> rules = typename Kind::RuleSet{};
-  const std::string append = flags.Get("append");
-  const std::string evict = flags.Get("evict");
-  const uint64_t window_rows = flags.GetUint("window-rows", 0);
-  if (!append.empty() || !evict.empty() || window_rows > 0) {
-    auto miner = WindowedMiner<Kind>::FromBatchMine(*matrix, options,
-                                                    window_rows, &stats);
-    if (!miner.ok()) {
-      std::fprintf(stderr, "%s\n", miner.status().ToString().c_str());
-      return 1;
-    }
-    if (window_rows > 0) {
-      std::fprintf(stderr, "window: newest %llu rows (holding %llu)\n",
-                   (unsigned long long)window_rows,
-                   (unsigned long long)miner->num_rows());
-    }
-    ReportStats(stats);
-    report.mining = &stats;
-    const int append_rc = AppendBatches(append, evict, &*miner);
-    if (append_rc != 0) return append_rc;
-    rules = miner->rules();
-  } else if (threads > 1) {
-    ParallelOptions p;
-    p.num_threads = threads;
-    rules = Cmd::Parallel(*matrix, options, p, &pstats);
-    std::fprintf(stderr, "parallel: %u shards, wall %.3fs (work %.3fs)\n",
-                 pstats.shards, pstats.total_seconds,
-                 pstats.sum_shard_seconds);
-    report.parallel = &pstats;
+    if (rules.ok()) std::fprintf(stderr, "%zu %s\n", rules->size(), Cmd::kNoun);
   } else {
-    rules = Cmd::Mine(*matrix, options, &stats);
-    if (rules.ok()) ReportStats(stats);
-    report.mining = &stats;
+    auto input = [&] {
+      ScopedSpan span(options.policy.observe.trace, "matrix/parse");
+      return LoadInput(flags);
+    }();
+    if (!input.ok()) {
+      std::fprintf(stderr, "%s\n", input.status().ToString().c_str());
+      return 1;
+    }
+    const BinaryMatrix& matrix = input->matrix;
+    const uint32_t threads =
+        static_cast<uint32_t>(flags.GetUint("threads", 1));
+    if (path == Path::kIncremental) {
+      const uint64_t window_rows = flags.GetUint("window-rows", 0);
+      auto miner = IncrementalMiner<Kind>::FromBatchMine(matrix, options,
+                                                         window_rows, &stats);
+      if (!miner.ok()) {
+        std::fprintf(stderr, "%s\n", miner.status().ToString().c_str());
+        return 1;
+      }
+      if (window_rows > 0) {
+        std::fprintf(stderr, "window: newest %llu rows (holding %llu)\n",
+                     (unsigned long long)window_rows,
+                     (unsigned long long)miner->num_rows());
+      }
+      ReportStats(stats);
+      report.mining = &stats;
+      const int append_rc =
+          AppendBatches(flags.Get("append"), flags.Get("evict"), &*miner);
+      if (append_rc != 0) return append_rc;
+      rules = miner->rules();
+    } else if (threads > 1) {
+      ParallelOptions p;
+      p.num_threads = threads;
+      rules = Cmd::Parallel(matrix, options, p, &pstats);
+      std::fprintf(stderr, "parallel: %u shards, wall %.3fs (work %.3fs)\n",
+                   pstats.shards, pstats.total_seconds,
+                   pstats.sum_shard_seconds);
+      report.parallel = &pstats;
+    } else {
+      rules = Cmd::Mine(matrix, options, &stats);
+      if (rules.ok()) ReportStats(stats);
+      report.mining = &stats;
+    }
+    if (rules.ok()) {
+      if (!input->original_column.empty()) {
+        rules = Cmd::ToInputColumns(std::move(*rules), input->original_column);
+      }
+      std::fprintf(stderr, "%zu %s at %s >= %.3f\n", rules->size(),
+                   Cmd::kNoun, Cmd::kMeasure, options.*Kind::kThreshold);
+    }
   }
   if (!rules.ok()) {
     std::fprintf(stderr, "%s\n", rules.status().ToString().c_str());
     return 1;
   }
-  std::fprintf(stderr, "%zu %s at %s >= %.3f\n", rules->size(), Cmd::kNoun,
-               Cmd::kMeasure, options.*Kind::kThreshold);
   report.rules_total = static_cast<int64_t>(rules->size());
-  int rc = emit(*rules);
-  if constexpr (Cmd::kServesIndex) {
-    if (rc == 0 && flags.Has("serve-index")) {
-      rc = ServeIndex(*rules, flags);
-    }
+  int rc = 0;
+  {
+    // Sorts, prints and writes the rules under one span.
+    ScopedSpan span(options.policy.observe.trace, "rules/emit");
+    rc = EmitRules(Cmd::Sorted(*rules), flags);
+  }
+  if constexpr (std::is_same_v<Kind, ImplicationKind>) {
+    if (rc == 0) PrintQueries(*rules, flags);
   }
   const int observe_rc = observe.Finish(report);
   return rc != 0 ? rc : observe_rc;
 }
 
 int Stats(const Flags& flags) {
-  auto matrix = LoadInput(flags);
-  if (!matrix.ok()) {
-    std::fprintf(stderr, "%s\n", matrix.status().ToString().c_str());
+  auto input = LoadInput(flags);
+  if (!input.ok()) {
+    std::fprintf(stderr, "%s\n", input.status().ToString().c_str());
     return 1;
   }
-  const MatrixSummary s = Summarize(*matrix);
+  const BinaryMatrix& matrix = input->matrix;
+  const MatrixSummary s = Summarize(matrix);
   std::printf("rows: %u\ncolumns: %u\nones: %zu\n", s.rows, s.columns,
               s.ones);
   std::printf("row density: mean %.2f, max %zu\n", s.mean_row_density,
               s.max_row_density);
   std::printf("column ones: mean %.2f, max %zu\n", s.mean_column_ones,
               s.max_column_ones);
-  const auto hist = ComputeColumnDensityHistogram(*matrix);
+  const auto hist = ComputeColumnDensityHistogram(matrix);
   std::printf("columns with >= 2 ones: %llu, >= 10: %llu, >= 100: %llu\n",
               (unsigned long long)hist.ColumnsWithAtLeast(2),
               (unsigned long long)hist.ColumnsWithAtLeast(10),

@@ -4,41 +4,47 @@
 //
 //   dmc_shard_worker --in-fd=3 --out-fd=4
 //
-// Exit code 0 on an orderly shutdown (kShutdown or coordinator EOF),
-// 1 on a transport/protocol failure or an unknown flag. The worker keeps
-// no metrics; the coordinator records them from the frames it decodes.
-// Everything interesting happens in shard/shard_worker.cc.
+// Exit code 0 on an orderly shutdown (kShutdown or coordinator EOF), 1 on
+// a transport/protocol failure. An argument tools/cli_flags.h refuses (an
+// unknown flag, a stray word, a descriptor that is not a whole number up
+// to INT_MAX) or a missing --in-fd/--out-fd exits 2, as in every other
+// binary, before any frame is read. The worker keeps no metrics; the
+// coordinator records them from the frames it decodes. Everything
+// interesting happens in shard/shard_worker.cc.
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string>
 
+// Relative: the benchmark build compiles this file with only src/ on the
+// include path.
+#include "cli_flags.h"
 #include "shard/shard_worker.h"
 
 namespace {
 
-bool ParseIntFlag(const char* arg, const char* name, int* out) {
-  const size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *out = std::atoi(arg + n + 1);
-  return true;
-}
+constexpr dmc::cli::FlagSpec kWorkerFlags[] = {
+    {"in-fd", dmc::cli::FlagKind::kUint, INT_MAX},
+    {"out-fd", dmc::cli::FlagKind::kUint, INT_MAX},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  dmc::shard::WorkerOptions options;
-  for (int i = 1; i < argc; ++i) {
-    if (ParseIntFlag(argv[i], "--in-fd", &options.in_fd)) continue;
-    if (ParseIntFlag(argv[i], "--out-fd", &options.out_fd)) continue;
-    std::fprintf(stderr, "dmc_shard_worker: unknown flag %s\n", argv[i]);
-    return 1;
+  const dmc::cli::Flags flags(argc, argv, /*first=*/1);
+  const std::string malformed = flags.Check({kWorkerFlags});
+  if (!malformed.empty()) {
+    std::fprintf(stderr, "dmc_shard_worker: %s\n", malformed.c_str());
+    return 2;
   }
-  if (options.in_fd < 0 || options.out_fd < 0) {
+  if (!flags.Has("in-fd") || !flags.Has("out-fd")) {
     std::fprintf(stderr,
                  "dmc_shard_worker: --in-fd and --out-fd are required\n");
-    return 1;
+    return 2;
   }
+  dmc::shard::WorkerOptions options;
+  options.in_fd = static_cast<int>(flags.GetUint("in-fd", 0));
+  options.out_fd = static_cast<int>(flags.GetUint("out-fd", 0));
   const dmc::Status st = dmc::shard::RunShardWorker(options);
   if (!st.ok()) {
     std::fprintf(stderr, "dmc_shard_worker: %s\n", st.ToString().c_str());
