@@ -24,13 +24,21 @@
 // MemoryTracker adjustment per merge, so rule sets, peak_counter_bytes
 // and the per-row history samples are invariant under DmcPolicy::kernel.
 //
-// The rule kind's policy (who qualifies, who survives a hit or a miss)
-// is injected through three predicates so both kinds of the one scan
-// (StreamingPass<Kind>, core/streaming_pass.cc) share one implementation:
-//   accept_new(ck)        — may ck join cj's list on this row?
-//   keep_on_hit(ck, m)    — does an entry that hit survive? (sim's §5.2
-//                           maximum-hits pruning can drop it)
-//   keep_on_miss(ck, m')  — does an entry survive its bumped miss m'?
+// The rule kind's policy is injected as its predicate object
+// (ListPredicates, core/streaming_pass.h), so both kinds of the one scan
+// (StreamingPass<Kind>, core/streaming_pass.cc) share one implementation;
+// the scan adds Qualifies, the (ones, id) order a joiner must follow.
+// The in-place merges call two of its tests:
+//   AcceptNew(ck)     — may ck join cj's list on this row?
+//   Keep(ck, m, hit)  — does an entry with m pre-row misses survive the
+//                       row, where hit is 1 if ck is in it, else 0?
+// Keep does not branch on hit: whether an entry hits follows the data,
+// so a branch on it mispredicts at every surprise in a loop that does
+// little else per entry. Each kind's Keep is the one expression that its
+// paper-form tests KeepOnHit(ck, m) and KeepOnMiss(ck, m + 1) both
+// reduce to, at hit = 1 and at hit = 0; the kLegacy merges call those
+// two instead, so the parity tests check Keep against an independent
+// form.
 
 #ifndef DMC_CORE_KERNELS_H_
 #define DMC_CORE_KERNELS_H_
@@ -85,10 +93,10 @@ bool VectorSweepAvailable();
 bool PreferVectorSweep(ColumnId num_columns, uint64_t rows,
                        uint64_t total_ones);
 
-/// The implication-pass entry sweep (keep_on_hit = always,
-/// keep_on_miss = new_miss <= budget), 8 entries per step: gather the
-/// row-mask byte per candidate, bump misses and drop over-budget entries
-/// with a permute-compress. Returns the new list size; the caller
+/// The implication-pass entry sweep (a hit survives, a miss survives
+/// within the budget), 8 entries per step: gather the row-mask byte per
+/// candidate, bump misses and drop over-budget entries with a
+/// permute-compress. Returns the new list size; the caller
 /// commits it with SetSize. Byte-identical to ImplicationKind's scalar
 /// predicates (core/streaming_pass.h). Neither sweep touches the list's
 /// sidecar: a candidate that dies stays decided (DESIGN §5.4).
@@ -121,7 +129,9 @@ size_t SimVectorSweep(ColumnId* cand, uint32_t* slack, size_t n,
 /// Reusable merge scratch; one per scan object, so the hot loop never
 /// allocates once the vectors reach steady-state capacity.
 struct MergeScratch {
-  std::vector<ColumnId> fresh;  // row columns joining the list
+  /// Row columns joining the list: all of it on the vector side; the
+  /// mask merges size it to at least the row and count the joiners.
+  std::vector<ColumnId> fresh;
   std::vector<ColumnId> cand;   // rebuild staging (legacy)
   std::vector<uint32_t> miss;
   /// Dense membership mask of the current row, shared by every merge of
@@ -169,7 +179,7 @@ struct MergeScratch {
 /// overtakes the surviving source slot, so the merge is safe in place.
 template <typename JoinCounter>
 void MergeJoinersFromBack(MissCounterTable& table, ColumnId cj, size_t w,
-                          const std::vector<ColumnId>& fresh,
+                          std::span<const ColumnId> fresh,
                           JoinCounter join_counter) {
   const size_t fn = fresh.size();
   const MissCounterTable::MutableList grown = table.Reserve(cj, w + fn);
@@ -190,150 +200,128 @@ void MergeJoinersFromBack(MissCounterTable& table, ColumnId cj, size_t w,
   table.SetSize(cj, w + fn);
 }
 
-/// The cnt > maxmis merge: no additions are possible, so the list is
-/// updated strictly in place. Each entry is tested against the row's
-/// dense membership mask (BeginRow — O(1) per entry, no merge-join);
-/// misses are bumped in place and the list is compacted only past the
-/// first death — no rebuild, no copy. The caller guarantees HasList(cj);
-/// an empty list is a no-op.
-template <typename KeepOnHit, typename KeepOnMiss>
-void InPlaceMissMerge(MissCounterTable& table, ColumnId cj,
-                      MergeScratch& scratch, KeepOnHit keep_on_hit,
-                      KeepOnMiss keep_on_miss) {
-  const MissCounterTable::MutableList list = table.Mutable(cj);
-  if (list.size == 0) return;
-  // Optimistic sweep: entries die at most once in their lifetime, so
-  // the common row drops nothing. Update misses in place (no element
-  // moves) until the first death — that branch predicts near-perfectly
-  // — and only then fall into the compacting loop for the tail.
+/// The row-mask sweep of cj's list: each entry is one O(1) test against
+/// the row's dense membership mask (BeginRow — no merge-join), its miss
+/// count is bumped in place, and pred.Keep decides survival from the
+/// pre-row count and the hit bit with no branch on the hit. Entries die
+/// at most once in their lifetime, so the common row drops nothing: the
+/// sweep moves no element until the first death (a branch that predicts
+/// near-perfectly) and only then compacts the tail. With kFlagHits each
+/// hit's mask byte becomes 2 (written as byte * 2, since a missed
+/// entry's byte is already 0), marking the column listed for
+/// CollectJoiners; a dying hit is flagged too, so it cannot rejoin on
+/// the row it left. Returns the survivor count; the caller commits it.
+template <bool kFlagHits, typename Pred>
+size_t SweepList(const MissCounterTable::MutableList& list,
+                 uint8_t* __restrict mask, const Pred& pred) {
   // __restrict: the byte mask would otherwise alias the uint32 miss
   // stores (unsigned char aliases everything) and force reloads.
-  const uint8_t* __restrict mask = scratch.row_mask.data();
   size_t j = 0;
   for (; j < list.size; ++j) {
     const ColumnId ck = list.cand[j];
-    const uint8_t hit = mask[ck] != 0 ? 1 : 0;
+    const uint32_t hit = mask[ck];  // 0 or 1: entries are unique
+    if constexpr (kFlagHits) mask[ck] = static_cast<uint8_t>(hit * 2);
     const uint32_t old_miss = list.miss[j];
-    const uint32_t new_miss = old_miss + 1u - hit;
-    list.miss[j] = new_miss;
-    const bool keep =
-        hit != 0 ? keep_on_hit(ck, old_miss) : keep_on_miss(ck, new_miss);
-    if (!keep) break;
+    list.miss[j] = old_miss + 1u - hit;
+    if (!pred.Keep(ck, old_miss, hit)) break;
   }
   size_t w = j;
   for (++j; j < list.size; ++j) {
     const ColumnId ck = list.cand[j];
-    const uint8_t hit = mask[ck] != 0 ? 1 : 0;
+    const uint32_t hit = mask[ck];
+    if constexpr (kFlagHits) mask[ck] = static_cast<uint8_t>(hit * 2);
     const uint32_t old_miss = list.miss[j];
-    const uint32_t new_miss = old_miss + 1u - hit;
-    const bool keep =
-        hit != 0 ? keep_on_hit(ck, old_miss) : keep_on_miss(ck, new_miss);
-    if (!keep) continue;
+    if (!pred.Keep(ck, old_miss, hit)) continue;
     list.cand[w] = ck;
-    list.miss[w] = new_miss;
+    list.miss[w] = old_miss + 1u - hit;
     ++w;
   }
+  return w;
+}
+
+/// The joiner walk after a flagging sweep (or on a row that creates the
+/// list, where nothing is flagged): restores every row column's mask
+/// byte to 1 and writes each column to scratch.fresh, advancing past it
+/// only if it was unlisted (byte 1) and qualifies, so the walk has no
+/// data-dependent branch. pred.AcceptNew then filters that short list.
+/// Returns the joiner count, in scratch.fresh[0, n).
+template <typename Qualifies, typename Pred>
+size_t CollectJoiners(std::span<const ColumnId> row, MergeScratch& scratch,
+                      Qualifies qualifies, const Pred& pred) {
+  if (scratch.fresh.size() < row.size()) scratch.fresh.resize(row.size());
+  uint8_t* __restrict mask = scratch.row_mask.data();
+  ColumnId* __restrict fresh = scratch.fresh.data();
+  size_t f = 0;
+  for (const ColumnId cr : row) {
+    const bool unlisted = mask[cr] == 1;
+    mask[cr] = 1;
+    fresh[f] = cr;
+    f += static_cast<size_t>(unlisted & qualifies(cr));
+  }
+  size_t n = 0;
+  for (size_t k = 0; k < f; ++k) {
+    if (pred.AcceptNew(fresh[k])) fresh[n++] = fresh[k];
+  }
+  return n;
+}
+
+/// The cnt > maxmis merge: no additions are possible, so the list is
+/// only swept (SweepList) — no rebuild, no copy. The caller guarantees
+/// HasList(cj); an empty list is a no-op.
+template <typename Pred>
+void InPlaceMissMerge(MissCounterTable& table, ColumnId cj,
+                      MergeScratch& scratch, const Pred& pred) {
+  const MissCounterTable::MutableList list = table.Mutable(cj);
+  if (list.size == 0) return;
+  const size_t w = SweepList<false>(list, scratch.row_mask.data(), pred);
   if (w != list.size) table.SetSize(cj, w);
 }
 
 /// The cnt <= maxmis merge: existing entries take hits/misses exactly as
-/// in InPlaceMissMerge, and accepted row-only columns join with
-/// miss = base_miss. The sweep tests each entry against the row's dense
-/// membership mask (BeginRow) and bumps/compacts the survivors in place,
-/// flagging each consumed hit in the mask; one walk over the row
-/// afterwards yields the joiners and restores the mask. The joiners are
-/// then merged in from the back after a single Reserve, so the common
-/// no-joiner row touches each entry exactly once and an interleaved join
-/// costs one bounded backward merge instead of a full rebuild. The list
-/// is created lazily: a merge that would leave it empty does not create
-/// it and pays no kPerListOverheadBytes (an already-created list that
+/// in InPlaceMissMerge while the sweep flags each consumed hit in the
+/// mask; one walk over the row afterwards yields the joiners (qualifying
+/// row-only columns pred.AcceptNew takes, entering with miss =
+/// base_miss) and restores the mask. The joiners are then merged in
+/// from the back after a single Reserve, so the common no-joiner row
+/// touches each entry exactly once and an interleaved join costs one
+/// bounded backward merge instead of a full rebuild. The list is
+/// created lazily: a merge that would leave it empty does not create it
+/// and pays no kPerListOverheadBytes (an already-created list that
 /// empties out stays live, as before).
-template <typename AcceptNew, typename KeepOnHit, typename KeepOnMiss>
+template <typename Qualifies, typename Pred>
 void InPlaceAddMerge(MissCounterTable& table, ColumnId cj,
                      std::span<const ColumnId> row, uint32_t base_miss,
-                     MergeScratch& scratch, AcceptNew accept_new,
-                     KeepOnHit keep_on_hit, KeepOnMiss keep_on_miss) {
-  scratch.fresh.clear();
-  if (!table.HasList(cj)) {
-    for (const ColumnId ck : row) {
-      if (ck != cj && accept_new(ck)) scratch.fresh.push_back(ck);
-    }
-    if (scratch.fresh.empty()) return;
-    table.Create(cj);
-    const MissCounterTable::MutableList list =
-        table.Reserve(cj, scratch.fresh.size());
-    for (size_t k = 0; k < scratch.fresh.size(); ++k) {
-      list.cand[k] = scratch.fresh[k];
-      list.miss[k] = base_miss;
-    }
-    table.SetSize(cj, scratch.fresh.size());
+                     MergeScratch& scratch, Qualifies qualifies,
+                     const Pred& pred) {
+  const bool had_list = table.HasList(cj);
+  size_t n = 0, w = 0;
+  if (had_list) {
+    const MissCounterTable::MutableList list = table.Mutable(cj);
+    n = list.size;
+    w = SweepList<true>(list, scratch.row_mask.data(), pred);
+  }
+  const size_t fn = CollectJoiners(row, scratch, qualifies, pred);
+  if (fn == 0) {
+    if (w != n) table.SetSize(cj, w);
     return;
   }
-
-  const MissCounterTable::MutableList list = table.Mutable(cj);
-  // Optimistic mask sweep (see InPlaceMissMerge): each entry is an O(1)
-  // membership test and misses are bumped in place with no element
-  // moves until the first death. A consumed hit is flagged (1 -> 2,
-  // written as mask * 2 since a missed entry's mask is already 0) so
-  // the row walk below can tell joiners (still 1) from already-listed
-  // columns, then restores the flags. A dying hit is flagged too: it
-  // was in the list on this row, so it must not rejoin as fresh.
-  // __restrict as in InPlaceMissMerge: keep the byte mask disjoint
-  // from the uint32 miss stores for the alias analyzer.
-  uint8_t* __restrict mask = scratch.row_mask.data();
-  size_t j = 0;
-  for (; j < list.size; ++j) {
-    const ColumnId ck = list.cand[j];
-    const uint8_t hit = mask[ck];  // 0 or 1: entries are unique
-    mask[ck] = static_cast<uint8_t>(hit * 2);
-    const uint32_t old_miss = list.miss[j];
-    const uint32_t new_miss = old_miss + 1u - hit;
-    list.miss[j] = new_miss;
-    const bool keep =
-        hit != 0 ? keep_on_hit(ck, old_miss) : keep_on_miss(ck, new_miss);
-    if (!keep) break;
-  }
-  size_t w = j;
-  for (++j; j < list.size; ++j) {
-    const ColumnId ck = list.cand[j];
-    const uint8_t hit = mask[ck];
-    mask[ck] = static_cast<uint8_t>(hit * 2);
-    const uint32_t old_miss = list.miss[j];
-    const uint32_t new_miss = old_miss + 1u - hit;
-    const bool keep =
-        hit != 0 ? keep_on_hit(ck, old_miss) : keep_on_miss(ck, new_miss);
-    if (!keep) continue;
-    list.cand[w] = ck;
-    list.miss[w] = new_miss;
-    ++w;
-  }
-  for (const ColumnId cr : row) {
-    if (mask[cr] == 2) {
-      mask[cr] = 1;
-    } else if (cr != cj && accept_new(cr)) {
-      scratch.fresh.push_back(cr);
-    }
-  }
-
-  if (scratch.fresh.empty()) {
-    if (w != list.size) table.SetSize(cj, w);
-    return;
-  }
+  if (!had_list) table.Create(cj);
   // Reserve preserves the survivors in [0, w); entries past the last
   // joiner are already in position.
-  MergeJoinersFromBack(table, cj, w, scratch.fresh,
+  MergeJoinersFromBack(table, cj, w, {scratch.fresh.data(), fn},
                        [base_miss](ColumnId) { return base_miss; });
 }
 
 /// The pre-arena cnt <= maxmis merge: one linear pass rebuilds the whole
 /// list into scratch and copies it back, every row. Semantically
 /// identical to InPlaceAddMerge (including lazy creation); kept as the
-/// differential baseline.
-template <typename AcceptNew, typename KeepOnHit, typename KeepOnMiss>
+/// differential baseline, so it decides survival by the paper's two
+/// tests, pred.KeepOnHit and pred.KeepOnMiss, not by pred.Keep.
+template <typename Qualifies, typename Pred>
 void LegacyAddMerge(MissCounterTable& table, ColumnId cj,
                     std::span<const ColumnId> row, uint32_t base_miss,
-                    MergeScratch& scratch, AcceptNew accept_new,
-                    KeepOnHit keep_on_hit, KeepOnMiss keep_on_miss) {
+                    MergeScratch& scratch, Qualifies qualifies,
+                    const Pred& pred) {
   const bool had_list = table.HasList(cj);
   const MissCounterTable::ListView list =
       had_list ? table.List(cj) : MissCounterTable::ListView{};
@@ -343,7 +331,7 @@ void LegacyAddMerge(MissCounterTable& table, ColumnId cj,
   while (i < row.size() || j < list.size) {
     if (j >= list.size || (i < row.size() && row[i] < list.cand[j])) {
       const ColumnId ck = row[i++];
-      if (ck != cj && accept_new(ck)) {
+      if (ck != cj && qualifies(ck) && pred.AcceptNew(ck)) {
         scratch.cand.push_back(ck);
         scratch.miss.push_back(base_miss);
       }
@@ -351,7 +339,7 @@ void LegacyAddMerge(MissCounterTable& table, ColumnId cj,
       const ColumnId ck = list.cand[j];
       const uint32_t new_miss = list.miss[j] + 1;
       ++j;
-      if (keep_on_miss(ck, new_miss)) {
+      if (pred.KeepOnMiss(ck, new_miss)) {
         scratch.cand.push_back(ck);
         scratch.miss.push_back(new_miss);
       }
@@ -360,7 +348,7 @@ void LegacyAddMerge(MissCounterTable& table, ColumnId cj,
       const uint32_t old_miss = list.miss[j];
       ++i;
       ++j;
-      if (keep_on_hit(ck, old_miss)) {
+      if (pred.KeepOnHit(ck, old_miss)) {
         scratch.cand.push_back(ck);
         scratch.miss.push_back(old_miss);
       }
@@ -376,10 +364,10 @@ void LegacyAddMerge(MissCounterTable& table, ColumnId cj,
 
 /// The pre-arena cnt > maxmis merge (rebuild into scratch, copy back).
 /// Caller guarantees HasList(cj).
-template <typename KeepOnHit, typename KeepOnMiss>
+template <typename Pred>
 void LegacyMissMerge(MissCounterTable& table, ColumnId cj,
                      std::span<const ColumnId> row, MergeScratch& scratch,
-                     KeepOnHit keep_on_hit, KeepOnMiss keep_on_miss) {
+                     const Pred& pred) {
   const MissCounterTable::ListView list = table.List(cj);
   if (list.empty()) return;
   scratch.cand.clear();
@@ -389,12 +377,12 @@ void LegacyMissMerge(MissCounterTable& table, ColumnId cj,
     const ColumnId ck = list.cand[j];
     while (i < row.size() && row[i] < ck) ++i;
     if (i < row.size() && row[i] == ck) {
-      if (!keep_on_hit(ck, list.miss[j])) continue;
+      if (!pred.KeepOnHit(ck, list.miss[j])) continue;
       scratch.cand.push_back(ck);
       scratch.miss.push_back(list.miss[j]);
     } else {
       const uint32_t new_miss = list.miss[j] + 1;
-      if (!keep_on_miss(ck, new_miss)) continue;
+      if (!pred.KeepOnMiss(ck, new_miss)) continue;
       scratch.cand.push_back(ck);
       scratch.miss.push_back(new_miss);
     }

@@ -185,21 +185,11 @@ void StreamingPass<Kind>::MergeWithAdd(ColumnId cj,
     return;
   }
   const auto pred = kind_.ForList(cj, base_miss, cnt_.data());
-  const auto accept_new = [this, cj, pred](ColumnId ck) {
-    return Qualifies(ck, cj) && pred.AcceptNew(ck);
-  };
-  const auto keep_on_hit = [pred](ColumnId ck, uint32_t miss) {
-    return pred.KeepOnHit(ck, miss);
-  };
-  const auto keep_on_miss = [pred](ColumnId ck, uint32_t new_miss) {
-    return pred.KeepOnMiss(ck, new_miss);
-  };
+  const auto qualifies = [this, cj](ColumnId ck) { return Qualifies(ck, cj); };
   if (kernel_ == MergeKernel::kLegacy) {
-    LegacyAddMerge(table_, cj, row, base_miss, scratch_, accept_new,
-                   keep_on_hit, keep_on_miss);
+    LegacyAddMerge(table_, cj, row, base_miss, scratch_, qualifies, pred);
   } else {
-    InPlaceAddMerge(table_, cj, row, base_miss, scratch_, accept_new,
-                    keep_on_hit, keep_on_miss);
+    InPlaceAddMerge(table_, cj, row, base_miss, scratch_, qualifies, pred);
   }
 }
 
@@ -216,16 +206,10 @@ void StreamingPass<Kind>::MergeMissOnly(ColumnId cj,
     return;
   }
   const auto pred = kind_.ForList(cj, cnt_[cj], cnt_.data());
-  const auto keep_on_hit = [pred](ColumnId ck, uint32_t miss) {
-    return pred.KeepOnHit(ck, miss);
-  };
-  const auto keep_on_miss = [pred](ColumnId ck, uint32_t new_miss) {
-    return pred.KeepOnMiss(ck, new_miss);
-  };
   if (kernel_ == MergeKernel::kLegacy) {
-    LegacyMissMerge(table_, cj, row, scratch_, keep_on_hit, keep_on_miss);
+    LegacyMissMerge(table_, cj, row, scratch_, pred);
   } else {
-    InPlaceMissMerge(table_, cj, scratch_, keep_on_hit, keep_on_miss);
+    InPlaceMissMerge(table_, cj, scratch_, pred);
   }
 }
 

@@ -7,7 +7,8 @@
 // template argument and supplies only what differs:
 //  * the column miss budget (no candidate joins c's list once cnt(c)
 //    exceeds it) and the pair budget (the rule test itself);
-//  * the three merge predicates of core/kernels.h;
+//  * the merge predicates of core/kernels.h: AcceptNew, and Keep, one
+//    survival test per entry with no branch on whether it hit;
 //  * the vector entry sweep, whether kSimd may run it, and the counter
 //    it keeps per entry (the miss count, or similarity's slack);
 //  * the record emitted, and which records are 100% rules;
@@ -88,9 +89,16 @@ class ImplicationKind {
 
   /// The merge predicates for cj's list on one row: every qualifying
   /// column joins, a hit never kills, a miss kills past the budget.
+  /// Keep asks of both that the bumped miss count stay within the
+  /// budget. On a hit that count is the listed one, which never exceeds
+  /// maxmis(cj): an entry joins with cnt(cj) <= maxmis(cj) misses and
+  /// survives a miss only within it.
   struct ListPredicates {
     int64_t budget;
     bool AcceptNew(ColumnId) const { return true; }
+    bool Keep(ColumnId, uint32_t miss, uint32_t hit) const {
+      return static_cast<int64_t>(miss) + 1 - hit <= budget;
+    }
     bool KeepOnHit(ColumnId, uint32_t) const { return true; }
     bool KeepOnMiss(ColumnId, uint32_t new_miss) const {
       return static_cast<int64_t>(new_miss) <= budget;
@@ -158,12 +166,13 @@ class SimilarityKind {
   }
 
   /// The merge predicates for cj's list on one row; `cnt` holds the
-  /// pre-row counts and base_miss = cnt(cj).
+  /// pre-row counts, base_miss = cnt(cj) and rem_j = ones(cj) - cnt(cj).
   struct ListPredicates {
     const SimilarityKind* kind;
     const uint32_t* cnt;
     ColumnId cj;
     uint32_t base_miss;
+    int64_t rem_j;
     // §5.1 column-density pruning on joiners: a negative budget means
     // the ratio ones(cj)/ones(ck) is below s and the pair can never
     // qualify; a budget below cnt(cj) means it is dead on arrival. With
@@ -179,6 +188,20 @@ class SimilarityKind {
       return !kind->column_density_pruning_ ||
              kind->WithinPairBudget(cj, ck, base_miss);
     }
+    // KeepOnHit(ck, miss) at hit = 1, KeepOnMiss(ck, miss + 1) at
+    // hit = 0. With §5.2 pruning both test the budget of
+    // a - best_hits = rem_j + miss - min(rem_j - 1 + hit, rem_k), the
+    // argument SimSweepPortable decides in slack form; without it a hit
+    // never kills.
+    bool Keep(ColumnId ck, uint32_t miss, uint32_t hit) const {
+      if (!kind->max_hits_pruning_) {
+        return hit != 0 ||
+               kind->WithinPairBudget(cj, ck, static_cast<int64_t>(miss) + 1);
+      }
+      const int64_t rem_k = static_cast<int64_t>(kind->ones_[ck]) - cnt[ck];
+      const int64_t best_rest = std::min<int64_t>(rem_j - 1 + hit, rem_k);
+      return kind->WithinPairBudget(cj, ck, rem_j + miss - best_rest);
+    }
     bool KeepOnHit(ColumnId ck, uint32_t miss) const {
       return !kind->max_hits_pruning_ ||
              kind->SurvivesMaxHitsOnHit(cj, ck, miss, cnt);
@@ -192,7 +215,8 @@ class SimilarityKind {
   };
   ListPredicates ForList(ColumnId cj, uint32_t base_miss,
                          const uint32_t* cnt) const {
-    return {this, cnt, cj, base_miss};
+    return {this, cnt, cj, base_miss,
+            static_cast<int64_t>(ones_[cj]) - cnt[cj]};
   }
   /// kernels::SimVectorSweep over cj's list; returns the new size.
   size_t Sweep(ColumnId cj, const MissCounterTable::MutableList& list,
@@ -370,9 +394,11 @@ class StreamingPass {
   bool Owns(ColumnId c) const {
     return config_.antecedents.empty() || config_.antecedents[c] != 0;
   }
+  /// ck may join cj's list iff (ones(ck), ck) > (ones(cj), cj), compared
+  /// as one 64-bit key.
   bool Qualifies(ColumnId ck, ColumnId cj) const {
-    return config_.ones[ck] > config_.ones[cj] ||
-           (config_.ones[ck] == config_.ones[cj] && ck > cj);
+    return (uint64_t{config_.ones[ck]} << 32 | ck) >
+           (uint64_t{config_.ones[cj]} << 32 | cj);
   }
   void MergeWithAdd(ColumnId cj, std::span<const ColumnId> row);
   void MergeMissOnly(ColumnId cj, std::span<const ColumnId> row);

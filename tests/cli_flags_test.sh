@@ -10,8 +10,9 @@
 # still mine.
 # The flags given pick one mining path (in memory, --threads,
 # incremental, --external, --shard-workers); a flag that path does not
-# read exits 2 naming the flag and the path, and each path accepts all
-# of its own flags. Rules mined inside a support window name the input's
+# read exits 2 naming the flag and the path (the command, for a flag
+# only the other mine command reads), and each path accepts all of its
+# own flags. Rules mined inside a support window name the input's
 # columns, and --query-lhs/--query-rhs print from the mined rules.
 # A --failpoint-seed without --failpoints reseeds the DMC_FAILPOINTS spec
 # and exits 2 when none is armed. A bench refuses the same way before it
@@ -139,6 +140,15 @@ refused "--max-support=9: not read by the --shard-workers path" "$CLI" \
   mine-sim --input="$FIXTURE" --minsim=0.5 --max-support=9 \
   --shard-workers=1 --workdir="$TMP"
 rejects min-support --min-support=6 --append="$FIXTURE"
+# Flags only the other mine command reads name the command, on any path.
+refused "--query-lhs=0: not read by mine-sim" "$CLI" mine-sim \
+  --input="$FIXTURE" --minsim=0.5 --query-lhs=0
+refused "--query-rhs=3: not read by mine-sim" "$CLI" mine-sim \
+  --input="$FIXTURE" --minsim=0.5 --query-rhs=3 --threads=2
+refused "--minconf=0.5: not read by mine-sim" "$CLI" mine-sim \
+  --input="$FIXTURE" --minconf=0.5
+refused "--minsim=0.5: not read by mine-imp" "$CLI" mine-imp \
+  --input="$FIXTURE" --minsim=0.5 --external --workdir="$TMP"
 rejects threads --external --threads=4 --workdir="$TMP"
 rejects threads --shard-workers=1 --threads=2 --workdir="$TMP"
 rejects threads --evict=1 --threads=1

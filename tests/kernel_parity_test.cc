@@ -481,13 +481,16 @@ TEST(KernelParityTest, SimSweepMatchesTheDoublePredicates) {
     }
     ++lengths[cand.size()];
 
-    // The oracle: today's double predicates, entry by entry.
+    // The oracle: the paper's double predicates, entry by entry; the
+    // mask merges' one test must agree with them too.
     const auto pred = kind.ForList(0, cnt[0], cnt.data());
     std::vector<std::pair<ColumnId, uint32_t>> want;
     for (size_t k = 0; k < cand.size(); ++k) {
       const uint32_t hit = mask[cand[k]];
       const bool keep = hit != 0 ? pred.KeepOnHit(cand[k], miss[k])
                                  : pred.KeepOnMiss(cand[k], miss[k] + 1);
+      ASSERT_EQ(pred.Keep(cand[k], miss[k], hit), keep)
+          << "trial " << trial << " s=" << s << " entry " << k;
       if (keep) want.emplace_back(cand[k], miss[k] + 1 - hit);
     }
     if (mode % 3 == 2) {
@@ -515,6 +518,84 @@ TEST(KernelParityTest, SimSweepMatchesTheDoublePredicates) {
   EXPECT_GT(past_budget, 1000u);
   EXPECT_GT(rem_k_binds, 1000u);
   EXPECT_GT(all_keep, 100u);
+}
+
+// ListPredicates::Keep, the one survival test the mask merges call,
+// against the two paper-form tests the kLegacy merges call: Keep(ck, m,
+// 1) must equal KeepOnHit(ck, m) and Keep(ck, m, 0) KeepOnMiss(ck,
+// m + 1). Similarities: the default policy and both pruning ablations, at
+// 1.0, every two-decimal threshold, the awkward 0.666667 and 0.5000001
+// and random ones, for every miss count up to two past the pair budget,
+// with rem(ck) often binding. Implications: every miss count a listed
+// entry can hold, 0 <= m <= maxmis(cj), which Keep's one comparison
+// relies on.
+TEST(KernelParityTest, KeepDecidesAsKeepOnHitAndKeepOnMiss) {
+  constexpr ColumnId kCols = 24;  // cj = 0 (similarity), every cj (imp)
+  Rng rng(4409);
+  std::vector<double> thresholds = {1.0, 0.666667, 0.5000001};
+  for (int c = 1; c < 100; ++c) thresholds.push_back(c / 100.0);
+  for (int k = 0; k < 20; ++k) thresholds.push_back(1.0 - rng.UniformDouble());
+  std::vector<DmcPolicy> policies(3);
+  policies[1].column_density_pruning = false;
+  policies[2].max_hits_pruning = false;
+  // [hit][keep] over every similarity check, and the implication checks
+  // at m = maxmis(cj) > 0.
+  size_t sim_decisions[2][2] = {{0, 0}, {0, 0}};
+  size_t imp_at_budget = 0;
+  for (const double s : thresholds) {
+    // Pre-row counts leave cj and every column a remaining 1, so each
+    // may be in the row; half the columns have few 1s left.
+    std::vector<uint32_t> ones(kCols), cnt(kCols);
+    ones[0] = static_cast<uint32_t>(rng.UniformInt(1, 200));
+    for (ColumnId c = 1; c < kCols; ++c) {
+      ones[c] = static_cast<uint32_t>(rng.UniformInt(
+          ones[0], static_cast<int64_t>(std::min(ones[0] / s, 1e4)) + 2));
+    }
+    for (ColumnId c = 0; c < kCols; ++c) {
+      const uint32_t left = static_cast<uint32_t>(
+          rng.Bernoulli(0.5) ? rng.UniformInt(1, 3)
+                             : rng.UniformInt(1, ones[c]));
+      cnt[c] = ones[c] - std::min(left, ones[c]);
+    }
+    for (const DmcPolicy& policy : policies) {
+      const SimilarityKind kind(ones, s, policy, /*vector_sweep=*/false);
+      const auto pred = kind.ForList(0, cnt[0], cnt.data());
+      for (ColumnId ck = 1; ck < kCols; ++ck) {
+        const int64_t top = std::max<int64_t>(kind.PairBudget(0, ck), 0) + 2;
+        for (uint32_t m = 0; m <= top; ++m) {
+          for (const uint32_t hit : {0u, 1u}) {
+            const bool want = hit != 0 ? pred.KeepOnHit(ck, m)
+                                       : pred.KeepOnMiss(ck, m + 1);
+            ASSERT_EQ(pred.Keep(ck, m, hit), want)
+                << "sim s=" << s << " max_hits=" << policy.max_hits_pruning
+                << " ck=" << ck << " m=" << m << " hit=" << hit;
+            ++sim_decisions[hit][want];
+          }
+        }
+      }
+    }
+    const ImplicationKind kind(ones, s, DmcPolicy{}, /*vector_sweep=*/false);
+    for (ColumnId cj = 0; cj < kCols; ++cj) {
+      const auto pred = kind.ForList(cj, cnt[cj], cnt.data());
+      const int64_t maxmis = kind.ColumnBudget(cj);
+      const ColumnId ck = (cj + 1) % kCols;
+      for (uint32_t m = 0; m <= maxmis; ++m) {
+        for (const uint32_t hit : {0u, 1u}) {
+          const bool want = hit != 0 ? pred.KeepOnHit(ck, m)
+                                     : pred.KeepOnMiss(ck, m + 1);
+          ASSERT_EQ(pred.Keep(ck, m, hit), want)
+              << "imp minconf=" << s << " cj=" << cj << " m=" << m
+              << " hit=" << hit;
+        }
+        imp_at_budget += m > 0 && m == maxmis;
+      }
+    }
+  }
+  for (const int hit : {0, 1}) {
+    EXPECT_GT(sim_decisions[hit][0], 1000u) << "hit=" << hit;
+    EXPECT_GT(sim_decisions[hit][1], 1000u) << "hit=" << hit;
+  }
+  EXPECT_GT(imp_at_budget, 1000u);
 }
 
 // The phase drivers called directly, as the external miner and the shard

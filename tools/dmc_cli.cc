@@ -31,7 +31,8 @@
 // applies: --shard-workers, --external, incremental (--append, --evict
 // or --window-rows), --threads, in memory. A path reads the common
 // options plus its own below; any other flag exits 2, naming the flag
-// and the path.
+// and the path (or the command, for a flag only the other mine command
+// reads).
 //
 // In memory (no path flag):
 //   --min-support=N --max-support=N support window: mine only the columns
@@ -276,12 +277,24 @@ std::string CheckFlags(const std::string& command, const Flags& flags) {
   std::string malformed;
   if (command == "mine-imp" || command == "mine-sim") {
     const auto& [path_name, path_flags] = kPaths[static_cast<int>(path)];
-    const std::span<const FlagSpec> kind_flags =
-        command == "mine-imp" ? std::span<const FlagSpec>(kImpFlags)
-                              : std::span<const FlagSpec>(kSimFlags);
+    const std::span<const FlagSpec> kinds[] = {kImpFlags, kSimFlags};
+    const bool imp = command == "mine-imp";
+    const std::span<const FlagSpec> kind_flags = kinds[imp ? 0 : 1];
+    // A flag only the other mine command reads is refused by command,
+    // once the rest passes: the first check admits it with any value.
+    std::vector<FlagSpec> other_kind;
+    for (const FlagSpec& row : kinds[imp ? 1 : 0]) {
+      other_kind.push_back({row.name, FlagKind::kText, 0, /*bare_ok=*/true});
+    }
     malformed = flags.Check(
-        {kFailpointFlags, kInputFlags, kMineFlags, kind_flags, path_flags},
+        {kFailpointFlags, kInputFlags, kMineFlags, kind_flags, path_flags,
+         other_kind},
         std::string("not read by the ") + path_name + " path");
+    if (malformed.empty()) {
+      malformed = flags.Check(
+          {kFailpointFlags, kInputFlags, kMineFlags, kind_flags, path_flags},
+          "not read by " + command);
+    }
   } else if (command == "stats") {
     malformed = flags.Check({kFailpointFlags, kInputFlags, kSupportFlags});
   } else if (command == "generate") {
